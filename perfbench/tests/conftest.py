@@ -1,0 +1,9 @@
+import os
+import sys
+from pathlib import Path
+
+# before numpy loads, as the benchmark itself does
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
