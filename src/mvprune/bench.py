@@ -34,7 +34,9 @@ from .core import (
     _check_int,
     dumps_obj,
     load_annotation,
+    load_observations,
     loads_obj,
+    observation_header,
     read_jsonl,
     write_jsonl,
 )
@@ -747,11 +749,13 @@ def validate_artifacts(out_dir) -> list[str]:
 
 
 def _validate_observations(path) -> None:
-    for obj in read_jsonl(path):
-        record = MultiViewObservation.from_obj(obj)
-        if dumps_obj(record.to_obj()) != dumps_obj(obj):
+    """Load the records with their sidecar, which checks that the two agree,
+    then require each record to be exactly the header of what it loaded."""
+    observations = load_observations(path)
+    for obj, obs in zip(read_jsonl(path), observations):
+        if dumps_obj(observation_header(obs)) != dumps_obj(obj):
             raise ParseError(
-                f"observation frame {record.frame_index} does not round-trip",
+                f"observation frame {obs.frame_index} does not round-trip",
                 field="views")
 
 
@@ -763,7 +767,7 @@ def _validate_prune_records(path) -> None:
     for obj in read_jsonl(path):
         if obj.get("kind") != "prune" or obj.get("fmt") != FORMAT_VERSION:
             raise ParseError("not a prune record", field="kind")
-        PruneResult.from_obj(obj["result"])
+        PruneResult.from_obj(obj.get("result"))
 
 
 def _validate_config_file(path) -> None:

@@ -1,9 +1,12 @@
-"""Shared domain types, validation errors, and deterministic JSON serialization.
+"""Shared domain types, validation errors, and deterministic serialization.
 
-Every serialized record is a single JSON object tagged with ``"fmt": 1`` and a
-``"kind"`` string. Floats travel as JSON decimal text produced by Python's
-``repr``, which round-trips ``float`` values bit-exactly, so writing and
-re-reading a record yields an identical value and identical bytes.
+Every serialized record is a single JSON object tagged with ``"fmt"``
+(``FORMAT_VERSION``) and a ``"kind"`` string. Floats travel as JSON decimal
+text produced by Python's ``repr``, which round-trips ``float`` values
+bit-exactly, so writing and re-reading a record yields an identical value
+and identical bytes. Observation files are the exception: their token values
+go to a ``.npy`` sidecar next to the JSONL metadata, because decimal text
+for every patch token is slow to write and read and several times larger.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +604,9 @@ class PruneResult:
         except KeyError as exc:
             raise ParseError("missing prune result field",
                              field=str(exc.args[0])) from exc
-        except ContractError as exc:
+        # malformed field values (a number where a list belongs, a pair of
+        # the wrong length) fail as TypeError or ValueError while building
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"invalid prune result: {exc}", field="kept") from exc
 
 
@@ -900,12 +906,126 @@ def read_jsonl(path) -> Iterator[dict]:
                                  field=exc.field, offset=exc.offset) from exc
 
 
-def save_observations(path, observations: Iterable[MultiViewObservation]) -> None:
-    write_jsonl(path, (obs.to_obj() for obs in observations))
+# the sidecar's dtype: little-endian float64 on every host
+_SIDECAR_DTYPE = np.dtype("<f8")
 
 
-def load_observations(path) -> list[MultiViewObservation]:
-    return [MultiViewObservation.from_obj(obj) for obj in read_jsonl(path)]
+def sidecar_path(path) -> Path:
+    """The ``.npy`` sidecar of an observation file: ``x.obs.jsonl`` -> ``x.obs.npy``."""
+    return Path(path).with_suffix(".npy")
+
+
+def observation_header(obs: MultiViewObservation) -> dict:
+    """The JSONL record of one observation: its views without their values."""
+    return {
+        "fmt": FORMAT_VERSION,
+        "kind": "observation",
+        "episode_id": obs.episode_id,
+        "frame_index": obs.frame_index,
+        "views": [{"view_id": v.view_id, "height": v.height,
+                   "width": v.width, "embed_dim": v.embed_dim}
+                  for v in obs.views],
+    }
+
+
+def save_observations(path, observations: Iterable[MultiViewObservation]
+                      ) -> None:
+    """Write one header record per frame to ``path`` and all token values to
+    its sidecar.
+
+    The sidecar is one 1-D ``<f8`` array: per frame in order, per view in
+    order, the view's row-major ``tokens`` and then its ``cls``. It is written
+    with a single ``np.save``, whose bytes depend only on the array, so equal
+    observations give identical files.
+    """
+    headers, values = [], []
+    for obs in observations:
+        headers.append(observation_header(obs))
+        for view in obs.views:
+            values.append(view.tokens.reshape(-1))
+            values.append(view.cls)
+    flat = np.concatenate(values) if values else np.zeros(0)
+    write_jsonl(path, headers)
+    with open(sidecar_path(path), "wb") as fh:
+        np.save(fh, flat.astype(_SIDECAR_DTYPE, copy=False), allow_pickle=False)
+
+
+def load_observations(path, sidecar=None) -> list[MultiViewObservation]:
+    """Read observations back from header records and their sidecar.
+
+    ``sidecar`` defaults to ``sidecar_path(path)``. The records must account
+    for every value of the sidecar, no more and no fewer; each view is
+    rebuilt through ``TokenGrid``, so shapes and finiteness are checked.
+    """
+    flat = _read_sidecar(sidecar_path(path) if sidecar is None else sidecar)
+    observations = []
+    offset = 0
+    for obj in read_jsonl(path):
+        obs, offset = _observation_from_header(obj, flat, offset)
+        observations.append(obs)
+    if offset != flat.shape[0]:
+        raise ParseError(
+            f"token sidecar holds {flat.shape[0]} values, the "
+            f"{len(observations)} observation records use {offset}",
+            field="tokens")
+    return observations
+
+
+def _read_sidecar(path) -> np.ndarray:
+    with open(path, "rb") as fh:
+        try:
+            flat = np.load(fh, allow_pickle=False)
+        # EOFError on an empty file; MemoryError when the header claims a
+        # shape no buffer can hold
+        except (ValueError, EOFError, MemoryError) as exc:
+            raise ParseError(f"unreadable token sidecar {Path(path).name}: "
+                             f"{exc}", field="tokens") from exc
+    if not isinstance(flat, np.ndarray):
+        raise ParseError(f"token sidecar {Path(path).name} is not a .npy "
+                         f"array", field="tokens")
+    if flat.dtype != _SIDECAR_DTYPE or flat.ndim != 1:
+        raise ParseError(
+            f"token sidecar {Path(path).name} must be a 1-D <f8 array, got "
+            f"{flat.ndim}-D {flat.dtype.str}", field="tokens")
+    return flat
+
+
+def _observation_from_header(obj, flat: np.ndarray, offset: int
+                             ) -> tuple[MultiViewObservation, int]:
+    """Rebuild one observation from its record and the sidecar values
+    starting at ``offset``; returns it with the offset past its values."""
+    _expect_record(obj, "observation")
+    try:
+        frame = obj["frame_index"]
+        views = []
+        for v, header in enumerate(obj["views"]):
+            height = _check_int(header["height"], "height", minimum=1)
+            width = _check_int(header["width"], "width", minimum=1)
+            dim = _check_int(header["embed_dim"], "embed_dim", minimum=1)
+            size = height * width * dim
+            end = offset + size + dim
+            if end > flat.shape[0]:
+                raise ParseError(
+                    f"token sidecar ends inside frame {frame!r} view {v}: "
+                    f"needs {end} values, holds {flat.shape[0]}",
+                    field="tokens")
+            views.append(TokenGrid(
+                view_id=header["view_id"], height=height, width=width,
+                embed_dim=dim,
+                tokens=flat[offset:offset + size].reshape(height * width, dim),
+                cls=flat[offset + size:end]))
+            offset = end
+        return MultiViewObservation(episode_id=obj["episode_id"],
+                                    frame_index=frame,
+                                    views=tuple(views)), offset
+    except KeyError as exc:
+        raise ParseError("missing observation field",
+                         field=str(exc.args[0])) from exc
+    # TypeError: views that are not a list of objects
+    except (ContractError, TypeError) as exc:
+        raise ParseError(
+            f"invalid observation frame {obj.get('frame_index')!r}: {exc}",
+            field="views") from exc
 
 
 def save_annotation(path, annotation: EpisodeAnnotation) -> None:

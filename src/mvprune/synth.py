@@ -45,6 +45,7 @@ from .core import (
     loads_obj,
     save_annotation,
     save_observations,
+    sidecar_path,
 )
 from .annotate import (
     DEFAULT_DEBOUNCE,
@@ -510,16 +511,18 @@ def generate_corpus(template: ScenarioSpec, count: int,
 def write_corpus(episodes: Sequence[SynthEpisode], seed: int, out_dir) -> dict:
     """Write already generated episodes under ``out_dir``; returns the manifest.
 
-    Per episode three files appear (observations, annotation, geometry) plus
-    one ``manifest.json`` naming them with their seeds. Writing the same
-    episodes again produces byte-identical files.
+    Per episode four files appear (observation headers, their token sidecar,
+    annotation, geometry) plus one ``manifest.json`` naming them with their
+    seeds. Writing the same episodes again produces byte-identical files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for episode in episodes:
         eid = episode.episode_id
-        paths = {"observations": f"{eid}.obs.jsonl",
+        observations = f"{eid}.obs.jsonl"
+        paths = {"observations": observations,
+                 "tokens": sidecar_path(observations).name,
                  "annotation": f"{eid}.ann.jsonl",
                  "geometry": f"{eid}.geom.jsonl"}
         save_observations(out / paths["observations"], episode.observations)
@@ -533,12 +536,6 @@ def write_corpus(episodes: Sequence[SynthEpisode], seed: int, out_dir) -> dict:
         json.dump(manifest, fh, separators=(",", ":"), allow_nan=False)
         fh.write("\n")
     return manifest
-
-
-def save_corpus(template: ScenarioSpec, count: int, seed: int,
-                out_dir) -> dict:
-    """Generate a corpus and write it under ``out_dir``; returns the manifest."""
-    return write_corpus(generate_corpus(template, count, seed), seed, out_dir)
 
 
 def load_corpus(corpus_dir) -> list[dict]:
@@ -558,7 +555,8 @@ def load_corpus(corpus_dir) -> list[dict]:
             episodes.append({
                 "episode_id": entry["episode_id"],
                 "seed": entry["seed"],
-                "observations": load_observations(root / entry["observations"]),
+                "observations": load_observations(
+                    root / entry["observations"], root / entry["tokens"]),
                 "annotation": load_annotation(root / entry["annotation"]),
                 "geometry": geometry,
             })

@@ -34,6 +34,7 @@ from mvprune.annotate import (
     save_manual,
 )
 from mvprune.core import (
+    FORMAT_VERSION,
     AnnotationError,
     ContractError,
     ParseError,
@@ -470,7 +471,7 @@ def test_geometry_records_reject_mixed_episodes():
 
 def manual_record(**overrides):
     record = {
-        "fmt": 1,
+        "fmt": FORMAT_VERSION,
         "kind": "manual_annotation",
         "episode_id": "ep-manual",
         "length": 6,

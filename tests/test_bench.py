@@ -349,21 +349,27 @@ def test_run_experiment_layout(experiment_dir):
     for eid in ("ep0000", "ep0001"):
         for suffix in ("obs", "ann", "geom", "derived", "prune"):
             assert f"{eid}.{suffix}.jsonl" in corpus_names
+        assert f"{eid}.obs.npy" in corpus_names
     header = (out / "report.csv").read_text().splitlines()[0]
     assert header == "strategy,metric,value"
 
 
 def test_run_experiment_is_reproducible(experiment_dir, tmp_path):
+    """Every artifact but timings.csv, token sidecars included, is rewritten
+    byte for byte by a second run into another directory."""
     out, report = experiment_dir
     again = run_experiment(resolve_config(SMALL), tmp_path)
     assert again == report
-    for path in sorted(out.rglob("*")):
-        if not path.is_file():
-            continue
-        rel = path.relative_to(out)
-        if rel.name == "timings.csv":
-            continue
-        assert (tmp_path / rel).read_bytes() == path.read_bytes(), str(rel)
+
+    def files(root):
+        return sorted(p.relative_to(root) for p in root.rglob("*")
+                      if p.is_file() and p.name != "timings.csv")
+
+    assert files(tmp_path) == files(out)
+    assert sum(rel.suffix == ".npy" for rel in files(out)) == 2
+    for rel in files(out):
+        assert (tmp_path / rel).read_bytes() == (out / rel).read_bytes(), \
+            str(rel)
 
 
 def test_validate_artifacts_clean(experiment_dir):
@@ -504,6 +510,93 @@ def test_cli_prune_runs_full_experiment(tmp_path, capsys):
     (out / "inter.mlp.json").write_text("[", encoding="utf-8")
     assert main(["validate", "--dir", str(out)]) == 1
     assert "inter.mlp.json" in capsys.readouterr().err
+
+
+def _save_npy(path, values, allow_pickle=False):
+    with open(path, "wb") as fh:
+        np.save(fh, values, allow_pickle=allow_pickle)
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _overclaim(path):
+    # a header promising 2**61 bytes, far more than any address space
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": (2 ** 58,)})
+        fh.write(b"\0" * 64)
+
+
+def _non_finite(path):
+    values = np.load(path)
+    values[7] = np.inf
+    _save_npy(path, values)
+
+
+def _edit_records(path, edit):
+    """Apply ``edit`` to the header records next to the sidecar ``path``."""
+    records = path.with_suffix(".jsonl")
+    lines = records.read_text(encoding="utf-8").splitlines()
+    records.write_text("".join(f"{line}\n" for line in edit(lines)),
+                       encoding="utf-8")
+
+
+def _reshape_view(lines):
+    record = json.loads(lines[0])
+    record["views"][1]["height"] -= 1
+    return [json.dumps(record, separators=(",", ":"))] + lines[1:]
+
+
+SIDECAR_DAMAGE = {
+    "missing": lambda path: path.unlink(),
+    "truncated": _truncate,
+    "too_long": lambda path: _save_npy(path, np.append(np.load(path), 0.5)),
+    "wrong_dtype": lambda path: _save_npy(path,
+                                          np.load(path).astype("<f4")),
+    "object_dtype": lambda path: _save_npy(
+        path, np.load(path).astype(object), allow_pickle=True),
+    "non_finite": _non_finite,
+    "header_overclaims": _overclaim,
+    "frame_dropped": lambda path: _edit_records(path,
+                                                lambda lines: lines[:-1]),
+    "view_reshaped": lambda path: _edit_records(path, _reshape_view),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(SIDECAR_DAMAGE))
+def test_cli_validate_reports_bad_token_sidecar(damage, experiment_dir,
+                                                 tmp_path, capsys):
+    out, _ = experiment_dir
+    broken = tmp_path / "broken"
+    shutil.copytree(out, broken)
+    SIDECAR_DAMAGE[damage](broken / "corpus" / "ep0001.obs.npy")
+    assert main(["validate", "--dir", str(broken)]) == 1
+    problems = capsys.readouterr().err.splitlines()
+    assert len(problems) == 1
+    assert problems[0].startswith("ep0001.obs.jsonl: ")
+
+
+@pytest.mark.parametrize("damage", [
+    lambda record: record["result"].update(kept=5),
+    lambda record: record.pop("result"),
+], ids=["kept_is_int", "result_missing"])
+def test_cli_validate_reports_malformed_prune_record(damage, experiment_dir,
+                                                     tmp_path, capsys):
+    out, _ = experiment_dir
+    broken = tmp_path / "broken"
+    shutil.copytree(out, broken)
+    path = broken / "corpus" / "ep0000.prune.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    damage(record)
+    lines[0] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["validate", "--dir", str(broken)]) == 1
+    problems = capsys.readouterr().err.splitlines()
+    assert len(problems) == 1
+    assert problems[0].startswith("ep0000.prune.jsonl: ")
 
 
 def test_cli_sweep_and_compare(tmp_path, capsys):

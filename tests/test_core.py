@@ -1,11 +1,16 @@
 """Data-model validation and serialization round trips."""
 
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvprune.core import (
+    FORMAT_VERSION,
     AnnotationError,
     ConfigError,
     ContractError,
@@ -31,6 +36,7 @@ from mvprune.core import (
     save_annotation,
     save_observations,
     serialize,
+    sidecar_path,
     write_jsonl,
 )
 
@@ -289,6 +295,20 @@ def test_prune_result_round_trip():
     assert PruneResult.from_obj(result.to_obj()) == result
 
 
+@pytest.mark.parametrize("field, value", [
+    ("kept", 5),
+    ("kept", [5, [0]]),
+    ("ranking", [[0, 3, 1], [1, 0], [0, 1]]),
+    ("view_token_counts", 4),
+    ("fused_scores", [["a", "b"], [0.7]]),
+])
+def test_prune_result_from_obj_reports_malformed_fields(field, value):
+    obj = good_result().to_obj()
+    obj[field] = value
+    with pytest.raises(ParseError):
+        PruneResult.from_obj(obj)
+
+
 # ---------------------------------------------------------------------------
 # annotations
 
@@ -365,7 +385,7 @@ def test_loads_obj_reports_offset():
 
 def test_deserialize_rejects_unknown_kind():
     with pytest.raises(ParseError):
-        deserialize(dumps_obj({"fmt": 1, "kind": "mystery"}))
+        deserialize(dumps_obj({"fmt": FORMAT_VERSION, "kind": "mystery"}))
 
 
 def test_deserialize_rejects_wrong_fmt():
@@ -402,7 +422,53 @@ def test_observation_file_round_trip(tmp_path):
     path = tmp_path / "obs.jsonl"
     observations = [make_obs(frame_index=t, seed=t) for t in range(3)]
     save_observations(path, observations)
+    assert sidecar_path(path) == tmp_path / "obs.npy"
     assert load_observations(path) == observations
+
+
+# values whose bits decimal text or a lossy store would most likely change
+edge_floats = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310,
+    sys.float_info.max, -sys.float_info.max, sys.float_info.min])
+
+
+@st.composite
+def observation_streams(draw):
+    """Frames of views with distinct grid shapes and edge-case values."""
+    embed_dim = draw(st.integers(1, 3))
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                           min_size=2, max_size=3, unique=True))
+    values = st.one_of(edge_floats, finite)
+    frames = []
+    for t in range(draw(st.integers(1, 3))):
+        views = []
+        for v, (h, w) in enumerate(shapes):
+            tokens = draw(st.lists(values, min_size=h * w * embed_dim,
+                                   max_size=h * w * embed_dim))
+            cls = draw(st.lists(values, min_size=embed_dim,
+                                max_size=embed_dim))
+            views.append(TokenGrid(
+                view_id=v, height=h, width=w, embed_dim=embed_dim,
+                tokens=np.reshape(tokens, (h * w, embed_dim)), cls=cls))
+        frames.append(MultiViewObservation(episode_id="ep", frame_index=t,
+                                           views=tuple(views)))
+    return frames
+
+
+@settings(max_examples=60, deadline=None)
+@given(observation_streams())
+def test_observation_file_round_trip_is_bit_exact(observations):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ep.obs.jsonl"
+        save_observations(path, observations)
+        loaded = load_observations(path)
+    assert loaded == observations
+    for again, obs in zip(loaded, observations):
+        for a, b in zip(again.views, obs.views):
+            assert (a.height, a.width) == (b.height, b.width)
+            # bytes, not ==: 0.0 == -0.0 would hide a lost sign bit
+            assert a.tokens.tobytes() == b.tokens.tobytes()
+            assert a.cls.tobytes() == b.cls.tobytes()
 
 
 def test_annotation_file_round_trip(tmp_path):

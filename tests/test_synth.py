@@ -19,7 +19,6 @@ from mvprune.synth import (
     generate,
     generate_corpus,
     load_corpus,
-    save_corpus,
     write_corpus,
 )
 
@@ -266,10 +265,11 @@ def test_write_corpus_is_byte_stable(tmp_path):
 def test_corpus_round_trip_and_regeneration(tmp_path):
     template = small_spec()
     episodes = generate_corpus(template, 3, seed=9)
-    save_corpus(template, 3, 9, tmp_path)
+    write_corpus(generate_corpus(template, 3, seed=9), 9, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["kind"] == "corpus_manifest"
     assert manifest["count"] == 3
+    assert manifest["episodes"][0]["tokens"] == "ep0000.obs.npy"
     loaded = load_corpus(tmp_path)
     for entry, episode, manifest_entry in zip(loaded, episodes,
                                               manifest["episodes"]):
