@@ -44,7 +44,9 @@ from .pruner import (
     hierarchical_prune,
     normalize_scores,
     prune_observation,
+    prune_scores,
     random_drop,
+    score_observation,
     speedup_estimate,
 )
 from .annotate import (
@@ -72,8 +74,8 @@ __all__ = [
     "MlpParams", "TrainConfig", "forward", "init_mlp", "loss",
     "loss_and_grad", "total_loss", "train",
     "FlopModel", "adaptive_weight", "flop_estimate", "hierarchical_prune",
-    "normalize_scores", "prune_observation", "random_drop",
-    "speedup_estimate",
+    "normalize_scores", "prune_observation", "prune_scores", "random_drop",
+    "score_observation", "speedup_estimate",
     "Box", "BoxKind", "FrameGeometry", "PhaseSpan", "PhaseTimeline",
     "ViewGeometry", "annotate_episode", "boxes_to_patch_mask", "debounce",
     "detect_interaction", "ingest_manual",

@@ -26,6 +26,7 @@ from .core import (
     ConfigError,
     ContractError,
     EpisodeAnnotation,
+    ImportanceScores,
     MultiViewObservation,
     ParseError,
     PruneConfig,
@@ -56,7 +57,8 @@ from .predictor import (
 from .pruner import (
     FlopModel,
     flop_estimate,
-    prune_observation,
+    prune_scores,
+    score_observation,
 )
 from .synth import (
     ArmScript,
@@ -83,16 +85,14 @@ def auc_score(scores, labels) -> float:
     negatives = y.shape[0] - positives
     if positives == 0 or negatives == 0:
         raise ContractError("AUC needs both classes present")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(s.shape[0])
+    order = np.argsort(s)
     sorted_scores = s[order]
-    i = 0
-    while i < s.shape[0]:
-        j = i
-        while j + 1 < s.shape[0] and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # tie group i..j of the sorted scores, in any order, shares the midrank
+    # (i + j) / 2 + 1: exact halves, so the rank sum is exact
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], s.shape[0]] - 1
+    ranks = np.empty(s.shape[0])
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     u = ranks[y == 1].sum() - positives * (positives + 1) / 2.0
     return float(u / (positives * negatives))
 
@@ -284,7 +284,7 @@ DEFAULT_CONFIG = {
     },
 }
 
-# arm scripts scale with episode length inside _template_for, so length is
+# arm scripts scale with episode length inside scenario_template, so length is
 # the only timing knob the config exposes
 _MIN_EPISODE_LENGTH = 12
 
@@ -344,7 +344,8 @@ def _scaled_script(grasp: int, close: int, release: int, target: int,
     return ArmScript(grasp=g, close=c, release=r, target_object=target)
 
 
-def _template_for(config: dict) -> ScenarioSpec:
+def scenario_template(config: dict) -> ScenarioSpec:
+    """The corpus scenario template an experiment config describes."""
     corpus = config["corpus"]
     try:
         length = _check_int(corpus["episode_length"], "corpus.episode_length",
@@ -361,11 +362,6 @@ def _template_for(config: dict) -> ScenarioSpec:
         noise_sigma=corpus["noise_sigma"],
         patch_size=corpus["patch_size"],
     )
-
-
-def scenario_template(config: dict) -> ScenarioSpec:
-    """The corpus scenario template an experiment config describes."""
-    return _template_for(config)
 
 
 def _prune_config(config: dict, strategy: Strategy | None = None) -> PruneConfig:
@@ -446,65 +442,72 @@ def evaluate_strategy(observations_by_episode: Sequence[
                                     | Mapping[str, EpisodeAnnotation]),
                       intra: MlpParams, inter: MlpParams,
                       prune_config: PruneConfig, flop_model: FlopModel,
+                      scores: (Sequence[Sequence[ImportanceScores]]
+                               | None) = None,
                       ) -> tuple[MetricsReport, list[list[PruneResult]]]:
     """Prune every frame of a corpus and fold the outcomes into a report.
 
     ``annotations`` is either a sequence aligned with the episodes or a
-    mapping keyed by episode id.
+    mapping keyed by episode id. ``scores``, when given, holds each frame's
+    ``score_observation`` output, aligned with the observations and weighted
+    with ``prune_config.epsilon``, so that several strategies can share one
+    scoring pass; without it every frame is scored here.
     """
     if not observations_by_episode or not observations_by_episode[0]:
         raise ContractError("evaluation needs at least one observation")
     if isinstance(annotations, Mapping):
         annotations = [annotations[episode[0].episode_id]
                        for episode in observations_by_episode]
+    elif len(annotations) != len(observations_by_episode):
+        raise ContractError("annotations must align with the episodes")
+    if scores is None:
+        scores = ([score_observation(obs, intra, inter, prune_config.epsilon)
+                   for obs in episode] for episode in observations_by_episode)
+    elif [len(e) for e in scores] != [len(e) for e in observations_by_episode]:
+        raise ContractError("scores must align with the observations")
     view_count = observations_by_episode[0][0].view_count
-    before = np.zeros(view_count, dtype=np.int64)
-    post_local = np.zeros(view_count, dtype=np.int64)
-    kept = np.zeros(view_count, dtype=np.int64)
-    relevant_kept = 0
-    relevant_total = 0
-    flops_before = 0.0
-    flops_after = 0.0
+    counts = []
+    relevant_kept = relevant_total = 0
+    flops_before = flops_after = 0.0
     intra_scores, intra_labels = [], []
     inter_scores, inter_labels = [], []
-    frames = 0
     results = []
-    for episode_obs, ann in zip(observations_by_episode, annotations):
+    for episode_obs, ann, episode_scores in zip(observations_by_episode,
+                                                annotations, scores):
         per_episode = []
-        for obs in episode_obs:
+        for obs, frame_scores in zip(episode_obs, episode_scores):
             if ann.episode_id != obs.episode_id:
                 raise ContractError(
                     f"annotation {ann.episode_id!r} does not match "
                     f"observation episode {obs.episode_id!r}")
             frame = ann.frames[obs.frame_index]
-            scores, result = prune_observation(obs, intra, inter, prune_config)
-            frames += 1
+            frame_scores.check_shapes(obs)
+            result = prune_scores(frame_scores,
+                                  [v.token_count for v in obs.views],
+                                  prune_config)
             per_episode.append(result)
-            before += np.array(result.view_token_counts)
-            post_local += np.array(result.post_local_counts)
-            kept += np.array(result.kept_per_view)
+            counts.append((result.view_token_counts,
+                           result.post_local_counts, result.kept_per_view))
             flops_before += flop_estimate(flop_model, obs.total_tokens)
             flops_after += flop_estimate(flop_model, max(result.kept_total, 1))
             for v in range(view_count):
                 mask = np.asarray(frame.masks[v])
                 relevant_total += int(mask.sum())
-                if result.kept[v]:
-                    relevant_kept += int(mask[list(result.kept[v])].sum())
-                intra_scores.append(scores.intra_raw[v])
+                relevant_kept += int(mask[list(result.kept[v])].sum())
+                intra_scores.append(frame_scores.intra_raw[v])
                 intra_labels.append(mask)
-            inter_scores.append(scores.inter)
+            inter_scores.append(frame_scores.inter)
             inter_labels.append(np.array(frame.inter_labels))
         results.append(per_episode)
-    intra_s = np.concatenate(intra_scores)
-    intra_y = np.concatenate(intra_labels)
-    inter_s = np.concatenate(inter_scores)
-    inter_y = np.concatenate(inter_labels)
+    before, post_local, kept = np.array(counts, dtype=np.int64).sum(axis=0)
+    intra_s, intra_y, inter_s, inter_y = map(np.concatenate, (
+        intra_scores, intra_labels, inter_scores, inter_labels))
     intra_precision, intra_recall = precision_recall(intra_s, intra_y)
     inter_precision, inter_recall = precision_recall(inter_s, inter_y)
     report = MetricsReport(
         strategy=prune_config.strategy.value,
         episodes=len(observations_by_episode),
-        frames=frames,
+        frames=len(counts),
         tokens_before=tuple(int(n) for n in before),
         tokens_post_local=tuple(int(n) for n in post_local),
         tokens_kept=tuple(int(n) for n in kept),
@@ -533,16 +536,15 @@ def run_experiment(config: dict | None, out_dir) -> MetricsReport:
     records, ``report.csv``, ``timings.csv``, and the resolved config. All
     artifacts except ``timings.csv`` are byte-identical across reruns.
     """
-    config = resolve_config(config) if not _is_resolved(config) else config
+    config = resolve_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timings = {}
 
     start = time.perf_counter()
-    template = _template_for(config)
     corpus_section = config["corpus"]
-    episodes = generate_corpus(template, corpus_section["count"],
-                               corpus_section["seed"])
+    episodes = generate_corpus(scenario_template(config),
+                               corpus_section["count"], corpus_section["seed"])
     write_corpus(episodes, corpus_section["seed"], out / "corpus")
     timings["corpus"] = time.perf_counter() - start
 
@@ -570,13 +572,8 @@ def run_experiment(config: dict | None, out_dir) -> MetricsReport:
     report, results = evaluate_strategy(
         [ep.observations for ep in episodes], derived, intra, inter,
         prune_config, flop_model)
-    for episode, per_episode in zip(episodes, results):
-        write_jsonl(
-            out / "corpus" / f"{episode.episode_id}.prune.jsonl",
-            ({"fmt": FORMAT_VERSION, "kind": "prune",
-              "episode_id": episode.episode_id, "frame_index": t,
-              "result": result.to_obj()}
-             for t, result in enumerate(per_episode)))
+    write_prune_records(out / "corpus", [ep.episode_id for ep in episodes],
+                        results)
     timings["prune"] = time.perf_counter() - start
 
     write_report_csv(out / "report.csv", [report])
@@ -587,10 +584,24 @@ def run_experiment(config: dict | None, out_dir) -> MetricsReport:
     return report
 
 
-def _is_resolved(config) -> bool:
-    return (isinstance(config, dict)
-            and set(config) == {"fmt", "kind", "corpus", "train", "prune",
-                                "flop"})
+def _shared_evaluation(config: dict):
+    """Generate, derive, train and score once; return a function from a
+    prune config to its report on that shared corpus and its scores."""
+    epsilon = _prune_config(config).epsilon
+    flop_model = _flop_model(config)
+    corpus_section = config["corpus"]
+    episodes = generate_corpus(scenario_template(config),
+                               corpus_section["count"], corpus_section["seed"])
+    derived = derive_annotations(episodes)
+    observations = [obs for ep in episodes for obs in ep.observations]
+    by_episode = {ann.episode_id: ann for ann in derived}
+    intra, inter, _, _ = train_predictors(observations, by_episode, config)
+    observations_by_episode = [ep.observations for ep in episodes]
+    scores = [[score_observation(obs, intra, inter, epsilon) for obs in ep]
+              for ep in observations_by_episode]
+    return lambda prune_config: evaluate_strategy(
+        observations_by_episode, derived, intra, inter, prune_config,
+        flop_model, scores)[0]
 
 
 def compare_strategies(config: dict | None, out_dir,
@@ -600,29 +611,16 @@ def compare_strategies(config: dict | None, out_dir,
                        ) -> dict[str, MetricsReport]:
     """Evaluate several strategies on one corpus with shared predictors.
 
-    The corpus and the trained predictors are identical across strategies,
-    so differences in the reports come from the pruning rule alone. Writes
-    ``compare.csv``.
+    The corpus, the trained predictors and the scores are computed once and
+    shared across strategies, so differences in the reports come from the
+    pruning rule alone. Writes ``compare.csv``.
     """
-    config = resolve_config(config) if not _is_resolved(config) else config
+    config = resolve_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    template = _template_for(config)
-    corpus_section = config["corpus"]
-    episodes = generate_corpus(template, corpus_section["count"],
-                               corpus_section["seed"])
-    derived = derive_annotations(episodes)
-    observations = [obs for ep in episodes for obs in ep.observations]
-    by_episode = {ann.episode_id: ann for ann in derived}
-    intra, inter, _, _ = train_predictors(observations, by_episode, config)
-    flop_model = _flop_model(config)
-    observations_by_episode = [ep.observations for ep in episodes]
-    reports = {}
-    for strategy in strategies:
-        prune_config = _prune_config(config, strategy)
-        report, _ = evaluate_strategy(observations_by_episode, derived,
-                                      intra, inter, prune_config, flop_model)
-        reports[strategy.value] = report
+    evaluate = _shared_evaluation(config)
+    reports = {strategy.value: evaluate(_prune_config(config, strategy))
+               for strategy in strategies}
     write_report_csv(out / "compare.csv", list(reports.values()))
     return reports
 
@@ -639,25 +637,14 @@ def sweep_beta(config: dict | None, betas: Sequence[float], out_dir
     betas = [float(b) for b in betas]
     if any(not 0.0 <= b < 1.0 for b in betas):
         raise ConfigError("sweep ratios must lie in [0, 1)")
-    config = resolve_config(config) if not _is_resolved(config) else config
+    config = resolve_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    template = _template_for(config)
-    corpus_section = config["corpus"]
-    episodes = generate_corpus(template, corpus_section["count"],
-                               corpus_section["seed"])
-    derived = derive_annotations(episodes)
-    observations = [obs for ep in episodes for obs in ep.observations]
-    by_episode = {ann.episode_id: ann for ann in derived}
-    intra, inter, _, _ = train_predictors(observations, by_episode, config)
-    flop_model = _flop_model(config)
-    observations_by_episode = [ep.observations for ep in episodes]
+    evaluate = _shared_evaluation(config)
     base = _prune_config(config, Strategy.HIERARCHICAL)
     rows = []
     for beta in sorted(betas):
-        prune_config = replace_beta(base, beta)
-        report, _ = evaluate_strategy(observations_by_episode, derived,
-                                      intra, inter, prune_config, flop_model)
+        report = evaluate(replace(base, beta=beta))
         rows.append({"beta": beta, "kept_total": report.kept_total,
                      "reduction_ratio": report.reduction_ratio,
                      "flop_speedup": report.flop_speedup,
@@ -681,9 +668,15 @@ def sweep_beta(config: dict | None, betas: Sequence[float], out_dir
     return rows
 
 
-def replace_beta(config: PruneConfig, beta: float) -> PruneConfig:
-    """Copy of a prune config with a different global ratio."""
-    return replace(config, beta=float(beta))
+def write_prune_records(directory, episode_ids: Sequence[str],
+                        results: Sequence[Sequence[PruneResult]]) -> None:
+    """One ``{episode_id}.prune.jsonl`` per episode, one record per frame."""
+    for episode_id, per_episode in zip(episode_ids, results):
+        write_jsonl(Path(directory) / f"{episode_id}.prune.jsonl",
+                    ({"fmt": FORMAT_VERSION, "kind": "prune",
+                      "episode_id": episode_id, "frame_index": t,
+                      "result": result.to_obj()}
+                     for t, result in enumerate(per_episode)))
 
 
 def write_report_csv(path, reports: Sequence[MetricsReport]) -> None:
@@ -734,12 +727,12 @@ def validate_artifacts(out_dir) -> list[str]:
             elif name.endswith(".ann.jsonl") or name.endswith(".derived.jsonl"):
                 check(path, load_annotation)
             elif name.endswith(".geom.jsonl"):
-                check(path, _validate_geometry)
+                check(path, load_geometry)
             elif name.endswith(".prune.jsonl"):
                 check(path, _validate_prune_records)
     for name, loader in (("intra.mlp.json", load_params),
                          ("inter.mlp.json", load_params),
-                         ("config.resolved.json", _validate_config_file),
+                         ("config.resolved.json", load_experiment_config),
                          ("intra_trace.csv", load_trace),
                          ("inter_trace.csv", load_trace)):
         path = out / name
@@ -759,16 +752,8 @@ def _validate_observations(path) -> None:
                 field="views")
 
 
-def _validate_geometry(path) -> None:
-    load_geometry(path)
-
-
 def _validate_prune_records(path) -> None:
     for obj in read_jsonl(path):
         if obj.get("kind") != "prune" or obj.get("fmt") != FORMAT_VERSION:
             raise ParseError("not a prune record", field="kind")
         PruneResult.from_obj(obj.get("result"))
-
-
-def _validate_config_file(path) -> None:
-    load_experiment_config(path)

@@ -22,14 +22,10 @@ from .core import (
     AnnotationError,
     ConfigError,
     ContractError,
-    FORMAT_VERSION,
     ParseError,
-    PruneConfig,
     Strategy,
     TrainingError,
-    load_annotation,
     save_annotation,
-    write_jsonl,
     ViewRoles,
 )
 from .annotate import annotate_episode, load_geometry
@@ -45,6 +41,7 @@ from .bench import (
     sweep_beta,
     train_predictors,
     validate_artifacts,
+    write_prune_records,
     write_report_csv,
 )
 from .predictor import load_params, save_params, save_trace
@@ -152,13 +149,8 @@ def _cmd_prune(args) -> int:
         report, results = evaluate_strategy(
             observations_by_episode, annotations, intra, inter,
             _prune_config(config), _flop_model(config))
-        for entry, per_episode in zip(corpus, results):
-            write_jsonl(
-                out / f"{entry['episode_id']}.prune.jsonl",
-                ({"fmt": FORMAT_VERSION, "kind": "prune",
-                  "episode_id": entry["episode_id"], "frame_index": t,
-                  "result": result.to_obj()}
-                 for t, result in enumerate(per_episode)))
+        write_prune_records(out, [entry["episode_id"] for entry in corpus],
+                            results)
         write_report_csv(out / "report.csv", [report])
     print(f"strategy {report.strategy}: kept {report.kept_total} of "
           f"{report.before_total} tokens "

@@ -86,7 +86,7 @@ def _as_float_array(value, name: str, *, shape: tuple[int, ...] | None = None,
         raise ContractError(f"{name} must have {ndim} dimension(s), got {arr.ndim}")
     if shape is not None and arr.shape != shape:
         raise ContractError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ContractError(f"{name} must be finite")
     arr.flags.writeable = False
     return arr
@@ -353,11 +353,8 @@ class ImportanceScores:
         raw = tuple(_as_float_array(a, "intra_raw", ndim=1) for a in self.intra_raw)
         weighted = tuple(_as_float_array(a, "intra_weighted", ndim=1)
                          for a in self.intra_weighted)
-        if len(raw) != len(weighted):
+        if [a.shape for a in raw] != [b.shape for b in weighted]:
             raise ContractError("intra_raw and intra_weighted must align per view")
-        for a, b in zip(raw, weighted):
-            if a.shape != b.shape:
-                raise ContractError("intra_raw and intra_weighted must align per view")
         for a in raw:
             if a.size and (a.min() < 0.0 or a.max() > 1.0):
                 raise ContractError("intra_raw scores must lie in [0, 1]")
@@ -498,6 +495,40 @@ class PruneConfig:
                              field="prune_config") from exc
 
 
+def _index_array(values, name: str) -> np.ndarray:
+    """Token indices as a 1-d int64 array.
+
+    Only integers pass: floats, bools, strings and other objects are
+    rejected rather than truncated, and so is any uint64 array.
+    """
+    if not isinstance(values, np.ndarray):
+        values = tuple(values)
+        # np.asarray would turn [1, True] into int64
+        if {bool, np.bool_} & set(map(type, values)):
+            raise ContractError(f"{name} must hold integers, got a bool")
+    arr = np.asarray(values)
+    # np.asarray(()) is float64 and empty, so size comes before dtype
+    if arr.ndim != 1 or arr.size and not (
+            arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64)):
+        raise ContractError(f"{name} must be a flat list of integers")
+    return arr.astype(np.int64)
+
+
+def _ranking_arrays(ranking) -> tuple[np.ndarray, np.ndarray]:
+    """Views and indices of a ranking's ``(view, index)`` pairs."""
+    if isinstance(ranking, np.ndarray):
+        columns = ranking.T if ranking.ndim == 2 else ()
+    else:
+        pairs = tuple(ranking)
+        columns = tuple(zip(*pairs)) if pairs else ((), ())
+        if set(map(len, pairs)) - {2}:
+            columns = ()
+    if len(columns) != 2:
+        raise ContractError("ranking entries must be (view, index) pairs")
+    return (_index_array(columns[0], "ranking"),
+            _index_array(columns[1], "ranking"))
+
+
 @dataclass(frozen=True, eq=False)
 class PruneResult:
     """Outcome of pruning one observation.
@@ -507,6 +538,8 @@ class PruneResult:
     every kept token best-first as ``(view, index)`` pairs and is the reverse
     of the pruning order, so it is fully deterministic under ties.
     ``view_token_counts`` records the pre-prune token count per view.
+    ``kept`` and ``ranking`` (shape ``(M, 2)``) may also be integer arrays;
+    they are stored as tuples of ints, and other index types are rejected.
     """
 
     view_token_counts: tuple[int, ...]
@@ -519,7 +552,7 @@ class PruneResult:
     def __post_init__(self):
         counts = tuple(_check_int(c, "view_token_counts", minimum=0)
                        for c in self.view_token_counts)
-        kept = tuple(tuple(int(i) for i in idx) for idx in self.kept)
+        kept = [_index_array(idx, "kept") for idx in self.kept]
         fused = tuple(_as_float_array(a, "fused_scores", ndim=1)
                       for a in self.fused_scores)
         local = tuple(_check_int(c, "local_pruned_counts", minimum=0)
@@ -530,28 +563,32 @@ class PruneResult:
             raise ContractError("per-view fields must have one entry per view")
         for v, (idx, scores, n, pruned) in enumerate(
                 zip(kept, fused, counts, local)):
-            if len(idx) != scores.shape[0]:
+            if idx.shape[0] != scores.shape[0]:
                 raise ContractError(f"view {v}: kept and fused_scores must align")
-            if any(b <= a for a, b in zip(idx, idx[1:])):
+            if not (idx[1:] > idx[:-1]).all():
                 raise ContractError(f"view {v}: kept indices must be strictly increasing")
-            if idx and (idx[0] < 0 or idx[-1] >= n):
+            if idx.size and (idx[0] < 0 or idx[-1] >= n):
                 raise ContractError(f"view {v}: kept index out of range")
             if pruned > n:
                 raise ContractError(f"view {v}: pruned more tokens than exist")
         survivors = sum(c - p for c, p in zip(counts, local))
-        if sum(len(i) for i in kept) != survivors - global_count:
+        if sum(idx.size for idx in kept) != survivors - global_count:
             raise ContractError(
                 "kept count must equal post-local survivors minus global prunes")
-        ranking = tuple((int(v), int(i)) for v, i in self.ranking)
-        if sorted(ranking) != sorted((v, i) for v, idx in enumerate(kept)
-                                     for i in idx):
+        rank_view, rank_idx = _ranking_arrays(self.ranking)
+        order = np.lexsort((rank_idx, rank_view))
+        views = np.repeat(np.arange(len(kept)), [idx.size for idx in kept])
+        if not (np.array_equal(rank_view[order], views)
+                and np.array_equal(rank_idx[order],
+                                   np.concatenate([views[:0], *kept]))):
             raise ContractError("ranking must enumerate exactly the kept tokens")
         object.__setattr__(self, "view_token_counts", counts)
-        object.__setattr__(self, "kept", kept)
+        object.__setattr__(self, "kept", tuple(tuple(idx.tolist()) for idx in kept))
         object.__setattr__(self, "fused_scores", fused)
         object.__setattr__(self, "local_pruned_counts", local)
         object.__setattr__(self, "global_pruned_count", global_count)
-        object.__setattr__(self, "ranking", ranking)
+        object.__setattr__(self, "ranking",
+                           tuple(zip(rank_view.tolist(), rank_idx.tolist())))
 
     @property
     def kept_total(self) -> int:
@@ -605,8 +642,9 @@ class PruneResult:
             raise ParseError("missing prune result field",
                              field=str(exc.args[0])) from exc
         # malformed field values (a number where a list belongs, a pair of
-        # the wrong length) fail as TypeError or ValueError while building
-        except (TypeError, ValueError) as exc:
+        # the wrong length, an int too large for a float) fail as one of
+        # these while building
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"invalid prune result: {exc}", field="kept") from exc
 
 

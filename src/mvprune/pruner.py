@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -41,16 +43,24 @@ from .core import (
 )
 from .predictor import MlpParams, predict_inter, predict_intra
 
-# count tolerance keeps decimal ratios exact: 0.29 * 100 floors to 29, not 28
-_COUNT_TOLERANCE = 1e-9
-
 _weight_matrices: dict[tuple[int, int, float], np.ndarray] = {}
 _weight_lock = threading.Lock()
 
 
+@lru_cache(maxsize=256)
+def _exact_ratio(ratio: float) -> Fraction:
+    """The shortest decimal that reads back as ``ratio``, as a fraction."""
+    return Fraction(repr(ratio))
+
+
 def _prune_count(ratio: float, n: int) -> int:
-    """Number of tokens to drop out of ``n`` at ``ratio``: floor(ratio * n)."""
-    return int(math.floor(ratio * n + _COUNT_TOLERANCE))
+    """Number of tokens to drop out of ``n`` at ``ratio``: floor(ratio * n).
+
+    The ratio counts as the decimal it is written as, so 0.29 of 100 is 29
+    although the float 0.29 is a little less than 29/100.
+    """
+    exact = _exact_ratio(float(ratio))
+    return int(n) * exact.numerator // exact.denominator
 
 
 def _weight_matrix(height: int, width: int, epsilon: float) -> np.ndarray:
@@ -84,21 +94,6 @@ def adaptive_weight(raw_scores, height: int, width: int,
     width = _check_int(width, "width", minimum=1)
     raw = _as_float_array(raw_scores, "raw_scores", shape=(height * width,))
     return _weight_matrix(height, width, float(epsilon)) @ raw
-
-
-def adaptive_weight_at(raw_scores, positions, epsilon: float = 0.01) -> np.ndarray:
-    """Reciprocal-distance weighting over explicit token positions.
-
-    Same contract as ``adaptive_weight`` but for tokens at arbitrary
-    coordinates instead of a dense grid.
-    """
-    if not math.isfinite(epsilon) or epsilon <= 0.0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    pos = _as_float_array(positions, "positions", ndim=2)
-    raw = _as_float_array(raw_scores, "raw_scores", shape=(pos.shape[0],))
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    return (1.0 / (dist + epsilon)) @ raw
 
 
 def normalize_scores(scores) -> np.ndarray:
@@ -164,15 +159,11 @@ def _global_by_count(fused_per_view: Sequence[np.ndarray],
                      view_token_counts: Sequence[int],
                      local_pruned_counts: Sequence[int]) -> PruneResult:
     """Drop the ``drop_count`` lowest fused survivors across views."""
-    score_all = np.concatenate([np.asarray(s, dtype=np.float64)
-                                for s in fused_per_view]) \
-        if fused_per_view else np.zeros(0)
-    view_all = np.concatenate([np.full(len(k), v, dtype=np.int64)
-                               for v, k in enumerate(kept_per_view)]) \
-        if kept_per_view else np.zeros(0, dtype=np.int64)
-    idx_all = np.concatenate([np.asarray(k, dtype=np.int64)
-                              for k in kept_per_view]) \
-        if kept_per_view else np.zeros(0, dtype=np.int64)
+    views = len(kept_per_view)
+    score_all = np.concatenate([np.zeros(0), *fused_per_view])
+    view_all = np.repeat(np.arange(views, dtype=np.int64),
+                         [len(k) for k in kept_per_view])
+    idx_all = np.concatenate([np.zeros(0, dtype=np.int64), *kept_per_view])
     if not score_all.shape == view_all.shape == idx_all.shape:
         raise ContractError("fused scores must align with survivor indices")
     total = score_all.shape[0]
@@ -180,21 +171,17 @@ def _global_by_count(fused_per_view: Sequence[np.ndarray],
         raise ContractError(f"cannot drop {drop_count} of {total} survivors")
     order = np.lexsort((idx_all, view_all, score_all))
     kept_order = order[drop_count:]
-    ranking = tuple((int(view_all[i]), int(idx_all[i]))
-                    for i in reversed(kept_order))
-    kept, fused = [], []
-    for v in range(len(kept_per_view)):
-        sel = kept_order[view_all[kept_order] == v]
-        by_idx = sel[np.argsort(idx_all[sel], kind="stable")]
-        kept.append(tuple(int(i) for i in idx_all[by_idx]))
-        fused.append(score_all[by_idx])
+    rev = kept_order[::-1]
+    by_pos = kept_order[np.lexsort((idx_all[kept_order],
+                                    view_all[kept_order]))]
+    bounds = np.searchsorted(view_all[by_pos], np.arange(1, views))
     return PruneResult(
         view_token_counts=tuple(int(n) for n in view_token_counts),
-        kept=tuple(kept),
-        fused_scores=tuple(fused),
+        kept=np.split(idx_all[by_pos], bounds),
+        fused_scores=np.split(score_all[by_pos], bounds),
         local_pruned_counts=tuple(int(c) for c in local_pruned_counts),
         global_pruned_count=int(drop_count),
-        ranking=ranking,
+        ranking=np.stack((view_all[rev], idx_all[rev]), axis=1),
     )
 
 
@@ -210,35 +197,42 @@ def global_prune(fused_per_view: Sequence[np.ndarray],
                             view_token_counts, local_pruned_counts)
 
 
-def _prune_weighted(weighted_per_view: Sequence[np.ndarray],
-                    inter_weights, alphas: Sequence[float], beta: float
-                    ) -> PruneResult:
+def _dispatch(weighted_per_view: Sequence[np.ndarray], inter_weights,
+              view_token_counts: Sequence[int],
+              config: PruneConfig) -> PruneResult:
+    """The one strategy dispatch, over spatially weighted scores."""
+    strategy = config.strategy
+    if strategy is Strategy.RANDOM_DROP:
+        return random_drop(view_token_counts, config)
+    sizes = [w.shape[0] for w in weighted_per_view]
+    if sizes != [int(n) for n in view_token_counts]:
+        raise ContractError(f"scores of {sizes} tokens do not match view "
+                            f"token counts {list(view_token_counts)}")
     normalized = [normalize_scores(s) for s in weighted_per_view]
-    kept_local, local_counts = local_prune(normalized, alphas)
-    fused = fuse_scores([n[k] for n, k in zip(normalized, kept_local)],
-                        inter_weights)
-    counts = [s.shape[0] for s in weighted_per_view]
-    return global_prune(fused, kept_local, beta, counts, local_counts)
-
-
-def _adaptive_from_weighted(weighted_per_view: Sequence[np.ndarray],
-                            inter_weights, config: PruneConfig) -> PruneResult:
     threshold = config.adaptive_threshold
     multiplier = config.adaptive_multiplier
-    normalized = [normalize_scores(s) for s in weighted_per_view]
-    kept_local, local_counts = [], []
-    for scores in normalized:
-        below = int((scores < threshold).sum())
-        count = min(_prune_count(multiplier, below), scores.shape[0])
-        kept_local.append(_drop_lowest(scores, count))
-        local_counts.append(count)
+    if strategy is Strategy.ADAPTIVE_RATIO_DROP:
+        kept_local, local_counts = [], []
+        for scores in normalized:
+            below = int((scores < threshold).sum())
+            count = min(_prune_count(multiplier, below), scores.shape[0])
+            kept_local.append(_drop_lowest(scores, count))
+            local_counts.append(count)
+    else:
+        alphas = (config.alphas if strategy is Strategy.HIERARCHICAL
+                  else (0.0,) * len(normalized))
+        kept_local, local_counts = local_prune(normalized, alphas)
     fused = fuse_scores([n[k] for n, k in zip(normalized, kept_local)],
                         inter_weights)
-    flat = np.concatenate(fused) if fused else np.zeros(0)
-    below = int((flat < threshold).sum())
-    drop = min(_prune_count(multiplier, below), flat.shape[0])
-    counts = [s.shape[0] for s in weighted_per_view]
-    return _global_by_count(fused, kept_local, drop, counts, local_counts)
+    if strategy is Strategy.ADAPTIVE_RATIO_DROP:
+        flat = np.concatenate([np.zeros(0), *fused])
+        below = int((flat < threshold).sum())
+        drop = min(_prune_count(multiplier, below), flat.shape[0])
+    else:
+        beta = config.beta if strategy is Strategy.HIERARCHICAL else 0.0
+        drop = _prune_count(beta, sum(len(k) for k in kept_local))
+    return _global_by_count(fused, kept_local, drop, view_token_counts,
+                            local_counts)
 
 
 def hierarchical_prune(raw_scores: Sequence[np.ndarray], inter_weights,
@@ -253,22 +247,13 @@ def hierarchical_prune(raw_scores: Sequence[np.ndarray], inter_weights,
     """
     if len(raw_scores) != len(grid_shapes):
         raise ContractError("need one grid shape per score array")
+    if config.strategy is Strategy.RANDOM_DROP:
+        raise ContractError(
+            f"strategy {config.strategy.value} does not consume scores")
     weighted = [adaptive_weight(raw, h, w, config.epsilon)
                 for raw, (h, w) in zip(raw_scores, grid_shapes)]
-    if config.strategy is Strategy.HIERARCHICAL:
-        if len(config.alphas) != len(raw_scores):
-            raise ContractError(
-                f"config names {len(config.alphas)} views, "
-                f"scores have {len(raw_scores)}")
-        return _prune_weighted(weighted, inter_weights, config.alphas,
-                               config.beta)
-    if config.strategy is Strategy.NO_PRUNE:
-        zeros = (0.0,) * len(raw_scores)
-        return _prune_weighted(weighted, inter_weights, zeros, 0.0)
-    if config.strategy is Strategy.ADAPTIVE_RATIO_DROP:
-        return _adaptive_from_weighted(weighted, inter_weights, config)
-    raise ContractError(
-        f"strategy {config.strategy.value} does not consume scores")
+    return _dispatch(weighted, inter_weights, [h * w for h, w in grid_shapes],
+                     config)
 
 
 def random_drop(view_token_counts: Sequence[int],
@@ -283,24 +268,37 @@ def random_drop(view_token_counts: Sequence[int],
     """
     counts = [_check_int(n, "view_token_counts", minimum=0)
               for n in view_token_counts]
-    if len(config.alphas) != len(counts):
-        raise ContractError(
-            f"config names {len(config.alphas)} views, got {len(counts)}")
     rng = np.random.default_rng(config.seed)
-    kept_local, local_counts = [], []
-    for n, alpha in zip(counts, config.alphas):
-        priorities = rng.random(n)
-        count = _prune_count(alpha, n)
-        kept_local.append(_drop_lowest(priorities, count))
-        local_counts.append(count)
+    kept_local, local_counts = local_prune([rng.random(n) for n in counts],
+                                           config.alphas)
     survivors = sum(len(k) for k in kept_local)
     fresh = rng.random(survivors)
-    fused, offset = [], 0
-    for k in kept_local:
-        fused.append(fresh[offset:offset + len(k)])
-        offset += len(k)
+    fused = np.split(fresh, np.cumsum([len(k) for k in kept_local])[:-1])
     drop = _prune_count(config.beta, survivors)
     return _global_by_count(fused, kept_local, drop, counts, local_counts)
+
+
+def score_observation(obs: MultiViewObservation, intra_params: MlpParams,
+                      inter_params: MlpParams, epsilon: float
+                      ) -> ImportanceScores:
+    """Both predictors' outputs for an observation, plus the raw token
+    scores spatially weighted with ``epsilon``."""
+    raw = predict_intra(intra_params, obs)
+    weighted = tuple(adaptive_weight(r, v.height, v.width, epsilon)
+                     for r, v in zip(raw, obs.views))
+    return ImportanceScores(intra_raw=raw, intra_weighted=weighted,
+                            inter=predict_inter(inter_params, obs))
+
+
+def prune_scores(scores: ImportanceScores, view_token_counts: Sequence[int],
+                 config: PruneConfig) -> PruneResult:
+    """Prune one observation from its scores with ``config``'s strategy.
+
+    ``scores`` must have been weighted with ``config.epsilon``; the random
+    baseline reads only ``view_token_counts``.
+    """
+    return _dispatch(scores.intra_weighted, scores.inter, view_token_counts,
+                     config)
 
 
 def prune_observation(obs: MultiViewObservation, intra_params: MlpParams,
@@ -311,32 +309,10 @@ def prune_observation(obs: MultiViewObservation, intra_params: MlpParams,
     Returns the predictor outputs alongside the prune result so callers can
     audit or evaluate the scores without a second forward pass.
     """
-    raw = predict_intra(intra_params, obs)
-    inter = predict_inter(inter_params, obs)
-    shapes = [(v.height, v.width) for v in obs.views]
-    weighted = tuple(adaptive_weight(r, h, w, config.epsilon)
-                     for r, (h, w) in zip(raw, shapes))
-    scores = ImportanceScores(intra_raw=raw, intra_weighted=weighted,
-                              inter=inter)
-    if config.strategy is Strategy.RANDOM_DROP:
-        result = random_drop([v.token_count for v in obs.views], config)
-    elif config.strategy is Strategy.HIERARCHICAL:
-        if len(config.alphas) != obs.view_count:
-            raise ContractError(
-                f"config names {len(config.alphas)} views, "
-                f"observation has {obs.view_count}")
-        result = _prune_weighted(weighted, inter, config.alphas, config.beta)
-    elif config.strategy is Strategy.NO_PRUNE:
-        zeros = (0.0,) * obs.view_count
-        result = _prune_weighted(weighted, inter, zeros, 0.0)
-    else:
-        result = _adaptive_from_weighted(weighted, inter, config)
-    return scores, result
-
-
-def no_prune_config(config: PruneConfig) -> PruneConfig:
-    """Copy of ``config`` that keeps every token."""
-    return replace(config, strategy=Strategy.NO_PRUNE)
+    scores = score_observation(obs, intra_params, inter_params,
+                               config.epsilon)
+    return scores, prune_scores(scores, [v.token_count for v in obs.views],
+                                config)
 
 
 # ---------------------------------------------------------------------------

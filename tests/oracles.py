@@ -76,19 +76,23 @@ def oracle_pipeline(raw_per_view, inter_weights, grid_shapes, alphas, beta,
 
 
 def oracle_auc(scores, labels):
-    """Pairwise AUC: P(score_pos > score_neg) counting ties as half."""
+    """Pairwise AUC: P(score_pos > score_neg) counting ties as half.
+
+    Wins are counted exactly, in halves, and divided as a ``Fraction``; the
+    result is that fraction rounded once to the nearest float.
+    """
     positives = [s for s, y in zip(scores, labels) if y == 1]
     negatives = [s for s, y in zip(scores, labels) if y == 0]
     if not positives or not negatives:
         raise ValueError("AUC needs both classes")
-    wins = 0.0
+    halves = 0
     for p in positives:
         for q in negatives:
             if p > q:
-                wins += 1.0
+                halves += 2
             elif p == q:
-                wins += 0.5
-    return wins / (len(positives) * len(negatives))
+                halves += 1
+    return float(Fraction(halves, 2 * len(positives) * len(negatives)))
 
 
 def oracle_patch_mask(boxes, image_width, image_height, patch_size):

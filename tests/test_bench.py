@@ -20,7 +20,6 @@ from mvprune.bench import (
     evaluate_strategy,
     load_experiment_config,
     precision_recall,
-    replace_beta,
     resolve_config,
     run_experiment,
     scenario_template,
@@ -37,8 +36,10 @@ from mvprune.core import (
     Strategy,
     load_annotation,
 )
-from mvprune.pruner import FlopModel
+from mvprune.predictor import init_mlp
+from mvprune.pruner import FlopModel, prune_observation, score_observation
 from mvprune.synth import ArmScript, generate_corpus, load_corpus
+from test_core import make_obs
 
 SMALL = {
     "corpus": {"count": 2, "seed": 11, "episode_length": 12, "embed_dim": 8,
@@ -65,8 +66,22 @@ def test_auc_matches_pairwise_oracle(pairs):
     labels = [label for _, label in pairs]
     assume(0 < sum(labels) < len(labels))
     scores = [score for score, _ in pairs]
-    want = oracles.oracle_auc(scores, labels)
-    assert auc_score(scores, labels) == pytest.approx(want, abs=1e-12)
+    assert auc_score(scores, labels) == oracles.oracle_auc(scores, labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 400), st.integers(1, 400),
+       st.floats(0.0, 1.0))
+def test_auc_is_exact_on_tied_and_untied_scores(seed, size, distinct,
+                                                 positive_share):
+    # ``distinct`` of 1 ties everything; a large one leaves few ties
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, distinct, size) / distinct
+    labels = (rng.random(size) < positive_share).astype(int)
+    labels[:2] = (0, 1)
+    rng.shuffle(labels)
+    assert auc_score(scores, labels) == oracles.oracle_auc(scores.tolist(),
+                                                           labels.tolist())
 
 
 def test_auc_rejects_degenerate_inputs():
@@ -308,6 +323,9 @@ def test_evaluate_strategy_rejects_misaligned_annotations(small_run):
     _, _, derived, _, _ = small_run
     with pytest.raises(ContractError):
         small_eval(small_run, annotations=list(reversed(derived)))
+    # one annotation short once evaluated the first episode and reported two
+    with pytest.raises(ContractError):
+        small_eval(small_run, annotations=derived[:1])
 
 
 def test_evaluate_strategy_no_prune_is_identity(small_run):
@@ -317,6 +335,74 @@ def test_evaluate_strategy_no_prune_is_identity(small_run):
     assert report.reduction_ratio == 0.0
     assert report.flop_speedup == 1.0
     assert report.retention_relevant == 1.0
+
+
+def per_frame_results(small_run, prune_config):
+    """Reference results: prune_observation, one frame at a time."""
+    _, episodes, _, intra, inter = small_run
+    return [[prune_observation(obs, intra, inter, prune_config)[1]
+             for obs in ep.observations] for ep in episodes]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(list(Strategy)),
+       st.lists(st.integers(0, 19), min_size=3, max_size=3),
+       st.integers(0, 19), st.sampled_from([0.01, 0.5]),
+       st.sampled_from([0.3, 0.5, 0.9]), st.integers(0, 99))
+def test_evaluate_strategy_with_shared_scores_matches_per_frame(
+        small_run, strategy, alphas, beta, epsilon, threshold, seed):
+    _, episodes, derived, intra, inter = small_run
+    config = PruneConfig(alphas=tuple(a / 20 for a in alphas), beta=beta / 20,
+                         epsilon=epsilon, strategy=strategy,
+                         adaptive_threshold=threshold, seed=seed)
+    observations = [ep.observations for ep in episodes]
+    scores = [[score_observation(obs, intra, inter, epsilon) for obs in ep]
+              for ep in observations]
+    flop_model = FlopModel(18, 2048)
+    shared, shared_results = evaluate_strategy(
+        observations, derived, intra, inter, config, flop_model, scores)
+    alone, alone_results = evaluate_strategy(
+        observations, derived, intra, inter, config, flop_model)
+    assert [(m, str(v)) for m, v in shared.rows()] \
+        == [(m, str(v)) for m, v in alone.rows()]
+    reference = per_frame_results(small_run, config)
+    assert shared_results == reference
+    assert alone_results == reference
+
+
+def test_evaluate_strategy_rejects_misaligned_scores(small_run):
+    _, episodes, derived, intra, inter = small_run
+    observations = [ep.observations for ep in episodes]
+    scores = [[score_observation(obs, intra, inter, 0.01) for obs in ep]
+              for ep in observations]
+    with pytest.raises(ContractError):
+        evaluate_strategy(observations, derived, intra, inter, PruneConfig(),
+                          FlopModel(18, 2048), [scores[0][:-1], scores[1]])
+    with pytest.raises(ContractError):
+        evaluate_strategy(observations, derived, intra, inter, PruneConfig(),
+                          FlopModel(18, 2048), list(reversed(scores))[:1])
+    small = make_obs(view_count=3)
+    wrong = score_observation(small, init_mlp((small.embed_dim, 4, 1), 0),
+                              init_mlp((3 * small.embed_dim, 4, 3), 1), 0.01)
+    with pytest.raises(ContractError):
+        evaluate_strategy(observations, derived, intra, inter, PruneConfig(),
+                          FlopModel(18, 2048),
+                          [[wrong] * len(ep) for ep in observations])
+
+
+def test_compare_strategies_equals_per_frame_evaluations(small_run,
+                                                         tmp_path):
+    config = small_run[0]
+    reports = compare_strategies(config, tmp_path)
+    assert list(reports) == [s.value for s in (
+        Strategy.HIERARCHICAL, Strategy.RANDOM_DROP,
+        Strategy.ADAPTIVE_RATIO_DROP, Strategy.NO_PRUNE)]
+    for name, report in reports.items():
+        prune_config = replace(PruneConfig(), strategy=Strategy(name))
+        alone, results = small_eval(small_run, prune_config=prune_config)
+        assert [(m, str(v)) for m, v in report.rows()] \
+            == [(m, str(v)) for m, v in alone.rows()]
+        assert results == per_frame_results(small_run, prune_config)
 
 
 def test_trained_predictors_beat_random_drop(small_run):
@@ -428,11 +514,15 @@ def test_sweep_beta_rejects_bad_ratios(tmp_path):
 
 
 def test_replace_beta():
+    # sweep_beta derives each ratio's config with dataclasses.replace, which
+    # re-runs PruneConfig's checks
     base = PruneConfig()
-    bumped = replace_beta(base, 0.75)
+    bumped = replace(base, beta=0.75)
     assert bumped.beta == 0.75
     assert base.beta == 0.5
     assert bumped.alphas == base.alphas
+    with pytest.raises(ConfigError):
+        replace(base, beta=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +668,31 @@ def test_cli_validate_reports_bad_token_sidecar(damage, experiment_dir,
     assert problems[0].startswith("ep0001.obs.jsonl: ")
 
 
+def _set_kept(record, view, position, value):
+    record["result"]["kept"][view][position] = value
+
+
+def _set_rank(record, position, pair):
+    record["result"]["ranking"][position] = pair
+
+
 @pytest.mark.parametrize("damage", [
     lambda record: record["result"].update(kept=5),
     lambda record: record.pop("result"),
-], ids=["kept_is_int", "result_missing"])
+    lambda record: record["result"].update(
+        kept=[[i + 0.5 for i in idx] for idx in record["result"]["kept"]]),
+    lambda record: _set_kept(record, 0, 0,
+                             str(record["result"]["kept"][0][0])),
+    lambda record: _set_kept(record, 0, 0, True),
+    lambda record: _set_kept(record, 0, 0, None),
+    lambda record: _set_kept(record, 0, 0, 2**64),
+    lambda record: _set_rank(record, 0, record["result"]["ranking"][0][:1]),
+    lambda record: _set_rank(record, 0, [0, 2**64]),
+    lambda record: _set_rank(record, 0,
+                             [float(i) for i in record["result"]["ranking"][0]]),
+], ids=["kept_is_int", "result_missing", "kept_floats", "kept_string",
+        "kept_bool", "kept_null", "kept_overflow", "ranking_ragged",
+        "ranking_overflow", "ranking_floats"])
 def test_cli_validate_reports_malformed_prune_record(damage, experiment_dir,
                                                      tmp_path, capsys):
     out, _ = experiment_dir

@@ -290,6 +290,44 @@ def test_prune_result_rejects_bad_ranking():
                     ranking=((0, 3), (0, 3), (0, 1)))
 
 
+def test_prune_result_accepts_integer_arrays_and_stores_tuples():
+    result = PruneResult(
+        view_token_counts=(4, 4),
+        kept=(np.array([1, 3], dtype=np.int32), np.array([0], np.uint8)),
+        fused_scores=(np.array([0.5, 0.9]), np.array([0.7])),
+        local_pruned_counts=(1, 1), global_pruned_count=3,
+        ranking=np.array([[0, 3], [1, 0], [0, 1]]))
+    assert result == good_result()
+    assert result.kept == ((1, 3), (0,))
+    assert result.ranking == ((0, 3), (1, 0), (0, 1))
+    assert all(type(i) is int for idx in result.kept for i in idx)
+    assert all(type(i) is int for pair in result.ranking for i in pair)
+    assert dumps_obj(result.to_obj()) == dumps_obj(good_result().to_obj())
+
+
+def test_prune_result_accepts_empty_views():
+    result = PruneResult(view_token_counts=(2, 0), kept=((), ()),
+                         fused_scores=((), ()), local_pruned_counts=(0, 0),
+                         global_pruned_count=2, ranking=())
+    assert result.kept == ((), ())
+    assert result.ranking == ()
+    assert PruneResult.from_obj(result.to_obj()) == result
+
+
+@pytest.mark.parametrize("kept", [
+    (np.array([1.0, 3.0]), (0,)),
+    (np.array([True, True]), (0,)),
+    ((1, 3), np.array([0], dtype=object)),
+    ((1, 3), np.array([[0]])),
+])
+def test_prune_result_rejects_non_integer_index_arrays(kept):
+    with pytest.raises(ContractError):
+        PruneResult(view_token_counts=(4, 4), kept=kept,
+                    fused_scores=(np.array([0.5, 0.9]), np.array([0.7])),
+                    local_pruned_counts=(1, 1), global_pruned_count=3,
+                    ranking=((0, 3), (1, 0), (0, 1)))
+
+
 def test_prune_result_round_trip():
     result = good_result()
     assert PruneResult.from_obj(result.to_obj()) == result
@@ -301,6 +339,23 @@ def test_prune_result_round_trip():
     ("ranking", [[0, 3, 1], [1, 0], [0, 1]]),
     ("view_token_counts", 4),
     ("fused_scores", [["a", "b"], [0.7]]),
+    # each of these once passed as kept ((1, 3), (0,)) through int()
+    ("kept", [[1.5, 3.9], [0]]),
+    ("kept", [[1.0, 3.0], [0]]),
+    ("kept", [["1", "3"], [0]]),
+    ("kept", [[True, 3], [0]]),
+    ("kept", [[1, 3], [False]]),
+    ("kept", [[1, 3], [None]]),
+    ("kept", [[1, 3], [[0]]]),
+    ("kept", [[1, 3], [2**63]]),
+    ("kept", [[1, 3], [2**64]]),
+    ("ranking", [[0, 3.0], [1, 0], [0, 1]]),
+    ("ranking", [[0, 3], [True, 0], [0, 1]]),
+    ("ranking", [[0, "3"], [1, 0], [0, 1]]),
+    ("ranking", [[0, 3], [1], [0, 1]]),
+    ("ranking", [[0, 3], [1, 0], [0, 1], [0, 2**64]]),
+    ("ranking", [[0, 3], [1, 0], 5]),
+    ("fused_scores", [[0.5, 10**400], [0.7]]),
 ])
 def test_prune_result_from_obj_reports_malformed_fields(field, value):
     obj = good_result().to_obj()

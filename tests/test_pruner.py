@@ -1,6 +1,7 @@
 """Pruning pipeline: weighting, stages, baselines, and the cost model."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,23 +18,25 @@ from mvprune.core import (
     ConfigError,
     ContractError,
     PruneConfig,
+    PruneResult,
     Strategy,
 )
 from mvprune.predictor import init_mlp
 from mvprune.pruner import (
     FlopModel,
+    _global_by_count,
     _prune_count,
     adaptive_weight,
-    adaptive_weight_at,
     flop_estimate,
     fuse_scores,
     global_prune,
     hierarchical_prune,
     local_prune,
-    no_prune_config,
     normalize_scores,
     prune_observation,
+    prune_scores,
     random_drop,
+    score_observation,
     speedup_estimate,
 )
 from test_core import make_obs
@@ -50,6 +53,8 @@ from test_core import make_obs
     (0.29, 100, 29),
     (0.0, 100, 0),
     (0.999, 1000, 999),
+    (0.29, 10**8, 29_000_000),
+    (0.57, 10**8, 57_000_000),
 ])
 def test_prune_count_is_exact_on_decimal_ratios(ratio, n, expected):
     assert _prune_count(ratio, n) == expected
@@ -60,6 +65,12 @@ def test_prune_count_is_exact_on_decimal_ratios(ratio, n, expected):
 def test_prune_count_matches_fraction_floor(milli, n):
     ratio = milli / 1000.0
     assert _prune_count(ratio, n) == oracle_prune_count(round(ratio, 3), n)
+
+
+@given(st.integers(0, 9999), st.integers(0, 10**9))
+def test_prune_count_matches_fraction_floor_at_large_n(ten_thousandths, n):
+    ratio = ten_thousandths / 10_000
+    assert _prune_count(ratio, n) == oracle_prune_count(ratio, n)
 
 
 # ---------------------------------------------------------------------------
@@ -81,20 +92,11 @@ def test_adaptive_weight_matches_reference():
         assert got == pytest.approx(want, rel=1e-10)
 
 
-def test_adaptive_weight_agrees_with_explicit_positions():
-    rng = np.random.default_rng(1)
-    raw = rng.random(12)
-    pos = [(r, c) for r in range(3) for c in range(4)]
-    dense = adaptive_weight(raw, 3, 4, 0.05)
-    loose = adaptive_weight_at(raw, np.array(pos, dtype=float), 0.05)
-    assert dense == pytest.approx(loose.tolist(), rel=1e-12)
-
-
 def test_adaptive_weight_rejects_bad_epsilon():
     with pytest.raises(ConfigError):
         adaptive_weight([1.0], 1, 1, 0.0)
     with pytest.raises(ConfigError):
-        adaptive_weight_at([1.0], [(0.0, 0.0)], -1.0)
+        adaptive_weight([1.0], 1, 1, -1.0)
 
 
 def test_adaptive_weight_scales_linearly():
@@ -164,6 +166,69 @@ def test_global_prune_count_identity():
     assert result.kept == ((3, 5),)
     assert result.kept_total == 2
     assert result.post_local_counts == (3,)
+
+
+def rebuild(result, **changes):
+    """A fresh PruneResult from ``result``'s fields, some replaced."""
+    fields = {name: getattr(result, name) for name in (
+        "view_token_counts", "kept", "fused_scores", "local_pruned_counts",
+        "global_pruned_count", "ranking")}
+    return PruneResult(**{**fields, **changes})
+
+
+@st.composite
+def global_stage_inputs(draw):
+    """Survivors of 1-3 views with heavily tied fused scores, and a count."""
+    views = draw(st.integers(1, 3))
+    counts, kept, fused = [], [], []
+    for _ in range(views):
+        n = draw(st.integers(0, 12))
+        survivors = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n))
+                           if n else [])
+        counts.append(n)
+        kept.append(np.array(survivors, dtype=np.int64))
+        fused.append(np.array(draw(st.lists(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=len(survivors),
+            max_size=len(survivors))), dtype=np.float64))
+    drop = draw(st.integers(0, sum(len(k) for k in kept)))
+    return fused, kept, drop, counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(global_stage_inputs(), st.data())
+def test_global_stage_results_pass_a_fresh_construction(inputs, data):
+    fused, kept, drop, counts = inputs
+    local = [n - len(k) for n, k in zip(counts, kept)]
+    result = _global_by_count(fused, kept, drop, counts, local)
+    assert rebuild(result) == result
+    assert rebuild(result, kept=[np.array(k) for k in result.kept],
+                   ranking=np.array(result.ranking).reshape(-1, 2)) == result
+    if result.kept_total:
+        # the first pair twice: in place of the last, and added
+        for duplicated in (result.ranking[:-1] + result.ranking[:1],
+                           result.ranking + result.ranking[:1]):
+            if duplicated != result.ranking:
+                with pytest.raises(ContractError):
+                    rebuild(result, ranking=duplicated)
+        v = data.draw(st.sampled_from(
+            [v for v, idx in enumerate(result.kept) if idx]))
+        as_floats = list(result.kept)
+        as_floats[v] = tuple(float(i) for i in result.kept[v])
+        with pytest.raises(ContractError):
+            rebuild(result, kept=tuple(as_floats))
+        with pytest.raises(ContractError):
+            rebuild(result, ranking=tuple((v, float(i))
+                                          for v, i in result.ranking))
+    wide = [v for v, idx in enumerate(result.kept) if len(idx) > 1]
+    if wide:
+        v = data.draw(st.sampled_from(wide))
+        i = data.draw(st.integers(0, len(result.kept[v]) - 2))
+        swapped = list(result.kept)
+        idx = list(result.kept[v])
+        idx[i], idx[i + 1] = idx[i + 1], idx[i]
+        swapped[v] = tuple(idx)
+        with pytest.raises(ContractError):
+            rebuild(result, kept=tuple(swapped))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +304,7 @@ def test_no_prune_keeps_everything():
 
 def test_no_prune_config_keeps_ratios_but_switches_strategy():
     base = PruneConfig(alphas=(0.3, 0.2), beta=0.5)
-    config = no_prune_config(base)
+    config = replace(base, strategy=Strategy.NO_PRUNE)
     assert config.strategy is Strategy.NO_PRUNE
     assert config.alphas == base.alphas
     raw = [np.arange(4.0), np.arange(4.0)]
@@ -359,6 +424,20 @@ def test_prune_observation_equals_explicit_pipeline(tiny_predictors):
     shapes = [(v.height, v.width) for v in obs.views]
     direct = hierarchical_prune(scores.intra_raw, scores.inter, shapes, config)
     assert direct == result
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_prune_observation_is_score_then_prune(tiny_predictors, strategy):
+    intra, inter = tiny_predictors
+    obs = make_obs(view_count=3, seed=9)
+    config = PruneConfig(strategy=strategy, epsilon=0.1)
+    scores, result = prune_observation(obs, intra, inter, config)
+    assert scores == score_observation(obs, intra, inter, 0.1)
+    counts = [v.token_count for v in obs.views]
+    assert prune_scores(scores, counts, config) == result
+    if strategy is not Strategy.RANDOM_DROP:
+        with pytest.raises(ContractError):
+            prune_scores(scores, counts[:2] + [counts[2] + 1], config)
 
 
 def test_prune_observation_random_strategy_ignores_scores(tiny_predictors):
