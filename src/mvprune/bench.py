@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -220,25 +220,11 @@ class MetricsReport:
         return out
 
     def to_obj(self) -> dict:
-        return {
-            "fmt": FORMAT_VERSION,
-            "kind": "metrics_report",
-            "strategy": self.strategy,
-            "episodes": self.episodes,
-            "frames": self.frames,
-            "tokens_before": list(self.tokens_before),
-            "tokens_post_local": list(self.tokens_post_local),
-            "tokens_kept": list(self.tokens_kept),
-            "reduction_ratio": self.reduction_ratio,
-            "flop_speedup": self.flop_speedup,
-            "retention_relevant": self.retention_relevant,
-            "intra_auc": self.intra_auc,
-            "intra_precision": self.intra_precision,
-            "intra_recall": self.intra_recall,
-            "inter_accuracy": self.inter_accuracy,
-            "inter_precision": self.inter_precision,
-            "inter_recall": self.inter_recall,
-        }
+        obj = {"fmt": FORMAT_VERSION, "kind": "metrics_report"}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            obj[f.name] = list(value) if isinstance(value, tuple) else value
+        return obj
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +281,8 @@ def resolve_config(overrides: dict | None) -> dict:
     Unknown keys are rejected so a typo cannot silently fall back to a
     default.
     """
-    resolved = {
-        "fmt": FORMAT_VERSION,
-        "kind": "experiment_config",
-        "corpus": dict(DEFAULT_CONFIG["corpus"]),
-        "train": dict(DEFAULT_CONFIG["train"]),
-        "prune": dict(DEFAULT_CONFIG["prune"]),
-        "flop": dict(DEFAULT_CONFIG["flop"]),
-    }
+    resolved = {key: dict(value) if isinstance(value, dict) else value
+                for key, value in DEFAULT_CONFIG.items()}
     if overrides is None:
         return resolved
     if not isinstance(overrides, dict):
@@ -443,7 +423,8 @@ def evaluate_strategy(observations_by_episode: Sequence[
                       intra: MlpParams, inter: MlpParams,
                       prune_config: PruneConfig, flop_model: FlopModel,
                       scores: (Sequence[Sequence[ImportanceScores]]
-                               | None) = None,
+                               | None) = None, *,
+                      _classifier: dict | None = None,
                       ) -> tuple[MetricsReport, list[list[PruneResult]]]:
     """Prune every frame of a corpus and fold the outcomes into a report.
 
@@ -451,7 +432,9 @@ def evaluate_strategy(observations_by_episode: Sequence[
     mapping keyed by episode id. ``scores``, when given, holds each frame's
     ``score_observation`` output, aligned with the observations and weighted
     with ``prune_config.epsilon``, so that several strategies can share one
-    scoring pass; without it every frame is scored here.
+    scoring pass; without it every frame is scored here. ``_classifier`` is
+    for ``_shared_evaluation``, which checks those inputs and computes their
+    ``_classifier_metrics`` once for all the prune configs it evaluates.
     """
     if not observations_by_episode or not observations_by_episode[0]:
         raise ContractError("evaluation needs at least one observation")
@@ -461,27 +444,21 @@ def evaluate_strategy(observations_by_episode: Sequence[
     elif len(annotations) != len(observations_by_episode):
         raise ContractError("annotations must align with the episodes")
     if scores is None:
-        scores = ([score_observation(obs, intra, inter, prune_config.epsilon)
-                   for obs in episode] for episode in observations_by_episode)
+        scores = [[score_observation(obs, intra, inter, prune_config.epsilon)
+                   for obs in episode] for episode in observations_by_episode]
     elif [len(e) for e in scores] != [len(e) for e in observations_by_episode]:
         raise ContractError("scores must align with the observations")
-    view_count = observations_by_episode[0][0].view_count
+    if _classifier is None:
+        _classifier = _classifier_metrics(observations_by_episode,
+                                          annotations, scores)
     counts = []
     relevant_kept = relevant_total = 0
     flops_before = flops_after = 0.0
-    intra_scores, intra_labels = [], []
-    inter_scores, inter_labels = [], []
     results = []
     for episode_obs, ann, episode_scores in zip(observations_by_episode,
                                                 annotations, scores):
         per_episode = []
         for obs, frame_scores in zip(episode_obs, episode_scores):
-            if ann.episode_id != obs.episode_id:
-                raise ContractError(
-                    f"annotation {ann.episode_id!r} does not match "
-                    f"observation episode {obs.episode_id!r}")
-            frame = ann.frames[obs.frame_index]
-            frame_scores.check_shapes(obs)
             result = prune_scores(frame_scores,
                                   [v.token_count for v in obs.views],
                                   prune_config)
@@ -490,20 +467,12 @@ def evaluate_strategy(observations_by_episode: Sequence[
                            result.post_local_counts, result.kept_per_view))
             flops_before += flop_estimate(flop_model, obs.total_tokens)
             flops_after += flop_estimate(flop_model, max(result.kept_total, 1))
-            for v in range(view_count):
-                mask = np.asarray(frame.masks[v])
+            for mask, kept in zip(ann.frames[obs.frame_index].masks,
+                                  result.kept):
                 relevant_total += int(mask.sum())
-                relevant_kept += int(mask[list(result.kept[v])].sum())
-                intra_scores.append(frame_scores.intra_raw[v])
-                intra_labels.append(mask)
-            inter_scores.append(frame_scores.inter)
-            inter_labels.append(np.array(frame.inter_labels))
+                relevant_kept += int(mask[list(kept)].sum())
         results.append(per_episode)
     before, post_local, kept = np.array(counts, dtype=np.int64).sum(axis=0)
-    intra_s, intra_y, inter_s, inter_y = map(np.concatenate, (
-        intra_scores, intra_labels, inter_scores, inter_labels))
-    intra_precision, intra_recall = precision_recall(intra_s, intra_y)
-    inter_precision, inter_recall = precision_recall(inter_s, inter_y)
     report = MetricsReport(
         strategy=prune_config.strategy.value,
         episodes=len(observations_by_episode),
@@ -515,14 +484,39 @@ def evaluate_strategy(observations_by_episode: Sequence[
         flop_speedup=flops_before / flops_after,
         retention_relevant=(relevant_kept / relevant_total
                             if relevant_total else 1.0),
-        intra_auc=auc_score(intra_s, intra_y),
-        intra_precision=intra_precision,
-        intra_recall=intra_recall,
-        inter_accuracy=accuracy((inter_s >= 0.5).astype(int), inter_y),
-        inter_precision=inter_precision,
-        inter_recall=inter_recall,
+        **_classifier,
     )
     return report, results
+
+
+def _classifier_metrics(observations_by_episode, annotations, scores) -> dict:
+    """Check that annotations and scores match the observations, then rate
+    the predictors' raw scores as classifiers; no pruning rule changes this."""
+    intra_scores, intra_labels = [], []
+    inter_scores, inter_labels = [], []
+    for episode_obs, ann, episode_scores in zip(observations_by_episode,
+                                                annotations, scores):
+        for obs, frame_scores in zip(episode_obs, episode_scores):
+            if ann.episode_id != obs.episode_id:
+                raise ContractError(
+                    f"annotation {ann.episode_id!r} does not match "
+                    f"observation episode {obs.episode_id!r}")
+            frame = ann.frames[obs.frame_index]
+            if len(frame.masks) != obs.view_count:
+                raise ContractError("annotation masks must align with views")
+            frame_scores.check_shapes(obs)
+            intra_scores.extend(frame_scores.intra_raw)
+            intra_labels.extend(frame.masks)
+            inter_scores.append(frame_scores.inter)
+            inter_labels.append(np.array(frame.inter_labels))
+    intra_s, intra_y, inter_s, inter_y = map(np.concatenate, (
+        intra_scores, intra_labels, inter_scores, inter_labels))
+    intra_precision, intra_recall = precision_recall(intra_s, intra_y)
+    inter_precision, inter_recall = precision_recall(inter_s, inter_y)
+    return {"intra_auc": auc_score(intra_s, intra_y),
+            "intra_precision": intra_precision, "intra_recall": intra_recall,
+            "inter_accuracy": accuracy((inter_s >= 0.5).astype(int), inter_y),
+            "inter_precision": inter_precision, "inter_recall": inter_recall}
 
 
 # ---------------------------------------------------------------------------
@@ -599,9 +593,10 @@ def _shared_evaluation(config: dict):
     observations_by_episode = [ep.observations for ep in episodes]
     scores = [[score_observation(obs, intra, inter, epsilon) for obs in ep]
               for ep in observations_by_episode]
+    classifier = _classifier_metrics(observations_by_episode, derived, scores)
     return lambda prune_config: evaluate_strategy(
         observations_by_episode, derived, intra, inter, prune_config,
-        flop_model, scores)[0]
+        flop_model, scores, _classifier=classifier)[0]
 
 
 def compare_strategies(config: dict | None, out_dir,

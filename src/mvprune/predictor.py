@@ -103,7 +103,9 @@ class MlpParams:
             return cls(layers=layers, activation=obj["activation"])
         except KeyError as exc:
             raise ParseError("missing mlp field", field=str(exc.args[0])) from exc
-        except (ContractError, ConfigError) as exc:
+        # a number where a list belongs or a ragged matrix fails as one of these
+        except (ContractError, ConfigError, TypeError, ValueError,
+                OverflowError) as exc:
             raise ParseError(f"invalid mlp: {exc}", field="layers") from exc
 
 
@@ -130,23 +132,20 @@ def init_mlp(sizes: Sequence[int], seed: int) -> MlpParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z)) below; never overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _forward_cached(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
-    """Run the network and keep every layer's activation for backprop.
+def _forward_cached(layers, x: np.ndarray) -> list[np.ndarray]:
+    """Run the ``(W, b)`` layers and keep every activation for backprop.
 
     Returns ``[A0, A1, ..., P]`` where ``A0`` is the input batch and ``P``
     the clamped output probabilities.
     """
     acts = [x]
-    last = len(params.layers) - 1
-    for i, (w, b) in enumerate(params.layers):
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
         z = acts[-1] @ w.T + b
         if i == last:
             acts.append(np.clip(_sigmoid(z), CLAMP, 1.0 - CLAMP))
@@ -161,7 +160,7 @@ def forward(params: MlpParams, inputs) -> np.ndarray:
     if x.shape[1] != params.input_width:
         raise ContractError(
             f"inputs have width {x.shape[1]}, network expects {params.input_width}")
-    return _forward_cached(params, x)[-1]
+    return _forward_cached(params.layers, x)[-1]
 
 
 def predict_intra(params: MlpParams, obs: MultiViewObservation
@@ -228,7 +227,7 @@ def loss(params: MlpParams, inputs, targets, reduction: str = "mean") -> float:
     """
     x, y = _batch(params, inputs, targets)
     _check_reduction(reduction)
-    p = _forward_cached(params, x)[-1]
+    p = _forward_cached(params.layers, x)[-1]
     values = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
     return float(values.mean() if reduction == "mean" else values.sum())
 
@@ -241,20 +240,22 @@ def loss_and_grad(params: MlpParams, inputs, targets, reduction: str = "mean"
     """
     x, y = _batch(params, inputs, targets)
     _check_reduction(reduction)
-    acts = _forward_cached(params, x)
+    return _loss_and_grad(params.layers, x, y, reduction == "mean")
+
+
+def _loss_and_grad(layers, x: np.ndarray, y: np.ndarray, mean: bool):
+    """The forward and backward pass of ``loss_and_grad`` on a batch that
+    ``_batch`` has checked, for ``(W, b)`` layers."""
+    acts = _forward_cached(layers, x)
     p = acts[-1]
     values = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    total = float(values.mean() if reduction == "mean" else values.sum())
-
-    scale = 1.0 / values.size if reduction == "mean" else 1.0
-    dz = (p - y) * scale
-    grads = [None] * len(params.layers)
-    for i in range(len(params.layers) - 1, -1, -1):
-        a_prev = acts[i]
-        grads[i] = (dz.T @ a_prev, dz.sum(axis=0))
+    total = float(values.mean() if mean else values.sum())
+    dz = (p - y) * (1.0 / values.size if mean else 1.0)
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        grads[i] = (dz.T @ acts[i], dz.sum(axis=0))
         if i > 0:
-            da = dz @ params.layers[i][0]
-            dz = da * (1.0 - acts[i] ** 2)
+            dz = (dz @ layers[i][0]) * (1.0 - acts[i] ** 2)
     return total, tuple(grads)
 
 
@@ -345,37 +346,40 @@ def train(params: MlpParams, inputs, targets, config: TrainConfig
     """Train with plain SGD and return the new parameters plus the loss trace.
 
     The trace records each step's batch loss before that step's update.
-    Raises on non-finite losses or gradients, naming the step.
+    Raises on non-finite losses, gradients or parameters, naming the step.
+    Inputs and targets are checked once; the steps update plain arrays.
     """
     x, y = _batch(params, inputs, targets)
-    if x.shape[0] == 0:
-        raise ContractError("training needs at least one example")
     rng = np.random.default_rng(config.seed)
-    weights = [(w.copy(), b.copy()) for w, b in params.layers]
+    layers = [(w.copy(), b.copy()) for w, b in params.layers]
+    mean, lr = config.reduction == "mean", config.learning_rate
     losses = np.zeros(config.steps)
-    current = params
     for step in range(config.steps):
         if config.batch_size == 0:
             bx, by = x, y
         else:
             idx = rng.integers(0, x.shape[0], size=config.batch_size)
             bx, by = x[idx], y[idx]
-        value, grads = loss_and_grad(current, bx, by, config.reduction)
+        value, grads = _loss_and_grad(layers, bx, by, mean)
         if not math.isfinite(value):
             raise TrainingError(f"loss is not finite: {value}", step=step)
         losses[step] = value
-        for (w, b), (dw, db) in zip(weights, grads):
-            if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-                raise TrainingError("gradient is not finite", step=step)
-            with np.errstate(over="ignore"):
-                w -= config.learning_rate * dw
-                b -= config.learning_rate * db
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise TrainingError("parameters are not finite", step=step)
-        current = MlpParams(
-            layers=tuple((w, b) for w, b in weights),
-            activation=params.activation)
-    return current, losses
+        # a non-finite gradient element leaves its parameter non-finite (for
+        # lr 0 too: 0 * inf is nan), so one sum over the parameters finds
+        # both; the rescan names which, or nothing if finite terms overflowed
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = 0.0
+            for (w, b), (dw, db) in zip(layers, grads):
+                w -= lr * dw
+                b -= lr * db
+                total += w.sum() + b.sum()
+        if not math.isfinite(total):
+            for (w, b), (dw, db) in zip(layers, grads):
+                if not (np.isfinite(dw).all() and np.isfinite(db).all()):
+                    raise TrainingError("gradient is not finite", step=step)
+                if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                    raise TrainingError("parameters are not finite", step=step)
+    return MlpParams(layers=tuple(layers), activation=params.activation), losses
 
 
 # ---------------------------------------------------------------------------

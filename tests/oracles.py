@@ -2,12 +2,17 @@
 
 Everything here is deliberately written with plain Python loops, ``Fraction``
 arithmetic, and ``sorted`` so it shares no code path with the library. Slow
-is fine; independent is the point.
+is fine; independent is the point. The one exception is ``oracle_train``:
+training is checked bit for bit, which only the same numpy operations in the
+same order can give, so it is the SGD loop as first written, in numpy, with
+no call into the library.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 
 def oracle_prune_count(ratio, n):
@@ -117,3 +122,73 @@ def oracle_flops(layers, embed_dim, tokens, linear_coeff=12.0,
                  quadratic_coeff=2.0):
     return layers * (linear_coeff * tokens * embed_dim ** 2
                      + quadratic_coeff * tokens ** 2 * embed_dim)
+
+
+class Diverged(Exception):
+    """Where ``oracle_train`` stopped, with the message training raises."""
+
+    def __init__(self, step, message):
+        super().__init__(f"step {step}: {message}")
+        self.step = step
+
+
+def oracle_sigmoid(z):
+    """Two-branch logistic: each branch only takes ``exp`` of a nonpositive
+    number."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def oracle_train(layers, x, y, learning_rate, steps, batch_size, reduction,
+                 seed, clamp=1e-7):
+    """Plain SGD on a tanh MLP with a sigmoid head and clamped cross-entropy.
+
+    Every step draws its batch, runs the forward and the backward pass, then
+    for each layer in order checks the gradient, updates the weights and
+    checks them. Returns the new ``[(w, b), ...]`` and the loss trace;
+    raises ``Diverged`` at the first non-finite loss, gradient or parameter.
+    """
+    rng = np.random.default_rng(seed)
+    layers = [(np.array(w, dtype=np.float64), np.array(b, dtype=np.float64))
+              for w, b in layers]
+    losses = np.zeros(steps)
+    for step in range(steps):
+        if batch_size == 0:
+            bx, by = x, y
+        else:
+            idx = rng.integers(0, x.shape[0], size=batch_size)
+            bx, by = x[idx], y[idx]
+        acts = [bx]
+        for i, (w, b) in enumerate(layers):
+            z = acts[-1] @ w.T + b
+            if i == len(layers) - 1:
+                acts.append(np.clip(oracle_sigmoid(z), clamp, 1.0 - clamp))
+            else:
+                acts.append(np.tanh(z))
+        p = acts[-1]
+        values = -(by * np.log(p) + (1.0 - by) * np.log(1.0 - p))
+        value = float(values.mean() if reduction == "mean" else values.sum())
+        if not math.isfinite(value):
+            raise Diverged(step, f"loss is not finite: {value}")
+        losses[step] = value
+        scale = 1.0 / values.size if reduction == "mean" else 1.0
+        dz = (p - by) * scale
+        grads = [None] * len(layers)
+        for i in range(len(layers) - 1, -1, -1):
+            grads[i] = (dz.T @ acts[i], dz.sum(axis=0))
+            if i > 0:
+                da = dz @ layers[i][0]
+                dz = da * (1.0 - acts[i] ** 2)
+        for (w, b), (dw, db) in zip(layers, grads):
+            if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
+                raise Diverged(step, "gradient is not finite")
+            with np.errstate(over="ignore"):
+                w -= learning_rate * dw
+                b -= learning_rate * db
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                raise Diverged(step, "parameters are not finite")
+    return layers, losses

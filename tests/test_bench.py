@@ -710,6 +710,58 @@ def test_cli_validate_reports_malformed_prune_record(damage, experiment_dir,
     assert problems[0].startswith("ep0000.prune.jsonl: ")
 
 
+def _set_first_layer(record, key, value):
+    record["layers"][0][key] = value(record["layers"][0][key])
+
+
+MALFORMED_CHECKPOINTS = pytest.mark.parametrize("damage", [
+    lambda record: record.update(layers=5),
+    lambda record: record.update(layers="ab"),
+    lambda record: record["layers"].__setitem__(
+        0, [record["layers"][0]["weight"], record["layers"][0]["bias"]]),
+    lambda record: _set_first_layer(record, "weight", lambda w: "ab"),
+    lambda record: _set_first_layer(record, "weight",
+                                    lambda w: [w[0][:-1]] + w[1:]),
+    lambda record: _set_first_layer(record, "weight",
+                                    lambda w: [[10 ** 400] + w[0][1:]] + w[1:]),
+    lambda record: _set_first_layer(record, "bias", lambda b: {"0": b}),
+], ids=["layers_is_int", "layers_is_string", "layer_is_list",
+        "weight_is_string", "weight_ragged", "weight_overflow",
+        "bias_is_object"])
+
+
+def _broken_checkpoint(damage, out, tmp_path):
+    broken = tmp_path / "broken"
+    shutil.copytree(out, broken)
+    path = broken / "intra.mlp.json"
+    record = json.loads(path.read_text(encoding="utf-8"))
+    damage(record)
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return broken
+
+
+@MALFORMED_CHECKPOINTS
+def test_cli_validate_reports_malformed_checkpoint(damage, experiment_dir,
+                                                   tmp_path, capsys):
+    broken = _broken_checkpoint(damage, experiment_dir[0], tmp_path)
+    assert main(["validate", "--dir", str(broken)]) == 1
+    problems = capsys.readouterr().err.splitlines()
+    assert len(problems) == 1
+    assert problems[0].startswith("intra.mlp.json: invalid mlp: ")
+
+
+@MALFORMED_CHECKPOINTS
+def test_cli_prune_rejects_malformed_checkpoint(damage, experiment_dir,
+                                                tmp_path, capsys):
+    broken = _broken_checkpoint(damage, experiment_dir[0], tmp_path)
+    code = main(["prune", "--corpus", str(broken / "corpus"),
+                 "--intra", str(broken / "intra.mlp.json"),
+                 "--inter", str(broken / "inter.mlp.json"),
+                 "--out", str(tmp_path / "pruned")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: invalid mlp: ")
+
+
 def test_cli_sweep_and_compare(tmp_path, capsys):
     config = write_small_config(tmp_path)
     sweep_dir = tmp_path / "sweep"

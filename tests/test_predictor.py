@@ -1,10 +1,14 @@
 """Importance predictors: forward passes, losses, gradients, and training."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from mvprune.core import (
     ConfigError,
     ContractError,
@@ -14,6 +18,7 @@ from mvprune.core import (
 from mvprune.predictor import (
     MlpParams,
     TrainConfig,
+    _sigmoid,
     bce,
     build_inter_dataset,
     build_intra_dataset,
@@ -316,15 +321,119 @@ def test_train_full_batch_records_pre_update_loss():
     assert losses[2] < losses[0]
 
 
+def _outcome(run):
+    """What a training run ends in, as bytes, plus the warnings it gave.
+
+    ``run`` returns trained layers (an ``MlpParams`` from ``train``, a list
+    of pairs from the reference) and the loss trace."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            layers, losses = run()
+        except (TrainingError, oracles.Diverged) as exc:
+            return ("raised", exc.step, str(exc)), caught
+    layers = getattr(layers, "layers", layers)
+    return ("done", [(w.tobytes(), b.tobytes()) for w, b in layers],
+            losses.tobytes()), caught
+
+
+def train_against_reference(params, x, y, config):
+    """Run ``train`` and ``oracles.oracle_train``; require the same weights
+    and loss trace to the bit, or the same error at the same step, and no
+    warning that the reference does not give."""
+    got, got_warnings = _outcome(lambda: train(params, x, y, config))
+    want, want_warnings = _outcome(lambda: oracles.oracle_train(
+        params.layers, x, y, config.learning_rate, config.steps,
+        config.batch_size, config.reduction, config.seed))
+    assert got == want
+    assert {str(w.message) for w in got_warnings} <= {
+        str(w.message) for w in want_warnings}
+    return got
+
+
+def network_case(widths, rows, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(rows, widths[0])) * scale
+    y = rng.integers(0, 2, size=(rows, widths[-1])).astype(float)
+    return init_mlp(widths, seed=seed), x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=2, max_size=4),
+       st.integers(1, 24), st.sampled_from([0, 1, 7, 32]),
+       st.sampled_from(["mean", "sum"]), st.sampled_from([0.0, 0.05, 0.5]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 30))
+def test_train_matches_reference_loop_bit_for_bit(
+        widths, rows, batch_size, reduction, learning_rate, seed, steps):
+    params, x, y = network_case(widths, rows, seed)
+    config = TrainConfig(learning_rate=learning_rate, steps=steps,
+                         batch_size=batch_size, reduction=reduction,
+                         seed=seed)
+    assert train_against_reference(params, x, y, config)[0] == "done"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=2, max_size=4),
+       st.integers(1, 12), st.sampled_from([0, 4]),
+       st.sampled_from(["mean", "sum"]),
+       st.sampled_from([0.0, 1.0, 1e300, 1e308]),
+       st.sampled_from([1.0, 1e150, 1e300, 1.7e308]),
+       st.integers(0, 2 ** 32 - 1))
+def test_train_diverges_like_reference_loop(
+        widths, rows, batch_size, reduction, learning_rate, scale, seed):
+    params, x, y = network_case(widths, rows, seed, scale)
+    config = TrainConfig(learning_rate=learning_rate, steps=8,
+                         batch_size=batch_size, reduction=reduction,
+                         seed=seed)
+    train_against_reference(params, x, y, config)
+
+
+def logistic(weights):
+    return MlpParams(layers=((np.array([weights], dtype=float),
+                              np.zeros(1)),))
+
+
+@pytest.mark.parametrize("learning_rate", [0.0, 0.1])
+def test_train_reports_a_gradient_that_is_not_finite(learning_rate):
+    # z is -inf, so p is clamped near 0 against targets of 1 and every row
+    # adds about -1e308 to the weight gradient
+    x = np.full((16, 2), 1e308)
+    config = TrainConfig(learning_rate=learning_rate, steps=3, batch_size=0,
+                         reduction="sum")
+    got = train_against_reference(logistic([-1.0, -1.0]), x,
+                                  np.ones((16, 1)), config)
+    assert got == ("raised", 0, "step 0: gradient is not finite")
+
+
 def test_train_raises_on_divergence():
     rng = np.random.default_rng(0)
     y = rng.integers(0, 2, size=(16, 1)).astype(float)
     x = rng.normal(scale=100.0, size=(16, 2))
-    params = init_mlp((2, 4, 1), seed=0)
     config = TrainConfig(learning_rate=1e308, steps=50, batch_size=0)
-    with pytest.raises(TrainingError) as err:
-        train(params, x, y, config)
-    assert err.value.step is not None
+    got = train_against_reference(init_mlp((2, 4, 1), seed=0), x, y, config)
+    assert got[0] == "raised" and got[2].endswith("parameters are not finite")
+
+
+def test_train_reports_a_loss_that_is_not_finite():
+    # each product overflows to +-inf, so every logit is inf - inf = nan
+    x = np.array([[1e308, 1e308, -1e308, -1e308]] * 4)
+    config = TrainConfig(steps=2, batch_size=0)
+    got = train_against_reference(logistic([10.0] * 4), x, np.ones((4, 1)),
+                                  config)
+    assert got == ("raised", 0, "step 0: loss is not finite: nan")
+
+
+def test_sigmoid_is_bit_identical_to_two_branch_form():
+    # 0 and -0, where exp over- and underflows, subnormals, the largest
+    # finite value; np.negative gives each its negative, -0.0 included
+    edges = [0.0, 36.8, 37.0, 709.0, 709.78, 710.0, 745.0, 745.2, 746.0,
+             np.nextafter(0.0, 1.0), 1e-310, 2.2250738585072014e-308,
+             1e-300, 1e300, np.finfo(float).max, np.inf]
+    rng = np.random.default_rng(0)
+    z = np.concatenate([edges, np.negative(edges), rng.normal(size=1000),
+                        rng.normal(scale=300.0, size=1000),
+                        rng.uniform(-800.0, 800.0, size=1000)])
+    assert _sigmoid(z).tobytes() == oracles.oracle_sigmoid(z).tobytes()
 
 
 def test_train_config_validation():
