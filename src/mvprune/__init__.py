@@ -23,9 +23,6 @@ from .core import (
     TokenGrid,
     TrainingError,
     ViewRoles,
-    deserialize,
-    pos_of,
-    serialize,
 )
 from .predictor import (
     MlpParams,
@@ -69,8 +66,7 @@ __all__ = [
     "AnnotationError", "ConfigError", "ContractError", "EpisodeAnnotation",
     "FrameAnnotation", "ImportanceScores", "MultiViewObservation",
     "ParseError", "Phase", "PruneConfig", "PruneResult", "Strategy",
-    "TokenGrid", "TrainingError", "ViewRoles", "deserialize", "pos_of",
-    "serialize",
+    "TokenGrid", "TrainingError", "ViewRoles",
     "MlpParams", "TrainConfig", "forward", "init_mlp", "loss",
     "loss_and_grad", "total_loss", "train",
     "FlopModel", "adaptive_weight", "flop_estimate", "hierarchical_prune",

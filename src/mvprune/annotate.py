@@ -26,7 +26,6 @@ import numpy as np
 from .core import (
     FORMAT_VERSION,
     AnnotationError,
-    ConfigError,
     ContractError,
     EpisodeAnnotation,
     FrameAnnotation,
@@ -589,6 +588,14 @@ def geometry_from_objs(objs: Iterable[dict]) -> tuple[str, list[FrameGeometry]]:
         except KeyError as exc:
             raise ParseError("missing geometry field",
                              field=str(exc.args[0])) from exc
+        except ParseError:
+            raise
+        # a value of the wrong type (a number where a list or an object
+        # belongs, a string or an infinity where an integer belongs) fails
+        # as one of these
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise ParseError(f"invalid geometry frame {len(frames)}: {exc}",
+                             field="views") from exc
     if episode_id is None:
         raise ParseError("no geometry records", field="frames")
     return episode_id, frames

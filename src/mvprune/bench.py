@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -219,13 +219,6 @@ class MetricsReport:
             out.append((name, repr(getattr(self, name))))
         return out
 
-    def to_obj(self) -> dict:
-        obj = {"fmt": FORMAT_VERSION, "kind": "metrics_report"}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            obj[f.name] = list(value) if isinstance(value, tuple) else value
-        return obj
-
 
 # ---------------------------------------------------------------------------
 # experiment configuration
@@ -330,18 +323,20 @@ def scenario_template(config: dict) -> ScenarioSpec:
     try:
         length = _check_int(corpus["episode_length"], "corpus.episode_length",
                             minimum=_MIN_EPISODE_LENGTH)
-    except ContractError as exc:
-        raise ConfigError(str(exc)) from exc
-    arms = (_scaled_script(4, 8, 14, 0, length),
-            _scaled_script(8, 12, 18, 1, length))
-    return ScenarioSpec(
-        episode_length=length,
-        arms=arms,
-        distractors=corpus["distractors"],
-        embed_dim=corpus["embed_dim"],
-        noise_sigma=corpus["noise_sigma"],
-        patch_size=corpus["patch_size"],
-    )
+        arms = (_scaled_script(4, 8, 14, 0, length),
+                _scaled_script(8, 12, 18, 1, length))
+        return ScenarioSpec(
+            episode_length=length,
+            arms=arms,
+            distractors=corpus["distractors"],
+            embed_dim=corpus["embed_dim"],
+            noise_sigma=corpus["noise_sigma"],
+            patch_size=corpus["patch_size"],
+        )
+    # ConfigError and ContractError, or a value of the wrong type (a string
+    # where a number belongs, an integer too large for a float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid corpus section: {exc}") from exc
 
 
 def _prune_config(config: dict, strategy: Strategy | None = None) -> PruneConfig:
@@ -398,12 +393,16 @@ def train_predictors(observations: Sequence[MultiViewObservation],
     """Train the token and the view predictor on annotated observations."""
     section = config["train"]
     hidden = _check_int(section["hidden"], "train.hidden", minimum=1)
-    train_config = TrainConfig(
-        learning_rate=section["learning_rate"], steps=section["steps"],
-        batch_size=section["batch_size"],
-        lambda_inter=section["lambda_inter"],
-        lambda_intra=section["lambda_intra"],
-        reduction=section["reduction"], seed=section["seed"])
+    try:
+        train_config = TrainConfig(
+            learning_rate=section["learning_rate"], steps=section["steps"],
+            batch_size=section["batch_size"],
+            lambda_inter=section["lambda_inter"],
+            lambda_intra=section["lambda_intra"],
+            reduction=section["reduction"], seed=section["seed"])
+    # ConfigError and ContractError, or a value of the wrong type
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid train section: {exc}") from exc
     first = observations[0]
     d = first.embed_dim
     views = first.view_count
@@ -531,6 +530,8 @@ def run_experiment(config: dict | None, out_dir) -> MetricsReport:
     artifacts except ``timings.csv`` are byte-identical across reruns.
     """
     config = resolve_config(config)
+    prune_config = _prune_config(config)
+    flop_model = _flop_model(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timings = {}
@@ -554,15 +555,10 @@ def run_experiment(config: dict | None, out_dir) -> MetricsReport:
     by_episode = {ann.episode_id: ann for ann in derived}
     intra, inter, intra_losses, inter_losses = train_predictors(
         observations, by_episode, config)
-    save_params(out / "intra.mlp.json", intra)
-    save_params(out / "inter.mlp.json", inter)
-    save_trace(out / "intra_trace.csv", intra_losses)
-    save_trace(out / "inter_trace.csv", inter_losses)
+    write_checkpoints(out, intra, inter, intra_losses, inter_losses)
     timings["train"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    prune_config = _prune_config(config)
-    flop_model = _flop_model(config)
     report, results = evaluate_strategy(
         [ep.observations for ep in episodes], derived, intra, inter,
         prune_config, flop_model)
@@ -661,6 +657,16 @@ def sweep_beta(config: dict | None, betas: Sequence[float], out_dir
                              repr(row["flop_speedup"]),
                              repr(row["retention_relevant"])])
     return rows
+
+
+def write_checkpoints(directory, intra: MlpParams, inter: MlpParams,
+                      intra_losses, inter_losses) -> None:
+    """Both predictors' checkpoints and loss traces under ``directory``."""
+    directory = Path(directory)
+    save_params(directory / "intra.mlp.json", intra)
+    save_params(directory / "inter.mlp.json", inter)
+    save_trace(directory / "intra_trace.csv", intra_losses)
+    save_trace(directory / "inter_trace.csv", inter_losses)
 
 
 def write_prune_records(directory, episode_ids: Sequence[str],

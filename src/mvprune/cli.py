@@ -41,10 +41,11 @@ from .bench import (
     sweep_beta,
     train_predictors,
     validate_artifacts,
+    write_checkpoints,
     write_prune_records,
     write_report_csv,
 )
-from .predictor import load_params, save_params, save_trace
+from .predictor import load_params
 from .synth import generate_corpus, load_corpus, write_corpus
 
 
@@ -111,19 +112,22 @@ def _cmd_train(args) -> int:
                    for entry in corpus}
     intra, inter, intra_losses, inter_losses = train_predictors(
         observations, annotations, config)
-    save_params(out / "intra.mlp.json", intra)
-    save_params(out / "inter.mlp.json", inter)
-    save_trace(out / "intra_trace.csv", intra_losses)
-    save_trace(out / "inter_trace.csv", inter_losses)
+    write_checkpoints(out, intra, inter, intra_losses, inter_losses)
     print(f"trained on {len(observations)} frames; final losses "
           f"intra {intra_losses[-1]:.4f}, inter {inter_losses[-1]:.4f}")
     return 0
 
 
+def float_list(text: str) -> list[float]:
+    return [float(value) for value in text.split(",")]
+
+
+def strategy_list(text: str) -> tuple[Strategy, ...]:
+    return tuple(Strategy(name) for name in text.split(","))
+
+
 def _prune_config_from_args(args, config: dict) -> None:
-    if args.alphas is not None:
-        config["prune"]["alphas"] = [float(a) for a in args.alphas.split(",")]
-    for name in ("beta", "epsilon", "strategy", "seed"):
+    for name in ("alphas", "beta", "epsilon", "strategy", "seed"):
         value = getattr(args, name, None)
         if value is not None:
             config["prune"][name] = value
@@ -161,9 +165,7 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args)
-    betas = [float(b) for b in args.betas.split(",")]
-    rows = sweep_beta(config, betas, _out_dir(args))
+    rows = sweep_beta(_load_config(args), args.betas, _out_dir(args))
     for row in rows:
         print(f"beta {row['beta']}: kept {row['kept_total']}, "
               f"speedup {row['flop_speedup']:.2f}x, "
@@ -172,9 +174,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _load_config(args)
-    strategies = tuple(Strategy(s) for s in args.strategies.split(","))
-    reports = compare_strategies(config, _out_dir(args), strategies)
+    reports = compare_strategies(_load_config(args), _out_dir(args),
+                                 args.strategies)
     for name, report in reports.items():
         print(f"{name}: kept {report.kept_total}, "
               f"relevant retention {report.retention_relevant:.4f}, "
@@ -245,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "the full pipeline")
     pr.add_argument("--intra", help="token predictor checkpoint")
     pr.add_argument("--inter", help="view predictor checkpoint")
-    pr.add_argument("--alphas", help="comma-separated local ratios")
+    pr.add_argument("--alphas", type=float_list,
+                    help="comma-separated local ratios")
     pr.add_argument("--beta", type=float)
     pr.add_argument("--epsilon", type=float)
     pr.add_argument("--strategy",
@@ -256,14 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="sweep the global prune ratio")
     sw.add_argument("--out", help="output directory")
     sw.add_argument("--config", help="experiment config JSON")
-    sw.add_argument("--betas", required=True,
+    sw.add_argument("--betas", required=True, type=float_list,
                     help="comma-separated global ratios")
     sw.set_defaults(func=_cmd_sweep)
 
     cp = sub.add_parser("compare", help="compare pruning strategies")
     cp.add_argument("--out", help="output directory")
     cp.add_argument("--config", help="experiment config JSON")
-    cp.add_argument("--strategies",
+    cp.add_argument("--strategies", type=strategy_list,
                     default="hierarchical,random_drop,adaptive_ratio_drop,"
                             "no_prune")
     cp.set_defaults(func=_cmd_compare)

@@ -101,22 +101,6 @@ def _check_int(value, name: str, *, minimum: int | None = None) -> int:
     return value
 
 
-def pos_of(index: int, width: int, height: int | None = None) -> tuple[int, int]:
-    """Map a row-major token index to its ``(row, col)`` grid position.
-
-    ``width`` is the number of columns. When ``height`` is given the index is
-    also range-checked against the full grid.
-    """
-    width = _check_int(width, "width", minimum=1)
-    index = _check_int(index, "index", minimum=0)
-    if height is not None:
-        height = _check_int(height, "height", minimum=1)
-        if index >= height * width:
-            raise ContractError(
-                f"index {index} out of range for {height}x{width} grid")
-    return (index // width, index % width)
-
-
 def grid_positions(height: int, width: int) -> np.ndarray:
     """Return all ``(row, col)`` positions of an ``height x width`` grid in row-major order."""
     height = _check_int(height, "height", minimum=1)
@@ -238,32 +222,6 @@ class TokenGrid:
                 and np.array_equal(self.tokens, other.tokens)
                 and np.array_equal(self.cls, other.cls))
 
-    def to_obj(self) -> dict:
-        return {
-            "fmt": FORMAT_VERSION,
-            "kind": "token_grid",
-            "view_id": self.view_id,
-            "height": self.height,
-            "width": self.width,
-            "embed_dim": self.embed_dim,
-            "tokens": self.tokens.tolist(),
-            "cls": self.cls.tolist(),
-        }
-
-    @classmethod
-    def from_obj(cls, obj) -> "TokenGrid":
-        _expect_record(obj, "token_grid")
-        try:
-            return cls(view_id=obj["view_id"], height=obj["height"],
-                       width=obj["width"], embed_dim=obj["embed_dim"],
-                       tokens=obj["tokens"], cls=obj["cls"])
-        except KeyError as exc:
-            raise ParseError("missing token grid field",
-                             field=str(exc.args[0])) from exc
-        except ContractError as exc:
-            raise ParseError(f"invalid token grid: {exc}", field="tokens") from exc
-
-
 @dataclass(frozen=True, eq=False)
 class MultiViewObservation:
     """One timestep of synchronized camera views.
@@ -312,29 +270,6 @@ class MultiViewObservation:
         return (self.episode_id == other.episode_id
                 and self.frame_index == other.frame_index
                 and self.views == other.views)
-
-    def to_obj(self) -> dict:
-        return {
-            "fmt": FORMAT_VERSION,
-            "kind": "observation",
-            "episode_id": self.episode_id,
-            "frame_index": self.frame_index,
-            "views": [v.to_obj() for v in self.views],
-        }
-
-    @classmethod
-    def from_obj(cls, obj) -> "MultiViewObservation":
-        _expect_record(obj, "observation")
-        try:
-            views = tuple(TokenGrid.from_obj(v) for v in obj["views"])
-            return cls(episode_id=obj["episode_id"],
-                       frame_index=obj["frame_index"], views=views)
-        except KeyError as exc:
-            raise ParseError("missing observation field",
-                             field=str(exc.args[0])) from exc
-        except ContractError as exc:
-            raise ParseError(f"invalid observation: {exc}", field="views") from exc
-
 
 @dataclass(frozen=True, eq=False)
 class ImportanceScores:
@@ -388,27 +323,6 @@ class ImportanceScores:
                         zip(self.intra_weighted, other.intra_weighted))
                 and np.array_equal(self.inter, other.inter))
 
-    def to_obj(self) -> dict:
-        return {
-            "fmt": FORMAT_VERSION,
-            "kind": "scores",
-            "intra_raw": [a.tolist() for a in self.intra_raw],
-            "intra_weighted": [a.tolist() for a in self.intra_weighted],
-            "inter": self.inter.tolist(),
-        }
-
-    @classmethod
-    def from_obj(cls, obj) -> "ImportanceScores":
-        _expect_record(obj, "scores")
-        try:
-            return cls(intra_raw=tuple(obj["intra_raw"]),
-                       intra_weighted=tuple(obj["intra_weighted"]),
-                       inter=obj["inter"])
-        except KeyError as exc:
-            raise ParseError("missing scores field", field=str(exc.args[0])) from exc
-        except ContractError as exc:
-            raise ParseError(f"invalid scores: {exc}", field="intra_raw") from exc
-
 
 # ---------------------------------------------------------------------------
 # pruning configuration and result
@@ -457,19 +371,6 @@ class PruneConfig:
             raise ConfigError("adaptive_multiplier must be nonnegative")
         _check_int(self.seed, "seed", minimum=0)
 
-    def to_obj(self) -> dict:
-        return {
-            "fmt": FORMAT_VERSION,
-            "kind": "prune_config",
-            "alphas": list(self.alphas),
-            "beta": self.beta,
-            "epsilon": self.epsilon,
-            "strategy": self.strategy.value,
-            "adaptive_threshold": self.adaptive_threshold,
-            "adaptive_multiplier": self.adaptive_multiplier,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_obj(cls, obj) -> "PruneConfig":
         _expect_record(obj, "prune_config")
@@ -490,7 +391,9 @@ class PruneConfig:
         except KeyError as exc:
             raise ParseError("missing prune config field",
                              field=str(exc.args[0])) from exc
-        except (ConfigError, ContractError) as exc:
+        # ConfigError and ContractError, or a value of the wrong type (a
+        # number where a list belongs, a string where a number belongs)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"invalid prune config: {exc}",
                              field="prune_config") from exc
 
@@ -749,38 +652,6 @@ class EpisodeAnnotation:
                 and self.grids == other.grids
                 and self.frames == other.frames)
 
-    def to_obj(self) -> dict:
-        return {
-            "fmt": FORMAT_VERSION,
-            "kind": "episode_annotation",
-            "episode_id": self.episode_id,
-            "roles": self.roles.to_obj(),
-            "grids": [list(g) for g in self.grids],
-            "frames": [
-                {
-                    "masks": [m.tolist() for m in f.masks],
-                    "inter_labels": list(f.inter_labels),
-                    "arm_phases": [p.value for p in f.arm_phases],
-                }
-                for f in self.frames
-            ],
-        }
-
-    @classmethod
-    def from_obj(cls, obj) -> "EpisodeAnnotation":
-        _expect_record(obj, "episode_annotation")
-        try:
-            frames = tuple(_frame_from_obj(f) for f in obj["frames"])
-            return cls(episode_id=obj["episode_id"],
-                       roles=ViewRoles.from_obj(obj["roles"]),
-                       grids=tuple(tuple(g) for g in obj["grids"]),
-                       frames=frames)
-        except KeyError as exc:
-            raise ParseError("missing annotation field",
-                             field=str(exc.args[0])) from exc
-        except (ContractError, AnnotationError) as exc:
-            raise ParseError(f"invalid annotation: {exc}", field="frames") from exc
-
     def frame_objs(self) -> Iterator[dict]:
         """Yield one flat record per frame for line-oriented storage."""
         for t, f in enumerate(self.frames):
@@ -802,33 +673,32 @@ class EpisodeAnnotation:
         objs = list(objs)
         if not objs:
             raise ParseError("no annotation records", field="frames")
-        frames = []
-        episode_id = None
-        roles = None
-        grids = None
         for obj in objs:
             _expect_record(obj, "annotation")
-            try:
-                if episode_id is None:
-                    episode_id = obj["episode_id"]
-                    roles = ViewRoles.from_obj(obj["roles"])
-                    grids = tuple(tuple(g) for g in obj["grids"])
-                elif obj["episode_id"] != episode_id:
+        try:
+            episode_id = objs[0]["episode_id"]
+            for t, obj in enumerate(objs):
+                if obj["episode_id"] != episode_id:
                     raise ParseError(
                         f"mixed episodes: {obj['episode_id']!r} vs {episode_id!r}",
                         field="episode_id")
-                if obj["frame_index"] != len(frames):
+                if obj["frame_index"] != t:
                     raise ParseError(
-                        f"expected frame {len(frames)}, got {obj['frame_index']}",
+                        f"expected frame {t}, got {obj['frame_index']}",
                         field="frame_index")
-                frames.append(_frame_from_obj(obj))
-            except KeyError as exc:
-                raise ParseError("missing annotation field",
-                                 field=str(exc.args[0])) from exc
-        try:
-            return cls(episode_id=episode_id, roles=roles, grids=grids,
-                       frames=tuple(frames))
-        except (ContractError, AnnotationError) as exc:
+            return cls(episode_id=episode_id,
+                       roles=ViewRoles.from_obj(objs[0]["roles"]),
+                       grids=objs[0]["grids"],
+                       frames=tuple(_frame_from_obj(obj) for obj in objs))
+        except KeyError as exc:
+            raise ParseError("missing annotation field",
+                             field=str(exc.args[0])) from exc
+        except ParseError:
+            raise
+        # ContractError and AnnotationError, or a value of the wrong type (a
+        # number where a list belongs, a string where a number belongs)
+        # failing while the frames are built
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"invalid annotation: {exc}", field="frames") from exc
 
 
@@ -837,34 +707,13 @@ def _frame_from_obj(obj) -> FrameAnnotation:
         phases = tuple(Phase(p) for p in obj["arm_phases"])
     except ValueError as exc:
         raise ParseError(f"unknown phase: {exc}", field="arm_phases") from exc
-    except KeyError as exc:
-        raise ParseError("missing annotation field", field=str(exc.args[0])) from exc
-    try:
-        return FrameAnnotation(masks=tuple(obj["masks"]),
-                               inter_labels=tuple(obj["inter_labels"]),
-                               arm_phases=phases)
-    except KeyError as exc:
-        raise ParseError("missing annotation field", field=str(exc.args[0])) from exc
-    except ContractError as exc:
-        raise ParseError(f"invalid frame annotation: {exc}", field="masks") from exc
+    return FrameAnnotation(masks=tuple(obj["masks"]),
+                           inter_labels=tuple(obj["inter_labels"]),
+                           arm_phases=phases)
 
 
 # ---------------------------------------------------------------------------
-# generic record serialization
-
-
-_KINDS = {}
-
-
-def _register_kinds():
-    _KINDS.update({
-        "token_grid": TokenGrid,
-        "observation": MultiViewObservation,
-        "scores": ImportanceScores,
-        "prune_config": PruneConfig,
-        "prune_result": PruneResult,
-        "episode_annotation": EpisodeAnnotation,
-    })
+# records
 
 
 def _expect_record(obj, kind: str) -> None:
@@ -895,27 +744,6 @@ def loads_obj(text: str) -> dict:
     if not isinstance(obj, dict):
         raise ParseError("record must be a JSON object")
     return obj
-
-
-def serialize(value) -> bytes:
-    """Serialize any core value to canonical JSON bytes."""
-    if not hasattr(value, "to_obj"):
-        raise ContractError(f"cannot serialize {type(value).__name__}")
-    return dumps_obj(value.to_obj()).encode("utf-8")
-
-
-def deserialize(data: bytes | str):
-    """Parse canonical JSON bytes back into the core value they encode."""
-    if not _KINDS:
-        _register_kinds()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    obj = loads_obj(data)
-    kind = obj.get("kind")
-    cls = _KINDS.get(kind)
-    if cls is None:
-        raise ParseError(f"unknown record kind {kind!r}", field="kind")
-    return cls.from_obj(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .core import (
 )
 
 CLAMP = 1e-7
-DEFAULT_HIDDEN = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,19 +193,6 @@ def predict_inter(params: MlpParams, obs: MultiViewObservation) -> np.ndarray:
 # losses and gradients
 
 
-def bce(probability: float, target: float) -> float:
-    """Binary cross-entropy of one prediction, with the input clamped away
-    from 0 and 1."""
-    p = float(probability)
-    y = float(target)
-    if not math.isfinite(p) or not 0.0 <= p <= 1.0:
-        raise ContractError(f"probability must lie in [0, 1], got {p}")
-    if y not in (0.0, 1.0):
-        raise ContractError(f"target must be 0 or 1, got {y}")
-    p = min(max(p, CLAMP), 1.0 - CLAMP)
-    return -(y * math.log(p) + (1.0 - y) * math.log(1.0 - p))
-
-
 def _batch(params: MlpParams, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
     x = _as_float_array(inputs, "inputs", ndim=2)
     y = _as_float_array(targets, "targets", shape=(x.shape[0], params.output_width))
@@ -262,26 +248,6 @@ def _loss_and_grad(layers, x: np.ndarray, y: np.ndarray, mean: bool):
 def _check_reduction(reduction: str) -> None:
     if reduction not in ("mean", "sum"):
         raise ConfigError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
-
-
-def loss_intra(params: MlpParams, obs: MultiViewObservation,
-               masks: Sequence[np.ndarray], reduction: str = "mean") -> float:
-    """Token relevance loss of one observation against per-view patch masks."""
-    if len(masks) != obs.view_count:
-        raise ContractError("need one mask per view")
-    x = np.concatenate([view.tokens for view in obs.views], axis=0)
-    y = np.concatenate([np.asarray(m, dtype=np.float64) for m in masks])
-    return loss(params, x, y[:, None], reduction)
-
-
-def loss_inter(params: MlpParams, obs: MultiViewObservation,
-               labels: Sequence[int], reduction: str = "mean") -> float:
-    """View relevance loss of one observation against per-view labels."""
-    if len(labels) != obs.view_count:
-        raise ContractError("need one label per view")
-    x = inter_features(obs)[None, :]
-    y = np.asarray(labels, dtype=np.float64)[None, :]
-    return loss(params, x, y, reduction)
 
 
 def total_loss(inter_loss: float, intra_loss: float, *,

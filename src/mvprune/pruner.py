@@ -27,7 +27,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    FORMAT_VERSION,
     ConfigError,
     ContractError,
     ImportanceScores,
@@ -344,16 +343,6 @@ class FlopModel:
             if not math.isfinite(value) or value <= 0.0:
                 raise ConfigError(f"{name} must be positive, got {value}")
 
-    def to_obj(self) -> dict:
-        return {
-            "fmt": FORMAT_VERSION,
-            "kind": "flop_model",
-            "layers": self.layers,
-            "embed_dim": self.embed_dim,
-            "linear_coeff": self.linear_coeff,
-            "quadratic_coeff": self.quadratic_coeff,
-        }
-
     @classmethod
     def from_obj(cls, obj) -> "FlopModel":
         _expect_record(obj, "flop_model")
@@ -364,7 +353,8 @@ class FlopModel:
         except KeyError as exc:
             raise ParseError("missing flop model field",
                              field=str(exc.args[0])) from exc
-        except (ContractError, ConfigError) as exc:
+        # ConfigError and ContractError, or a value of the wrong type
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"invalid flop model: {exc}",
                              field="flop_model") from exc
 

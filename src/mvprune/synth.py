@@ -30,7 +30,6 @@ import numpy as np
 from .core import (
     FORMAT_VERSION,
     ConfigError,
-    ContractError,
     EpisodeAnnotation,
     FrameAnnotation,
     MultiViewObservation,
@@ -563,4 +562,8 @@ def load_corpus(corpus_dir) -> list[dict]:
     except KeyError as exc:
         raise ParseError("missing manifest field",
                          field=str(exc.args[0])) from exc
+    # episodes that are not a list of objects, or file names that are not
+    # strings
+    except TypeError as exc:
+        raise ParseError(f"invalid manifest: {exc}", field="episodes") from exc
     return episodes

@@ -143,6 +143,13 @@ def oracle_sigmoid(z):
     return out
 
 
+def oracle_bce(probability, target, clamp=1e-7):
+    """Binary cross-entropy of one prediction, with the probability clamped
+    to ``[clamp, 1 - clamp]``."""
+    p = min(max(float(probability), clamp), 1.0 - clamp)
+    return -(target * math.log(p) + (1.0 - target) * math.log(1.0 - p))
+
+
 def oracle_train(layers, x, y, learning_rate, steps, batch_size, reduction,
                  seed, clamp=1e-7):
     """Plain SGD on a tanh MLP with a sigmoid head and clamped cross-entropy.

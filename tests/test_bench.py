@@ -189,13 +189,6 @@ def test_report_rows_fixed_order():
     assert as_dict["flop_speedup"] == "2.5"
 
 
-def test_report_to_obj():
-    obj = MetricsReport(**report_kwargs()).to_obj()
-    assert obj["kind"] == "metrics_report"
-    assert obj["tokens_kept"] == [200, 95]
-    assert obj["inter_recall"] == 0.85
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -760,6 +753,86 @@ def test_cli_prune_rejects_malformed_checkpoint(damage, experiment_dir,
                  "--out", str(tmp_path / "pruned")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: invalid mlp: ")
+
+
+# the fields of each JSONL record kind that validate reads, by file suffix
+RECORD_FIELDS = {
+    "obs": ("fmt", "kind", "episode_id", "frame_index", "views"),
+    "ann": ("fmt", "kind", "episode_id", "frame_index", "roles", "grids",
+            "masks", "inter_labels", "arm_phases"),
+    "geom": ("fmt", "kind", "episode_id", "frame_index", "views",
+             "gripper_closed", "task_objects"),
+    "prune": ("fmt", "kind", "episode_id", "frame_index", "result"),
+}
+
+
+@pytest.mark.parametrize("value", [None, True, 5, 1.5, "a", [], [5],
+                                   ["a", "b", "c"], [[16]], {}], ids=repr)
+@pytest.mark.parametrize("suffix, field", [
+    (suffix, field) for suffix, fields in RECORD_FIELDS.items()
+    for field in fields])
+def test_cli_validate_survives_type_swapped_field(suffix, field, value,
+                                                  experiment_dir, tmp_path):
+    out, _ = experiment_dir
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    name = f"ep0000.{suffix}.jsonl"
+    if suffix == "obs":
+        shutil.copy(out / "corpus" / "ep0000.obs.npy", corpus)
+    lines = (out / "corpus" / name).read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    assert sorted(record) == sorted(RECORD_FIELDS[suffix])
+    record[field] = value
+    lines[0] = json.dumps(record)
+    (corpus / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["validate", "--dir", str(tmp_path)]) in (0, 1)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda manifest: manifest.update(episodes=5),
+    lambda manifest: manifest.update(episodes=[5]),
+    lambda manifest: manifest["episodes"][0].update(observations=5),
+], ids=["episodes_is_int", "episode_is_int", "observations_is_int"])
+def test_cli_train_rejects_malformed_manifest(damage, cli_corpus, tmp_path,
+                                              capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(cli_corpus, corpus)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    damage(manifest)
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    code = main(["train", "--corpus", str(corpus), "--out",
+                 str(tmp_path / "ckpt")])
+    assert code == 2
+    assert "manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("prune", "alphas", 5),
+    ("corpus", "noise_sigma", "x"),
+    ("flop", "linear_coeff", "x"),
+    ("train", "learning_rate", [1]),
+])
+def test_cli_prune_rejects_malformed_config_value(section, key, value,
+                                                  tmp_path, capsys):
+    config = write_small_config(tmp_path)
+    overrides = json.loads(config.read_text())
+    overrides.setdefault(section, {})[key] = value
+    config.write_text(json.dumps(overrides))
+    code = main(["prune", "--config", str(config), "--out",
+                 str(tmp_path / "out")])
+    assert code == 2
+    assert f"invalid {section}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["prune", "--alphas", "0.3,x"],
+    ["sweep", "--betas", "x"],
+    ["compare", "--strategies", "hierarchical,nope"],
+])
+def test_cli_rejects_malformed_list_option(argv, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(tmp_path)])
+    assert err.value.code == 2
 
 
 def test_cli_sweep_and_compare(tmp_path, capsys):

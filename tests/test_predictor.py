@@ -19,7 +19,6 @@ from mvprune.predictor import (
     MlpParams,
     TrainConfig,
     _sigmoid,
-    bce,
     build_inter_dataset,
     build_intra_dataset,
     forward,
@@ -29,8 +28,6 @@ from mvprune.predictor import (
     load_trace,
     loss,
     loss_and_grad,
-    loss_inter,
-    loss_intra,
     predict_inter,
     predict_intra,
     save_params,
@@ -126,8 +123,8 @@ def test_forward_extreme_logits_stay_clamped():
     high = forward(params, np.array([[50.0]]))[0, 0]
     low = forward(params, np.array([[-50.0]]))[0, 0]
     assert 0.0 < low < high < 1.0
-    assert math.isfinite(bce(high, 0.0))
-    assert math.isfinite(bce(low, 1.0))
+    assert math.isfinite(oracles.oracle_bce(high, 0.0))
+    assert math.isfinite(oracles.oracle_bce(low, 1.0))
 
 
 def test_predict_intra_per_view_scores():
@@ -163,25 +160,13 @@ def test_predict_inter_checks_output_count():
 # losses
 
 
-def test_bce_known_values():
-    assert bce(0.5, 1.0) == pytest.approx(0.6931471805599453, rel=1e-12)
-    assert bce(0.9, 1.0) == pytest.approx(0.10536051565782628, rel=1e-12)
-    assert bce(0.9, 0.0) == pytest.approx(-math.log(0.1), rel=1e-9)
-
-
-def test_bce_validates_inputs():
-    with pytest.raises(ContractError):
-        bce(1.5, 1.0)
-    with pytest.raises(ContractError):
-        bce(0.5, 0.3)
-
-
 def test_loss_is_mean_of_elementwise_bce():
     params = init_mlp((2, 3, 2), seed=4)
     x = np.random.default_rng(1).normal(size=(5, 2))
     y = np.array([[0, 1], [1, 1], [0, 0], [1, 0], [1, 1]], dtype=float)
     p = forward(params, x)
-    manual = sum(bce(p[i, j], y[i, j]) for i in range(5) for j in range(2))
+    manual = sum(oracles.oracle_bce(p[i, j], y[i, j])
+                 for i in range(5) for j in range(2))
     assert loss(params, x, y) == pytest.approx(manual / 10.0, rel=1e-12)
     assert loss(params, x, y, "sum") == pytest.approx(manual, rel=1e-12)
 
@@ -204,22 +189,6 @@ def square_obs(frame_index=0, seed=0):
     from mvprune.core import MultiViewObservation
     return MultiViewObservation(episode_id="ep", frame_index=frame_index,
                                 views=views)
-
-
-def test_loss_intra_and_inter_wiring():
-    obs = square_obs()
-    ann = make_annotation()
-    frame = ann.frames[obs.frame_index]
-    intra = init_mlp((obs.embed_dim, 4, 1), seed=5)
-    inter = init_mlp((3 * obs.embed_dim, 4, 3), seed=6)
-    x = np.concatenate([v.tokens for v in obs.views])
-    y = np.concatenate([np.asarray(m, float) for m in frame.masks])[:, None]
-    assert loss_intra(intra, obs, frame.masks) == pytest.approx(
-        loss(intra, x, y), rel=1e-12)
-    fx = inter_features(obs)[None, :]
-    fy = np.asarray(frame.inter_labels, float)[None, :]
-    assert loss_inter(inter, obs, frame.inter_labels) == pytest.approx(
-        loss(inter, fx, fy), rel=1e-12)
 
 
 def test_total_loss_combines_terms():

@@ -39,7 +39,7 @@ from mvprune.pruner import (
     score_observation,
     speedup_estimate,
 )
-from test_core import make_obs
+from test_core import formats_example, make_obs
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +482,8 @@ def test_speedup_requires_positive_counts():
 
 
 def test_flop_model_round_trip():
-    model = FlopModel(layers=2, embed_dim=64, linear_coeff=10.0,
-                      quadratic_coeff=1.0)
-    assert FlopModel.from_obj(model.to_obj()) == model
+    obj = formats_example("flop_model")
+    assert FlopModel.from_obj(obj) == FlopModel()
+    obj.update(layers=2, embed_dim=64, linear_coeff=10.0, quadratic_coeff=1.0)
+    assert FlopModel.from_obj(obj) == FlopModel(
+        layers=2, embed_dim=64, linear_coeff=10.0, quadratic_coeff=1.0)
