@@ -31,7 +31,6 @@ from .predictor import (
     init_mlp,
     loss,
     loss_and_grad,
-    total_loss,
     train,
 )
 from .pruner import (
@@ -57,7 +56,6 @@ from .annotate import (
     boxes_to_patch_mask,
     debounce,
     detect_interaction,
-    ingest_manual,
 )
 from .synth import ArmScript, ScenarioSpec, generate, generate_corpus
 from .bench import MetricsReport, compare_strategies, run_experiment, sweep_beta
@@ -68,13 +66,13 @@ __all__ = [
     "ParseError", "Phase", "PruneConfig", "PruneResult", "Strategy",
     "TokenGrid", "TrainingError", "ViewRoles",
     "MlpParams", "TrainConfig", "forward", "init_mlp", "loss",
-    "loss_and_grad", "total_loss", "train",
+    "loss_and_grad", "train",
     "FlopModel", "adaptive_weight", "flop_estimate", "hierarchical_prune",
     "normalize_scores", "prune_observation", "prune_scores", "random_drop",
     "score_observation", "speedup_estimate",
     "Box", "BoxKind", "FrameGeometry", "PhaseSpan", "PhaseTimeline",
     "ViewGeometry", "annotate_episode", "boxes_to_patch_mask", "debounce",
-    "detect_interaction", "ingest_manual",
+    "detect_interaction",
     "ArmScript", "ScenarioSpec", "generate", "generate_corpus",
     "MetricsReport", "compare_strategies", "run_experiment", "sweep_beta",
 ]

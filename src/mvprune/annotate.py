@@ -1,5 +1,5 @@
 """Offline two-level annotation: patch masks from boxes, interaction
-detection, phase timelines, and manual annotation ingestion.
+detection and phase timelines.
 
 Pixel boxes and patches are half-open rectangles, so shapes that only share
 an edge do not intersect. A patch is marked relevant exactly when a
@@ -15,7 +15,6 @@ width never changes the detected state.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -34,7 +33,6 @@ from .core import (
     ViewRoles,
     _check_int,
     _expect_record,
-    loads_obj,
     read_jsonl,
     write_jsonl,
 )
@@ -157,13 +155,14 @@ class FrameGeometry:
             raise ContractError("frame geometry needs at least one view")
         if any(not isinstance(v, ViewGeometry) for v in views):
             raise ContractError("views must be ViewGeometry instances")
-        closed = tuple(bool(c) for c in self.gripper_closed)
-        if not closed:
-            raise ContractError("frame geometry needs at least one arm")
+        closed = tuple(self.gripper_closed)
+        if not closed or any(not isinstance(c, bool) for c in closed):
+            raise ContractError("gripper_closed needs one boolean per arm")
         object.__setattr__(self, "views", views)
         object.__setattr__(self, "gripper_closed", closed)
         object.__setattr__(self, "task_objects",
-                           frozenset(int(i) for i in self.task_objects))
+                           frozenset(_check_int(i, "task_objects", minimum=0)
+                                     for i in self.task_objects))
 
     @property
     def arm_count(self) -> int:
@@ -405,27 +404,6 @@ class PhaseTimeline:
                 return span.phase
         raise ContractError(f"frame {frame} not covered")
 
-    @classmethod
-    def from_phases(cls, phases_by_arm: Sequence[Sequence[Phase]]
-                    ) -> "PhaseTimeline":
-        """Build a timeline from per-arm frame-by-frame phase lists."""
-        arms = []
-        length = None
-        for phases in phases_by_arm:
-            phases = list(phases)
-            if length is None:
-                length = len(phases)
-            elif len(phases) != length:
-                raise ContractError("arms must have equal length")
-            spans = []
-            for t, phase in enumerate(phases):
-                if spans and spans[-1][2] is phase:
-                    spans[-1][1] = t + 1
-                else:
-                    spans.append([t, t + 1, phase])
-            arms.append(tuple(PhaseSpan(s, e, p) for s, e, p in spans))
-        return cls(length=length or 0, arms=tuple(arms))
-
 
 def build_phase_timeline(interactions_by_arm: Sequence[Sequence[bool]],
                          closed_by_arm: Sequence[Sequence[bool]]
@@ -608,211 +586,3 @@ def save_geometry(path, episode_id: str,
 
 def load_geometry(path) -> tuple[str, list[FrameGeometry]]:
     return geometry_from_objs(read_jsonl(path))
-
-
-# ---------------------------------------------------------------------------
-# manual annotation records
-
-
-def ingest_manual(text: str) -> EpisodeAnnotation:
-    """Parse a manually written annotation record into an episode annotation.
-
-    The record carries pixel geometry, timed box placements, per-arm
-    interaction and gripper-closed frame ranges, and optional explicit
-    phases and label overrides; see FORMATS.md for the schema. Masks are
-    rasterized from the placements; interactions are taken as-is (no
-    debouncing, a human already cleaned them). Validation failures name the
-    offending frame.
-    """
-    obj = loads_obj(text)
-    _expect_record(obj, "manual_annotation")
-    try:
-        episode_id = obj["episode_id"]
-        length = _check_int(obj["length"], "length", minimum=0)
-        roles = ViewRoles.from_obj(obj["roles"])
-        view_geoms = [ViewGeometry.from_obj(v) for v in obj["views"]]
-        placements = obj["boxes"]
-        task_objects = frozenset(obj.get("task_objects", []))
-        interactions_ranges = obj["interactions"]
-        closed_ranges = obj["gripper_closed"]
-    except KeyError as exc:
-        raise ParseError("missing manual annotation field",
-                         field=str(exc.args[0])) from exc
-    if len(placements) != len(view_geoms):
-        raise ParseError("need one placement list per view", field="boxes")
-    if len(interactions_ranges) != 2 or len(closed_ranges) != 2:
-        raise ParseError("need exactly two arms", field="interactions")
-
-    interactions = [_ranges_to_bools(r, length, "interactions")
-                    for r in interactions_ranges]
-    closed = [_ranges_to_bools(r, length, "gripper_closed")
-              for r in closed_ranges]
-
-    boxes_by_frame = [[[] for _ in view_geoms] for _ in range(length)]
-    for v, placed in enumerate(placements):
-        for item in placed:
-            try:
-                start = _check_int(item["start"], "start", minimum=0)
-                end = _check_int(item["end"], "end", minimum=1)
-                box = Box.from_obj(item)
-            except KeyError as exc:
-                raise ParseError("missing box placement field",
-                                 field=str(exc.args[0])) from exc
-            except ContractError as exc:
-                raise AnnotationError(f"view {v}: {exc}",
-                                      frame=item.get("start")) from exc
-            if end > length or start >= end:
-                raise AnnotationError(
-                    f"view {v}: placement range [{start}, {end}) outside "
-                    f"episode of length {length}", frame=start)
-            for t in range(start, end):
-                boxes_by_frame[t][v].append(box)
-
-    view_count = len(view_geoms)
-    labels = label_inter_views(interactions, roles, view_count) if length \
-        else []
-    for override in obj.get("label_overrides", []):
-        try:
-            start = _check_int(override["start"], "start", minimum=0)
-            end = _check_int(override["end"], "end", minimum=1)
-            view = _check_int(override["view"], "view", minimum=0)
-            value = override["label"]
-        except KeyError as exc:
-            raise ParseError("missing label override field",
-                             field=str(exc.args[0])) from exc
-        if value not in (0, 1):
-            raise AnnotationError(f"label override must be 0 or 1, got {value}",
-                                  frame=start)
-        if view >= view_count or end > length or start >= end:
-            raise AnnotationError(
-                f"label override out of range: view {view}, "
-                f"frames [{start}, {end})", frame=start)
-        if view == roles.head and value == 0:
-            raise AnnotationError("head view label must be 1", frame=start)
-        for t in range(start, end):
-            row = list(labels[t])
-            row[view] = value
-            labels[t] = tuple(row)
-
-    if "phases" in obj:
-        arms = []
-        for arm, spans in enumerate(obj["phases"]):
-            parsed = []
-            for span in spans:
-                try:
-                    parsed.append(PhaseSpan(span[0], span[1], Phase(span[2])))
-                except (ValueError, ContractError, IndexError) as exc:
-                    raise ParseError(f"arm {arm}: invalid phase span: {exc}",
-                                     field="phases") from exc
-            arms.append(tuple(parsed))
-        try:
-            timeline = PhaseTimeline(length=length, arms=tuple(arms))
-        except ContractError as exc:
-            raise AnnotationError(f"invalid phases: {exc}") from exc
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            timeline = build_phase_timeline(interactions, closed)
-
-    frames = []
-    for t in range(length):
-        try:
-            masks = tuple(
-                boxes_to_patch_mask(
-                    [b for b in boxes_by_frame[t][v]
-                     if b.kind is BoxKind.GRIPPER
-                     or (b.kind is BoxKind.OBJECT and b.ident in task_objects)],
-                    view_geoms[v])
-                for v in range(view_count))
-        except AnnotationError as exc:
-            raise AnnotationError(str(exc), frame=t) from exc
-        frames.append(FrameAnnotation(
-            masks=masks, inter_labels=labels[t],
-            arm_phases=tuple(timeline.phase_at(arm, t) for arm in (0, 1))))
-    grids = tuple(v.grid_shape for v in view_geoms) if length else ()
-    return EpisodeAnnotation(episode_id=episode_id, roles=roles, grids=grids,
-                             frames=tuple(frames))
-
-
-def _ranges_to_bools(ranges, length: int, field_name: str) -> list[bool]:
-    out = [False] * length
-    previous_end = -1
-    for item in ranges:
-        if len(item) != 2:
-            raise ParseError(f"{field_name} ranges must be [start, end) pairs",
-                             field=field_name)
-        start, end = int(item[0]), int(item[1])
-        if start < 0 or end > length or start >= end:
-            raise AnnotationError(
-                f"{field_name} range [{start}, {end}) outside episode of "
-                f"length {length}", frame=max(start, 0))
-        if start < previous_end:
-            raise AnnotationError(
-                f"{field_name} ranges must be sorted and disjoint",
-                frame=start)
-        previous_end = end
-        for t in range(start, end):
-            out[t] = True
-    return out
-
-
-def export_manual(annotation: EpisodeAnnotation) -> str:
-    """Render an episode annotation as a manual record that ingests back
-    exactly.
-
-    Masks are encoded as unit boxes on a one-pixel-per-patch image, so the
-    geometry is synthetic but the rasterization is the identity; phases are
-    written explicitly.
-    """
-    length = annotation.length
-    roles = annotation.roles
-    views = [{"image_width": w, "image_height": h, "patch_size": 1,
-              "boxes": []} for h, w in annotation.grids]
-    placements: list[list[dict]] = [[] for _ in annotation.grids]
-    for t, frame in enumerate(annotation.frames):
-        for v, mask in enumerate(frame.masks):
-            h, w = annotation.grids[v]
-            for j in np.flatnonzero(np.asarray(mask)):
-                row, col = int(j) // w, int(j) % w
-                placements[v].append({
-                    "start": t, "end": t + 1,
-                    "x0": col, "y0": row, "x1": col + 1, "y1": row + 1,
-                    "kind": "object", "ident": 0})
-    interactions = []
-    for arm in (0, 1):
-        wrist = roles.wrist_for_arm(arm)
-        flags = [frame.inter_labels[wrist] == 1 for frame in annotation.frames]
-        interactions.append([list(span) for span in interaction_intervals(flags)])
-    closed = []
-    phases = []
-    for arm in (0, 1):
-        by_frame = [frame.arm_phases[arm] for frame in annotation.frames]
-        moving = [p is Phase.MOVING_WITH_OBJECT for p in by_frame]
-        closed.append([list(span) for span in interaction_intervals(moving)])
-        spans = PhaseTimeline.from_phases([by_frame]).arms[0] if length else ()
-        phases.append([[s.start, s.end, s.phase.value] for s in spans])
-    record = {
-        "fmt": FORMAT_VERSION,
-        "kind": "manual_annotation",
-        "episode_id": annotation.episode_id,
-        "length": length,
-        "roles": roles.to_obj(),
-        "views": views,
-        "boxes": placements,
-        "task_objects": [0],
-        "interactions": interactions,
-        "gripper_closed": closed,
-        "phases": phases,
-    }
-    return json.dumps(record, separators=(",", ":"), allow_nan=False)
-
-
-def load_manual(path) -> EpisodeAnnotation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ingest_manual(fh.read())
-
-
-def save_manual(path, annotation: EpisodeAnnotation) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(export_manual(annotation))
-        fh.write("\n")

@@ -241,8 +241,6 @@ DEFAULT_CONFIG = {
         "learning_rate": 0.5,
         "steps": 600,
         "batch_size": 128,
-        "lambda_inter": 0.1,
-        "lambda_intra": 0.1,
         "reduction": "mean",
         "seed": 3,
     },
@@ -397,8 +395,6 @@ def train_predictors(observations: Sequence[MultiViewObservation],
         train_config = TrainConfig(
             learning_rate=section["learning_rate"], steps=section["steps"],
             batch_size=section["batch_size"],
-            lambda_inter=section["lambda_inter"],
-            lambda_intra=section["lambda_intra"],
             reduction=section["reduction"], seed=section["seed"])
     # ConfigError and ContractError, or a value of the wrong type
     except (TypeError, ValueError, OverflowError) as exc:

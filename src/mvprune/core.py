@@ -575,7 +575,8 @@ class FrameAnnotation:
                 raise ContractError("mask entries must be 0 or 1")
             arr.flags.writeable = False
             masks.append(arr)
-        labels = tuple(int(x) for x in self.inter_labels)
+        labels = tuple(_check_int(x, "inter_labels")
+                       for x in self.inter_labels)
         if len(labels) != len(masks):
             raise ContractError("inter_labels must have one entry per view")
         if any(x not in (0, 1) for x in labels):
@@ -616,10 +617,9 @@ class EpisodeAnnotation:
             raise ContractError("episode_id must be a non-empty string")
         if not isinstance(self.roles, ViewRoles):
             raise ContractError("roles must be a ViewRoles")
-        grids = tuple((int(h), int(w)) for h, w in self.grids)
-        for h, w in grids:
-            if h < 1 or w < 1:
-                raise ContractError("grid shapes must be positive")
+        grids = tuple((_check_int(h, "grid height", minimum=1),
+                       _check_int(w, "grid width", minimum=1))
+                      for h, w in self.grids)
         needed = max(self.roles.head, *self.roles.wrists) + 1
         frames = tuple(self.frames)
         if (frames or grids) and len(grids) < needed:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -250,25 +250,6 @@ def _check_reduction(reduction: str) -> None:
         raise ConfigError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
 
 
-def total_loss(inter_loss: float, intra_loss: float, *,
-               lambda_inter: float = 0.1, lambda_intra: float = 0.1,
-               action_loss_hook: Callable[[], float] | None = None) -> float:
-    """Combine the training objective: action term plus weighted relevance terms.
-
-    The action term comes from ``action_loss_hook`` and defaults to 0 because
-    no policy network lives in this package; the hook is the integration
-    point for one.
-    """
-    action = 0.0
-    if action_loss_hook is not None:
-        action = float(action_loss_hook())
-    for name, value in (("action loss", action), ("inter loss", inter_loss),
-                        ("intra loss", intra_loss)):
-        if not math.isfinite(value):
-            raise TrainingError(f"{name} is not finite: {value}")
-    return action + lambda_inter * float(inter_loss) + lambda_intra * float(intra_loss)
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -286,8 +267,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     steps: int = 1000
     batch_size: int = 64
-    lambda_inter: float = 0.1
-    lambda_intra: float = 0.1
     reduction: str = "mean"
     seed: int = 0
 
@@ -298,11 +277,6 @@ class TrainConfig:
                 f"learning_rate must be nonnegative, got {self.learning_rate}")
         _check_int(self.steps, "steps", minimum=0)
         _check_int(self.batch_size, "batch_size", minimum=0)
-        for name in ("lambda_inter", "lambda_intra"):
-            value = float(getattr(self, name))
-            object.__setattr__(self, name, value)
-            if not math.isfinite(value) or value < 0.0:
-                raise ConfigError(f"{name} must be nonnegative, got {value}")
         _check_reduction(self.reduction)
         _check_int(self.seed, "seed", minimum=0)
 

@@ -1,7 +1,5 @@
-"""Offline annotation: rasterization, interaction detection, phases, and the
-manual record format."""
-
-import json
+"""Offline annotation: rasterization, interaction detection, phases and
+geometry records."""
 
 import numpy as np
 import pytest
@@ -21,20 +19,15 @@ from mvprune.annotate import (
     build_phase_timeline,
     debounce,
     detect_interaction,
-    export_manual,
     frame_patch_mask,
     geometry_from_objs,
     geometry_objs,
-    ingest_manual,
     interaction_intervals,
     label_inter_views,
     load_geometry,
-    load_manual,
     save_geometry,
-    save_manual,
 )
 from mvprune.core import (
-    FORMAT_VERSION,
     AnnotationError,
     ContractError,
     ParseError,
@@ -283,14 +276,6 @@ def test_phase_timeline_allows_skipping_moving():
     assert timeline.phase_at(0, 3) is Phase.RETRACTING
 
 
-def test_from_phases_round_trip():
-    phases = [Phase.APPROACHING] * 3 + [Phase.STARTING_OPERATION] * 2 \
-        + [Phase.MOVING_WITH_OBJECT] * 4 + [Phase.RETRACTING]
-    timeline = PhaseTimeline.from_phases([phases])
-    assert timeline.length == 10
-    assert [timeline.phase_at(0, t) for t in range(10)] == phases
-
-
 def test_build_phase_timeline_single_cycle():
     inter = [False] * 3 + [True] * 5 + [False] * 4
     closed = [False] * 5 + [True] * 3 + [False] * 4
@@ -463,108 +448,3 @@ def test_geometry_records_reject_mixed_episodes():
     other[0]["frame_index"] = 2
     with pytest.raises(ParseError):
         geometry_from_objs(objs + other[:1])
-
-
-# ---------------------------------------------------------------------------
-# manual records
-
-
-def manual_record(**overrides):
-    record = {
-        "fmt": FORMAT_VERSION,
-        "kind": "manual_annotation",
-        "episode_id": "ep-manual",
-        "length": 6,
-        "roles": {"head": 0, "left_wrist": 1, "right_wrist": 2},
-        "views": [{"image_width": 64, "image_height": 64, "patch_size": 16,
-                   "boxes": []} for _ in range(3)],
-        "boxes": [
-            [{"start": 0, "end": 6, "x0": 24, "y0": 24, "x1": 32, "y1": 32,
-              "kind": "object", "ident": 0},
-             {"start": 2, "end": 5, "x0": 0, "y0": 0, "x1": 8, "y1": 8,
-              "kind": "gripper", "ident": 0},
-             {"start": 0, "end": 6, "x0": 48, "y0": 48, "x1": 56, "y1": 56,
-              "kind": "object", "ident": 9}],
-            [], [],
-        ],
-        "task_objects": [0],
-        "interactions": [[[2, 5]], []],
-        "gripper_closed": [[[3, 5]], []],
-    }
-    record.update(overrides)
-    return record
-
-
-def test_ingest_manual_builds_annotation():
-    ann = ingest_manual(json.dumps(manual_record()))
-    assert ann.episode_id == "ep-manual"
-    assert ann.length == 6
-    assert [f.inter_labels for f in ann.frames] == \
-        [(1, 0, 0)] * 2 + [(1, 1, 0)] * 3 + [(1, 0, 0)]
-    phases = [f.arm_phases[0] for f in ann.frames]
-    assert phases == [Phase.APPROACHING] * 2 + [Phase.STARTING_OPERATION] \
-        + [Phase.MOVING_WITH_OBJECT] * 2 + [Phase.RETRACTING]
-    # mask: task object patch (1,1) always; gripper patch (0,0) in [2, 5);
-    # distractor object 9 never
-    assert np.flatnonzero(ann.frames[0].masks[0]).tolist() == [5]
-    assert np.flatnonzero(ann.frames[2].masks[0]).tolist() == [0, 5]
-    assert all(f.masks[1].sum() == 0 for f in ann.frames)
-
-
-def test_ingest_manual_explicit_phases_win():
-    record = manual_record(phases=[
-        [[0, 4, "approaching"], [4, 6, "starting_operation"]],
-        [[0, 6, "approaching"]],
-    ])
-    ann = ingest_manual(json.dumps(record))
-    assert ann.frames[3].arm_phases[0] is Phase.APPROACHING
-    assert ann.frames[5].arm_phases[0] is Phase.STARTING_OPERATION
-
-
-def test_ingest_manual_label_overrides():
-    record = manual_record(label_overrides=[
-        {"start": 0, "end": 2, "view": 2, "label": 1}])
-    ann = ingest_manual(json.dumps(record))
-    assert ann.frames[0].inter_labels == (1, 0, 1)
-    assert ann.frames[2].inter_labels == (1, 1, 0)
-
-
-def test_ingest_manual_rejects_head_override_to_zero():
-    record = manual_record(label_overrides=[
-        {"start": 1, "end": 2, "view": 0, "label": 0}])
-    with pytest.raises(AnnotationError) as err:
-        ingest_manual(json.dumps(record))
-    assert err.value.frame == 1
-
-
-def test_ingest_manual_rejects_overlapping_ranges():
-    record = manual_record(interactions=[[[0, 3], [2, 5]], []])
-    with pytest.raises(AnnotationError):
-        ingest_manual(json.dumps(record))
-
-
-def test_ingest_manual_rejects_out_of_range_placement():
-    record = manual_record()
-    record["boxes"][0].append({"start": 4, "end": 9, "x0": 0, "y0": 0,
-                               "x1": 4, "y1": 4, "kind": "object",
-                               "ident": 0})
-    with pytest.raises(AnnotationError):
-        ingest_manual(json.dumps(record))
-
-
-def test_ingest_manual_empty_episode():
-    record = manual_record(length=0, boxes=[[], [], []],
-                           interactions=[[], []], gripper_closed=[[], []])
-    ann = ingest_manual(json.dumps(record))
-    assert ann.length == 0
-
-
-def test_manual_export_round_trips_exactly(tmp_path):
-    geometry = scripted_geometry()
-    ann = annotate_episode(geometry, ViewRoles(), "ep-round")
-    text = export_manual(ann)
-    again = ingest_manual(text)
-    assert again == ann
-    path = tmp_path / "manual.json"
-    save_manual(path, ann)
-    assert load_manual(path) == ann

@@ -214,6 +214,9 @@ def test_resolve_config_rejects_unknowns():
         resolve_config({"corpsu": {}})
     with pytest.raises(ConfigError):
         resolve_config({"corpus": {"episodes": 3}})
+    with pytest.raises(ConfigError,
+                       match="unknown config key train.lambda_inter"):
+        resolve_config({"train": {"lambda_inter": 0.1}})
     with pytest.raises(ConfigError):
         resolve_config({"corpus": 3})
     with pytest.raises(ConfigError):
@@ -765,15 +768,49 @@ RECORD_FIELDS = {
     "prune": ("fmt", "kind", "episode_id", "frame_index", "result"),
 }
 
+# below them, to depth 4: every key of every object and the first element of
+# every list, as dotted paths
+NESTED_FIELDS = {
+    "obs": ("views.0", "views.0.view_id", "views.0.height", "views.0.width",
+            "views.0.embed_dim"),
+    "ann": ("roles.head", "roles.left_wrist", "roles.right_wrist",
+            "grids.0", "grids.0.0", "masks.0", "masks.0.0",
+            "inter_labels.0", "arm_phases.0"),
+    "geom": ("views.0", "views.0.image_width", "views.0.image_height",
+             "views.0.patch_size", "views.0.boxes", "views.0.boxes.0",
+             "gripper_closed.0", "task_objects.0"),
+    "prune": tuple(f"result.{path}" for path in (
+        "fmt", "kind", "view_token_counts", "view_token_counts.0", "kept",
+        "kept.0", "kept.0.0", "fused_scores", "fused_scores.0",
+        "fused_scores.0.0", "local_pruned_counts", "local_pruned_counts.0",
+        "global_pruned_count", "ranking", "ranking.0", "ranking.0.0")),
+}
 
-@pytest.mark.parametrize("value", [None, True, 5, 1.5, "a", [], [5],
-                                   ["a", "b", "c"], [[16]], {}], ids=repr)
-@pytest.mark.parametrize("suffix, field", [
-    (suffix, field) for suffix, fields in RECORD_FIELDS.items()
-    for field in fields])
-def test_cli_validate_survives_type_swapped_field(suffix, field, value,
-                                                  experiment_dir, tmp_path):
-    out, _ = experiment_dir
+
+def _field_paths(obj, prefix="", depth=4):
+    if depth == 0:
+        return
+    if isinstance(obj, dict):
+        items = obj.items()
+    else:
+        items = [(0, obj[0])] if isinstance(obj, list) and obj else []
+    for key, value in items:
+        yield f"{prefix}{key}"
+        yield from _field_paths(value, f"{prefix}{key}.", depth - 1)
+
+
+def _must_refuse(suffix, field, value):
+    """Values that a decoder once coerced into a valid field."""
+    if (suffix, field) == ("geom", "gripper_closed.0"):
+        return not isinstance(value, bool)
+    integers = {("ann", "grids.0.0"), ("ann", "inter_labels.0"),
+                ("geom", "task_objects.0")}
+    return (suffix, field) in integers and isinstance(value, (bool, float))
+
+
+def _swap_field(out, tmp_path, suffix, field, value):
+    """Copy the first episode's ``suffix`` records into a fresh corpus under
+    ``tmp_path`` with ``field`` of the first record set to ``value``."""
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     name = f"ep0000.{suffix}.jsonl"
@@ -781,11 +818,40 @@ def test_cli_validate_survives_type_swapped_field(suffix, field, value,
         shutil.copy(out / "corpus" / "ep0000.obs.npy", corpus)
     lines = (out / "corpus" / name).read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[0])
-    assert sorted(record) == sorted(RECORD_FIELDS[suffix])
-    record[field] = value
+    assert sorted(_field_paths(record)) == sorted(RECORD_FIELDS[suffix]
+                                                  + NESTED_FIELDS[suffix])
+    *parents, last = [int(k) if k.isdigit() else k for k in field.split(".")]
+    target = record
+    for key in parents:
+        target = target[key]
+    target[last] = value
     lines[0] = json.dumps(record)
     (corpus / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert main(["validate", "--dir", str(tmp_path)]) in (0, 1)
+
+
+@pytest.mark.parametrize("value", [None, True, 5, 1.5, "a", [], [5],
+                                   ["a", "b", "c"], [[16]], {}], ids=repr)
+@pytest.mark.parametrize("suffix, field", [
+    (suffix, field) for fields in (RECORD_FIELDS, NESTED_FIELDS)
+    for suffix, names in fields.items() for field in names])
+def test_cli_validate_survives_type_swapped_field(suffix, field, value,
+                                                  experiment_dir, tmp_path):
+    _swap_field(experiment_dir[0], tmp_path, suffix, field, value)
+    allowed = (1,) if _must_refuse(suffix, field, value) else (0, 1)
+    assert main(["validate", "--dir", str(tmp_path)]) in allowed
+
+
+@pytest.mark.parametrize("suffix, field, value", [
+    ("ann", "grids.0.0", 16.7), ("ann", "inter_labels.0", 1.5),
+    ("geom", "task_objects.0", -1), ("geom", "gripper_closed.0", "a")],
+    ids=str)
+def test_cli_validate_refuses_coerced_value(suffix, field, value,
+                                            experiment_dir, tmp_path, capsys):
+    _swap_field(experiment_dir[0], tmp_path, suffix, field, value)
+    assert main(["validate", "--dir", str(tmp_path)]) == 1
+    problems = capsys.readouterr().err.splitlines()
+    assert len(problems) == 1
+    assert problems[0].startswith(f"ep0000.{suffix}.jsonl: ")
 
 
 @pytest.mark.parametrize("damage", [

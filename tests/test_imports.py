@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package or test module imports is used in that module.
 
 No linter ships with the package's toolchain, so this walks the syntax tree
 with ``ast``. A package ``__init__`` uses a name by listing it in
@@ -13,6 +13,7 @@ import pytest
 import mvprune
 
 MODULES = sorted(Path(mvprune.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(path):
@@ -35,6 +36,8 @@ def unused_imports(path):
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TESTS,
+    ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TESTS])
 def test_module_uses_every_import(path):
     assert unused_imports(path) == []

@@ -32,7 +32,6 @@ from mvprune.predictor import (
     predict_intra,
     save_params,
     save_trace,
-    total_loss,
     train,
 )
 from test_core import make_annotation, make_obs
@@ -189,16 +188,6 @@ def square_obs(frame_index=0, seed=0):
     from mvprune.core import MultiViewObservation
     return MultiViewObservation(episode_id="ep", frame_index=frame_index,
                                 views=views)
-
-
-def test_total_loss_combines_terms():
-    assert total_loss(2.0, 3.0) == pytest.approx(0.5)
-    assert total_loss(2.0, 3.0, lambda_inter=0.2, lambda_intra=0.4,
-                      action_loss_hook=lambda: 1.0) == pytest.approx(2.6)
-    with pytest.raises(TrainingError):
-        total_loss(float("nan"), 0.0)
-    with pytest.raises(TrainingError):
-        total_loss(0.0, 0.0, action_loss_hook=lambda: float("inf"))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mvprune.annotate import BoxKind, annotate_episode, detect_interaction
-from mvprune.core import ConfigError, Phase, ViewRoles
+from mvprune.core import ConfigError, Phase
 from mvprune.synth import (
     GRIPPER_SIZE,
     IMAGE_SIZE,
