@@ -49,8 +49,6 @@ from .annotate import (
     Box,
     BoxKind,
     FrameGeometry,
-    PhaseSpan,
-    PhaseTimeline,
     ViewGeometry,
     annotate_episode,
     boxes_to_patch_mask,
@@ -70,9 +68,8 @@ __all__ = [
     "FlopModel", "adaptive_weight", "flop_estimate", "hierarchical_prune",
     "normalize_scores", "prune_observation", "prune_scores", "random_drop",
     "score_observation", "speedup_estimate",
-    "Box", "BoxKind", "FrameGeometry", "PhaseSpan", "PhaseTimeline",
-    "ViewGeometry", "annotate_episode", "boxes_to_patch_mask", "debounce",
-    "detect_interaction",
+    "Box", "BoxKind", "FrameGeometry", "ViewGeometry", "annotate_episode",
+    "boxes_to_patch_mask", "debounce", "detect_interaction",
     "ArmScript", "ScenarioSpec", "generate", "generate_corpus",
     "MetricsReport", "compare_strategies", "run_experiment", "sweep_beta",
 ]

@@ -1,5 +1,5 @@
 """Offline two-level annotation: patch masks from boxes, interaction
-detection and phase timelines.
+detection and per-frame arm phases.
 
 Pixel boxes and patches are half-open rectangles, so shapes that only share
 an edge do not intersect. A patch is marked relevant exactly when a
@@ -157,7 +157,8 @@ class FrameGeometry:
             raise ContractError("views must be ViewGeometry instances")
         closed = tuple(self.gripper_closed)
         if not closed or any(not isinstance(c, bool) for c in closed):
-            raise ContractError("gripper_closed needs one boolean per arm")
+            raise ContractError("gripper_closed needs one boolean per arm",
+                                field="gripper_closed")
         object.__setattr__(self, "views", views)
         object.__setattr__(self, "gripper_closed", closed)
         object.__setattr__(self, "task_objects",
@@ -199,7 +200,7 @@ class FrameGeometry:
                              field=str(exc.args[0])) from exc
         except ContractError as exc:
             raise ParseError(f"invalid frame geometry: {exc}",
-                             field="views") from exc
+                             field=exc.field or "views") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -322,154 +323,43 @@ def label_inter_views(interactions_by_arm: Sequence[Sequence[bool]],
 
 
 # ---------------------------------------------------------------------------
-# phase timelines
+# arm phases
 
 
-@dataclass(frozen=True)
-class PhaseSpan:
-    """One contiguous phase interval ``[start, end)`` of one arm."""
-
-    start: int
-    end: int
-    phase: Phase
-
-    def __post_init__(self):
-        _check_int(self.start, "start", minimum=0)
-        _check_int(self.end, "end", minimum=1)
-        if self.start >= self.end:
-            raise ContractError(
-                f"span must be nonempty, got [{self.start}, {self.end})")
-        if not isinstance(self.phase, Phase):
-            raise ContractError(f"phase must be a Phase, got {self.phase!r}")
-
-
-_LEGAL_TRANSITIONS = {
-    (Phase.APPROACHING, Phase.STARTING_OPERATION),
-    (Phase.APPROACHING, Phase.MOVING_WITH_OBJECT),
-    (Phase.STARTING_OPERATION, Phase.MOVING_WITH_OBJECT),
-    (Phase.STARTING_OPERATION, Phase.RETRACTING),
-    (Phase.MOVING_WITH_OBJECT, Phase.RETRACTING),
-    (Phase.RETRACTING, Phase.APPROACHING),
-}
-
-
-@dataclass(frozen=True)
-class PhaseTimeline:
-    """Per-arm phase spans that exactly partition an episode.
-
-    Within each arm consecutive phases must follow the manipulation cycle:
-    approach, then starting the operation, then moving with the object, then
-    retracting, back to approaching. Spans for phases that were skipped
-    (for example a grasp that never lifts the object) are simply absent.
-    """
-
-    length: int
-    arms: tuple[tuple[PhaseSpan, ...], ...]
-
-    def __post_init__(self):
-        _check_int(self.length, "length", minimum=0)
-        arms = tuple(tuple(spans) for spans in self.arms)
-        for arm, spans in enumerate(arms):
-            if self.length == 0:
-                if spans:
-                    raise ContractError(f"arm {arm}: spans in an empty episode")
-                continue
-            if not spans:
-                raise ContractError(f"arm {arm}: timeline must cover the episode")
-            if spans[0].start != 0 or spans[-1].end != self.length:
-                raise ContractError(
-                    f"arm {arm}: spans must cover [0, {self.length})")
-            for a, b in zip(spans, spans[1:]):
-                if a.end != b.start:
-                    raise ContractError(
-                        f"arm {arm}: gap or overlap at frame {a.end}")
-                if (a.phase, b.phase) not in _LEGAL_TRANSITIONS:
-                    raise ContractError(
-                        f"arm {arm}: illegal phase change "
-                        f"{a.phase.value} to {b.phase.value} at frame {a.end}")
-        object.__setattr__(self, "arms", arms)
-
-    @property
-    def arm_count(self) -> int:
-        return len(self.arms)
-
-    def phase_at(self, arm: int, frame: int) -> Phase:
-        if not 0 <= arm < len(self.arms):
-            raise ContractError(f"arm {arm} out of range")
-        _check_int(frame, "frame", minimum=0)
-        if frame >= self.length:
-            raise ContractError(f"frame {frame} out of range")
-        for span in self.arms[arm]:
-            if span.start <= frame < span.end:
-                return span.phase
-        raise ContractError(f"frame {frame} not covered")
-
-
-def build_phase_timeline(interactions_by_arm: Sequence[Sequence[bool]],
-                         closed_by_arm: Sequence[Sequence[bool]]
-                         ) -> PhaseTimeline:
-    """Derive per-arm phases from debounced interactions and gripper state.
+def arm_phases(interactions: Sequence[bool], closed: Sequence[bool],
+               arm: int) -> list[Phase]:
+    """One arm's phase in every frame, from its debounced interactions and
+    gripper state.
 
     Each interaction interval starts a cycle: the arm approaches until the
     interval begins, is starting the operation until its gripper first
     closes inside the interval, moves with the object until the interval
     ends, and then retracts. Between two cycles the retract and the next
-    approach split the gap at its midpoint (the retract half rounds down).
-    An arm that never interacts approaches for the whole episode.
+    approach split the gap at its midpoint (the retract half rounds down,
+    so a one-frame gap has no retract frame). An arm that never interacts
+    approaches for the whole episode.
 
     A gripper closed outside any interaction interval cannot be acting on a
     task object; such frames raise a warning and are otherwise ignored.
     """
-    if len(interactions_by_arm) != len(closed_by_arm):
-        raise ContractError("need one gripper timeline per arm")
-    arms = []
-    length = None
-    for arm, (interactions, closed) in enumerate(
-            zip(interactions_by_arm, closed_by_arm)):
-        interactions = [bool(v) for v in interactions]
-        closed = [bool(v) for v in closed]
-        if len(interactions) != len(closed):
-            raise ContractError(
-                f"arm {arm}: interaction and gripper timelines must align")
-        if length is None:
-            length = len(interactions)
-        elif len(interactions) != length:
-            raise ContractError("arm timelines must have equal length")
-        arms.append(tuple(_arm_spans(interactions, closed, arm)))
-    return PhaseTimeline(length=length or 0, arms=tuple(arms))
-
-
-def _arm_spans(interactions: list[bool], closed: list[bool],
-               arm: int) -> list[PhaseSpan]:
-    total = len(interactions)
-    if total == 0:
-        return []
+    if len(interactions) != len(closed):
+        raise ContractError(
+            f"arm {arm}: interaction and gripper timelines must align")
+    stray = next((t for t, (i, c) in enumerate(zip(interactions, closed))
+                  if c and not i), None)
+    if stray is not None:
+        warnings.warn(f"arm {arm}: gripper closed outside any interaction, "
+                      f"first at frame {stray}", stacklevel=2)
+    phases = [Phase.APPROACHING] * len(interactions)
     cycles = interaction_intervals(interactions)
-    stray = [t for t, c in enumerate(closed)
-             if c and not interactions[t]]
-    if stray:
-        warnings.warn(
-            f"arm {arm}: gripper closed outside any interaction, "
-            f"first at frame {stray[0]}", stacklevel=3)
-    if not cycles:
-        return [PhaseSpan(0, total, Phase.APPROACHING)]
-    spans = []
-    approach_start = 0
     for j, (start, end) in enumerate(cycles):
-        if approach_start < start:
-            spans.append(PhaseSpan(approach_start, start, Phase.APPROACHING))
         close_at = next((t for t in range(start, end) if closed[t]), end)
-        if start < close_at:
-            spans.append(PhaseSpan(start, close_at, Phase.STARTING_OPERATION))
-        if close_at < end:
-            spans.append(PhaseSpan(close_at, end, Phase.MOVING_WITH_OBJECT))
-        if j + 1 < len(cycles):
-            approach_start = (end + cycles[j + 1][0]) // 2
-        else:
-            approach_start = total
-        if end < approach_start:
-            spans.append(PhaseSpan(end, approach_start, Phase.RETRACTING))
-    return spans
+        stop = ((end + cycles[j + 1][0]) // 2 if j + 1 < len(cycles)
+                else len(phases))
+        phases[start:close_at] = [Phase.STARTING_OPERATION] * (close_at - start)
+        phases[close_at:end] = [Phase.MOVING_WITH_OBJECT] * (end - close_at)
+        phases[end:stop] = [Phase.RETRACTING] * (stop - end)
+    return phases
 
 
 # ---------------------------------------------------------------------------
@@ -522,12 +412,12 @@ def annotate_episode(geometry: Sequence[FrameGeometry], roles: ViewRoles,
             raise
     debounced = [debounce(raw[arm], debounce_width) for arm in (0, 1)]
     labels = label_inter_views(debounced, roles, view_count)
-    timeline = build_phase_timeline(debounced, closed)
+    phases = [arm_phases(debounced[arm], closed[arm], arm) for arm in (0, 1)]
     frames = tuple(
         FrameAnnotation(
             masks=masks_per_frame[t],
             inter_labels=labels[t],
-            arm_phases=tuple(timeline.phase_at(arm, t) for arm in (0, 1)),
+            arm_phases=(phases[0][t], phases[1][t]),
         )
         for t in range(len(geometry)))
     return EpisodeAnnotation(episode_id=episode_id, roles=roles, grids=grids,

@@ -16,7 +16,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -413,8 +413,7 @@ def train_predictors(observations: Sequence[MultiViewObservation],
 
 def evaluate_strategy(observations_by_episode: Sequence[
                           Sequence[MultiViewObservation]],
-                      annotations: (Sequence[EpisodeAnnotation]
-                                    | Mapping[str, EpisodeAnnotation]),
+                      annotations: Sequence[EpisodeAnnotation],
                       intra: MlpParams, inter: MlpParams,
                       prune_config: PruneConfig, flop_model: FlopModel,
                       scores: (Sequence[Sequence[ImportanceScores]]
@@ -423,20 +422,17 @@ def evaluate_strategy(observations_by_episode: Sequence[
                       ) -> tuple[MetricsReport, list[list[PruneResult]]]:
     """Prune every frame of a corpus and fold the outcomes into a report.
 
-    ``annotations`` is either a sequence aligned with the episodes or a
-    mapping keyed by episode id. ``scores``, when given, holds each frame's
-    ``score_observation`` output, aligned with the observations and weighted
-    with ``prune_config.epsilon``, so that several strategies can share one
-    scoring pass; without it every frame is scored here. ``_classifier`` is
-    for ``_shared_evaluation``, which checks those inputs and computes their
-    ``_classifier_metrics`` once for all the prune configs it evaluates.
+    ``annotations`` is aligned with the episodes. ``scores``, when given,
+    holds each frame's ``score_observation`` output, aligned with the
+    observations and weighted with ``prune_config.epsilon``, so that several
+    strategies can share one scoring pass; without it every frame is scored
+    here. ``_classifier`` is for ``_shared_evaluation``, which checks those
+    inputs and computes their ``_classifier_metrics`` once for all the prune
+    configs it evaluates.
     """
     if not observations_by_episode or not observations_by_episode[0]:
         raise ContractError("evaluation needs at least one observation")
-    if isinstance(annotations, Mapping):
-        annotations = [annotations[episode[0].episode_id]
-                       for episode in observations_by_episode]
-    elif len(annotations) != len(observations_by_episode):
+    if len(annotations) != len(observations_by_episode):
         raise ContractError("annotations must align with the episodes")
     if scores is None:
         scores = [[score_observation(obs, intra, inter, prune_config.epsilon)

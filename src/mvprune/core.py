@@ -28,7 +28,14 @@ FORMAT_VERSION = 2
 
 
 class ContractError(ValueError):
-    """A caller violated a documented precondition or a type invariant."""
+    """A caller violated a documented precondition or a type invariant.
+
+    Carries the name of the offending record ``field`` when known.
+    """
+
+    def __init__(self, message: str, *, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class ConfigError(ValueError):
@@ -93,11 +100,15 @@ def _as_float_array(value, name: str, *, shape: tuple[int, ...] | None = None,
 
 
 def _check_int(value, name: str, *, minimum: int | None = None) -> int:
+    """``value`` as an int; a refusal names ``name`` as its field."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ContractError(f"{name} must be an integer, got {type(value).__name__}")
+        raise ContractError(
+            f"{name} must be an integer, got {type(value).__name__}",
+            field=name)
     value = int(value)
     if minimum is not None and value < minimum:
-        raise ContractError(f"{name} must be >= {minimum}, got {value}")
+        raise ContractError(f"{name} must be >= {minimum}, got {value}",
+                            field=name)
     return value
 
 
@@ -569,21 +580,26 @@ class FrameAnnotation:
         for m in self.masks:
             arr = np.array(m, dtype=np.uint8)
             if arr.ndim != 1:
-                raise ContractError("masks must be flat per-view arrays")
+                raise ContractError("masks must be flat per-view arrays",
+                                    field="masks")
             src = np.asarray(m)
             if src.size and not np.isin(src, (0, 1)).all():
-                raise ContractError("mask entries must be 0 or 1")
+                raise ContractError("mask entries must be 0 or 1",
+                                    field="masks")
             arr.flags.writeable = False
             masks.append(arr)
         labels = tuple(_check_int(x, "inter_labels")
                        for x in self.inter_labels)
         if len(labels) != len(masks):
-            raise ContractError("inter_labels must have one entry per view")
+            raise ContractError("inter_labels must have one entry per view",
+                                field="inter_labels")
         if any(x not in (0, 1) for x in labels):
-            raise ContractError("inter_labels must be 0 or 1")
+            raise ContractError("inter_labels must be 0 or 1",
+                                field="inter_labels")
         phases = tuple(self.arm_phases)
         if any(not isinstance(p, Phase) for p in phases):
-            raise ContractError("arm_phases must be Phase values")
+            raise ContractError("arm_phases must be Phase values",
+                                field="arm_phases")
         object.__setattr__(self, "masks", tuple(masks))
         object.__setattr__(self, "inter_labels", labels)
         object.__setattr__(self, "arm_phases", phases)
@@ -617,13 +633,14 @@ class EpisodeAnnotation:
             raise ContractError("episode_id must be a non-empty string")
         if not isinstance(self.roles, ViewRoles):
             raise ContractError("roles must be a ViewRoles")
-        grids = tuple((_check_int(h, "grid height", minimum=1),
-                       _check_int(w, "grid width", minimum=1))
+        grids = tuple((_check_int(h, "grids", minimum=1),
+                       _check_int(w, "grids", minimum=1))
                       for h, w in self.grids)
         needed = max(self.roles.head, *self.roles.wrists) + 1
         frames = tuple(self.frames)
         if (frames or grids) and len(grids) < needed:
-            raise ContractError("grids must cover every role view")
+            raise ContractError("grids must cover every role view",
+                                field="grids")
         for t, frame in enumerate(frames):
             if not isinstance(frame, FrameAnnotation):
                 raise ContractError("frames must be FrameAnnotation instances")
@@ -695,11 +712,13 @@ class EpisodeAnnotation:
                              field=str(exc.args[0])) from exc
         except ParseError:
             raise
-        # ContractError and AnnotationError, or a value of the wrong type (a
-        # number where a list belongs, a string where a number belongs)
-        # failing while the frames are built
+        # ContractError (naming its field) and AnnotationError, or a value of
+        # the wrong type (a number where a list belongs, a string where a
+        # number belongs) failing while the frames are built
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"invalid annotation: {exc}", field="frames") from exc
+            raise ParseError(f"invalid annotation: {exc}",
+                             field=getattr(exc, "field", None) or "frames"
+                             ) from exc
 
 
 def _frame_from_obj(obj) -> FrameAnnotation:

@@ -25,6 +25,7 @@ from .core import (
     FORMAT_VERSION,
     ConfigError,
     ContractError,
+    EpisodeAnnotation,
     MultiViewObservation,
     ParseError,
     TrainingError,
@@ -327,11 +328,11 @@ def train(params: MlpParams, inputs, targets, config: TrainConfig
 
 
 def build_intra_dataset(observations: Sequence[MultiViewObservation],
-                        annotations) -> tuple[np.ndarray, np.ndarray]:
+                        annotations: dict[str, EpisodeAnnotation]
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Stack every token of every view with its mask bit as the target.
 
-    ``annotations`` maps episode id to its annotation (or is a single
-    annotation when all observations share one episode).
+    ``annotations`` maps episode id to its annotation.
     """
     xs, ys = [], []
     for obs in observations:
@@ -354,7 +355,8 @@ def build_intra_dataset(observations: Sequence[MultiViewObservation],
 
 
 def build_inter_dataset(observations: Sequence[MultiViewObservation],
-                        annotations) -> tuple[np.ndarray, np.ndarray]:
+                        annotations: dict[str, EpisodeAnnotation]
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """One example per frame: concatenated summary tokens against view labels."""
     xs, ys = [], []
     for obs in observations:
@@ -367,9 +369,9 @@ def build_inter_dataset(observations: Sequence[MultiViewObservation],
     return np.stack(xs), np.stack(ys)
 
 
-def _annotation_for(annotations, obs: MultiViewObservation):
-    ann = annotations.get(obs.episode_id) if isinstance(annotations, dict) \
-        else annotations
+def _annotation_for(annotations: dict[str, EpisodeAnnotation],
+                    obs: MultiViewObservation) -> EpisodeAnnotation:
+    ann = annotations.get(obs.episode_id)
     if ann is None or ann.episode_id != obs.episode_id:
         raise ContractError(f"no annotation for episode {obs.episode_id!r}")
     if obs.frame_index >= ann.length:

@@ -1,4 +1,4 @@
-"""Offline annotation: rasterization, interaction detection, phases and
+"""Offline annotation: rasterization, interaction detection, arm phases and
 geometry records."""
 
 import numpy as np
@@ -11,12 +11,10 @@ from mvprune.annotate import (
     Box,
     BoxKind,
     FrameGeometry,
-    PhaseSpan,
-    PhaseTimeline,
     ViewGeometry,
     annotate_episode,
+    arm_phases,
     boxes_to_patch_mask,
-    build_phase_timeline,
     debounce,
     detect_interaction,
     frame_patch_mask,
@@ -241,89 +239,79 @@ def test_label_inter_views_validates_lengths():
 
 
 # ---------------------------------------------------------------------------
-# phase timelines
+# arm phases
 
+A, S, M, R = (Phase.APPROACHING, Phase.STARTING_OPERATION,
+              Phase.MOVING_WITH_OBJECT, Phase.RETRACTING)
 
-def test_phase_timeline_validates_partition():
-    spans = (PhaseSpan(0, 3, Phase.APPROACHING),
-             PhaseSpan(3, 6, Phase.STARTING_OPERATION))
-    timeline = PhaseTimeline(length=6, arms=(spans,))
-    assert timeline.phase_at(0, 0) is Phase.APPROACHING
-    assert timeline.phase_at(0, 5) is Phase.STARTING_OPERATION
-    with pytest.raises(ContractError):
-        PhaseTimeline(length=7, arms=(spans,))
-    gap = (PhaseSpan(0, 2, Phase.APPROACHING),
-           PhaseSpan(3, 6, Phase.STARTING_OPERATION))
-    with pytest.raises(ContractError):
-        PhaseTimeline(length=6, arms=(gap,))
-
-
-def test_phase_timeline_rejects_illegal_transitions():
-    spans = (PhaseSpan(0, 2, Phase.MOVING_WITH_OBJECT),
-             PhaseSpan(2, 4, Phase.APPROACHING))
-    with pytest.raises(ContractError):
-        PhaseTimeline(length=4, arms=(spans,))
-    skip = (PhaseSpan(0, 2, Phase.APPROACHING),
-            PhaseSpan(2, 4, Phase.RETRACTING))
-    with pytest.raises(ContractError):
-        PhaseTimeline(length=4, arms=(skip,))
-
-
-def test_phase_timeline_allows_skipping_moving():
-    spans = (PhaseSpan(0, 2, Phase.STARTING_OPERATION),
-             PhaseSpan(2, 4, Phase.RETRACTING))
-    timeline = PhaseTimeline(length=4, arms=(spans,))
-    assert timeline.phase_at(0, 3) is Phase.RETRACTING
+# the manipulation cycle; S -> R is a grasp that never closes and A -> M one
+# whose gripper closes on the interval's first frame
+CYCLE = {(A, S), (A, M), (S, M), (S, R), (M, R), (R, A)}
 
 
 def test_build_phase_timeline_single_cycle():
     inter = [False] * 3 + [True] * 5 + [False] * 4
     closed = [False] * 5 + [True] * 3 + [False] * 4
-    timeline = build_phase_timeline([inter, inter], [closed, closed])
-    want = [Phase.APPROACHING] * 3 + [Phase.STARTING_OPERATION] * 2 \
-        + [Phase.MOVING_WITH_OBJECT] * 3 + [Phase.RETRACTING] * 4
-    assert [timeline.phase_at(0, t) for t in range(12)] == want
+    want = [A] * 3 + [S] * 2 + [M] * 3 + [R] * 4
+    assert arm_phases(inter, closed, 0) == want
 
 
 def test_build_phase_timeline_never_closing_still_legal():
     inter = [False, True, True, True, False]
     closed = [False] * 5
-    timeline = build_phase_timeline([inter, closed], [closed, closed])
-    got = [timeline.phase_at(0, t) for t in range(5)]
-    assert got == [Phase.APPROACHING, Phase.STARTING_OPERATION,
-                   Phase.STARTING_OPERATION, Phase.STARTING_OPERATION,
-                   Phase.RETRACTING]
-    assert [timeline.phase_at(1, t) for t in range(5)] == \
-        [Phase.APPROACHING] * 5
+    assert arm_phases(inter, closed, 0) == [A, S, S, S, R]
+    assert arm_phases(closed, closed, 0) == [A] * 5
 
 
 def test_build_phase_timeline_splits_gap_between_cycles():
     length = 20
     inter = [3 <= t < 8 or 13 <= t < 17 for t in range(length)]
     closed = [5 <= t < 8 or 14 <= t < 16 for t in range(length)]
-    timeline = build_phase_timeline([inter, [False] * length],
-                                    [closed, [False] * length])
-    phases = [timeline.phase_at(0, t) for t in range(length)]
     want = (
-        [Phase.APPROACHING] * 3
-        + [Phase.STARTING_OPERATION] * 2
-        + [Phase.MOVING_WITH_OBJECT] * 3
-        + [Phase.RETRACTING] * 2        # gap [8, 13) splits at (8+13)//2 = 10
-        + [Phase.APPROACHING] * 3
-        + [Phase.STARTING_OPERATION] * 1
-        + [Phase.MOVING_WITH_OBJECT] * 3
-        + [Phase.RETRACTING] * 3
+        [A] * 3 + [S] * 2 + [M] * 3
+        + [R] * 2        # gap [8, 13) splits at (8+13)//2 = 10
+        + [A] * 3 + [S] * 1 + [M] * 3 + [R] * 3
     )
-    assert phases == want
+    assert arm_phases(inter, closed, 0) == want
+    # a one-frame gap splits at its own frame: no retract, one approach
+    assert arm_phases([False, True, False, True, False],
+                      [False, True, False, False, False], 0) == [A, M, A, S, R]
 
 
 def test_build_phase_timeline_warns_on_stray_closure():
     inter = [False, False, True, True, True, False]
     closed = [True, False, False, True, True, False]
     with pytest.warns(UserWarning, match="outside any interaction"):
-        timeline = build_phase_timeline([inter, [False] * 6],
-                                        [closed, [False] * 6])
-    assert timeline.phase_at(0, 0) is Phase.APPROACHING
+        phases = arm_phases(inter, closed, 0)
+    assert phases[0] is A
+
+
+def test_arm_phases_rejects_misaligned_timelines():
+    with pytest.raises(ContractError, match="arm 1"):
+        arm_phases([True, False], [False], arm=1)
+    assert arm_phases([], [], 0) == []
+
+
+@st.composite
+def cycle_timelines(draw):
+    """Interactions whose intervals are at least 2 frames apart, as debounce
+    width 2 or more guarantees, and a gripper that closes only inside them."""
+    inter = [False] * draw(st.integers(0, 4))
+    for k in range(draw(st.integers(0, 4))):
+        inter += [False] * (draw(st.integers(2, 5)) if k else 0)
+        inter += [True] * draw(st.integers(1, 5))
+    inter += [False] * draw(st.integers(0, 4))
+    grips = draw(st.lists(st.booleans(), min_size=len(inter),
+                          max_size=len(inter)))
+    return inter, [i and g for i, g in zip(inter, grips)]
+
+
+@given(cycle_timelines())
+def test_arm_phases_follow_the_cycle(timelines):
+    inter, closed = timelines
+    phases = arm_phases(inter, closed, 0)
+    assert {(a, b) for a, b in zip(phases, phases[1:]) if a is not b} <= CYCLE
+    assert [p in (S, M) for p in phases] == inter
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +363,18 @@ def test_annotate_episode_debounce_suppresses_flicker():
     assert ann.frames[1].inter_labels[1] == 0
     raw = annotate_episode(geometry, ViewRoles(), "ep-raw", debounce_width=1)
     assert raw.frames[1].inter_labels[1] == 1
+
+
+def test_annotate_episode_one_frame_gap_without_debounce():
+    geometry = scripted_geometry()
+    # arm 0 lets go of the object for frame 6 only: intervals [4, 6) and
+    # [7, 9) are one frame apart, which debounce width 1 keeps
+    geometry[6] = geometry[0]
+    ann = annotate_episode(geometry, ViewRoles(), "ep-gap", debounce_width=1)
+    assert [f.inter_labels[1] for f in ann.frames] == \
+        [0] * 4 + [1] * 2 + [0] + [1] * 2 + [0] * 5
+    assert [f.arm_phases[0] for f in ann.frames] == \
+        [A] * 4 + [S] * 2 + [A] + [M] * 2 + [R] * 5
 
 
 def test_annotate_episode_empty():

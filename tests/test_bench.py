@@ -306,15 +306,6 @@ def test_evaluate_strategy_totals(small_run):
     assert len(results) == 2 and all(len(r) == 12 for r in results)
 
 
-def test_evaluate_strategy_accepts_mapping(small_run):
-    _, _, derived, _, _ = small_run
-    by_id = {ann.episode_id: ann for ann in derived}
-    a, results_a = small_eval(small_run)
-    b, results_b = small_eval(small_run, annotations=by_id)
-    assert a == b
-    assert results_a == results_b
-
-
 def test_evaluate_strategy_rejects_misaligned_annotations(small_run):
     _, _, derived, _, _ = small_run
     with pytest.raises(ContractError):
@@ -843,6 +834,7 @@ def test_cli_validate_survives_type_swapped_field(suffix, field, value,
 
 @pytest.mark.parametrize("suffix, field, value", [
     ("ann", "grids.0.0", 16.7), ("ann", "inter_labels.0", 1.5),
+    ("ann", "inter_labels.1", 5), ("ann", "masks.0.0", 2),
     ("geom", "task_objects.0", -1), ("geom", "gripper_closed.0", "a")],
     ids=str)
 def test_cli_validate_refuses_coerced_value(suffix, field, value,
@@ -852,6 +844,7 @@ def test_cli_validate_refuses_coerced_value(suffix, field, value,
     problems = capsys.readouterr().err.splitlines()
     assert len(problems) == 1
     assert problems[0].startswith(f"ep0000.{suffix}.jsonl: ")
+    assert f"(field {field.split('.')[0]!r})" in problems[0]
 
 
 @pytest.mark.parametrize("damage", [

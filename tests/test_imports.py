@@ -1,4 +1,5 @@
-"""Every name a package or test module imports is used in that module.
+"""Every name a package or test module imports is used in that module, and
+every name the package exports exists.
 
 No linter ships with the package's toolchain, so this walks the syntax tree
 with ``ast``. A package ``__init__`` uses a name by listing it in
@@ -41,3 +42,13 @@ def unused_imports(path):
     ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TESTS])
 def test_module_uses_every_import(path):
     assert unused_imports(path) == []
+
+
+def test_every_export_resolves():
+    missing = []
+    for name in mvprune.__all__:
+        try:
+            getattr(mvprune, name)
+        except AttributeError:
+            missing.append(name)
+    assert missing == []

@@ -410,7 +410,7 @@ def test_train_config_validation():
 def test_build_intra_dataset_stacks_tokens_and_mask_bits():
     ann = make_annotation()
     observations = [square_obs(frame_index=t, seed=t) for t in range(2)]
-    x, y = build_intra_dataset(observations, ann)
+    x, y = build_intra_dataset(observations, {ann.episode_id: ann})
     total = sum(o.total_tokens for o in observations)
     assert x.shape == (total, observations[0].embed_dim)
     assert y.shape == (total, 1)
@@ -424,13 +424,13 @@ def test_build_intra_dataset_rejects_misaligned_masks():
     ann = make_annotation()  # 2x2 grids
     observations = [make_obs()]  # 2x3 views
     with pytest.raises(ContractError):
-        build_intra_dataset(observations, ann)
+        build_intra_dataset(observations, {ann.episode_id: ann})
 
 
 def test_build_inter_dataset_one_row_per_frame():
     ann = make_annotation()
     observations = [square_obs(frame_index=t, seed=t) for t in range(3)]
-    x, y = build_inter_dataset(observations, {"ep": ann})
+    x, y = build_inter_dataset(observations, {ann.episode_id: ann})
     assert x.shape == (3, 3 * observations[0].embed_dim)
     assert y.shape == (3, 3)
     assert y[:, 0].tolist() == [1.0, 1.0, 1.0]
@@ -445,7 +445,7 @@ def test_dataset_requires_matching_annotation():
         build_intra_dataset(observations, wrong)
     deep = square_obs(frame_index=99)
     with pytest.raises(ContractError):
-        build_inter_dataset([deep], other)
+        build_inter_dataset([deep], {other.episode_id: other})
 
 
 # ---------------------------------------------------------------------------
