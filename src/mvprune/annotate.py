@@ -33,6 +33,7 @@ from .core import (
     ViewRoles,
     _check_int,
     _expect_record,
+    _listed,
     read_jsonl,
     write_jsonl,
 )
@@ -84,12 +85,18 @@ class Box:
 
     @classmethod
     def from_obj(cls, obj) -> "Box":
+        if not isinstance(obj, dict):
+            raise ParseError(f"a box must be an object, got "
+                             f"{type(obj).__name__}", field="boxes")
         try:
             kind = BoxKind(obj["kind"])
             return cls(x0=obj["x0"], y0=obj["y0"], x1=obj["x1"], y1=obj["y1"],
                        kind=kind, ident=obj.get("ident", 0))
         except KeyError as exc:
             raise ParseError("missing box field", field=str(exc.args[0])) from exc
+        except ContractError as exc:
+            raise ParseError(f"invalid box: {exc}",
+                             field=exc.field or "boxes") from exc
         except ValueError as exc:
             raise ParseError(f"invalid box: {exc}", field="kind") from exc
 
@@ -128,7 +135,7 @@ class ViewGeometry:
     @classmethod
     def from_obj(cls, obj) -> "ViewGeometry":
         try:
-            boxes = tuple(Box.from_obj(b) for b in obj.get("boxes", []))
+            boxes = tuple(Box.from_obj(b) for b in _listed(obj, "boxes", ()))
             return cls(image_width=obj["image_width"],
                        image_height=obj["image_height"],
                        patch_size=obj["patch_size"], boxes=boxes)
@@ -137,7 +144,7 @@ class ViewGeometry:
                              field=str(exc.args[0])) from exc
         except ContractError as exc:
             raise ParseError(f"invalid view geometry: {exc}",
-                             field="boxes") from exc
+                             field=exc.field or "boxes") from exc
 
 
 @dataclass(frozen=True)
@@ -193,8 +200,8 @@ class FrameGeometry:
         try:
             views = tuple(ViewGeometry.from_obj(v) for v in obj["views"])
             return cls(views=views,
-                       gripper_closed=tuple(obj["gripper_closed"]),
-                       task_objects=frozenset(obj.get("task_objects", [])))
+                       gripper_closed=_listed(obj, "gripper_closed"),
+                       task_objects=_listed(obj, "task_objects", ()))
         except KeyError as exc:
             raise ParseError("missing frame geometry field",
                              field=str(exc.args[0])) from exc

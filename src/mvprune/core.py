@@ -112,14 +112,6 @@ def _check_int(value, name: str, *, minimum: int | None = None) -> int:
     return value
 
 
-def grid_positions(height: int, width: int) -> np.ndarray:
-    """Return all ``(row, col)`` positions of an ``height x width`` grid in row-major order."""
-    height = _check_int(height, "height", minimum=1)
-    width = _check_int(width, "width", minimum=1)
-    rows, cols = np.divmod(np.arange(height * width), width)
-    return np.stack([rows, cols], axis=1).astype(np.float64)
-
-
 # ---------------------------------------------------------------------------
 # enums
 
@@ -490,11 +482,13 @@ class PruneResult:
             raise ContractError(
                 "kept count must equal post-local survivors minus global prunes")
         rank_view, rank_idx = _ranking_arrays(self.ranking)
-        order = np.lexsort((rank_idx, rank_view))
-        views = np.repeat(np.arange(len(kept)), [idx.size for idx in kept])
-        if not (np.array_equal(rank_view[order], views)
-                and np.array_equal(rank_idx[order],
-                                   np.concatenate([views[:0], *kept]))):
+        views_exist = not rank_view.size or (
+            rank_view.min() >= 0 and rank_view.max() < len(kept))
+        # kept indices ascend strictly, so the sorted indices ranked for a
+        # view equal them only if the ranking lists each kept token once
+        if not views_exist or not all(
+                np.array_equal(np.sort(rank_idx[rank_view == v]), idx)
+                for v, idx in enumerate(kept)):
             raise ContractError("ranking must enumerate exactly the kept tokens")
         object.__setattr__(self, "view_token_counts", counts)
         object.__setattr__(self, "kept", tuple(tuple(idx.tolist()) for idx in kept))
@@ -633,9 +627,16 @@ class EpisodeAnnotation:
             raise ContractError("episode_id must be a non-empty string")
         if not isinstance(self.roles, ViewRoles):
             raise ContractError("roles must be a ViewRoles")
-        grids = tuple((_check_int(h, "grids", minimum=1),
-                       _check_int(w, "grids", minimum=1))
-                      for h, w in self.grids)
+        try:
+            grids = tuple((_check_int(h, "grids", minimum=1),
+                           _check_int(w, "grids", minimum=1))
+                          for h, w in self.grids)
+        except ContractError:
+            raise
+        # an entry that is no (height, width) pair fails to unpack
+        except (TypeError, ValueError) as exc:
+            raise ContractError("grids must hold (height, width) pairs",
+                                field="grids") from exc
         needed = max(self.roles.head, *self.roles.wrists) + 1
         frames = tuple(self.frames)
         if (frames or grids) and len(grids) < needed:
@@ -722,12 +723,13 @@ class EpisodeAnnotation:
 
 
 def _frame_from_obj(obj) -> FrameAnnotation:
+    names = _listed(obj, "arm_phases")
     try:
-        phases = tuple(Phase(p) for p in obj["arm_phases"])
+        phases = tuple(Phase(p) for p in names)
     except ValueError as exc:
         raise ParseError(f"unknown phase: {exc}", field="arm_phases") from exc
-    return FrameAnnotation(masks=tuple(obj["masks"]),
-                           inter_labels=tuple(obj["inter_labels"]),
+    return FrameAnnotation(masks=_listed(obj, "masks"),
+                           inter_labels=_listed(obj, "inter_labels"),
                            arm_phases=phases)
 
 
@@ -744,6 +746,16 @@ def _expect_record(obj, kind: str) -> None:
     if obj.get("kind") != kind:
         raise ParseError(f"expected kind {kind!r}, got {obj.get('kind')!r}",
                          field="kind")
+
+
+def _listed(obj: dict, name: str, default=None) -> tuple:
+    """Record field ``name`` as a tuple; a value that is no list names it."""
+    value = obj[name] if default is None else obj.get(name, default)
+    try:
+        return tuple(value)
+    except TypeError as exc:
+        raise ParseError(f"{name} must be a list, got {type(value).__name__}",
+                         field=name) from exc
 
 
 def dumps_obj(obj: dict) -> str:

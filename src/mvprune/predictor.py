@@ -146,20 +146,25 @@ def _forward_cached(layers, x: np.ndarray) -> list[np.ndarray]:
     acts = [x]
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        z = acts[-1] @ w.T + b
+        z = acts[-1] @ w.T
+        z += b
         if i == last:
             acts.append(np.clip(_sigmoid(z), CLAMP, 1.0 - CLAMP))
         else:
-            acts.append(np.tanh(z))
+            acts.append(np.tanh(z, out=z))
     return acts
+
+
+def _check_width(params: MlpParams, x: np.ndarray) -> None:
+    if x.shape[1] != params.input_width:
+        raise ContractError(
+            f"inputs have width {x.shape[1]}, network expects {params.input_width}")
 
 
 def forward(params: MlpParams, inputs) -> np.ndarray:
     """Probabilities for a batch ``inputs`` of shape ``(B, input_width)``."""
     x = _as_float_array(inputs, "inputs", ndim=2)
-    if x.shape[1] != params.input_width:
-        raise ContractError(
-            f"inputs have width {x.shape[1]}, network expects {params.input_width}")
+    _check_width(params, x)
     return _forward_cached(params.layers, x)[-1]
 
 
@@ -168,7 +173,12 @@ def predict_intra(params: MlpParams, obs: MultiViewObservation
     """Raw token relevance scores per view, aligned with row-major token order."""
     if params.output_width != 1:
         raise ContractError("token predictor must have a single output")
-    return tuple(forward(params, view.tokens)[:, 0] for view in obs.views)
+    raw = []
+    # TokenGrid already holds its tokens as a finite 2-d float64 array
+    for view in obs.views:
+        _check_width(params, view.tokens)
+        raw.append(_forward_cached(params.layers, view.tokens)[-1][:, 0])
+    return tuple(raw)
 
 
 def inter_features(obs: MultiViewObservation) -> np.ndarray:

@@ -35,15 +35,22 @@ from .core import (
     PruneConfig,
     PruneResult,
     Strategy,
+    TokenGrid,
     _as_float_array,
     _check_int,
     _expect_record,
-    grid_positions,
 )
 from .predictor import MlpParams, predict_inter, predict_intra
 
 _weight_matrices: dict[tuple[int, int, float], np.ndarray] = {}
 _weight_lock = threading.Lock()
+# grid shapes whose weight matrix stays cached; past that the oldest goes,
+# since a matrix holds N^2 floats (8 MB at 32x32, 42 MB at 48x48)
+_WEIGHT_CACHE_SIZE = 4
+# rows of a weight matrix that score_observation multiplies with every view
+# before moving on: about 1 MB, so the block is still in cache for the next
+# view, and a multiple of 8 rows
+_WEIGHT_BLOCK_BYTES = 1 << 20
 
 
 @lru_cache(maxsize=256)
@@ -63,20 +70,38 @@ def _prune_count(ratio: float, n: int) -> int:
 
 
 def _weight_matrix(height: int, width: int, epsilon: float) -> np.ndarray:
-    """Reciprocal-distance weight matrix of a grid, cached per shape."""
+    """Reciprocal-distance weight matrix of a grid, cached per shape.
+
+    Entry ``(i, j)`` is picked from the kernel over every ``(row, col)``
+    offset between two patches. Offsets are whole numbers, so the kernel
+    holds the floats a pairwise ``1 / (|p_i - p_j| + epsilon)`` gives.
+    """
     key = (height, width, epsilon)
     with _weight_lock:
         cached = _weight_matrices.get(key)
     if cached is not None:
         return cached
-    pos = grid_positions(height, width)
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    matrix = 1.0 / (dist + epsilon)
+    rows = np.arange(1 - height, height, dtype=np.float64)
+    cols = np.arange(1 - width, width, dtype=np.float64)
+    kernel = 1.0 / (np.sqrt(rows[:, None] ** 2 + cols[None, :] ** 2)
+                    + epsilon)
+    r, c = np.arange(height), np.arange(width)
+    dr = r[:, None] - r[None, :] + (height - 1)
+    dc = c[:, None] - c[None, :] + (width - 1)
+    n = height * width
+    matrix = kernel[dr[:, None, :, None], dc[None, :, None, :]].reshape(n, n)
     matrix.flags.writeable = False
     with _weight_lock:
-        _weight_matrices.setdefault(key, matrix)
+        matrix = _weight_matrices.setdefault(key, matrix)
+        while len(_weight_matrices) > _WEIGHT_CACHE_SIZE:
+            del _weight_matrices[next(iter(_weight_matrices))]
     return matrix
+
+
+def _check_epsilon(epsilon) -> float:
+    if not math.isfinite(epsilon) or epsilon <= 0.0:
+        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    return float(epsilon)
 
 
 def adaptive_weight(raw_scores, height: int, width: int,
@@ -87,12 +112,38 @@ def adaptive_weight(raw_scores, height: int, width: int,
     distance to the target patch plus ``epsilon``; the token's own score
     enters at distance zero, so it contributes ``raw / epsilon``.
     """
-    if not math.isfinite(epsilon) or epsilon <= 0.0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    epsilon = _check_epsilon(epsilon)
     height = _check_int(height, "height", minimum=1)
     width = _check_int(width, "width", minimum=1)
     raw = _as_float_array(raw_scores, "raw_scores", shape=(height * width,))
-    return _weight_matrix(height, width, float(epsilon)) @ raw
+    return _weight_matrix(height, width, epsilon) @ raw
+
+
+def _weight_views(raw_per_view: Sequence[np.ndarray],
+                  views: Sequence[TokenGrid], epsilon: float
+                  ) -> list[np.ndarray]:
+    """``adaptive_weight`` of every view, reading each weight matrix once.
+
+    Views that share a grid shape share a matrix, so each row block of it
+    is multiplied with all of them while it is in cache. Each output is
+    still one dgemv dot over a full matrix row, as in ``adaptive_weight``,
+    which keeps the bytes equal; one gemm over the stacked views would not.
+    """
+    epsilon = _check_epsilon(epsilon)
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for v, view in enumerate(views):
+        by_shape.setdefault((view.height, view.width), []).append(v)
+    weighted = [np.empty(view.token_count) for view in views]
+    for (height, width), members in by_shape.items():
+        matrix = _weight_matrix(height, width, epsilon)
+        n = height * width
+        rows = max(8, _WEIGHT_BLOCK_BYTES // (8 * n) // 8 * 8)
+        for start in range(0, n, rows):
+            block = matrix[start:start + rows]
+            for v in members:
+                np.matmul(block, raw_per_view[v],
+                          out=weighted[v][start:start + rows])
+    return weighted
 
 
 def normalize_scores(scores) -> np.ndarray:
@@ -110,6 +161,23 @@ def normalize_scores(scores) -> np.ndarray:
     return (arr - low) / (high - low)
 
 
+def _order_by_score(scores: np.ndarray) -> np.ndarray:
+    """Indices that sort ``scores`` ascending, ties by index.
+
+    The same as ``np.lexsort((np.arange(n), scores))``, -0.0 tying with
+    0.0: a plain argsort, then only runs of equal scores put in index order.
+    """
+    n = scores.shape[0]
+    order = np.argsort(scores)
+    ranked = scores[order]
+    starts = np.empty(n, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    if starts.all():
+        return order
+    return np.sort(np.cumsum(starts) * n + order) % n
+
+
 def _drop_lowest(scores: np.ndarray, count: int) -> np.ndarray:
     """Indices surviving after dropping ``count`` lowest scores, ascending.
 
@@ -118,8 +186,7 @@ def _drop_lowest(scores: np.ndarray, count: int) -> np.ndarray:
     n = scores.shape[0]
     if count > n:
         raise ContractError(f"cannot drop {count} of {n} tokens")
-    order = np.lexsort((np.arange(n), scores))
-    return np.sort(order[count:])
+    return np.sort(_order_by_score(scores)[count:])
 
 
 def local_prune(normalized_per_view: Sequence[np.ndarray],
@@ -168,11 +235,15 @@ def _global_by_count(fused_per_view: Sequence[np.ndarray],
     total = score_all.shape[0]
     if drop_count > total:
         raise ContractError(f"cannot drop {drop_count} of {total} survivors")
-    order = np.lexsort((idx_all, view_all, score_all))
-    kept_order = order[drop_count:]
+    # ties go to the lower concatenation position, which is (view, index)
+    # order once each view's survivors ascend; callers of global_prune may
+    # pass them in any order, and sorting within each view keeps view_all
+    if ((idx_all[1:] < idx_all[:-1]) & (view_all[1:] == view_all[:-1])).any():
+        by_index = np.lexsort((idx_all, view_all))
+        score_all, idx_all = score_all[by_index], idx_all[by_index]
+    kept_order = _order_by_score(score_all)[drop_count:]
     rev = kept_order[::-1]
-    by_pos = kept_order[np.lexsort((idx_all[kept_order],
-                                    view_all[kept_order]))]
+    by_pos = np.sort(kept_order)
     bounds = np.searchsorted(view_all[by_pos], np.arange(1, views))
     return PruneResult(
         view_token_counts=tuple(int(n) for n in view_token_counts),
@@ -283,8 +354,7 @@ def score_observation(obs: MultiViewObservation, intra_params: MlpParams,
     """Both predictors' outputs for an observation, plus the raw token
     scores spatially weighted with ``epsilon``."""
     raw = predict_intra(intra_params, obs)
-    weighted = tuple(adaptive_weight(r, v.height, v.width, epsilon)
-                     for r, v in zip(raw, obs.views))
+    weighted = _weight_views(raw, obs.views, epsilon)
     return ImportanceScores(intra_raw=raw, intra_weighted=weighted,
                             inter=predict_inter(inter_params, obs))
 

@@ -835,7 +835,12 @@ def test_cli_validate_survives_type_swapped_field(suffix, field, value,
 @pytest.mark.parametrize("suffix, field, value", [
     ("ann", "grids.0.0", 16.7), ("ann", "inter_labels.0", 1.5),
     ("ann", "inter_labels.1", 5), ("ann", "masks.0.0", 2),
-    ("geom", "task_objects.0", -1), ("geom", "gripper_closed.0", "a")],
+    ("ann", "grids", 5), ("ann", "grids.0", [2]), ("ann", "masks", 5),
+    ("ann", "inter_labels", 5), ("ann", "arm_phases", 5),
+    ("geom", "task_objects.0", -1), ("geom", "gripper_closed.0", "a"),
+    ("geom", "gripper_closed", 5), ("geom", "task_objects", 5),
+    ("geom", "views.0.patch_size", 0), ("geom", "views.0.boxes", 5),
+    ("geom", "views.0.boxes.0", 5), ("geom", "views.0.boxes.0.x0", -1)],
     ids=str)
 def test_cli_validate_refuses_coerced_value(suffix, field, value,
                                             experiment_dir, tmp_path, capsys):
@@ -844,7 +849,9 @@ def test_cli_validate_refuses_coerced_value(suffix, field, value,
     problems = capsys.readouterr().err.splitlines()
     assert len(problems) == 1
     assert problems[0].startswith(f"ep0000.{suffix}.jsonl: ")
-    assert f"(field {field.split('.')[0]!r})" in problems[0]
+    # the innermost named key of the path, e.g. x0 of views.0.boxes.0.x0
+    named = [key for key in field.split(".") if not key.isdigit()][-1]
+    assert f"(field {named!r})" in problems[0]
 
 
 @pytest.mark.parametrize("damage", [

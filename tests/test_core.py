@@ -27,7 +27,6 @@ from mvprune.core import (
     TokenGrid,
     ViewRoles,
     dumps_obj,
-    grid_positions,
     load_annotation,
     load_observations,
     loads_obj,
@@ -53,19 +52,6 @@ def make_obs(episode_id="ep", frame_index=0, view_count=3, seed=0):
     views = tuple(make_grid(view_id=i, seed=seed + i) for i in range(view_count))
     return MultiViewObservation(episode_id=episode_id, frame_index=frame_index,
                                 views=views)
-
-
-# ---------------------------------------------------------------------------
-# grid coordinates
-
-
-def test_grid_positions_matches_pos_of():
-    pos = grid_positions(3, 5)
-    assert pos.shape == (15, 2)
-    for n in range(15):
-        assert tuple(pos[n].astype(int)) == divmod(n, 5)
-    with pytest.raises(ContractError):
-        grid_positions(0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +249,30 @@ def test_prune_result_rejects_bad_ranking():
                     fused_scores=(np.array([0.5, 0.9]), np.array([0.7])),
                     local_pruned_counts=(1, 1), global_pruned_count=3,
                     ranking=((0, 3), (0, 3), (0, 1)))
+
+
+@pytest.mark.parametrize("ranking", [
+    ((0, 3), (0, 3), (0, 1)),
+    ((0, 3), (1, 0), (0, 1), (0, 1)),
+    ((0, 3), (-1, 0), (0, 1)),
+    ((0, 3), (2, 0), (0, 1)),
+    ((0, 3), (1, 2), (0, 1)),
+    ((0, 3), (1, 0), (1, 1)),
+    ((0, 3), (1, 0)),
+    ((0, 3), (1, 0), (0, 1), (1, 2)),
+    (),
+], ids=["duplicate", "duplicate_added", "view_negative", "view_past_end",
+        "index_not_kept", "index_in_wrong_view", "missing", "extra", "empty"])
+@pytest.mark.parametrize("as_array", [False, True], ids=["tuples", "array"])
+def test_prune_result_refuses_ranking_of_other_tokens(ranking, as_array):
+    if as_array:
+        ranking = np.array(ranking, dtype=np.int64).reshape(-1, 2)
+    with pytest.raises(ContractError,
+                       match="ranking must enumerate exactly the kept tokens"):
+        PruneResult(view_token_counts=(4, 4), kept=((1, 3), (0,)),
+                    fused_scores=(np.array([0.5, 0.9]), np.array([0.7])),
+                    local_pruned_counts=(1, 1), global_pruned_count=3,
+                    ranking=ranking)
 
 
 def test_prune_result_accepts_integer_arrays_and_stores_tuples():

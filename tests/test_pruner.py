@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -14,9 +14,11 @@ from oracles import (
     oracle_pipeline,
     oracle_prune_count,
 )
+from mvprune import pruner
 from mvprune.core import (
     ConfigError,
     ContractError,
+    MultiViewObservation,
     PruneConfig,
     PruneResult,
     Strategy,
@@ -25,7 +27,9 @@ from mvprune.predictor import init_mlp
 from mvprune.pruner import (
     FlopModel,
     _global_by_count,
+    _order_by_score,
     _prune_count,
+    _weight_matrix,
     adaptive_weight,
     flop_estimate,
     fuse_scores,
@@ -39,7 +43,7 @@ from mvprune.pruner import (
     score_observation,
     speedup_estimate,
 )
-from test_core import formats_example, make_obs
+from test_core import formats_example, make_grid, make_obs
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +110,86 @@ def test_adaptive_weight_scales_linearly():
     assert three == pytest.approx((3.0 * one).tolist(), rel=1e-12)
 
 
+def pairwise_weight_matrix(height, width, epsilon):
+    """The weight matrix from pairwise patch distances, built a few rows at a
+    time: every entry is computed on its own, so blocks change no bytes."""
+    rows, cols = np.divmod(np.arange(height * width), width)
+    pos = np.stack([rows, cols], axis=1).astype(np.float64)
+    blocks = []
+    for start in range(0, len(pos), 256):
+        diff = pos[start:start + 256, None, :] - pos[None, :, :]
+        blocks.append(1.0 / (np.sqrt((diff ** 2).sum(axis=2)) + epsilon))
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("height, width", [(7, 13), (16, 16), (32, 32),
+                                           (48, 48)])
+def test_weight_matrix_bytes_equal_pairwise_build(height, width):
+    matrix = _weight_matrix(height, width, 0.01)
+    want = pairwise_weight_matrix(height, width, 0.01)
+    assert matrix.shape == want.shape
+    assert matrix.tobytes() == want.tobytes()
+    assert not matrix.flags.writeable
+
+
+def test_weight_matrix_cache_evicts_oldest(monkeypatch):
+    monkeypatch.setattr(pruner, "_weight_matrices", {})
+    shapes = [(1, n) for n in range(1, pruner._WEIGHT_CACHE_SIZE + 2)]
+    for height, width in shapes:
+        _weight_matrix(height, width, 0.5)
+    assert list(pruner._weight_matrices) == [
+        (height, width, 0.5) for height, width in shapes[1:]]
+
+
+def grid_obs(shapes, seed=0):
+    return MultiViewObservation(episode_id="ep", frame_index=0, views=tuple(
+        make_grid(view_id=v, height=h, width=w, seed=seed + v)
+        for v, (h, w) in enumerate(shapes)))
+
+
+# at the 1 MB default every grid but 7x13 spans several row blocks; a block
+# of 1 byte rounds up to the smallest block, 8 rows, which splits them all
+@pytest.mark.parametrize("block_bytes", [pruner._WEIGHT_BLOCK_BYTES, 1])
+@pytest.mark.parametrize("shapes", [
+    [(20, 20)] * 3, [(32, 32)] * 3, [(48, 48)] * 2,
+    [(32, 32), (7, 13), (32, 32), (20, 24)]], ids=str)
+def test_score_observation_weights_like_adaptive_weight(shapes, block_bytes,
+                                                        monkeypatch):
+    monkeypatch.setattr(pruner, "_WEIGHT_BLOCK_BYTES", block_bytes)
+    obs = grid_obs(shapes)
+    intra = init_mlp((obs.embed_dim, 8, 1), seed=0)
+    inter = init_mlp((len(shapes) * obs.embed_dim, 8, len(shapes)), seed=1)
+    scores = score_observation(obs, intra, inter, 0.01)
+    for raw, weighted, (h, w) in zip(scores.intra_raw, scores.intra_weighted,
+                                     shapes):
+        assert weighted.tobytes() == adaptive_weight(raw, h, w).tobytes()
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan])
+def test_score_observation_rejects_bad_epsilon(tiny_predictors, epsilon):
+    intra, inter = tiny_predictors
+    with pytest.raises(ConfigError):
+        score_observation(make_obs(view_count=3), intra, inter, epsilon)
+
+
 # ---------------------------------------------------------------------------
 # normalization and stages
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0]),
+    st.floats(-2.0, 2.0, allow_subnormal=False)), max_size=60))
+@example([])
+@example([0.0])
+@example([0.5] * 17)
+@example([0.0, -0.0, 0.0, -0.0])
+def test_order_by_score_is_lexsort_by_score_then_index(values):
+    scores = np.array(values, dtype=np.float64)
+    want = np.lexsort((np.arange(len(values)), scores))
+    got = _order_by_score(scores)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()
 
 
 def test_normalize_spans_unit_interval():
@@ -166,6 +248,43 @@ def test_global_prune_count_identity():
     assert result.kept == ((3, 5),)
     assert result.kept_total == 2
     assert result.post_local_counts == (3,)
+
+
+def lexsort_global(fused, kept, drop):
+    """Kept indices, fused scores and ranking of the global stage, ranked by
+    (score, view, index) with two lexsorts."""
+    score_all = np.concatenate([np.zeros(0), *fused])
+    view_all = np.repeat(np.arange(len(kept)), [len(k) for k in kept])
+    idx_all = np.concatenate([np.zeros(0, dtype=np.int64), *kept])
+    kept_order = np.lexsort((idx_all, view_all, score_all))[drop:]
+    by_pos = kept_order[np.lexsort((idx_all[kept_order],
+                                    view_all[kept_order]))]
+    views = view_all[by_pos]
+    return (tuple(tuple(idx_all[by_pos][views == v].tolist())
+                  for v in range(len(kept))),
+            [score_all[by_pos][views == v] for v in range(len(kept))],
+            tuple(zip(view_all[kept_order][::-1].tolist(),
+                      idx_all[kept_order][::-1].tolist())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_global_prune_on_shuffled_survivors_matches_lexsort(data):
+    fused, kept, _, counts = data.draw(global_stage_inputs())
+    for v in range(len(kept)):
+        perm = np.array(data.draw(st.permutations(range(len(kept[v])))),
+                        dtype=np.int64)
+        fused[v], kept[v] = fused[v][perm], kept[v][perm]
+    beta = data.draw(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]))
+    total = sum(len(k) for k in kept)
+    want_kept, want_fused, want_ranking = lexsort_global(
+        fused, kept, _prune_count(beta, total))
+    result = global_prune(fused, kept, beta, counts,
+                          [n - len(k) for n, k in zip(counts, kept)])
+    assert result.kept == want_kept
+    assert result.ranking == want_ranking
+    assert [f.tobytes() for f in result.fused_scores] == [
+        f.tobytes() for f in want_fused]
 
 
 def rebuild(result, **changes):
