@@ -349,10 +349,10 @@ def _prune_config(config: dict, strategy: Strategy | None = None) -> PruneConfig
 
 
 def _flop_model(config: dict) -> FlopModel:
-    obj = {"fmt": FORMAT_VERSION, "kind": "flop_model", **config["flop"]}
     try:
-        return FlopModel.from_obj(obj)
-    except ParseError as exc:
+        return FlopModel(**config["flop"])
+    # ConfigError and ContractError, or a value of the wrong type
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid flop section: {exc}") from exc
 
 
@@ -390,8 +390,8 @@ def train_predictors(observations: Sequence[MultiViewObservation],
                      ) -> tuple[MlpParams, MlpParams, np.ndarray, np.ndarray]:
     """Train the token and the view predictor on annotated observations."""
     section = config["train"]
-    hidden = _check_int(section["hidden"], "train.hidden", minimum=1)
     try:
+        hidden = _check_int(section["hidden"], "train.hidden", minimum=1)
         train_config = TrainConfig(
             learning_rate=section["learning_rate"], steps=section["steps"],
             batch_size=section["batch_size"],
@@ -399,55 +399,104 @@ def train_predictors(observations: Sequence[MultiViewObservation],
     # ConfigError and ContractError, or a value of the wrong type
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid train section: {exc}") from exc
-    first = observations[0]
-    d = first.embed_dim
-    views = first.view_count
     intra_x, intra_y = build_intra_dataset(observations, annotations)
     inter_x, inter_y = build_inter_dataset(observations, annotations)
-    intra = init_mlp((d, hidden, 1), seed=train_config.seed)
-    inter = init_mlp((views * d, hidden, views), seed=train_config.seed + 1)
-    intra, intra_losses = train(intra, intra_x, intra_y, train_config)
-    inter, inter_losses = train(inter, inter_x, inter_y, train_config)
+    d, views = observations[0].embed_dim, observations[0].view_count
+    try:
+        intra = init_mlp((d, hidden, 1), seed=train_config.seed)
+        inter = init_mlp((views * d, hidden, views),
+                         seed=train_config.seed + 1)
+        intra, intra_losses = train(intra, intra_x, intra_y, train_config)
+        inter, inter_losses = train(inter, inter_x, inter_y, train_config)
+    except ContractError:
+        raise
+    # an array sized by hidden, steps or batch_size that numpy cannot
+    # allocate; TrainingError is not a ValueError and keeps its type
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"invalid train section: {exc}") from exc
     return intra, inter, intra_losses, inter_losses
 
 
-def evaluate_strategy(observations_by_episode: Sequence[
-                          Sequence[MultiViewObservation]],
-                      annotations: Sequence[EpisodeAnnotation],
-                      intra: MlpParams, inter: MlpParams,
-                      prune_config: PruneConfig, flop_model: FlopModel,
-                      scores: (Sequence[Sequence[ImportanceScores]]
-                               | None) = None, *,
-                      _classifier: dict | None = None,
-                      ) -> tuple[MetricsReport, list[list[PruneResult]]]:
-    """Prune every frame of a corpus and fold the outcomes into a report.
+@dataclass(frozen=True)
+class ScoredCorpus:
+    """A corpus checked against its annotations and scored once: each
+    frame's ``score_observation`` output, weighted with ``epsilon``, and the
+    ``classifier`` metrics of the raw scores. No pruning rule changes these,
+    so every prune config with this ``epsilon`` is evaluated against them."""
 
-    ``annotations`` is aligned with the episodes. ``scores``, when given,
-    holds each frame's ``score_observation`` output, aligned with the
-    observations and weighted with ``prune_config.epsilon``, so that several
-    strategies can share one scoring pass; without it every frame is scored
-    here. ``_classifier`` is for ``_shared_evaluation``, which checks those
-    inputs and computes their ``_classifier_metrics`` once for all the prune
-    configs it evaluates.
-    """
+    observations: tuple[tuple[MultiViewObservation, ...], ...]
+    annotations: tuple[EpisodeAnnotation, ...]
+    scores: tuple[tuple[ImportanceScores, ...], ...]
+    epsilon: float
+    classifier: dict[str, float]
+
+
+def score_corpus(observations_by_episode: Sequence[
+                     Sequence[MultiViewObservation]],
+                 annotations: Sequence[EpisodeAnnotation],
+                 intra: MlpParams, inter: MlpParams, epsilon: float
+                 ) -> ScoredCorpus:
+    """Check that ``annotations``, aligned with the episodes, cover every
+    frame, score every frame with both predictors, and rate the raw scores
+    as classifiers."""
     if not observations_by_episode or not observations_by_episode[0]:
         raise ContractError("evaluation needs at least one observation")
     if len(annotations) != len(observations_by_episode):
         raise ContractError("annotations must align with the episodes")
-    if scores is None:
-        scores = [[score_observation(obs, intra, inter, prune_config.epsilon)
-                   for obs in episode] for episode in observations_by_episode]
-    elif [len(e) for e in scores] != [len(e) for e in observations_by_episode]:
-        raise ContractError("scores must align with the observations")
-    if _classifier is None:
-        _classifier = _classifier_metrics(observations_by_episode,
-                                          annotations, scores)
+    scores = []
+    intra_scores, intra_labels = [], []
+    inter_scores, inter_labels = [], []
+    for episode_obs, ann in zip(observations_by_episode, annotations):
+        per_episode = []
+        for obs in episode_obs:
+            if ann.episode_id != obs.episode_id:
+                raise ContractError(
+                    f"annotation {ann.episode_id!r} does not match "
+                    f"observation episode {obs.episode_id!r}")
+            if obs.frame_index >= ann.length:
+                raise ContractError(
+                    f"episode {obs.episode_id!r} annotation has {ann.length} "
+                    f"frames, observation is frame {obs.frame_index}")
+            frame = ann.frames[obs.frame_index]
+            if len(frame.masks) != obs.view_count:
+                raise ContractError("annotation masks must align with views")
+            frame_scores = score_observation(obs, intra, inter, epsilon)
+            per_episode.append(frame_scores)
+            intra_scores.extend(frame_scores.intra_raw)
+            intra_labels.extend(frame.masks)
+            inter_scores.append(frame_scores.inter)
+            inter_labels.append(np.array(frame.inter_labels))
+        scores.append(tuple(per_episode))
+    intra_s, intra_y, inter_s, inter_y = map(np.concatenate, (
+        intra_scores, intra_labels, inter_scores, inter_labels))
+    intra_precision, intra_recall = precision_recall(intra_s, intra_y)
+    inter_precision, inter_recall = precision_recall(inter_s, inter_y)
+    classifier = {
+        "intra_auc": auc_score(intra_s, intra_y),
+        "intra_precision": intra_precision, "intra_recall": intra_recall,
+        "inter_accuracy": accuracy((inter_s >= 0.5).astype(int), inter_y),
+        "inter_precision": inter_precision, "inter_recall": inter_recall}
+    return ScoredCorpus(tuple(map(tuple, observations_by_episode)),
+                        tuple(annotations), tuple(scores), float(epsilon),
+                        classifier)
+
+
+def evaluate_strategy(corpus: ScoredCorpus, prune_config: PruneConfig,
+                      flop_model: FlopModel
+                      ) -> tuple[MetricsReport, list[list[PruneResult]]]:
+    """Prune every frame of a scored corpus and fold the outcomes into a
+    report. The corpus must have been scored with ``prune_config.epsilon``.
+    """
+    if prune_config.epsilon != corpus.epsilon:
+        raise ContractError(
+            f"prune config epsilon {prune_config.epsilon!r} differs from the "
+            f"{corpus.epsilon!r} the corpus was scored with")
     counts = []
     relevant_kept = relevant_total = 0
     flops_before = flops_after = 0.0
     results = []
-    for episode_obs, ann, episode_scores in zip(observations_by_episode,
-                                                annotations, scores):
+    for episode_obs, ann, episode_scores in zip(
+            corpus.observations, corpus.annotations, corpus.scores):
         per_episode = []
         for obs, frame_scores in zip(episode_obs, episode_scores):
             result = prune_scores(frame_scores,
@@ -466,7 +515,7 @@ def evaluate_strategy(observations_by_episode: Sequence[
     before, post_local, kept = np.array(counts, dtype=np.int64).sum(axis=0)
     report = MetricsReport(
         strategy=prune_config.strategy.value,
-        episodes=len(observations_by_episode),
+        episodes=len(corpus.observations),
         frames=len(counts),
         tokens_before=tuple(int(n) for n in before),
         tokens_post_local=tuple(int(n) for n in post_local),
@@ -475,43 +524,33 @@ def evaluate_strategy(observations_by_episode: Sequence[
         flop_speedup=flops_before / flops_after,
         retention_relevant=(relevant_kept / relevant_total
                             if relevant_total else 1.0),
-        **_classifier,
+        **corpus.classifier,
     )
     return report, results
 
 
-def _classifier_metrics(observations_by_episode, annotations, scores) -> dict:
-    """Check that annotations and scores match the observations, then rate
-    the predictors' raw scores as classifiers; no pruning rule changes this."""
-    intra_scores, intra_labels = [], []
-    inter_scores, inter_labels = [], []
-    for episode_obs, ann, episode_scores in zip(observations_by_episode,
-                                                annotations, scores):
-        for obs, frame_scores in zip(episode_obs, episode_scores):
-            if ann.episode_id != obs.episode_id:
-                raise ContractError(
-                    f"annotation {ann.episode_id!r} does not match "
-                    f"observation episode {obs.episode_id!r}")
-            frame = ann.frames[obs.frame_index]
-            if len(frame.masks) != obs.view_count:
-                raise ContractError("annotation masks must align with views")
-            frame_scores.check_shapes(obs)
-            intra_scores.extend(frame_scores.intra_raw)
-            intra_labels.extend(frame.masks)
-            inter_scores.append(frame_scores.inter)
-            inter_labels.append(np.array(frame.inter_labels))
-    intra_s, intra_y, inter_s, inter_y = map(np.concatenate, (
-        intra_scores, intra_labels, inter_scores, inter_labels))
-    intra_precision, intra_recall = precision_recall(intra_s, intra_y)
-    inter_precision, inter_recall = precision_recall(inter_s, inter_y)
-    return {"intra_auc": auc_score(intra_s, intra_y),
-            "intra_precision": intra_precision, "intra_recall": intra_recall,
-            "inter_accuracy": accuracy((inter_s >= 0.5).astype(int), inter_y),
-            "inter_precision": inter_precision, "inter_recall": inter_recall}
-
-
 # ---------------------------------------------------------------------------
 # experiment driver
+
+
+def _prepare(config: dict) -> tuple:
+    """Generate the corpus a resolved config describes, derive its
+    annotations and train both predictors on them. Returns the episodes,
+    the derived annotations, both predictors and both loss traces."""
+    section = config["corpus"]
+    episodes = generate_corpus(scenario_template(config), section["count"],
+                               section["seed"])
+    derived = derive_annotations(episodes)
+    observations = [obs for ep in episodes for obs in ep.observations]
+    trained = train_predictors(
+        observations, {ann.episode_id: ann for ann in derived}, config)
+    return (episodes, derived, *trained)
+
+
+def _scored_corpus(config: dict, epsilon: float) -> ScoredCorpus:
+    episodes, derived, intra, inter, _, _ = _prepare(config)
+    return score_corpus([ep.observations for ep in episodes], derived,
+                        intra, inter, epsilon)
 
 
 def run_experiment(config: dict | None, out_dir) -> MetricsReport:
@@ -529,31 +568,25 @@ def run_experiment(config: dict | None, out_dir) -> MetricsReport:
     timings = {}
 
     start = time.perf_counter()
-    corpus_section = config["corpus"]
-    episodes = generate_corpus(scenario_template(config),
-                               corpus_section["count"], corpus_section["seed"])
-    write_corpus(episodes, corpus_section["seed"], out / "corpus")
-    timings["corpus"] = time.perf_counter() - start
+    episodes, derived, intra, inter, intra_losses, inter_losses = \
+        _prepare(config)
+    timings["prepare"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    derived = derive_annotations(episodes)
+    write_corpus(episodes, config["corpus"]["seed"], out / "corpus")
     for ann in derived:
         write_jsonl(out / "corpus" / f"{ann.episode_id}.derived.jsonl",
                     ann.frame_objs())
-    timings["annotate"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    observations = [obs for ep in episodes for obs in ep.observations]
-    by_episode = {ann.episode_id: ann for ann in derived}
-    intra, inter, intra_losses, inter_losses = train_predictors(
-        observations, by_episode, config)
     write_checkpoints(out, intra, inter, intra_losses, inter_losses)
-    timings["train"] = time.perf_counter() - start
+    timings["write"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    report, results = evaluate_strategy(
-        [ep.observations for ep in episodes], derived, intra, inter,
-        prune_config, flop_model)
+    corpus = score_corpus([ep.observations for ep in episodes], derived,
+                          intra, inter, prune_config.epsilon)
+    timings["score"] = time.perf_counter() - start
+
+    start = time.perf_counter()
+    report, results = evaluate_strategy(corpus, prune_config, flop_model)
     write_prune_records(out / "corpus", [ep.episode_id for ep in episodes],
                         results)
     timings["prune"] = time.perf_counter() - start
@@ -566,27 +599,6 @@ def run_experiment(config: dict | None, out_dir) -> MetricsReport:
     return report
 
 
-def _shared_evaluation(config: dict):
-    """Generate, derive, train and score once; return a function from a
-    prune config to its report on that shared corpus and its scores."""
-    epsilon = _prune_config(config).epsilon
-    flop_model = _flop_model(config)
-    corpus_section = config["corpus"]
-    episodes = generate_corpus(scenario_template(config),
-                               corpus_section["count"], corpus_section["seed"])
-    derived = derive_annotations(episodes)
-    observations = [obs for ep in episodes for obs in ep.observations]
-    by_episode = {ann.episode_id: ann for ann in derived}
-    intra, inter, _, _ = train_predictors(observations, by_episode, config)
-    observations_by_episode = [ep.observations for ep in episodes]
-    scores = [[score_observation(obs, intra, inter, epsilon) for obs in ep]
-              for ep in observations_by_episode]
-    classifier = _classifier_metrics(observations_by_episode, derived, scores)
-    return lambda prune_config: evaluate_strategy(
-        observations_by_episode, derived, intra, inter, prune_config,
-        flop_model, scores, _classifier=classifier)[0]
-
-
 def compare_strategies(config: dict | None, out_dir,
                        strategies: Sequence[Strategy] = (
                            Strategy.HIERARCHICAL, Strategy.RANDOM_DROP,
@@ -594,16 +606,18 @@ def compare_strategies(config: dict | None, out_dir,
                        ) -> dict[str, MetricsReport]:
     """Evaluate several strategies on one corpus with shared predictors.
 
-    The corpus, the trained predictors and the scores are computed once and
-    shared across strategies, so differences in the reports come from the
-    pruning rule alone. Writes ``compare.csv``.
+    The corpus is prepared and scored once and shared across strategies, so
+    differences in the reports come from the pruning rule alone. Writes
+    ``compare.csv``.
     """
     config = resolve_config(config)
+    prune_configs = [_prune_config(config, s) for s in strategies]
+    flop_model = _flop_model(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    evaluate = _shared_evaluation(config)
-    reports = {strategy.value: evaluate(_prune_config(config, strategy))
-               for strategy in strategies}
+    corpus = _scored_corpus(config, _prune_config(config).epsilon)
+    reports = {c.strategy.value: evaluate_strategy(corpus, c, flop_model)[0]
+               for c in prune_configs}
     write_report_csv(out / "compare.csv", list(reports.values()))
     return reports
 
@@ -623,11 +637,13 @@ def sweep_beta(config: dict | None, betas: Sequence[float], out_dir
     config = resolve_config(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    evaluate = _shared_evaluation(config)
     base = _prune_config(config, Strategy.HIERARCHICAL)
+    flop_model = _flop_model(config)
+    corpus = _scored_corpus(config, base.epsilon)
     rows = []
     for beta in sorted(betas):
-        report = evaluate(replace(base, beta=beta))
+        report, _ = evaluate_strategy(corpus, replace(base, beta=beta),
+                                      flop_model)
         rows.append({"beta": beta, "kept_total": report.kept_total,
                      "reduction_ratio": report.reduction_ratio,
                      "flop_speedup": report.flop_speedup,

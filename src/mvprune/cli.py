@@ -38,6 +38,7 @@ from .bench import (
     resolve_config,
     run_experiment,
     scenario_template,
+    score_corpus,
     sweep_beta,
     train_predictors,
     validate_artifacts,
@@ -113,8 +114,11 @@ def _cmd_train(args) -> int:
     intra, inter, intra_losses, inter_losses = train_predictors(
         observations, annotations, config)
     write_checkpoints(out, intra, inter, intra_losses, inter_losses)
-    print(f"trained on {len(observations)} frames; final losses "
-          f"intra {intra_losses[-1]:.4f}, inter {inter_losses[-1]:.4f}")
+    trained = f"trained on {len(observations)} frames"
+    if len(intra_losses):
+        trained += (f"; final losses intra {intra_losses[-1]:.4f}, "
+                    f"inter {inter_losses[-1]:.4f}")
+    print(trained)
     return 0
 
 
@@ -145,14 +149,13 @@ def _cmd_prune(args) -> int:
                 "pruning an existing corpus needs --intra and --inter "
                 "checkpoints")
         out.mkdir(parents=True, exist_ok=True)
+        prune_config, flop_model = _prune_config(config), _flop_model(config)
         corpus = load_corpus(args.corpus)
-        intra = load_params(args.intra)
-        inter = load_params(args.inter)
-        observations_by_episode = [entry["observations"] for entry in corpus]
-        annotations = [entry["annotation"] for entry in corpus]
-        report, results = evaluate_strategy(
-            observations_by_episode, annotations, intra, inter,
-            _prune_config(config), _flop_model(config))
+        scored = score_corpus([entry["observations"] for entry in corpus],
+                              [entry["annotation"] for entry in corpus],
+                              load_params(args.intra), load_params(args.inter),
+                              prune_config.epsilon)
+        report, results = evaluate_strategy(scored, prune_config, flop_model)
         write_prune_records(out, [entry["episode_id"] for entry in corpus],
                             results)
         write_report_csv(out / "report.csv", [report])

@@ -306,16 +306,6 @@ class ImportanceScores:
         object.__setattr__(self, "intra_weighted", weighted)
         object.__setattr__(self, "inter", inter)
 
-    def check_shapes(self, obs: MultiViewObservation) -> None:
-        """Raise unless these scores are shaped for ``obs``."""
-        if len(self.intra_raw) != obs.view_count:
-            raise ContractError("score view count does not match observation")
-        for arr, view in zip(self.intra_raw, obs.views):
-            if arr.shape != (view.token_count,):
-                raise ContractError(
-                    f"view {view.view_id} has {view.token_count} tokens, "
-                    f"scores have {arr.shape[0]}")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ImportanceScores):
             return NotImplemented

@@ -31,14 +31,12 @@ from .core import (
     ContractError,
     ImportanceScores,
     MultiViewObservation,
-    ParseError,
     PruneConfig,
     PruneResult,
     Strategy,
     TokenGrid,
     _as_float_array,
     _check_int,
-    _expect_record,
 )
 from .predictor import MlpParams, predict_inter, predict_intra
 
@@ -412,21 +410,6 @@ class FlopModel:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
                 raise ConfigError(f"{name} must be positive, got {value}")
-
-    @classmethod
-    def from_obj(cls, obj) -> "FlopModel":
-        _expect_record(obj, "flop_model")
-        try:
-            return cls(layers=obj["layers"], embed_dim=obj["embed_dim"],
-                       linear_coeff=obj.get("linear_coeff", 12.0),
-                       quadratic_coeff=obj.get("quadratic_coeff", 2.0))
-        except KeyError as exc:
-            raise ParseError("missing flop model field",
-                             field=str(exc.args[0])) from exc
-        # ConfigError and ContractError, or a value of the wrong type
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"invalid flop model: {exc}",
-                             field="flop_model") from exc
 
 
 def flop_estimate(model: FlopModel, token_count: int) -> float:

@@ -30,6 +30,7 @@ from mvprune.bench import (
     evaluate_strategy,
     resolve_config,
     scenario_template,
+    score_corpus,
     train_predictors,
 )
 from mvprune.core import PruneConfig, Strategy
@@ -330,13 +331,12 @@ def noiseless_run():
 def test_09_retention_gap(noiseless_run):
     episodes, intra, inter, setup_seconds = noiseless_run
     flop = FlopModel(layers=18, embed_dim=2048)
-    obs_by_episode = [ep.observations for ep in episodes]
-    annotations = [ep.annotation for ep in episodes]
-    hier, _ = evaluate_strategy(obs_by_episode, annotations, intra, inter,
-                                 PruneConfig(), flop)
-    rand, _ = evaluate_strategy(obs_by_episode, annotations, intra, inter,
-                                 PruneConfig(strategy=Strategy.RANDOM_DROP),
-                                 flop)
+    corpus = score_corpus([ep.observations for ep in episodes],
+                          [ep.annotation for ep in episodes], intra, inter,
+                          PruneConfig().epsilon)
+    hier, _ = evaluate_strategy(corpus, PruneConfig(), flop)
+    rand, _ = evaluate_strategy(
+        corpus, PruneConfig(strategy=Strategy.RANDOM_DROP), flop)
     gap = hier.retention_relevant - rand.retention_relevant
     ok = gap >= 0.3
     report("retention gap", ok,

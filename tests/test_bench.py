@@ -23,6 +23,7 @@ from mvprune.bench import (
     resolve_config,
     run_experiment,
     scenario_template,
+    score_corpus,
     sweep_beta,
     train_predictors,
     validate_artifacts,
@@ -36,10 +37,8 @@ from mvprune.core import (
     Strategy,
     load_annotation,
 )
-from mvprune.predictor import init_mlp
 from mvprune.pruner import FlopModel, prune_observation, score_observation
 from mvprune.synth import ArmScript, generate_corpus, load_corpus
-from test_core import make_obs
 
 SMALL = {
     "corpus": {"count": 2, "seed": 11, "episode_length": 12, "embed_dim": 8,
@@ -269,10 +268,11 @@ def small_run():
 
 def small_eval(small_run, annotations=None, prune_config=None):
     config, episodes, derived, intra, inter = small_run
-    return evaluate_strategy(
-        [ep.observations for ep in episodes],
-        derived if annotations is None else annotations,
-        intra, inter, prune_config or PruneConfig(), FlopModel(18, 2048))
+    prune_config = prune_config or PruneConfig()
+    corpus = score_corpus([ep.observations for ep in episodes],
+                          derived if annotations is None else annotations,
+                          intra, inter, prune_config.epsilon)
+    return evaluate_strategy(corpus, prune_config, FlopModel(18, 2048))
 
 
 def test_derive_annotations_match_ground_truth(small_run):
@@ -342,39 +342,24 @@ def test_evaluate_strategy_with_shared_scores_matches_per_frame(
     config = PruneConfig(alphas=tuple(a / 20 for a in alphas), beta=beta / 20,
                          epsilon=epsilon, strategy=strategy,
                          adaptive_threshold=threshold, seed=seed)
-    observations = [ep.observations for ep in episodes]
-    scores = [[score_observation(obs, intra, inter, epsilon) for obs in ep]
-              for ep in observations]
-    flop_model = FlopModel(18, 2048)
-    shared, shared_results = evaluate_strategy(
-        observations, derived, intra, inter, config, flop_model, scores)
-    alone, alone_results = evaluate_strategy(
-        observations, derived, intra, inter, config, flop_model)
-    assert [(m, str(v)) for m, v in shared.rows()] \
-        == [(m, str(v)) for m, v in alone.rows()]
-    reference = per_frame_results(small_run, config)
-    assert shared_results == reference
-    assert alone_results == reference
+    corpus = score_corpus([ep.observations for ep in episodes], derived,
+                          intra, inter, epsilon)
+    assert corpus.scores == tuple(
+        tuple(score_observation(obs, intra, inter, epsilon)
+              for obs in ep.observations) for ep in episodes)
+    _, results = evaluate_strategy(corpus, config, FlopModel(18, 2048))
+    assert results == per_frame_results(small_run, config)
 
 
-def test_evaluate_strategy_rejects_misaligned_scores(small_run):
+def test_evaluate_strategy_rejects_other_epsilon(small_run):
+    """Scores weighted with one epsilon would misreport the retention of a
+    config with another."""
     _, episodes, derived, intra, inter = small_run
-    observations = [ep.observations for ep in episodes]
-    scores = [[score_observation(obs, intra, inter, 0.01) for obs in ep]
-              for ep in observations]
-    with pytest.raises(ContractError):
-        evaluate_strategy(observations, derived, intra, inter, PruneConfig(),
-                          FlopModel(18, 2048), [scores[0][:-1], scores[1]])
-    with pytest.raises(ContractError):
-        evaluate_strategy(observations, derived, intra, inter, PruneConfig(),
-                          FlopModel(18, 2048), list(reversed(scores))[:1])
-    small = make_obs(view_count=3)
-    wrong = score_observation(small, init_mlp((small.embed_dim, 4, 1), 0),
-                              init_mlp((3 * small.embed_dim, 4, 3), 1), 0.01)
-    with pytest.raises(ContractError):
-        evaluate_strategy(observations, derived, intra, inter, PruneConfig(),
-                          FlopModel(18, 2048),
-                          [[wrong] * len(ep) for ep in observations])
+    corpus = score_corpus([ep.observations for ep in episodes], derived,
+                          intra, inter, 0.01)
+    with pytest.raises(ContractError, match="epsilon"):
+        evaluate_strategy(corpus, PruneConfig(epsilon=5.0),
+                          FlopModel(18, 2048))
 
 
 def test_compare_strategies_equals_per_frame_evaluations(small_run,
@@ -573,6 +558,45 @@ def test_cli_train_then_prune_existing(cli_corpus, tmp_path, capsys):
     code = main(["prune", "--corpus", str(cli_corpus),
                  "--out", str(tmp_path / "nope")])
     assert code == 2
+
+
+def test_cli_train_zero_steps(cli_corpus, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    code = main(["train", "--corpus", str(cli_corpus), "--out", str(ckpt),
+                 "--hidden", "8", "--steps", "0"])
+    assert code == 0
+    assert capsys.readouterr().out == "trained on 24 frames\n"
+    assert main(["validate", "--dir", str(ckpt)]) == 0
+
+
+def test_cli_train_rejects_empty_corpus(cli_corpus, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(cli_corpus, corpus)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    (corpus / "manifest.json").write_text(
+        json.dumps(dict(manifest, episodes=[])))
+    code = main(["train", "--corpus", str(corpus), "--out",
+                 str(tmp_path / "ckpt")])
+    assert code == 2
+    assert "no observations" in capsys.readouterr().err
+
+
+def test_cli_prune_rejects_short_annotation(cli_corpus, experiment_dir,
+                                            tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(cli_corpus, corpus)
+    annotation = corpus / "ep0001.ann.jsonl"
+    lines = annotation.read_text().splitlines(keepends=True)
+    annotation.write_text("".join(lines[:5]))
+    out = experiment_dir[0]
+    code = main(["prune", "--corpus", str(corpus),
+                 "--intra", str(out / "intra.mlp.json"),
+                 "--inter", str(out / "inter.mlp.json"),
+                 "--out", str(tmp_path / "pruned")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: episode 'ep0001' annotation has 5 frames, observation is "
+        "frame 5\n")
 
 
 def test_cli_prune_runs_full_experiment(tmp_path, capsys):
@@ -877,6 +901,10 @@ def test_cli_train_rejects_malformed_manifest(damage, cli_corpus, tmp_path,
     ("corpus", "noise_sigma", "x"),
     ("flop", "linear_coeff", "x"),
     ("train", "learning_rate", [1]),
+    # numpy refuses arrays this large before allocating anything
+    ("train", "hidden", 2**62),
+    ("train", "steps", 2**62),
+    ("train", "batch_size", 2**62),
 ])
 def test_cli_prune_rejects_malformed_config_value(section, key, value,
                                                   tmp_path, capsys):

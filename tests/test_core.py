@@ -146,22 +146,6 @@ def test_importance_scores_validated():
                          inter=np.array([-0.1]))
 
 
-def test_importance_scores_check_shapes():
-    obs = make_obs(view_count=2)
-    n = obs.views[0].token_count
-    good = ImportanceScores(
-        intra_raw=tuple(np.full(n, 0.5) for _ in range(2)),
-        intra_weighted=tuple(np.ones(n) for _ in range(2)),
-        inter=np.array([0.5, 0.5]))
-    good.check_shapes(obs)
-    bad = ImportanceScores(
-        intra_raw=(np.full(n, 0.5),),
-        intra_weighted=(np.ones(n),),
-        inter=np.array([0.5]))
-    with pytest.raises(ContractError):
-        bad.check_shapes(obs)
-
-
 def test_prune_config_defaults():
     config = PruneConfig()
     assert config.alphas == (0.3, 0.2, 0.2)
