@@ -34,6 +34,8 @@ from .core import (
     _check_int,
     _expect_record,
     _listed,
+    _member,
+    parsing,
     read_jsonl,
     write_jsonl,
 )
@@ -85,20 +87,10 @@ class Box:
 
     @classmethod
     def from_obj(cls, obj) -> "Box":
-        if not isinstance(obj, dict):
-            raise ParseError(f"a box must be an object, got "
-                             f"{type(obj).__name__}", field="boxes")
-        try:
-            kind = BoxKind(obj["kind"])
+        with parsing("box", "boxes"):
             return cls(x0=obj["x0"], y0=obj["y0"], x1=obj["x1"], y1=obj["y1"],
-                       kind=kind, ident=obj.get("ident", 0))
-        except KeyError as exc:
-            raise ParseError("missing box field", field=str(exc.args[0])) from exc
-        except ContractError as exc:
-            raise ParseError(f"invalid box: {exc}",
-                             field=exc.field or "boxes") from exc
-        except ValueError as exc:
-            raise ParseError(f"invalid box: {exc}", field="kind") from exc
+                       kind=_member(BoxKind, obj["kind"], "kind"),
+                       ident=obj.get("ident", 0))
 
 
 @dataclass(frozen=True)
@@ -134,17 +126,12 @@ class ViewGeometry:
 
     @classmethod
     def from_obj(cls, obj) -> "ViewGeometry":
-        try:
+        # a view that is no object fails before any box is read
+        with parsing("view geometry", "views"):
             boxes = tuple(Box.from_obj(b) for b in _listed(obj, "boxes", ()))
             return cls(image_width=obj["image_width"],
                        image_height=obj["image_height"],
                        patch_size=obj["patch_size"], boxes=boxes)
-        except KeyError as exc:
-            raise ParseError("missing view geometry field",
-                             field=str(exc.args[0])) from exc
-        except ContractError as exc:
-            raise ParseError(f"invalid view geometry: {exc}",
-                             field=exc.field or "boxes") from exc
 
 
 @dataclass(frozen=True)
@@ -197,17 +184,11 @@ class FrameGeometry:
 
     @classmethod
     def from_obj(cls, obj) -> "FrameGeometry":
-        try:
+        with parsing("frame geometry", "views"):
             views = tuple(ViewGeometry.from_obj(v) for v in obj["views"])
             return cls(views=views,
                        gripper_closed=_listed(obj, "gripper_closed"),
                        task_objects=_listed(obj, "task_objects", ()))
-        except KeyError as exc:
-            raise ParseError("missing frame geometry field",
-                             field=str(exc.args[0])) from exc
-        except ContractError as exc:
-            raise ParseError(f"invalid frame geometry: {exc}",
-                             field=exc.field or "views") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +430,7 @@ def geometry_from_objs(objs: Iterable[dict]) -> tuple[str, list[FrameGeometry]]:
     frames = []
     for obj in objs:
         _expect_record(obj, "geometry")
-        try:
+        with parsing(f"geometry frame {len(frames)}", "views"):
             if episode_id is None:
                 episode_id = obj["episode_id"]
             elif obj["episode_id"] != episode_id:
@@ -460,17 +441,6 @@ def geometry_from_objs(objs: Iterable[dict]) -> tuple[str, list[FrameGeometry]]:
                     f"expected frame {len(frames)}, got {obj['frame_index']}",
                     field="frame_index")
             frames.append(FrameGeometry.from_obj(obj))
-        except KeyError as exc:
-            raise ParseError("missing geometry field",
-                             field=str(exc.args[0])) from exc
-        except ParseError:
-            raise
-        # a value of the wrong type (a number where a list or an object
-        # belongs, a string or an infinity where an integer belongs) fails
-        # as one of these
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise ParseError(f"invalid geometry frame {len(frames)}: {exc}",
-                             field="views") from exc
     if episode_id is None:
         raise ParseError("no geometry records", field="frames")
     return episode_id, frames

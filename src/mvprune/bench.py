@@ -14,9 +14,10 @@ from __future__ import annotations
 import csv
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -315,10 +316,21 @@ def _scaled_script(grasp: int, close: int, release: int, target: int,
     return ArmScript(grasp=g, close=c, release=r, target_object=target)
 
 
+@contextmanager
+def _section(name: str) -> Iterator[None]:
+    """Report a malformed ``name`` config section read inside the block as a
+    ``ConfigError``; maps the same exceptions as ``core.parsing``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
+        raise ConfigError(f"invalid {name} section: {exc}") from exc
+
+
 def scenario_template(config: dict) -> ScenarioSpec:
     """The corpus scenario template an experiment config describes."""
     corpus = config["corpus"]
-    try:
+    with _section("corpus"):
         length = _check_int(corpus["episode_length"], "corpus.episode_length",
                             minimum=_MIN_EPISODE_LENGTH)
         arms = (_scaled_script(4, 8, 14, 0, length),
@@ -331,10 +343,6 @@ def scenario_template(config: dict) -> ScenarioSpec:
             noise_sigma=corpus["noise_sigma"],
             patch_size=corpus["patch_size"],
         )
-    # ConfigError and ContractError, or a value of the wrong type (a string
-    # where a number belongs, an integer too large for a float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid corpus section: {exc}") from exc
 
 
 def _prune_config(config: dict, strategy: Strategy | None = None) -> PruneConfig:
@@ -342,18 +350,13 @@ def _prune_config(config: dict, strategy: Strategy | None = None) -> PruneConfig
     if strategy is not None:
         section["strategy"] = strategy.value
     obj = {"fmt": FORMAT_VERSION, "kind": "prune_config", **section}
-    try:
+    with _section("prune"):
         return PruneConfig.from_obj(obj)
-    except ParseError as exc:
-        raise ConfigError(f"invalid prune section: {exc}") from exc
 
 
 def _flop_model(config: dict) -> FlopModel:
-    try:
+    with _section("flop"):
         return FlopModel(**config["flop"])
-    # ConfigError and ContractError, or a value of the wrong type
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid flop section: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -385,20 +388,19 @@ def derive_annotations(episodes: Sequence[SynthEpisode]
     return derived
 
 
+def _train_config(config: dict) -> tuple[int, TrainConfig]:
+    """The hidden width and the SGD settings of the train section."""
+    section = dict(config["train"])
+    with _section("train"):
+        hidden = _check_int(section.pop("hidden"), "train.hidden", minimum=1)
+        return hidden, TrainConfig(**section)
+
+
 def train_predictors(observations: Sequence[MultiViewObservation],
                      annotations: dict, config: dict
                      ) -> tuple[MlpParams, MlpParams, np.ndarray, np.ndarray]:
     """Train the token and the view predictor on annotated observations."""
-    section = config["train"]
-    try:
-        hidden = _check_int(section["hidden"], "train.hidden", minimum=1)
-        train_config = TrainConfig(
-            learning_rate=section["learning_rate"], steps=section["steps"],
-            batch_size=section["batch_size"],
-            reduction=section["reduction"], seed=section["seed"])
-    # ConfigError and ContractError, or a value of the wrong type
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid train section: {exc}") from exc
+    hidden, train_config = _train_config(config)
     intra_x, intra_y = build_intra_dataset(observations, annotations)
     inter_x, inter_y = build_inter_dataset(observations, annotations)
     d, views = observations[0].embed_dim, observations[0].view_count

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -81,6 +82,29 @@ class TrainingError(RuntimeError):
         self.step = step
 
 
+@contextmanager
+def parsing(what: str, field: str | None = None) -> Iterator[None]:
+    """Report a malformed ``what`` record built inside the block as a
+    ``ParseError``: the one place where decoders map exceptions.
+
+    A ``ParseError`` passes through unchanged and a ``KeyError`` names its
+    key as the missing field. ``TypeError``, ``ValueError`` (including
+    ``ContractError``, ``ConfigError`` and ``AnnotationError``),
+    ``AttributeError`` and ``OverflowError`` become ``invalid <what>``,
+    naming the exception's own ``field`` if it has one, else ``field``.
+    """
+    try:
+        yield
+    except ParseError:
+        raise
+    except KeyError as exc:
+        raise ParseError(f"missing {what} field",
+                         field=str(exc.args[0])) from exc
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ParseError(f"invalid {what}: {exc}",
+                         field=getattr(exc, "field", None) or field) from exc
+
+
 # ---------------------------------------------------------------------------
 # small shared helpers
 
@@ -110,6 +134,15 @@ def _check_int(value, name: str, *, minimum: int | None = None) -> int:
         raise ContractError(f"{name} must be >= {minimum}, got {value}",
                             field=name)
     return value
+
+
+def _member(enum: type[Enum], value, field: str):
+    """The member of ``enum`` whose value is ``value``; a refusal names
+    ``field``."""
+    try:
+        return enum(value)
+    except ValueError as exc:
+        raise ContractError(str(exc), field=field) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +203,9 @@ class ViewRoles:
 
     @classmethod
     def from_obj(cls, obj) -> "ViewRoles":
-        if not isinstance(obj, dict):
-            raise ParseError("view roles must be an object", field="roles")
-        try:
+        with parsing("view roles", "roles"):
             return cls(head=obj["head"], left_wrist=obj["left_wrist"],
                        right_wrist=obj["right_wrist"])
-        except KeyError as exc:
-            raise ParseError("missing view role", field=str(exc.args[0])) from exc
-        except (ContractError, ConfigError) as exc:
-            raise ParseError(f"invalid view roles: {exc}", field="roles") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -367,28 +394,13 @@ class PruneConfig:
     @classmethod
     def from_obj(cls, obj) -> "PruneConfig":
         _expect_record(obj, "prune_config")
-        try:
-            strategy = Strategy(obj["strategy"])
-        except KeyError as exc:
-            raise ParseError("missing prune config field",
-                             field=str(exc.args[0])) from exc
-        except ValueError as exc:
-            raise ParseError(f"unknown strategy {obj.get('strategy')!r}",
-                             field="strategy") from exc
-        try:
+        with parsing("prune config", "prune_config"):
             return cls(alphas=tuple(obj["alphas"]), beta=obj["beta"],
-                       epsilon=obj["epsilon"], strategy=strategy,
+                       epsilon=obj["epsilon"],
+                       strategy=_member(Strategy, obj["strategy"], "strategy"),
                        adaptive_threshold=obj.get("adaptive_threshold", 0.5),
                        adaptive_multiplier=obj.get("adaptive_multiplier", 0.8),
                        seed=obj.get("seed", 0))
-        except KeyError as exc:
-            raise ParseError("missing prune config field",
-                             field=str(exc.args[0])) from exc
-        # ConfigError and ContractError, or a value of the wrong type (a
-        # number where a list belongs, a string where a number belongs)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"invalid prune config: {exc}",
-                             field="prune_config") from exc
 
 
 def _index_array(values, name: str) -> np.ndarray:
@@ -527,7 +539,7 @@ class PruneResult:
     @classmethod
     def from_obj(cls, obj) -> "PruneResult":
         _expect_record(obj, "prune_result")
-        try:
+        with parsing("prune result", "kept"):
             return cls(
                 view_token_counts=tuple(obj["view_token_counts"]),
                 kept=tuple(tuple(idx) for idx in obj["kept"]),
@@ -536,14 +548,6 @@ class PruneResult:
                 global_pruned_count=obj["global_pruned_count"],
                 ranking=tuple(tuple(pair) for pair in obj["ranking"]),
             )
-        except KeyError as exc:
-            raise ParseError("missing prune result field",
-                             field=str(exc.args[0])) from exc
-        # malformed field values (a number where a list belongs, a pair of
-        # the wrong length, an int too large for a float) fail as one of
-        # these while building
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"invalid prune result: {exc}", field="kept") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +687,7 @@ class EpisodeAnnotation:
             raise ParseError("no annotation records", field="frames")
         for obj in objs:
             _expect_record(obj, "annotation")
-        try:
+        with parsing("annotation", "frames"):
             episode_id = objs[0]["episode_id"]
             for t, obj in enumerate(objs):
                 if obj["episode_id"] != episode_id:
@@ -698,29 +702,14 @@ class EpisodeAnnotation:
                        roles=ViewRoles.from_obj(objs[0]["roles"]),
                        grids=objs[0]["grids"],
                        frames=tuple(_frame_from_obj(obj) for obj in objs))
-        except KeyError as exc:
-            raise ParseError("missing annotation field",
-                             field=str(exc.args[0])) from exc
-        except ParseError:
-            raise
-        # ContractError (naming its field) and AnnotationError, or a value of
-        # the wrong type (a number where a list belongs, a string where a
-        # number belongs) failing while the frames are built
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"invalid annotation: {exc}",
-                             field=getattr(exc, "field", None) or "frames"
-                             ) from exc
 
 
 def _frame_from_obj(obj) -> FrameAnnotation:
-    names = _listed(obj, "arm_phases")
-    try:
-        phases = tuple(Phase(p) for p in names)
-    except ValueError as exc:
-        raise ParseError(f"unknown phase: {exc}", field="arm_phases") from exc
-    return FrameAnnotation(masks=_listed(obj, "masks"),
-                           inter_labels=_listed(obj, "inter_labels"),
-                           arm_phases=phases)
+    return FrameAnnotation(
+        masks=_listed(obj, "masks"),
+        inter_labels=_listed(obj, "inter_labels"),
+        arm_phases=tuple(_member(Phase, p, "arm_phases")
+                         for p in _listed(obj, "arm_phases")))
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +749,11 @@ def loads_obj(text: str) -> dict:
     """Parse one JSON record, reporting the byte offset of syntax errors."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", offset=exc.pos) from exc
+    # besides a JSONDecodeError, a ValueError for an integer longer than
+    # int() reads and a RecursionError for arrays or objects nested too deep
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
+                         offset=getattr(exc, "pos", None)) from exc
     if not isinstance(obj, dict):
         raise ParseError("record must be a JSON object")
     return obj
@@ -882,7 +874,7 @@ def _observation_from_header(obj, flat: np.ndarray, offset: int
     """Rebuild one observation from its record and the sidecar values
     starting at ``offset``; returns it with the offset past its values."""
     _expect_record(obj, "observation")
-    try:
+    with parsing(f"observation frame {obj.get('frame_index')!r}", "views"):
         frame = obj["frame_index"]
         views = []
         for v, header in enumerate(obj["views"]):
@@ -905,14 +897,6 @@ def _observation_from_header(obj, flat: np.ndarray, offset: int
         return MultiViewObservation(episode_id=obj["episode_id"],
                                     frame_index=frame,
                                     views=tuple(views)), offset
-    except KeyError as exc:
-        raise ParseError("missing observation field",
-                         field=str(exc.args[0])) from exc
-    # TypeError: views that are not a list of objects
-    except (ContractError, TypeError) as exc:
-        raise ParseError(
-            f"invalid observation frame {obj.get('frame_index')!r}: {exc}",
-            field="views") from exc
 
 
 def save_annotation(path, annotation: EpisodeAnnotation) -> None:

@@ -34,6 +34,7 @@ from .core import (
     _expect_record,
     dumps_obj,
     loads_obj,
+    parsing,
 )
 
 CLAMP = 1e-7
@@ -97,16 +98,10 @@ class MlpParams:
     @classmethod
     def from_obj(cls, obj) -> "MlpParams":
         _expect_record(obj, "mlp")
-        try:
+        with parsing("mlp", "layers"):
             layers = tuple((layer["weight"], layer["bias"])
                            for layer in obj["layers"])
             return cls(layers=layers, activation=obj["activation"])
-        except KeyError as exc:
-            raise ParseError("missing mlp field", field=str(exc.args[0])) from exc
-        # a number where a list belongs or a ragged matrix fails as one of these
-        except (ContractError, ConfigError, TypeError, ValueError,
-                OverflowError) as exc:
-            raise ParseError(f"invalid mlp: {exc}", field="layers") from exc
 
 
 def init_mlp(sizes: Sequence[int], seed: int) -> MlpParams:

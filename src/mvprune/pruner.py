@@ -18,6 +18,7 @@ first. That makes all outputs reproducible down to the byte.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -410,6 +411,14 @@ class FlopModel:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
                 raise ConfigError(f"{name} must be positive, got {value}")
+        # flop_estimate works in floats, so its cost per token must be one;
+        # the exact product is compared without converting to float
+        per_token = self.layers * self.embed_dim * (
+            Fraction(self.linear_coeff) * self.embed_dim
+            + Fraction(self.quadratic_coeff))
+        if per_token > sys.float_info.max:
+            raise ConfigError("layers and embed_dim give a per-token cost "
+                              "beyond the float range")
 
 
 def flop_estimate(model: FlopModel, token_count: int) -> float:

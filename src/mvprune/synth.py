@@ -42,6 +42,7 @@ from .core import (
     load_annotation,
     load_observations,
     loads_obj,
+    parsing,
     save_annotation,
     save_observations,
     sidecar_path,
@@ -544,7 +545,7 @@ def load_corpus(corpus_dir) -> list[dict]:
         manifest = loads_obj(fh.read())
     _expect_record(manifest, "corpus_manifest")
     episodes = []
-    try:
+    with parsing("manifest", "episodes"):
         for entry in manifest["episodes"]:
             episode_id, geometry = load_geometry(root / entry["geometry"])
             if episode_id != entry["episode_id"]:
@@ -559,11 +560,4 @@ def load_corpus(corpus_dir) -> list[dict]:
                 "annotation": load_annotation(root / entry["annotation"]),
                 "geometry": geometry,
             })
-    except KeyError as exc:
-        raise ParseError("missing manifest field",
-                         field=str(exc.args[0])) from exc
-    # episodes that are not a list of objects, or file names that are not
-    # strings
-    except TypeError as exc:
-        raise ParseError(f"invalid manifest: {exc}", field="episodes") from exc
     return episodes

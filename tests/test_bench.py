@@ -13,6 +13,10 @@ import oracles
 from mvprune.bench import (
     DEFAULT_CONFIG,
     MetricsReport,
+    _flop_model,
+    _prune_config,
+    _section,
+    _train_config,
     accuracy,
     auc_score,
     compare_strategies,
@@ -33,6 +37,7 @@ from mvprune.core import (
     AnnotationError,
     ConfigError,
     ContractError,
+    ParseError,
     PruneConfig,
     Strategy,
     load_annotation,
@@ -224,6 +229,66 @@ def test_resolve_config_rejects_unknowns():
         resolve_config({"kind": "something_else"})
     with pytest.raises(ConfigError):
         resolve_config([1, 2])
+
+
+@pytest.mark.parametrize("exc", [
+    KeyError("hidden"), TypeError("bad"), ValueError("bad"),
+    ContractError("bad", field="steps"), ParseError("bad", field="beta"),
+    AttributeError("bad"), OverflowError("bad")],
+    ids=lambda exc: type(exc).__name__)
+def test_section_maps_to_config_error(exc):
+    with pytest.raises(ConfigError) as err:
+        with _section("train"):
+            raise exc
+    assert str(err.value) == f"invalid train section: {exc}"
+    assert err.value.__cause__ is exc
+
+
+# a value no config key accepts, or one at the far end of a key's range
+_EXTREME = st.sampled_from([2**2000, 10**400, 2**64, -(2**64), -1, 0, 1e308,
+                            float("inf"), float("nan"), None, True, "", "x",
+                            [0.5] * 100_000])
+_CONFIG_VALUES = st.one_of(_EXTREME, st.recursive(
+    st.one_of(_EXTREME, st.integers(), st.floats(), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=8))
+# every key of the default config, plus unknown ones
+_CONFIG_PATHS = [(name,) for name in DEFAULT_CONFIG] + [("nope",)] + [
+    (name, key) for name, section in DEFAULT_CONFIG.items()
+    if isinstance(section, dict) for key in [*section, "nope"]]
+
+
+@st.composite
+def _mutated_config(draw):
+    """Overrides that set a few keys or sections of the default config to
+    extreme values, or that are one extreme value themselves."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(_CONFIG_VALUES)
+    overrides = {}
+    for path in draw(st.lists(st.sampled_from(_CONFIG_PATHS), min_size=1,
+                              max_size=3)):
+        if len(path) == 1 or not isinstance(overrides.get(path[0], {}), dict):
+            overrides[path[0]] = draw(_CONFIG_VALUES)
+        else:
+            overrides.setdefault(path[0], {})[path[1]] = draw(_CONFIG_VALUES)
+    return overrides
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_config())
+def test_config_parsers_raise_only_config_error(overrides):
+    # parse only: generating or training would let a fuzzed value size an
+    # allocation
+    try:
+        config = resolve_config(overrides)
+    except ConfigError:
+        return
+    for parse in (scenario_template, _prune_config, _flop_model,
+                  _train_config):
+        try:
+            parse(config)
+        except ConfigError:
+            pass
 
 
 def test_load_experiment_config(tmp_path):
@@ -844,11 +909,21 @@ def _swap_field(out, tmp_path, suffix, field, value):
     (corpus / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# the fields of the first box of a geometry view, one level below
+# NESTED_FIELDS
+BOX_FIELDS = tuple(f"views.0.boxes.0.{key}"
+                   for key in ("x0", "y0", "x1", "y1", "kind", "ident"))
+
+
+# type swaps, then values of the right type but out of range
 @pytest.mark.parametrize("value", [None, True, 5, 1.5, "a", [], [5],
-                                   ["a", "b", "c"], [[16]], {}], ids=repr)
+                                   ["a", "b", "c"], [[16]], {}, -1, 2**64,
+                                   10**400],
+                         ids=lambda v: "10**400" if v == 10**400 else repr(v))
 @pytest.mark.parametrize("suffix, field", [
     (suffix, field) for fields in (RECORD_FIELDS, NESTED_FIELDS)
-    for suffix, names in fields.items() for field in names])
+    for suffix, names in fields.items() for field in names]
+    + [("geom", field) for field in BOX_FIELDS])
 def test_cli_validate_survives_type_swapped_field(suffix, field, value,
                                                   experiment_dir, tmp_path):
     _swap_field(experiment_dir[0], tmp_path, suffix, field, value)
@@ -905,6 +980,10 @@ def test_cli_train_rejects_malformed_manifest(damage, cli_corpus, tmp_path,
     ("train", "hidden", 2**62),
     ("train", "steps", 2**62),
     ("train", "batch_size", 2**62),
+    # the cost per token overflows a float: an OverflowError, or an
+    # infinite cost and a NaN speedup
+    pytest.param("flop", "embed_dim", 2**2000, id="flop-embed_dim-2**2000"),
+    pytest.param("flop", "embed_dim", 10**160, id="flop-embed_dim-10**160"),
 ])
 def test_cli_prune_rejects_malformed_config_value(section, key, value,
                                                   tmp_path, capsys):

@@ -26,10 +26,12 @@ from mvprune.core import (
     Strategy,
     TokenGrid,
     ViewRoles,
+    _member,
     dumps_obj,
     load_annotation,
     load_observations,
     loads_obj,
+    parsing,
     read_jsonl,
     save_annotation,
     save_observations,
@@ -400,10 +402,66 @@ def test_annotation_round_trips():
 # parse errors and files
 
 
+def test_parsing_passes_parse_error_through():
+    inner = ParseError("bad box", field="x0")
+    with pytest.raises(ParseError) as err:
+        with parsing("view geometry", "views"):
+            raise inner
+    assert err.value is inner
+
+
+@pytest.mark.parametrize("exc, message, field", [
+    (KeyError("height"), "missing thing field", "height"),
+    (ContractError("bad", field="width"), "invalid thing: bad", "width"),
+    (ContractError("bad"), "invalid thing: bad", "fallback"),
+    (ConfigError("bad"), "invalid thing: bad", "fallback"),
+    (AnnotationError("bad", frame=2), "invalid thing: frame 2: bad",
+     "fallback"),
+    (TypeError("bad"), "invalid thing: bad", "fallback"),
+    (ValueError("bad"), "invalid thing: bad", "fallback"),
+    (AttributeError("bad"), "invalid thing: bad", "fallback"),
+    (OverflowError("bad"), "invalid thing: bad", "fallback"),
+], ids=lambda x: type(x).__name__ if isinstance(x, Exception) else None)
+def test_parsing_maps_to_parse_error(exc, message, field):
+    with pytest.raises(ParseError) as err:
+        with parsing("thing", "fallback"):
+            raise exc
+    assert str(err.value) == f"{message} (field {field!r})"
+    assert err.value.field == field
+    assert err.value.__cause__ is exc
+
+
+@pytest.mark.parametrize("exc", [IndexError("i"), OSError("o"),
+                                 MemoryError("m")], ids=repr)
+def test_parsing_leaves_other_errors_alone(exc):
+    with pytest.raises(type(exc)) as err:
+        with parsing("thing", "fallback"):
+            raise exc
+    assert err.value is exc
+
+
+def test_member_names_its_field():
+    assert _member(Phase, "retracting", "arm_phases") is Phase.RETRACTING
+    # an unhashable value is refused like any other non-member
+    for value in ("nope", [], None):
+        with pytest.raises(ContractError) as err:
+            _member(Strategy, value, "strategy")
+        assert err.value.field == "strategy"
+
+
 def test_loads_obj_reports_offset():
     with pytest.raises(ParseError) as err:
         loads_obj('{"fmt": 1, "kind": }')
     assert err.value.offset is not None
+
+
+@pytest.mark.parametrize("text", [
+    '{"fmt": ' + "1" * 5000 + "}",
+    '{"fmt": ' + "[" * 5000 + "]" * 5000 + "}",
+], ids=["integer_too_long", "nested_too_deep"])
+def test_loads_obj_refuses_what_json_cannot_decode(text):
+    with pytest.raises(ParseError, match="^invalid JSON: "):
+        loads_obj(text)
 
 
 def test_deserialize_rejects_wrong_fmt():
