@@ -354,9 +354,22 @@ def _prune_config(config: dict, strategy: Strategy | None = None) -> PruneConfig
         return PruneConfig.from_obj(obj)
 
 
-def _flop_model(config: dict) -> FlopModel:
+def _flop_model(config: dict, extent: tuple[int, int] | None = None
+                ) -> FlopModel:
+    """The config's cost model, refused if its cost summed over ``extent``,
+    ``(frames, tokens in the largest frame)``, can leave the float range.
+    The extent defaults to the corpus the config generates."""
+    if extent is None:
+        spec = scenario_template(config)
+        with _section("corpus"):
+            count = _check_int(config["corpus"]["count"], "corpus.count",
+                               minimum=1)
+        views = max(spec.roles.head, *spec.roles.wrists) + 1
+        extent = (count * spec.episode_length, views * spec.grid_side ** 2)
     with _section("flop"):
-        return FlopModel(**config["flop"])
+        model = FlopModel(**config["flop"])
+        model.check_range(*extent)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +739,8 @@ def validate_artifacts(out_dir) -> list[str]:
     def check(path, loader):
         try:
             loader(path)
-        except (ParseError, ContractError, AnnotationError, OSError) as exc:
+        except (ParseError, ContractError, ConfigError, AnnotationError,
+                OSError) as exc:
             problems.append(f"{path.name}: {exc}")
 
     corpus = out / "corpus"

@@ -149,8 +149,13 @@ def _cmd_prune(args) -> int:
                 "pruning an existing corpus needs --intra and --inter "
                 "checkpoints")
         out.mkdir(parents=True, exist_ok=True)
-        prune_config, flop_model = _prune_config(config), _flop_model(config)
+        prune_config = _prune_config(config)
         corpus = load_corpus(args.corpus)
+        observations = [obs for entry in corpus
+                        for obs in entry["observations"]]
+        flop_model = _flop_model(config, (
+            len(observations),
+            max((obs.total_tokens for obs in observations), default=0)))
         scored = score_corpus([entry["observations"] for entry in corpus],
                               [entry["annotation"] for entry in corpus],
                               load_params(args.intra), load_params(args.inter),

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -28,18 +28,20 @@ FORMAT_VERSION = 2
 # errors
 
 
-class ContractError(ValueError):
-    """A caller violated a documented precondition or a type invariant.
-
-    Carries the name of the offending record ``field`` when known.
-    """
+class _FieldError(ValueError):
+    """A refused value; carries the name of the offending record ``field``
+    when known."""
 
     def __init__(self, message: str, *, field: str | None = None):
         super().__init__(message)
         self.field = field
 
 
-class ConfigError(ValueError):
+class ContractError(_FieldError):
+    """A caller violated a documented precondition or a type invariant."""
+
+
+class ConfigError(_FieldError):
     """A configuration value is out of its documented range."""
 
 
@@ -110,9 +112,12 @@ def parsing(what: str, field: str | None = None) -> Iterator[None]:
 
 
 def _as_float_array(value, name: str, *, shape: tuple[int, ...] | None = None,
-                    ndim: int | None = None) -> np.ndarray:
-    """Copy ``value`` into a read-only float64 array, validating shape and finiteness."""
-    arr = np.array(value, dtype=np.float64)
+                    ndim: int | None = None, copy: bool = True) -> np.ndarray:
+    """Copy ``value`` into a read-only float64 array, validating shape and
+    finiteness. With ``copy`` false, a C-contiguous float64 array is not
+    copied: the result is a read-only view of it."""
+    arr = (np.array(value, dtype=np.float64) if copy else
+           np.ascontiguousarray(value, dtype=np.float64).view())
     if ndim is not None and arr.ndim != ndim:
         raise ContractError(f"{name} must have {ndim} dimension(s), got {arr.ndim}")
     if shape is not None and arr.shape != shape:
@@ -134,6 +139,26 @@ def _check_int(value, name: str, *, minimum: int | None = None) -> int:
         raise ContractError(f"{name} must be >= {minimum}, got {value}",
                             field=name)
     return value
+
+
+def _equal(a, b) -> bool:
+    """``a == b``, comparing arrays by value, inside tuples too."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+class _ValueEq:
+    """Equality over every dataclass field by ``_equal``, for records that
+    hold arrays. Like any class that defines ``__eq__``, unhashable."""
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 def _member(enum: type[Enum], value, field: str):
@@ -213,7 +238,7 @@ class ViewRoles:
 
 
 @dataclass(frozen=True, eq=False)
-class TokenGrid:
+class TokenGrid(_ValueEq):
     """Patch tokens of one camera view plus its summary (CLS) token.
 
     ``tokens`` has shape ``(height * width, embed_dim)`` in row-major patch
@@ -242,18 +267,9 @@ class TokenGrid:
     def token_count(self) -> int:
         return self.height * self.width
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TokenGrid):
-            return NotImplemented
-        return (self.view_id == other.view_id
-                and self.height == other.height
-                and self.width == other.width
-                and self.embed_dim == other.embed_dim
-                and np.array_equal(self.tokens, other.tokens)
-                and np.array_equal(self.cls, other.cls))
 
 @dataclass(frozen=True, eq=False)
-class MultiViewObservation:
+class MultiViewObservation(_ValueEq):
     """One timestep of synchronized camera views.
 
     View ids must be exactly ``0..V-1`` in order and all views must share one
@@ -294,15 +310,9 @@ class MultiViewObservation:
     def total_tokens(self) -> int:
         return sum(v.token_count for v in self.views)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiViewObservation):
-            return NotImplemented
-        return (self.episode_id == other.episode_id
-                and self.frame_index == other.frame_index
-                and self.views == other.views)
 
 @dataclass(frozen=True, eq=False)
-class ImportanceScores:
+class ImportanceScores(_ValueEq):
     """Predictor outputs for one observation.
 
     ``intra_raw`` and ``intra_weighted`` hold one array per view aligned with
@@ -333,16 +343,6 @@ class ImportanceScores:
         object.__setattr__(self, "intra_weighted", weighted)
         object.__setattr__(self, "inter", inter)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ImportanceScores):
-            return NotImplemented
-        return (len(self.intra_raw) == len(other.intra_raw)
-                and all(np.array_equal(a, b) for a, b in
-                        zip(self.intra_raw, other.intra_raw))
-                and all(np.array_equal(a, b) for a, b in
-                        zip(self.intra_weighted, other.intra_weighted))
-                and np.array_equal(self.inter, other.inter))
-
 
 # ---------------------------------------------------------------------------
 # pruning configuration and result
@@ -370,19 +370,25 @@ class PruneConfig:
     def __post_init__(self):
         alphas = tuple(float(a) for a in self.alphas)
         if not alphas:
-            raise ConfigError("alphas must name at least one view")
+            raise ConfigError("alphas must name at least one view",
+                              field="alphas")
         for a in alphas:
             if not math.isfinite(a) or not 0.0 <= a < 1.0:
-                raise ConfigError(f"local prune ratio must lie in [0, 1), got {a}")
+                raise ConfigError(
+                    f"local prune ratio must lie in [0, 1), got {a}",
+                    field="alphas")
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "adaptive_threshold", float(self.adaptive_threshold))
         object.__setattr__(self, "adaptive_multiplier", float(self.adaptive_multiplier))
         if not math.isfinite(self.beta) or not 0.0 <= self.beta < 1.0:
-            raise ConfigError(f"global prune ratio must lie in [0, 1), got {self.beta}")
+            raise ConfigError(
+                f"global prune ratio must lie in [0, 1), got {self.beta}",
+                field="beta")
         if not math.isfinite(self.epsilon) or self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon}",
+                              field="epsilon")
         if not isinstance(self.strategy, Strategy):
             raise ConfigError(f"unknown strategy: {self.strategy!r}")
         if not math.isfinite(self.adaptive_threshold):
@@ -438,7 +444,7 @@ def _ranking_arrays(ranking) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class PruneResult:
+class PruneResult(_ValueEq):
     """Outcome of pruning one observation.
 
     ``kept`` lists surviving token indices per view, strictly increasing;
@@ -513,17 +519,6 @@ class PruneResult:
         return tuple(n - p for n, p in
                      zip(self.view_token_counts, self.local_pruned_counts))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PruneResult):
-            return NotImplemented
-        return (self.view_token_counts == other.view_token_counts
-                and self.kept == other.kept
-                and all(np.array_equal(a, b) for a, b in
-                        zip(self.fused_scores, other.fused_scores))
-                and self.local_pruned_counts == other.local_pruned_counts
-                and self.global_pruned_count == other.global_pruned_count
-                and self.ranking == other.ranking)
-
     def to_obj(self) -> dict:
         return {
             "fmt": FORMAT_VERSION,
@@ -555,7 +550,7 @@ class PruneResult:
 
 
 @dataclass(frozen=True, eq=False)
-class FrameAnnotation:
+class FrameAnnotation(_ValueEq):
     """Per-frame labels: one patch mask per view, one relevance label per view,
     one phase per arm."""
 
@@ -564,6 +559,16 @@ class FrameAnnotation:
     arm_phases: tuple[Phase, ...]
 
     def __post_init__(self):
+        # the counts first, so a record with very many masks is refused
+        # before each one is converted
+        labels = tuple(_check_int(x, "inter_labels")
+                       for x in self.inter_labels)
+        if len(labels) != len(self.masks):
+            raise ContractError("inter_labels must have one entry per view",
+                                field="inter_labels")
+        if any(x not in (0, 1) for x in labels):
+            raise ContractError("inter_labels must be 0 or 1",
+                                field="inter_labels")
         masks = []
         for m in self.masks:
             arr = np.array(m, dtype=np.uint8)
@@ -576,14 +581,6 @@ class FrameAnnotation:
                                     field="masks")
             arr.flags.writeable = False
             masks.append(arr)
-        labels = tuple(_check_int(x, "inter_labels")
-                       for x in self.inter_labels)
-        if len(labels) != len(masks):
-            raise ContractError("inter_labels must have one entry per view",
-                                field="inter_labels")
-        if any(x not in (0, 1) for x in labels):
-            raise ContractError("inter_labels must be 0 or 1",
-                                field="inter_labels")
         phases = tuple(self.arm_phases)
         if any(not isinstance(p, Phase) for p in phases):
             raise ContractError("arm_phases must be Phase values",
@@ -592,18 +589,9 @@ class FrameAnnotation:
         object.__setattr__(self, "inter_labels", labels)
         object.__setattr__(self, "arm_phases", phases)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FrameAnnotation):
-            return NotImplemented
-        return (len(self.masks) == len(other.masks)
-                and all(np.array_equal(a, b) for a, b in
-                        zip(self.masks, other.masks))
-                and self.inter_labels == other.inter_labels
-                and self.arm_phases == other.arm_phases)
-
 
 @dataclass(frozen=True, eq=False)
-class EpisodeAnnotation:
+class EpisodeAnnotation(_ValueEq):
     """Token-level and view-level labels for one episode.
 
     ``grids`` fixes the per-view patch grid shape for the whole episode;
@@ -655,14 +643,6 @@ class EpisodeAnnotation:
     @property
     def length(self) -> int:
         return len(self.frames)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EpisodeAnnotation):
-            return NotImplemented
-        return (self.episode_id == other.episode_id
-                and self.roles == other.roles
-                and self.grids == other.grids
-                and self.frames == other.frames)
 
     def frame_objs(self) -> Iterator[dict]:
         """Yield one flat record per frame for line-oriented storage."""

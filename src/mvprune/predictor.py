@@ -11,6 +11,16 @@ differences in the test suite. The sigmoid output is clamped to
 ``[CLAMP, 1 - CLAMP]`` before entering the loss; gradients use the
 unclamped expression, so the clamp only guards the loss value against
 ``log(0)``.
+
+``loss``, ``loss_and_grad`` and ``train`` share one step kernel. ``train``
+holds weights and gradients in two flat buffers, draws many steps' batch
+indices per ``rng.integers`` call and reads its inputs without copying
+them, yet gives the plain SGD loop's weights and loss trace to the bit
+(``tests/oracles.py::oracle_train``, the gate on every build): chunked
+draws are the per-step stream; for 0/1 targets one log of ``p`` or
+``1 - p`` drops only an exact -0.0 term, the clamp keeping both logs
+finite; and a width-1 output's ``dz @ W`` rounds one product per element
+in BLAS (``np.dot``) as in matmul's own loop.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from .core import (
     MultiViewObservation,
     ParseError,
     TrainingError,
+    _ValueEq,
     _as_float_array,
     _check_int,
     _expect_record,
@@ -41,7 +52,7 @@ CLAMP = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
-class MlpParams:
+class MlpParams(_ValueEq):
     """Weights of one MLP as ``((W, b), ...)`` layer pairs.
 
     ``W`` has shape ``(fan_out, fan_in)`` and ``b`` shape ``(fan_out,)``;
@@ -54,7 +65,8 @@ class MlpParams:
 
     def __post_init__(self):
         if self.activation != "tanh":
-            raise ConfigError(f"unsupported activation {self.activation!r}")
+            raise ConfigError(f"unsupported activation {self.activation!r}",
+                              field="activation")
         layers = []
         for i, pair in enumerate(self.layers):
             if len(pair) != 2:
@@ -77,14 +89,6 @@ class MlpParams:
     @property
     def output_width(self) -> int:
         return self.layers[-1][0].shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MlpParams):
-            return NotImplemented
-        return (self.activation == other.activation
-                and len(self.layers) == len(other.layers)
-                and all(np.array_equal(w, w2) and np.array_equal(b, b2)
-                        for (w, b), (w2, b2) in zip(self.layers, other.layers)))
 
     def to_obj(self) -> dict:
         return {
@@ -196,20 +200,65 @@ def predict_inter(params: MlpParams, obs: MultiViewObservation) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# losses and gradients
+# losses, gradients and training
+
+# batch indices that one rng.integers call draws for train, at most, so a
+# huge steps cannot size the draw
+_DRAW_CHUNK = 1 << 16
 
 
 def _batch(params: MlpParams, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
-    x = _as_float_array(inputs, "inputs", ndim=2)
-    y = _as_float_array(targets, "targets", shape=(x.shape[0], params.output_width))
-    if x.shape[1] != params.input_width:
-        raise ContractError(
-            f"inputs have width {x.shape[1]}, network expects {params.input_width}")
+    x = _as_float_array(inputs, "inputs", ndim=2, copy=False)
+    y = _as_float_array(targets, "targets", shape=(x.shape[0], params.output_width),
+                        copy=False)
+    _check_width(params, x)
     if y.size == 0:
         raise ContractError("batch must contain at least one example")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ContractError("targets must be 0 or 1")
     return x, y
+
+
+def _flat(layers) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """A copy of ``(W, b)`` layers as one flat buffer, and views of it
+    shaped like the layers."""
+    arrays = [a for pair in layers for a in pair]
+    flat = np.concatenate([a.reshape(-1) for a in arrays])
+    views = [part.reshape(a.shape) for part, a in zip(
+        np.split(flat, np.cumsum([a.size for a in arrays])[:-1]), arrays)]
+    return flat, list(zip(views[::2], views[1::2]))
+
+
+def _loss(layers, x: np.ndarray, y: np.ndarray, mean: bool
+          ) -> tuple[float, list[np.ndarray]]:
+    """The loss of ``(W, b)`` layers on a batch ``_batch`` checked, and
+    every activation."""
+    acts = _forward_cached(layers, x)
+    p = acts[-1]
+    logs = np.where(y, p, 1.0 - p)
+    total = -np.add.reduce(np.log(logs, out=logs), axis=None)
+    return float(total / p.size if mean else total), acts
+
+
+def _backward(layers, grads, acts: list[np.ndarray], y: np.ndarray,
+              mean: bool) -> None:
+    """Write the gradient into the ``(dW, db)`` views ``grads``; overwrites
+    the hidden activations."""
+    dz = acts[-1] - y
+    if mean:
+        dz *= 1.0 / dz.size
+    last = len(layers) - 1
+    for i in range(last, -1, -1):
+        np.matmul(dz.T, acts[i], out=grads[i][0])
+        np.add.reduce(dz, axis=0, out=grads[i][1])
+        if i > 0:
+            w, a = layers[i][0], acts[i]
+            # a column by a row: matmul runs its own loop, np.dot hands it
+            # to BLAS, and both round each element's one product once; as
+            # |dz| <= 1 here, neither overflows and warns
+            da = np.dot(dz, w) if i == last and w.shape[0] == 1 else dz @ w
+            np.square(a, out=a)
+            dz = np.multiply(da, np.subtract(1.0, a, out=a), out=da)
 
 
 def loss(params: MlpParams, inputs, targets, reduction: str = "mean") -> float:
@@ -219,9 +268,7 @@ def loss(params: MlpParams, inputs, targets, reduction: str = "mean") -> float:
     """
     x, y = _batch(params, inputs, targets)
     _check_reduction(reduction)
-    p = _forward_cached(params.layers, x)[-1]
-    values = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    return float(values.mean() if reduction == "mean" else values.sum())
+    return _loss(params.layers, x, y, reduction == "mean")[0]
 
 
 def loss_and_grad(params: MlpParams, inputs, targets, reduction: str = "mean"
@@ -232,32 +279,15 @@ def loss_and_grad(params: MlpParams, inputs, targets, reduction: str = "mean"
     """
     x, y = _batch(params, inputs, targets)
     _check_reduction(reduction)
-    return _loss_and_grad(params.layers, x, y, reduction == "mean")
-
-
-def _loss_and_grad(layers, x: np.ndarray, y: np.ndarray, mean: bool):
-    """The forward and backward pass of ``loss_and_grad`` on a batch that
-    ``_batch`` has checked, for ``(W, b)`` layers."""
-    acts = _forward_cached(layers, x)
-    p = acts[-1]
-    values = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    total = float(values.mean() if mean else values.sum())
-    dz = (p - y) * (1.0 / values.size if mean else 1.0)
-    grads = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        grads[i] = (dz.T @ acts[i], dz.sum(axis=0))
-        if i > 0:
-            dz = (dz @ layers[i][0]) * (1.0 - acts[i] ** 2)
-    return total, tuple(grads)
+    value, acts = _loss(params.layers, x, y, reduction == "mean")
+    grads = _flat(params.layers)[1]
+    _backward(params.layers, grads, acts, y, reduction == "mean")
+    return value, tuple(grads)
 
 
 def _check_reduction(reduction: str) -> None:
     if reduction not in ("mean", "sum"):
         raise ConfigError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
-
-
-# ---------------------------------------------------------------------------
-# training
 
 
 @dataclass(frozen=True)
@@ -293,32 +323,36 @@ def train(params: MlpParams, inputs, targets, config: TrainConfig
 
     The trace records each step's batch loss before that step's update.
     Raises on non-finite losses, gradients or parameters, naming the step.
-    Inputs and targets are checked once; the steps update plain arrays.
+    Inputs and targets are checked once and read in place, never copied.
     """
     x, y = _batch(params, inputs, targets)
     rng = np.random.default_rng(config.seed)
-    layers = [(w.copy(), b.copy()) for w, b in params.layers]
+    chunk = _DRAW_CHUNK // max(config.batch_size, 1) or 1
+    theta, layers = _flat(params.layers)
+    grad, grads = _flat(params.layers)
+    scaled = np.empty_like(theta)
     mean, lr = config.reduction == "mean", config.learning_rate
     losses = np.zeros(config.steps)
     for step in range(config.steps):
-        if config.batch_size == 0:
-            bx, by = x, y
-        else:
-            idx = rng.integers(0, x.shape[0], size=config.batch_size)
-            bx, by = x[idx], y[idx]
-        value, grads = _loss_and_grad(layers, bx, by, mean)
+        bx, by = x, y
+        if config.batch_size:
+            if step % chunk == 0:
+                draws = rng.integers(0, x.shape[0], size=(
+                    min(chunk, config.steps - step), config.batch_size))
+            bx = x.take(draws[step % chunk], axis=0)
+            by = y.take(draws[step % chunk], axis=0)
+        value, acts = _loss(layers, bx, by, mean)
         if not math.isfinite(value):
             raise TrainingError(f"loss is not finite: {value}", step=step)
         losses[step] = value
+        _backward(layers, grads, acts, by, mean)
         # a non-finite gradient element leaves its parameter non-finite (for
         # lr 0 too: 0 * inf is nan), so one sum over the parameters finds
-        # both; the rescan names which, or nothing if finite terms overflowed
+        # both; the rescan names which in the reference loop's order, or
+        # nothing if finite terms overflowed
         with np.errstate(over="ignore", invalid="ignore"):
-            total = 0.0
-            for (w, b), (dw, db) in zip(layers, grads):
-                w -= lr * dw
-                b -= lr * db
-                total += w.sum() + b.sum()
+            np.subtract(theta, np.multiply(grad, lr, out=scaled), out=theta)
+            total = np.add.reduce(theta)
         if not math.isfinite(total):
             for (w, b), (dw, db) in zip(layers, grads):
                 if not (np.isfinite(dw).all() and np.isfinite(db).all()):

@@ -35,7 +35,6 @@ from .core import (
     PruneConfig,
     PruneResult,
     Strategy,
-    TokenGrid,
     _as_float_array,
     _check_int,
 )
@@ -119,9 +118,10 @@ def adaptive_weight(raw_scores, height: int, width: int,
 
 
 def _weight_views(raw_per_view: Sequence[np.ndarray],
-                  views: Sequence[TokenGrid], epsilon: float
+                  grid_shapes: Sequence[tuple[int, int]], epsilon: float
                   ) -> list[np.ndarray]:
-    """``adaptive_weight`` of every view, reading each weight matrix once.
+    """``adaptive_weight`` of every view's float64 scores on its
+    ``(height, width)`` grid, reading each weight matrix once.
 
     Views that share a grid shape share a matrix, so each row block of it
     is multiplied with all of them while it is in cache. Each output is
@@ -130,9 +130,9 @@ def _weight_views(raw_per_view: Sequence[np.ndarray],
     """
     epsilon = _check_epsilon(epsilon)
     by_shape: dict[tuple[int, int], list[int]] = {}
-    for v, view in enumerate(views):
-        by_shape.setdefault((view.height, view.width), []).append(v)
-    weighted = [np.empty(view.token_count) for view in views]
+    for v, shape in enumerate(grid_shapes):
+        by_shape.setdefault(shape, []).append(v)
+    weighted = [np.empty(h * w) for h, w in grid_shapes]
     for (height, width), members in by_shape.items():
         matrix = _weight_matrix(height, width, epsilon)
         n = height * width
@@ -319,10 +319,12 @@ def hierarchical_prune(raw_scores: Sequence[np.ndarray], inter_weights,
     if config.strategy is Strategy.RANDOM_DROP:
         raise ContractError(
             f"strategy {config.strategy.value} does not consume scores")
-    weighted = [adaptive_weight(raw, h, w, config.epsilon)
-                for raw, (h, w) in zip(raw_scores, grid_shapes)]
-    return _dispatch(weighted, inter_weights, [h * w for h, w in grid_shapes],
-                     config)
+    shapes = [(_check_int(h, "height", minimum=1),
+               _check_int(w, "width", minimum=1)) for h, w in grid_shapes]
+    raw = [_as_float_array(r, "raw_scores", shape=(h * w,))
+           for r, (h, w) in zip(raw_scores, shapes)]
+    return _dispatch(_weight_views(raw, shapes, config.epsilon),
+                     inter_weights, [h * w for h, w in shapes], config)
 
 
 def random_drop(view_token_counts: Sequence[int],
@@ -353,7 +355,8 @@ def score_observation(obs: MultiViewObservation, intra_params: MlpParams,
     """Both predictors' outputs for an observation, plus the raw token
     scores spatially weighted with ``epsilon``."""
     raw = predict_intra(intra_params, obs)
-    weighted = _weight_views(raw, obs.views, epsilon)
+    weighted = _weight_views(raw, [(v.height, v.width) for v in obs.views],
+                             epsilon)
     return ImportanceScores(intra_raw=raw, intra_weighted=weighted,
                             inter=predict_inter(inter_params, obs))
 
@@ -411,14 +414,19 @@ class FlopModel:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        # flop_estimate works in floats, so its cost per token must be one;
-        # the exact product is compared without converting to float
-        per_token = self.layers * self.embed_dim * (
-            Fraction(self.linear_coeff) * self.embed_dim
-            + Fraction(self.quadratic_coeff))
-        if per_token > sys.float_info.max:
-            raise ConfigError("layers and embed_dim give a per-token cost "
-                              "beyond the float range")
+        self.check_range(1, 1)
+
+    def check_range(self, frames: int, tokens: int) -> None:
+        """Refuse a run of ``frames`` frames of at most ``tokens`` tokens
+        whose summed ``flop_estimate`` can leave the float range: the exact
+        cost, times two for the rounding of the estimates and their sum."""
+        d = self.embed_dim
+        cost = self.layers * tokens * d * (Fraction(self.linear_coeff) * d
+                                           + Fraction(self.quadratic_coeff)
+                                           * tokens)
+        if 2 * frames * cost > sys.float_info.max:
+            raise ConfigError(f"the cost of {frames} frames of {tokens} "
+                              "tokens leaves the float range")
 
 
 def flop_estimate(model: FlopModel, token_count: int) -> float:

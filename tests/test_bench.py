@@ -2,7 +2,9 @@
 
 import json
 import shutil
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -816,6 +818,20 @@ def _broken_checkpoint(damage, out, tmp_path):
     return broken
 
 
+@pytest.mark.parametrize("config", [{"nope": 1}, {"kind": "x"}])
+def test_cli_validate_reports_malformed_resolved_config(config, experiment_dir,
+                                                        tmp_path, capsys):
+    broken = tmp_path / "broken"
+    shutil.copytree(experiment_dir[0], broken)
+    (broken / "config.resolved.json").write_text(json.dumps(config))
+    # checked after the config, so still reported
+    (broken / "inter_trace.csv").write_text("bad\n")
+    assert main(["validate", "--dir", str(broken)]) == 1
+    problems = capsys.readouterr().err.splitlines()
+    assert [p.split(":")[0] for p in problems] == ["config.resolved.json",
+                                                   "inter_trace.csv"]
+
+
 @MALFORMED_CHECKPOINTS
 def test_cli_validate_reports_malformed_checkpoint(damage, experiment_dir,
                                                    tmp_path, capsys):
@@ -888,9 +904,10 @@ def _must_refuse(suffix, field, value):
     return (suffix, field) in integers and isinstance(value, (bool, float))
 
 
-def _swap_field(out, tmp_path, suffix, field, value):
+def _swap_fields(out, tmp_path, suffix, swaps):
     """Copy the first episode's ``suffix`` records into a fresh corpus under
-    ``tmp_path`` with ``field`` of the first record set to ``value``."""
+    ``tmp_path`` with each field of the first record that ``swaps`` names set
+    to its value, the deepest first."""
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     name = f"ep0000.{suffix}.jsonl"
@@ -900,11 +917,13 @@ def _swap_field(out, tmp_path, suffix, field, value):
     record = json.loads(lines[0])
     assert sorted(_field_paths(record)) == sorted(RECORD_FIELDS[suffix]
                                                   + NESTED_FIELDS[suffix])
-    *parents, last = [int(k) if k.isdigit() else k for k in field.split(".")]
-    target = record
-    for key in parents:
-        target = target[key]
-    target[last] = value
+    for field in sorted(swaps, key=lambda f: -f.count(".")):
+        *parents, last = [int(k) if k.isdigit() else k
+                          for k in field.split(".")]
+        target = record
+        for key in parents:
+            target = target[key]
+        target[last] = swaps[field]
     lines[0] = json.dumps(record)
     (corpus / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -916,9 +935,11 @@ BOX_FIELDS = tuple(f"views.0.boxes.0.{key}"
 
 
 # type swaps, then values of the right type but out of range
-@pytest.mark.parametrize("value", [None, True, 5, 1.5, "a", [], [5],
-                                   ["a", "b", "c"], [[16]], {}, -1, 2**64,
-                                   10**400],
+SWAPPED_VALUES = [None, True, 5, 1.5, "a", [], [5], ["a", "b", "c"], [[16]],
+                  {}, -1, 2**64, 10**400]
+
+
+@pytest.mark.parametrize("value", SWAPPED_VALUES,
                          ids=lambda v: "10**400" if v == 10**400 else repr(v))
 @pytest.mark.parametrize("suffix, field", [
     (suffix, field) for fields in (RECORD_FIELDS, NESTED_FIELDS)
@@ -926,9 +947,30 @@ BOX_FIELDS = tuple(f"views.0.boxes.0.{key}"
     + [("geom", field) for field in BOX_FIELDS])
 def test_cli_validate_survives_type_swapped_field(suffix, field, value,
                                                   experiment_dir, tmp_path):
-    _swap_field(experiment_dir[0], tmp_path, suffix, field, value)
+    _swap_fields(experiment_dir[0], tmp_path, suffix, {field: value})
     allowed = (1,) if _must_refuse(suffix, field, value) else (0, 1)
     assert main(["validate", "--dir", str(tmp_path)]) in allowed
+
+
+# 100 000 elements inside one record: no fuzzed value may size an allocation
+_LONG_LISTS = [[0] * 100_000, list(range(100_000)), [0.5] * 100_000,
+               ["a"] * 100_000, [[0, 1]] * 100_000, [[16, 16]] * 100_000]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(RECORD_FIELDS)).flatmap(lambda suffix: st.tuples(
+    st.just(suffix),
+    st.dictionaries(st.sampled_from(RECORD_FIELDS[suffix]
+                                    + NESTED_FIELDS[suffix]
+                                    + (BOX_FIELDS if suffix == "geom"
+                                       else ())),
+                    st.sampled_from(SWAPPED_VALUES + _LONG_LISTS),
+                    min_size=2, max_size=2))))
+def test_cli_validate_survives_two_swapped_fields(experiment_dir, case):
+    suffix, swaps = case
+    with tempfile.TemporaryDirectory() as directory:
+        _swap_fields(experiment_dir[0], Path(directory), suffix, swaps)
+        assert main(["validate", "--dir", directory]) in (0, 1)
 
 
 @pytest.mark.parametrize("suffix, field, value", [
@@ -943,7 +985,7 @@ def test_cli_validate_survives_type_swapped_field(suffix, field, value,
     ids=str)
 def test_cli_validate_refuses_coerced_value(suffix, field, value,
                                             experiment_dir, tmp_path, capsys):
-    _swap_field(experiment_dir[0], tmp_path, suffix, field, value)
+    _swap_fields(experiment_dir[0], tmp_path, suffix, {field: value})
     assert main(["validate", "--dir", str(tmp_path)]) == 1
     problems = capsys.readouterr().err.splitlines()
     assert len(problems) == 1
@@ -984,6 +1026,8 @@ def test_cli_train_rejects_malformed_manifest(damage, cli_corpus, tmp_path,
     # infinite cost and a NaN speedup
     pytest.param("flop", "embed_dim", 2**2000, id="flop-embed_dim-2**2000"),
     pytest.param("flop", "embed_dim", 10**160, id="flop-embed_dim-10**160"),
+    # the cost per token fits a float, the cost summed over the run does not
+    pytest.param("flop", "embed_dim", 10**152, id="flop-embed_dim-10**152"),
 ])
 def test_cli_prune_rejects_malformed_config_value(section, key, value,
                                                   tmp_path, capsys):
@@ -995,6 +1039,21 @@ def test_cli_prune_rejects_malformed_config_value(section, key, value,
                  str(tmp_path / "out")])
     assert code == 2
     assert f"invalid {section}" in capsys.readouterr().err
+
+
+def test_cli_prune_corpus_bounds_flop_cost_by_the_corpus(experiment_dir,
+                                                       tmp_path, capsys):
+    out = experiment_dir[0]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"flop": {"embed_dim": 10**152}}))
+    code = main(["prune", "--config", str(config),
+                 "--corpus", str(out / "corpus"),
+                 "--intra", str(out / "intra.mlp.json"),
+                 "--inter", str(out / "inter.mlp.json"),
+                 "--out", str(tmp_path / "pruned")])
+    assert code == 2
+    assert "invalid flop section" in capsys.readouterr().err
+    assert not list((tmp_path / "pruned").iterdir())
 
 
 @pytest.mark.parametrize("argv", [

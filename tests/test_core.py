@@ -191,6 +191,17 @@ def test_prune_config_round_trip():
         adaptive_multiplier=2.0, seed=9)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("alphas", [1.5, 0.2, 0.2]), ("alphas", []), ("beta", 1.5),
+    ("epsilon", 0.0)])
+def test_prune_config_from_obj_names_refused_key(key, value):
+    obj = formats_example("prune_config")
+    obj[key] = value
+    with pytest.raises(ParseError) as err:
+        PruneConfig.from_obj(obj)
+    assert err.value.field == key
+
+
 # ---------------------------------------------------------------------------
 # prune results
 
@@ -364,6 +375,13 @@ def test_frame_annotation_rejects_square_mask():
     with pytest.raises(ContractError):
         FrameAnnotation(masks=(np.zeros((2, 2), dtype=np.uint8),),
                         inter_labels=(1,), arm_phases=(Phase.APPROACHING,))
+
+
+def test_frame_annotation_counts_masks_before_converting_them():
+    # an object() mask cannot be converted, so only the count check passes
+    with pytest.raises(ContractError, match="one entry per view"):
+        FrameAnnotation(masks=(object(),) * 100_000, inter_labels=(1, 0, 0),
+                        arm_phases=(Phase.APPROACHING, Phase.APPROACHING))
 
 
 def test_episode_annotation_requires_head_always_on():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from mvprune import predictor
 from mvprune.core import (
     ConfigError,
     ContractError,
@@ -96,6 +97,11 @@ def test_mlp_params_only_tanh():
     with pytest.raises(ConfigError):
         MlpParams(layers=((np.zeros((1, 1)), np.zeros(1)),),
                   activation="relu")
+    obj = init_mlp((2, 1), seed=0).to_obj()
+    obj["activation"] = "relu"
+    with pytest.raises(ParseError) as err:
+        MlpParams.from_obj(obj)
+    assert err.value.field == "activation"
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +285,16 @@ def test_train_full_batch_records_pre_update_loss():
     assert losses[2] < losses[0]
 
 
+@pytest.mark.parametrize("batch_size", [0, 8])
+def test_train_leaves_inputs_unmodified_and_writeable(batch_size):
+    x, y = separable_data(32)
+    before = x.tobytes(), y.tobytes()
+    train(init_mlp((2, 4, 1), seed=0), x, y,
+          TrainConfig(steps=5, batch_size=batch_size))
+    assert (x.tobytes(), y.tobytes()) == before
+    assert x.flags.writeable and y.flags.writeable
+
+
 def _outcome(run):
     """What a training run ends in, as bytes, plus the warnings it gave.
 
@@ -344,6 +360,23 @@ def test_train_diverges_like_reference_loop(
                          batch_size=batch_size, reduction=reduction,
                          seed=seed)
     train_against_reference(params, x, y, config)
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 128])
+def test_chunked_draws_equal_per_step_draws(batch_size, monkeypatch):
+    # train draws the batch indices of many steps in one rng.integers call,
+    # which must give the indices of one call per step
+    chunked, per_step = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(3):
+        for row in chunked.integers(0, 1000, size=(4, batch_size)):
+            assert np.array_equal(
+                row, per_step.integers(0, 1000, size=batch_size))
+    # so train still matches the reference loop across chunk boundaries
+    monkeypatch.setattr(predictor, "_DRAW_CHUNK", 4 * batch_size)
+    params, x, y = network_case([3, 4, 1], 20, seed=batch_size)
+    config = TrainConfig(learning_rate=0.5, steps=10, batch_size=batch_size,
+                         seed=5)
+    assert train_against_reference(params, x, y, config)[0] == "done"
 
 
 def logistic(weights):
