@@ -317,31 +317,14 @@ class ImportanceScores(_ValueEq):
 
     ``intra_raw`` and ``intra_weighted`` hold one array per view aligned with
     that view's row-major token order; ``inter`` holds one weight per view.
-    Raw and inter scores live in ``[0, 1]``; weighted scores are nonnegative.
+    The record checks nothing: ``score_observation`` builds it, refusing a
+    non-finite predictor output, and the clamped sigmoid keeps raw and inter
+    scores in ``(0, 1)``, so weighted scores are positive.
     """
 
     intra_raw: tuple[np.ndarray, ...]
     intra_weighted: tuple[np.ndarray, ...]
     inter: np.ndarray
-
-    def __post_init__(self):
-        raw = tuple(_as_float_array(a, "intra_raw", ndim=1) for a in self.intra_raw)
-        weighted = tuple(_as_float_array(a, "intra_weighted", ndim=1)
-                         for a in self.intra_weighted)
-        if [a.shape for a in raw] != [b.shape for b in weighted]:
-            raise ContractError("intra_raw and intra_weighted must align per view")
-        for a in raw:
-            if a.size and (a.min() < 0.0 or a.max() > 1.0):
-                raise ContractError("intra_raw scores must lie in [0, 1]")
-        for b in weighted:
-            if b.size and b.min() < 0.0:
-                raise ContractError("intra_weighted scores must be nonnegative")
-        inter = _as_float_array(self.inter, "inter", shape=(len(raw),))
-        if inter.size and (inter.min() < 0.0 or inter.max() > 1.0):
-            raise ContractError("inter scores must lie in [0, 1]")
-        object.__setattr__(self, "intra_raw", raw)
-        object.__setattr__(self, "intra_weighted", weighted)
-        object.__setattr__(self, "inter", inter)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +351,7 @@ class PruneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        alphas = tuple(float(a) for a in self.alphas)
+        alphas = tuple(_config_float(a, "alphas") for a in self.alphas)
         if not alphas:
             raise ConfigError("alphas must name at least one view",
                               field="alphas")
@@ -378,10 +361,10 @@ class PruneConfig:
                     f"local prune ratio must lie in [0, 1), got {a}",
                     field="alphas")
         object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        object.__setattr__(self, "adaptive_threshold", float(self.adaptive_threshold))
-        object.__setattr__(self, "adaptive_multiplier", float(self.adaptive_multiplier))
+        for name in ("beta", "epsilon", "adaptive_threshold",
+                     "adaptive_multiplier"):
+            object.__setattr__(self, name,
+                               _config_float(getattr(self, name), name))
         if not math.isfinite(self.beta) or not 0.0 <= self.beta < 1.0:
             raise ConfigError(
                 f"global prune ratio must lie in [0, 1), got {self.beta}",
@@ -392,16 +375,18 @@ class PruneConfig:
         if not isinstance(self.strategy, Strategy):
             raise ConfigError(f"unknown strategy: {self.strategy!r}")
         if not math.isfinite(self.adaptive_threshold):
-            raise ConfigError("adaptive_threshold must be finite")
+            raise ConfigError("adaptive_threshold must be finite",
+                              field="adaptive_threshold")
         if not math.isfinite(self.adaptive_multiplier) or self.adaptive_multiplier < 0.0:
-            raise ConfigError("adaptive_multiplier must be nonnegative")
+            raise ConfigError("adaptive_multiplier must be nonnegative",
+                              field="adaptive_multiplier")
         _check_int(self.seed, "seed", minimum=0)
 
     @classmethod
     def from_obj(cls, obj) -> "PruneConfig":
         _expect_record(obj, "prune_config")
         with parsing("prune config", "prune_config"):
-            return cls(alphas=tuple(obj["alphas"]), beta=obj["beta"],
+            return cls(alphas=_listed(obj, "alphas"), beta=obj["beta"],
                        epsilon=obj["epsilon"],
                        strategy=_member(Strategy, obj["strategy"], "strategy"),
                        adaptive_threshold=obj.get("adaptive_threshold", 0.5),
@@ -409,17 +394,25 @@ class PruneConfig:
                        seed=obj.get("seed", 0))
 
 
+def _config_float(value, name: str) -> float:
+    """``value`` as a float; a refusal names ``name`` as its field."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a number, got "
+                          f"{type(value).__name__}", field=name)
+    return float(value)
+
+
 def _index_array(values, name: str) -> np.ndarray:
-    """Token indices as a 1-d int64 array.
+    """Token indices of a decoded list as a 1-d int64 array.
 
     Only integers pass: floats, bools, strings and other objects are
-    rejected rather than truncated, and so is any uint64 array.
+    rejected rather than truncated, and so is an integer past int64.
     """
-    if not isinstance(values, np.ndarray):
-        values = tuple(values)
-        # np.asarray would turn [1, True] into int64
-        if {bool, np.bool_} & set(map(type, values)):
-            raise ContractError(f"{name} must hold integers, got a bool")
+    values = tuple(values)
+    # np.asarray would turn [1, True] into int64
+    if bool in set(map(type, values)):
+        raise ContractError(f"{name} must hold integers, got a bool")
     arr = np.asarray(values)
     # np.asarray(()) is float64 and empty, so size comes before dtype
     if arr.ndim != 1 or arr.size and not (
@@ -428,19 +421,13 @@ def _index_array(values, name: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _ranking_arrays(ranking) -> tuple[np.ndarray, np.ndarray]:
-    """Views and indices of a ranking's ``(view, index)`` pairs."""
-    if isinstance(ranking, np.ndarray):
-        columns = ranking.T if ranking.ndim == 2 else ()
-    else:
-        pairs = tuple(ranking)
-        columns = tuple(zip(*pairs)) if pairs else ((), ())
-        if set(map(len, pairs)) - {2}:
-            columns = ()
-    if len(columns) != 2:
+def _ranking_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Views and indices of a decoded ranking's ``(view, index)`` pairs."""
+    pairs = tuple(pairs)
+    if set(map(len, pairs)) - {2}:
         raise ContractError("ranking entries must be (view, index) pairs")
-    return (_index_array(columns[0], "ranking"),
-            _index_array(columns[1], "ranking"))
+    views, indices = tuple(zip(*pairs)) if pairs else ((), ())
+    return _index_array(views, "ranking"), _index_array(indices, "ranking")
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,8 +439,9 @@ class PruneResult(_ValueEq):
     every kept token best-first as ``(view, index)`` pairs and is the reverse
     of the pruning order, so it is fully deterministic under ties.
     ``view_token_counts`` records the pre-prune token count per view.
-    ``kept`` and ``ranking`` (shape ``(M, 2)``) may also be integer arrays;
-    they are stored as tuples of ints, and other index types are rejected.
+    Indices are tuples of ints, never arrays. The record checks nothing:
+    the pruning stages build it, and ``from_obj``, where a record from
+    outside the package enters, checks every invariant above.
     """
 
     view_token_counts: tuple[int, ...]
@@ -462,49 +450,6 @@ class PruneResult(_ValueEq):
     local_pruned_counts: tuple[int, ...]
     global_pruned_count: int
     ranking: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        counts = tuple(_check_int(c, "view_token_counts", minimum=0)
-                       for c in self.view_token_counts)
-        kept = [_index_array(idx, "kept") for idx in self.kept]
-        fused = tuple(_as_float_array(a, "fused_scores", ndim=1)
-                      for a in self.fused_scores)
-        local = tuple(_check_int(c, "local_pruned_counts", minimum=0)
-                      for c in self.local_pruned_counts)
-        global_count = _check_int(self.global_pruned_count,
-                                  "global_pruned_count", minimum=0)
-        if not len(counts) == len(kept) == len(fused) == len(local):
-            raise ContractError("per-view fields must have one entry per view")
-        for v, (idx, scores, n, pruned) in enumerate(
-                zip(kept, fused, counts, local)):
-            if idx.shape[0] != scores.shape[0]:
-                raise ContractError(f"view {v}: kept and fused_scores must align")
-            if not (idx[1:] > idx[:-1]).all():
-                raise ContractError(f"view {v}: kept indices must be strictly increasing")
-            if idx.size and (idx[0] < 0 or idx[-1] >= n):
-                raise ContractError(f"view {v}: kept index out of range")
-            if pruned > n:
-                raise ContractError(f"view {v}: pruned more tokens than exist")
-        survivors = sum(c - p for c, p in zip(counts, local))
-        if sum(idx.size for idx in kept) != survivors - global_count:
-            raise ContractError(
-                "kept count must equal post-local survivors minus global prunes")
-        rank_view, rank_idx = _ranking_arrays(self.ranking)
-        views_exist = not rank_view.size or (
-            rank_view.min() >= 0 and rank_view.max() < len(kept))
-        # kept indices ascend strictly, so the sorted indices ranked for a
-        # view equal them only if the ranking lists each kept token once
-        if not views_exist or not all(
-                np.array_equal(np.sort(rank_idx[rank_view == v]), idx)
-                for v, idx in enumerate(kept)):
-            raise ContractError("ranking must enumerate exactly the kept tokens")
-        object.__setattr__(self, "view_token_counts", counts)
-        object.__setattr__(self, "kept", tuple(tuple(idx.tolist()) for idx in kept))
-        object.__setattr__(self, "fused_scores", fused)
-        object.__setattr__(self, "local_pruned_counts", local)
-        object.__setattr__(self, "global_pruned_count", global_count)
-        object.__setattr__(self, "ranking",
-                           tuple(zip(rank_view.tolist(), rank_idx.tolist())))
 
     @property
     def kept_total(self) -> int:
@@ -535,14 +480,48 @@ class PruneResult(_ValueEq):
     def from_obj(cls, obj) -> "PruneResult":
         _expect_record(obj, "prune_result")
         with parsing("prune result", "kept"):
-            return cls(
-                view_token_counts=tuple(obj["view_token_counts"]),
-                kept=tuple(tuple(idx) for idx in obj["kept"]),
-                fused_scores=tuple(obj["fused_scores"]),
-                local_pruned_counts=tuple(obj["local_pruned_counts"]),
-                global_pruned_count=obj["global_pruned_count"],
-                ranking=tuple(tuple(pair) for pair in obj["ranking"]),
-            )
+            counts = tuple(_check_int(c, "view_token_counts", minimum=0)
+                           for c in obj["view_token_counts"])
+            kept = [_index_array(idx, "kept") for idx in obj["kept"]]
+            fused = tuple(_as_float_array(a, "fused_scores", ndim=1)
+                          for a in obj["fused_scores"])
+            local = tuple(_check_int(c, "local_pruned_counts", minimum=0)
+                          for c in obj["local_pruned_counts"])
+            global_count = _check_int(obj["global_pruned_count"],
+                                      "global_pruned_count", minimum=0)
+            if not len(counts) == len(kept) == len(fused) == len(local):
+                raise ContractError(
+                    "per-view fields must have one entry per view")
+            for v, (idx, scores, n, pruned) in enumerate(
+                    zip(kept, fused, counts, local)):
+                if idx.shape[0] != scores.shape[0]:
+                    raise ContractError(
+                        f"view {v}: kept and fused_scores must align")
+                if not (idx[1:] > idx[:-1]).all():
+                    raise ContractError(
+                        f"view {v}: kept indices must be strictly increasing")
+                if idx.size and (idx[0] < 0 or idx[-1] >= n):
+                    raise ContractError(f"view {v}: kept index out of range")
+                if pruned > n:
+                    raise ContractError(
+                        f"view {v}: pruned more tokens than exist")
+            survivors = sum(c - p for c, p in zip(counts, local))
+            if sum(idx.size for idx in kept) != survivors - global_count:
+                raise ContractError("kept count must equal post-local "
+                                    "survivors minus global prunes")
+            rank_view, rank_idx = _ranking_arrays(obj["ranking"])
+            views_exist = not rank_view.size or (
+                rank_view.min() >= 0 and rank_view.max() < len(kept))
+            # kept indices ascend strictly, so the sorted indices ranked for
+            # a view equal them only if the ranking lists each kept token once
+            if not views_exist or not all(
+                    np.array_equal(np.sort(rank_idx[rank_view == v]), idx)
+                    for v, idx in enumerate(kept)):
+                raise ContractError(
+                    "ranking must enumerate exactly the kept tokens")
+            return cls(counts, tuple(tuple(idx.tolist()) for idx in kept),
+                       fused, local, global_count,
+                       tuple(zip(rank_view.tolist(), rank_idx.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -244,13 +244,16 @@ def _global_by_count(fused_per_view: Sequence[np.ndarray],
     rev = kept_order[::-1]
     by_pos = np.sort(kept_order)
     bounds = np.searchsorted(view_all[by_pos], np.arange(1, views))
+    fused = score_all[by_pos]
+    fused.flags.writeable = False
     return PruneResult(
         view_token_counts=tuple(int(n) for n in view_token_counts),
-        kept=np.split(idx_all[by_pos], bounds),
-        fused_scores=np.split(score_all[by_pos], bounds),
+        kept=tuple(tuple(idx.tolist())
+                   for idx in np.split(idx_all[by_pos], bounds)),
+        fused_scores=tuple(np.split(fused, bounds)),
         local_pruned_counts=tuple(int(c) for c in local_pruned_counts),
         global_pruned_count=int(drop_count),
-        ranking=np.stack((view_all[rev], idx_all[rev]), axis=1),
+        ranking=tuple(zip(view_all[rev].tolist(), idx_all[rev].tolist())),
     )
 
 
@@ -355,10 +358,16 @@ def score_observation(obs: MultiViewObservation, intra_params: MlpParams,
     """Both predictors' outputs for an observation, plus the raw token
     scores spatially weighted with ``epsilon``."""
     raw = predict_intra(intra_params, obs)
+    inter = predict_inter(inter_params, obs)
+    # a checkpoint comes from outside: its finite weights can still
+    # overflow into a NaN output, which the classifier metrics would take in
+    for name, outputs in (("intra", raw), ("inter", (inter,))):
+        if not all(np.isfinite(out).all() for out in outputs):
+            raise ContractError(f"{name} predictor output is not finite")
     weighted = _weight_views(raw, [(v.height, v.width) for v in obs.views],
                              epsilon)
-    return ImportanceScores(intra_raw=raw, intra_weighted=weighted,
-                            inter=predict_inter(inter_params, obs))
+    return ImportanceScores(intra_raw=raw, intra_weighted=tuple(weighted),
+                            inter=inter)
 
 
 def prune_scores(scores: ImportanceScores, view_token_counts: Sequence[int],

@@ -33,7 +33,7 @@ from mvprune.bench import (
     score_corpus,
     train_predictors,
 )
-from mvprune.core import PruneConfig, Strategy
+from mvprune.core import ParseError, PruneConfig, PruneResult, Strategy
 from mvprune.predictor import (
     init_mlp,
     loss_and_grad,
@@ -367,3 +367,34 @@ def test_10_ratio_sweep():
            f"global ratios 0/0.25/0.5/0.75 on 590 local survivors -> kept "
            f"{kept}; speedups {[f'{s:.2f}x' for s in speedups]} "
            f"non-decreasing")
+
+
+# ---------------------------------------------------------------------------
+# 11. pipeline results satisfy the prune-record invariants
+
+
+def test_11_results_pass_the_record_checks(default_training):
+    _, episodes, intra, inter, _ = default_training
+    flop = FlopModel(layers=18, embed_dim=2048)
+    corpus = score_corpus([ep.observations for ep in episodes],
+                          [ep.annotation for ep in episodes], intra, inter,
+                          PruneConfig().epsilon)
+    checked, failed = 0, []
+    for strategy in Strategy:
+        _, results = evaluate_strategy(
+            corpus, PruneConfig(strategy=strategy), flop)
+        for episode, per_episode in zip(episodes, results):
+            for t, result in enumerate(per_episode):
+                checked += 1
+                try:
+                    back = PruneResult.from_obj(result.to_obj())
+                    problem = None if back == result else "changed"
+                except ParseError as exc:
+                    problem = str(exc)
+                if problem:
+                    failed.append(f"{strategy.value} {episode.episode_id} "
+                                  f"frame {t}: {problem}")
+    report("record checks", not failed,
+           f"{checked} results of {len(Strategy)} strategies on the default "
+           f"corpus round-trip through PruneResult.from_obj; "
+           f"{len(failed)} fail{': ' + failed[0] if failed else ''}")

@@ -155,27 +155,6 @@ def test_report_totals_and_shares():
     assert zero.kept_share_per_view == (0.0, 0.0)
 
 
-def test_report_validates_count_ordering():
-    with pytest.raises(ContractError):
-        MetricsReport(**report_kwargs(tokens_kept=(400, 95)))
-    with pytest.raises(ContractError):
-        MetricsReport(**report_kwargs(tokens_post_local=(600, 410)))
-    with pytest.raises(ContractError):
-        MetricsReport(**report_kwargs(tokens_kept=(200,)))
-
-
-def test_report_validates_metric_ranges():
-    with pytest.raises(ContractError):
-        MetricsReport(**report_kwargs(intra_auc=1.5))
-    with pytest.raises(ContractError):
-        MetricsReport(**report_kwargs(reduction_ratio=-0.1))
-    with pytest.raises(ContractError):
-        MetricsReport(**report_kwargs(flop_speedup=0.99))
-    with pytest.raises(ContractError):
-        MetricsReport(**report_kwargs(episodes=0))
-    assert MetricsReport(**report_kwargs(flop_speedup=1.0)).flop_speedup == 1.0
-
-
 def test_report_rows_fixed_order():
     report = MetricsReport(**report_kwargs())
     names = [name for name, _ in report.rows()]
@@ -818,7 +797,8 @@ def _broken_checkpoint(damage, out, tmp_path):
     return broken
 
 
-@pytest.mark.parametrize("config", [{"nope": 1}, {"kind": "x"}])
+@pytest.mark.parametrize("config", [{"nope": 1}, {"kind": "x"},
+                                    {"prune": {"beta": 1.5}}])
 def test_cli_validate_reports_malformed_resolved_config(config, experiment_dir,
                                                         tmp_path, capsys):
     broken = tmp_path / "broken"

@@ -17,7 +17,6 @@ from mvprune.core import (
     ContractError,
     EpisodeAnnotation,
     FrameAnnotation,
-    ImportanceScores,
     MultiViewObservation,
     ParseError,
     Phase,
@@ -133,21 +132,6 @@ def test_float_text_round_trip_is_exact(value):
 # scores and configs
 
 
-def test_importance_scores_validated():
-    raw = (np.array([0.2, 0.8]),)
-    weighted = (np.array([1.0, 2.0]),)
-    scores = ImportanceScores(intra_raw=raw, intra_weighted=weighted,
-                              inter=np.array([0.5]))
-    assert scores.inter.shape == (1,)
-    with pytest.raises(ContractError):
-        ImportanceScores(intra_raw=(np.array([1.5]),),
-                         intra_weighted=(np.array([1.0]),),
-                         inter=np.array([0.5]))
-    with pytest.raises(ContractError):
-        ImportanceScores(intra_raw=raw, intra_weighted=weighted,
-                         inter=np.array([-0.1]))
-
-
 def test_prune_config_defaults():
     config = PruneConfig()
     assert config.alphas == (0.3, 0.2, 0.2)
@@ -193,7 +177,9 @@ def test_prune_config_round_trip():
 
 @pytest.mark.parametrize("key, value", [
     ("alphas", [1.5, 0.2, 0.2]), ("alphas", []), ("beta", 1.5),
-    ("epsilon", 0.0)])
+    ("epsilon", 0.0), ("beta", "x"), ("alphas", 5), ("alphas", ["a"]),
+    ("epsilon", "e"), ("epsilon", True), ("adaptive_threshold", "t"),
+    ("adaptive_multiplier", None)])
 def test_prune_config_from_obj_names_refused_key(key, value):
     obj = formats_example("prune_config")
     obj[key] = value
@@ -224,28 +210,31 @@ def test_prune_result_counts():
     assert result.post_local_counts == (3, 3)
 
 
+def refused_record(result, **changes):
+    """The ``ParseError`` that ``from_obj`` raises for ``result``'s record
+    with some fields replaced."""
+    with pytest.raises(ParseError) as err:
+        PruneResult.from_obj({**result.to_obj(), **changes})
+    return err.value
+
+
 def test_prune_result_rejects_count_mismatch():
-    with pytest.raises(ContractError):
-        PruneResult(view_token_counts=(4, 4), kept=((1, 3), (0,)),
-                    fused_scores=(np.array([0.5, 0.9]), np.array([0.7])),
-                    local_pruned_counts=(1, 1), global_pruned_count=2,
-                    ranking=((0, 3), (1, 0), (0, 1)))
+    err = refused_record(good_result(), global_pruned_count=2)
+    assert "kept count must equal post-local survivors" in str(err)
 
 
 def test_prune_result_rejects_unsorted_kept():
-    with pytest.raises(ContractError):
-        PruneResult(view_token_counts=(4,), kept=((3, 1),),
-                    fused_scores=(np.array([0.5, 0.9]),),
-                    local_pruned_counts=(1,), global_pruned_count=1,
-                    ranking=((0, 3), (0, 1)))
+    err = refused_record(good_result(), view_token_counts=[4],
+                         kept=[[3, 1]], fused_scores=[[0.5, 0.9]],
+                         local_pruned_counts=[1], global_pruned_count=1,
+                         ranking=[[0, 3], [0, 1]])
+    assert "strictly increasing" in str(err)
 
 
 def test_prune_result_rejects_bad_ranking():
-    with pytest.raises(ContractError):
-        PruneResult(view_token_counts=(4, 4), kept=((1, 3), (0,)),
-                    fused_scores=(np.array([0.5, 0.9]), np.array([0.7])),
-                    local_pruned_counts=(1, 1), global_pruned_count=3,
-                    ranking=((0, 3), (0, 3), (0, 1)))
+    err = refused_record(good_result(),
+                         ranking=[[0, 3], [0, 3], [0, 1]])
+    assert "ranking must enumerate exactly the kept tokens" in str(err)
 
 
 @pytest.mark.parametrize("ranking", [
@@ -264,50 +253,30 @@ def test_prune_result_rejects_bad_ranking():
 def test_prune_result_refuses_ranking_of_other_tokens(ranking, as_array):
     if as_array:
         ranking = np.array(ranking, dtype=np.int64).reshape(-1, 2)
-    with pytest.raises(ContractError,
-                       match="ranking must enumerate exactly the kept tokens"):
-        PruneResult(view_token_counts=(4, 4), kept=((1, 3), (0,)),
-                    fused_scores=(np.array([0.5, 0.9]), np.array([0.7])),
-                    local_pruned_counts=(1, 1), global_pruned_count=3,
-                    ranking=ranking)
-
-
-def test_prune_result_accepts_integer_arrays_and_stores_tuples():
-    result = PruneResult(
-        view_token_counts=(4, 4),
-        kept=(np.array([1, 3], dtype=np.int32), np.array([0], np.uint8)),
-        fused_scores=(np.array([0.5, 0.9]), np.array([0.7])),
-        local_pruned_counts=(1, 1), global_pruned_count=3,
-        ranking=np.array([[0, 3], [1, 0], [0, 1]]))
-    assert result == good_result()
-    assert result.kept == ((1, 3), (0,))
-    assert result.ranking == ((0, 3), (1, 0), (0, 1))
-    assert all(type(i) is int for idx in result.kept for i in idx)
-    assert all(type(i) is int for pair in result.ranking for i in pair)
-    assert dumps_obj(result.to_obj()) == dumps_obj(good_result().to_obj())
+    err = refused_record(good_result(), ranking=ranking)
+    assert "ranking must enumerate exactly the kept tokens" in str(err)
 
 
 def test_prune_result_accepts_empty_views():
-    result = PruneResult(view_token_counts=(2, 0), kept=((), ()),
-                         fused_scores=((), ()), local_pruned_counts=(0, 0),
-                         global_pruned_count=2, ranking=())
+    obj = {**good_result().to_obj(), "view_token_counts": [2, 0],
+           "kept": [[], []], "fused_scores": [[], []],
+           "local_pruned_counts": [0, 0], "global_pruned_count": 2,
+           "ranking": []}
+    result = PruneResult.from_obj(obj)
     assert result.kept == ((), ())
     assert result.ranking == ()
-    assert PruneResult.from_obj(result.to_obj()) == result
+    assert result.to_obj() == obj
 
 
 @pytest.mark.parametrize("kept", [
-    (np.array([1.0, 3.0]), (0,)),
-    (np.array([True, True]), (0,)),
-    ((1, 3), np.array([0], dtype=object)),
-    ((1, 3), np.array([[0]])),
+    [[1.0, 3.0], [0]],
+    [[True, True], [0]],
+    [[1, 3], [{}]],
+    [[1, 3], [[0]]],
 ])
 def test_prune_result_rejects_non_integer_index_arrays(kept):
-    with pytest.raises(ContractError):
-        PruneResult(view_token_counts=(4, 4), kept=kept,
-                    fused_scores=(np.array([0.5, 0.9]), np.array([0.7])),
-                    local_pruned_counts=(1, 1), global_pruned_count=3,
-                    ranking=((0, 3), (1, 0), (0, 1)))
+    err = refused_record(good_result(), kept=kept)
+    assert err.field == "kept"
 
 
 def test_prune_result_round_trip():
