@@ -483,13 +483,17 @@ def evaluate_strategy(corpus: ScoredCorpus, prune_config: PruneConfig,
     relevant_kept = relevant_total = 0
     flops_before = flops_after = 0.0
     results = []
+    # the random baseline reads only the view token counts: one draw each
+    drawn = {}
     for episode_obs, ann, episode_scores in zip(
             corpus.observations, corpus.annotations, corpus.scores):
         per_episode = []
         for obs, frame_scores in zip(episode_obs, episode_scores):
-            result = prune_scores(frame_scores,
-                                  [v.token_count for v in obs.views],
-                                  prune_config)
+            sizes = tuple(v.token_count for v in obs.views)
+            if (prune_config.strategy is not Strategy.RANDOM_DROP
+                    or sizes not in drawn):
+                drawn[sizes] = prune_scores(frame_scores, sizes, prune_config)
+            result = drawn[sizes]
             per_episode.append(result)
             counts.append((result.view_token_counts,
                            result.post_local_counts, result.kept_per_view))
@@ -551,6 +555,7 @@ def run_experiment(config: dict | None, out_dir) -> MetricsReport:
     """
     config = resolve_config(config)
     prune_config = _prune_config(config)
+    _train_config(config)
     flop_model = _flop_model(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -601,6 +606,7 @@ def compare_strategies(config: dict | None, out_dir,
     """
     config = resolve_config(config)
     prune_configs = [_prune_config(config, s) for s in strategies]
+    _train_config(config)
     flop_model = _flop_model(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -627,6 +633,7 @@ def sweep_beta(config: dict | None, betas: Sequence[float], out_dir
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     base = _prune_config(config, Strategy.HIERARCHICAL)
+    _train_config(config)
     flop_model = _flop_model(config)
     corpus = _scored_corpus(config, base.epsilon)
     rows = []

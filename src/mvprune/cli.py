@@ -33,6 +33,7 @@ from .bench import (
     evaluate_strategy,
     _flop_model,
     _prune_config,
+    _train_config,
     compare_strategies,
     load_experiment_config,
     resolve_config,
@@ -105,6 +106,7 @@ def _cmd_train(args) -> int:
         value = getattr(args, name, None)
         if value is not None:
             config["train"][name] = value
+    _train_config(config)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     corpus = load_corpus(args.corpus)

@@ -114,9 +114,12 @@ def parsing(what: str, field: str | None = None) -> Iterator[None]:
 def _as_float_array(value, name: str, *, shape: tuple[int, ...] | None = None,
                     ndim: int | None = None, copy: bool = True) -> np.ndarray:
     """Copy ``value`` into a read-only float64 array, validating shape and
-    finiteness. With ``copy`` false, a C-contiguous float64 array is not
-    copied: the result is a read-only view of it."""
-    arr = (np.array(value, dtype=np.float64) if copy else
+    finiteness. A read-only C-contiguous float64 array, taken to stay
+    unchanged, is not copied, and with ``copy`` false no C-contiguous
+    float64 array is: the result is a read-only view of it."""
+    frozen = (isinstance(value, np.ndarray) and value.dtype == np.float64
+              and value.flags.c_contiguous and not value.flags.writeable)
+    arr = (np.array(value, dtype=np.float64) if copy and not frozen else
            np.ascontiguousarray(value, dtype=np.float64).view())
     if ndim is not None and arr.ndim != ndim:
         raise ContractError(f"{name} must have {ndim} dimension(s), got {arr.ndim}")
@@ -242,7 +245,8 @@ class TokenGrid(_ValueEq):
     """Patch tokens of one camera view plus its summary (CLS) token.
 
     ``tokens`` has shape ``(height * width, embed_dim)`` in row-major patch
-    order; ``cls`` has shape ``(embed_dim,)``. Arrays are stored read-only.
+    order; ``cls`` has shape ``(embed_dim,)``. Arrays are stored read-only:
+    a read-only C-contiguous float64 array as given, anything else copied.
     """
 
     view_id: int
@@ -400,7 +404,11 @@ def _config_float(value, name: str) -> float:
             value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{name} must be a number, got "
                           f"{type(value).__name__}", field=name)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for a float",
+                          field=name) from None
 
 
 def _index_array(values, name: str) -> np.ndarray:
@@ -793,9 +801,13 @@ def load_observations(path, sidecar=None) -> list[MultiViewObservation]:
 
     ``sidecar`` defaults to ``sidecar_path(path)``. The records must account
     for every value of the sidecar, no more and no fewer; each view is
-    rebuilt through ``TokenGrid``, so shapes and finiteness are checked.
+    rebuilt through ``TokenGrid``, so shapes and finiteness are checked,
+    as a view of the sidecar array, which is read-only.
     """
     flat = _read_sidecar(sidecar_path(path) if sidecar is None else sidecar)
+    flat.flags.writeable = False
+    if isinstance(flat.base, np.ndarray):  # np.load may return a view
+        flat.base.flags.writeable = False
     observations = []
     offset = 0
     for obj in read_jsonl(path):

@@ -371,7 +371,8 @@ def build_intra_dataset(observations: Sequence[MultiViewObservation],
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Stack every token of every view with its mask bit as the target.
 
-    ``annotations`` maps episode id to its annotation.
+    ``annotations`` maps episode id to its annotation. A generated corpus's
+    tokens, in order, come back as a read-only view of its buffer.
     """
     xs, ys = [], []
     for obs in observations:
@@ -390,7 +391,21 @@ def build_intra_dataset(observations: Sequence[MultiViewObservation],
             ys.append(np.asarray(mask, dtype=np.float64))
     if not xs:
         raise ContractError("no observations to build a dataset from")
-    return np.concatenate(xs, axis=0), np.concatenate(ys)[:, None]
+    return _stacked(xs), np.concatenate(ys)[:, None]
+
+
+def _stacked(tokens: list[np.ndarray]) -> np.ndarray:
+    """C-contiguous ``tokens`` stacked by rows: a read-only view when they
+    lie back to back in one buffer, else a copy."""
+    first, at = tokens[0], tokens[0].ctypes.data
+    for t in tokens:
+        if (t.base is None or t.base is not first.base
+                or t.shape[1] != first.shape[1] or t.ctypes.data != at):
+            return np.concatenate(tokens, axis=0)
+        at += t.nbytes
+    return np.lib.stride_tricks.as_strided(
+        first, (sum(t.shape[0] for t in tokens), first.shape[1]),
+        (first.itemsize * first.shape[1], first.itemsize), writeable=False)
 
 
 def build_inter_dataset(observations: Sequence[MultiViewObservation],

@@ -436,28 +436,44 @@ def generate(spec: ScenarioSpec) -> SynthEpisode:
     Draw order: distractor jitter, then per frame and per view the token
     noise matrix followed by the summary-token noise vector.
     """
-    rng = np.random.default_rng(spec.seed)
-    geometry = build_geometry(spec, rng)
-    annotation = ground_truth(spec, geometry)
-    direction = spec.direction()
-    side = spec.grid_side
-    observations = []
-    for t in range(spec.episode_length):
-        frame = annotation.frames[t]
-        views = []
-        for v, mask in enumerate(frame.masks):
-            tokens = np.outer(mask.astype(np.float64), direction)
-            tokens += rng.normal(0.0, spec.noise_sigma,
-                                 size=(side * side, spec.embed_dim))
-            cls = direction * float(frame.inter_labels[v])
-            cls = cls + rng.normal(0.0, spec.noise_sigma, size=spec.embed_dim)
-            views.append(TokenGrid(view_id=v, height=side, width=side,
-                                   embed_dim=spec.embed_dim, tokens=tokens,
-                                   cls=cls))
-        observations.append(MultiViewObservation(
-            episode_id=spec.episode_id, frame_index=t, views=tuple(views)))
-    return SynthEpisode(spec=spec, observations=tuple(observations),
-                        geometry=tuple(geometry), annotation=annotation)
+    return _generate([spec])[0]
+
+
+def _generate(specs: Sequence[ScenarioSpec]) -> list[SynthEpisode]:
+    """Episodes of one embedding width whose token grids view one buffer,
+    a row per token in episode, frame and view order, read-only once full."""
+    buffer = np.empty((sum(spec.episode_length * spec.grid_side ** 2 * (
+        max(spec.roles.head, *spec.roles.wrists) + 1) for spec in specs),
+        specs[0].embed_dim))
+    episodes, row = [], 0
+    for spec in specs:
+        rng = np.random.default_rng(spec.seed)
+        geometry = build_geometry(spec, rng)
+        annotation = ground_truth(spec, geometry)
+        direction, side = spec.direction(), spec.grid_side
+        observations = []
+        for t, frame in enumerate(annotation.frames):
+            views = []
+            for v, mask in enumerate(frame.masks):
+                tokens = buffer[row:row + mask.shape[0]]
+                tokens[...] = rng.normal(0.0, spec.noise_sigma,
+                                         size=tokens.shape)
+                # np.outer(mask, direction) + noise bit for bit: an unmasked
+                # row would add a zero to noise that is never -0.0
+                tokens[mask == 1] += direction
+                tokens.flags.writeable = False
+                cls = direction * float(frame.inter_labels[v]) + rng.normal(
+                    0.0, spec.noise_sigma, size=spec.embed_dim)
+                views.append(TokenGrid(view_id=v, height=side, width=side,
+                                       embed_dim=spec.embed_dim,
+                                       tokens=tokens, cls=cls))
+                row += mask.shape[0]
+            observations.append(MultiViewObservation(
+                episode_id=spec.episode_id, frame_index=t, views=tuple(views)))
+        episodes.append(SynthEpisode(spec, tuple(observations),
+                                     tuple(geometry), annotation))
+    buffer.flags.writeable = False
+    return episodes
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +517,8 @@ def generate_corpus(template: ScenarioSpec, count: int,
     """Generate ``count`` varied episodes from one template, in memory."""
     _check_int(count, "count", minimum=1)
     master = np.random.default_rng(_check_int(seed, "seed", minimum=0))
-    episodes = []
-    for i in range(count):
-        episode_seed = int(master.integers(0, 2 ** 62))
-        episodes.append(generate(derive_episode_spec(template, i, episode_seed)))
-    return episodes
+    return _generate([derive_episode_spec(
+        template, i, int(master.integers(0, 2 ** 62))) for i in range(count)])
 
 
 def write_corpus(episodes: Sequence[SynthEpisode], seed: int, out_dir) -> dict:

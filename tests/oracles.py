@@ -2,10 +2,11 @@
 
 Everything here is deliberately written with plain Python loops, ``Fraction``
 arithmetic, and ``sorted`` so it shares no code path with the library. Slow
-is fine; independent is the point. The one exception is ``oracle_train``:
-training is checked bit for bit, which only the same numpy operations in the
-same order can give, so it is the SGD loop as first written, in numpy, with
-no call into the library.
+is fine; independent is the point. The exceptions are ``oracle_train`` and
+``oracle_episode_tokens``: training and token generation are checked bit for
+bit, which only the same numpy operations in the same order can give, so
+they are the SGD loop and the token construction as first written, in
+numpy, with no call into the library.
 """
 
 import math
@@ -116,6 +117,30 @@ def oracle_patch_mask(boxes, image_width, image_height, patch_size):
             if (x, y) in covered:
                 mask[y // patch_size][x // patch_size] = 1
     return [bit for row in mask for bit in row]
+
+
+def oracle_episode_tokens(seed, distractors, frames, direction, sigma):
+    """Each frame's per-view ``(tokens, cls)`` of a synthetic episode, as
+    the mask's outer product with the relevance direction plus noise.
+
+    ``frames`` gives each frame's ``(masks, inter_labels)``. The generator
+    seeded with ``seed`` first draws one jitter per distractor, then per
+    frame and view the token noise and the summary-token noise.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(distractors):
+        rng.integers(-4, 5)
+    episode = []
+    for masks, labels in frames:
+        views = []
+        for mask, label in zip(masks, labels):
+            tokens = np.outer(np.asarray(mask, dtype=np.float64), direction)
+            tokens += rng.normal(0.0, sigma, size=(len(mask), len(direction)))
+            cls = direction * float(label)
+            cls = cls + rng.normal(0.0, sigma, size=len(direction))
+            views.append((tokens, cls))
+        episode.append(views)
+    return episode
 
 
 def oracle_flops(layers, embed_dim, tokens, linear_coeff=12.0,

@@ -3,6 +3,7 @@
 import json
 import shutil
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,10 +13,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from mvprune import bench
 from mvprune.bench import (
     DEFAULT_CONFIG,
     MetricsReport,
     _flop_model,
+    _prepare,
     _prune_config,
     _section,
     _train_config,
@@ -44,7 +47,13 @@ from mvprune.core import (
     Strategy,
     load_annotation,
 )
-from mvprune.pruner import FlopModel, prune_observation, score_observation
+from mvprune.pruner import (
+    FlopModel,
+    flop_estimate,
+    prune_observation,
+    prune_scores,
+    score_observation,
+)
 from mvprune.synth import ArmScript, generate_corpus, load_corpus
 
 SMALL = {
@@ -423,6 +432,54 @@ def test_compare_strategies_equals_per_frame_evaluations(small_run,
         assert results == per_frame_results(small_run, prune_config)
 
 
+def test_evaluate_strategy_draws_random_drop_once_per_token_counts(
+        small_run, monkeypatch):
+    """The random baseline reads only the view token counts, so one draw
+    serves every frame with the same counts; results and report are those
+    of a per-frame ``prune_scores`` loop."""
+    _, episodes, derived, intra, inter = small_run
+    config = PruneConfig(strategy=Strategy.RANDOM_DROP, seed=5)
+    flop_model = FlopModel(18, 2048)
+    corpus = score_corpus([ep.observations for ep in episodes], derived,
+                          intra, inter, config.epsilon)
+    calls = []
+    monkeypatch.setattr(bench, "prune_scores",
+                        lambda *args: calls.append(args) or prune_scores(*args))
+    report, results = evaluate_strategy(corpus, config, flop_model)
+    assert len(calls) == 1  # every frame has three 16x16 views
+
+    expected = [[prune_scores(scores, [v.token_count for v in obs.views],
+                              config)
+                 for obs, scores in zip(ep_obs, ep_scores)]
+                for ep_obs, ep_scores in zip(corpus.observations,
+                                             corpus.scores)]
+    assert results == expected
+    frames = [(obs, ann.frames[obs.frame_index].masks, result)
+              for ep_obs, ann, ep_results in zip(
+                  corpus.observations, corpus.annotations, expected)
+              for obs, result in zip(ep_obs, ep_results)]
+    before = [sum(col) for col in zip(*(r.view_token_counts
+                                        for _, _, r in frames))]
+    kept = [sum(col) for col in zip(*(r.kept_per_view for _, _, r in frames))]
+    flops_before = flops_after = 0.0
+    relevant_kept = relevant_total = 0
+    for obs, masks, result in frames:
+        flops_before += flop_estimate(flop_model, obs.total_tokens)
+        flops_after += flop_estimate(flop_model, max(result.kept_total, 1))
+        for mask, kept_view in zip(masks, result.kept):
+            relevant_total += int(mask.sum())
+            relevant_kept += int(mask[list(kept_view)].sum())
+    assert report == MetricsReport(
+        strategy="random_drop", episodes=2, frames=24,
+        tokens_before=tuple(before),
+        tokens_post_local=tuple(
+            sum(col) for col in zip(*(r.post_local_counts
+                                      for _, _, r in frames))),
+        tokens_kept=tuple(kept), reduction_ratio=1.0 - sum(kept) / sum(before),
+        flop_speedup=flops_before / flops_after,
+        retention_relevant=relevant_kept / relevant_total, **corpus.classifier)
+
+
 def test_trained_predictors_beat_random_drop(small_run):
     hier, _ = small_eval(small_run)
     rand, _ = small_eval(
@@ -440,6 +497,66 @@ def experiment_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("experiment")
     report = run_experiment(resolve_config(SMALL), out)
     return out, report
+
+
+BAD_TRAIN = {"train": {"learning_rate": -1.0}}
+
+
+def counted_generate(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bench, "generate_corpus",
+                        lambda *args: calls.append(args))
+    return calls
+
+
+@pytest.mark.parametrize("run", [
+    lambda out: run_experiment(BAD_TRAIN, out),
+    lambda out: compare_strategies(BAD_TRAIN, out),
+    lambda out: sweep_beta(BAD_TRAIN, [0.5], out)],
+    ids=["run_experiment", "compare_strategies", "sweep_beta"])
+def test_bad_train_section_is_refused_before_generating(run, tmp_path,
+                                                        monkeypatch):
+    calls = counted_generate(monkeypatch)
+    with pytest.raises(ConfigError, match="learning_rate"):
+        run(tmp_path)
+    assert calls == []
+
+
+def test_cli_prune_refuses_bad_train_section_before_generating(
+        tmp_path, monkeypatch, capsys):
+    calls = counted_generate(monkeypatch)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(BAD_TRAIN), encoding="utf-8")
+    code = main(["prune", "--config", str(config), "--out",
+                 str(tmp_path / "run")])
+    assert code == 2
+    assert "learning_rate" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_cli_train_parses_train_section_before_loading(tmp_path, capsys):
+    code = main(["train", "--corpus", str(tmp_path / "missing"), "--out",
+                 str(tmp_path / "ckpt"), "--learning-rate", "-1"])
+    assert code == 2
+    assert "learning_rate" in capsys.readouterr().err
+
+
+def test_prepare_holds_the_corpus_tokens_once():
+    """Training reads the generated corpus's one token buffer in place: the
+    tokens are never held twice."""
+    config = resolve_config({"corpus": {"patch_size": 8, "count": 4}})
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        episodes = _prepare(config)[0]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    token_bytes = sum(view.tokens.nbytes for ep in episodes
+                      for obs in ep.observations for view in obs.views)
+    assert token_bytes == 4 * 16 * 3 * 32 ** 2 * 32 * 8
+    assert peak < 1.4 * token_bytes
 
 
 def test_run_experiment_layout(experiment_dir):

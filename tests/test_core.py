@@ -101,6 +101,56 @@ def test_token_grid_arrays_are_read_only():
         grid.tokens[0, 0] = 1.0
 
 
+def read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+def test_token_grid_shares_a_read_only_float64_input():
+    tokens = read_only(np.arange(24.0).reshape(6, 4))
+    cls = read_only(np.ones(4))
+    grid = TokenGrid(view_id=0, height=2, width=3, embed_dim=4,
+                     tokens=tokens, cls=cls)
+    assert np.shares_memory(grid.tokens, tokens)
+    assert np.shares_memory(grid.cls, cls)
+
+
+def test_token_grid_copies_a_writeable_input():
+    tokens, cls = np.arange(24.0).reshape(6, 4), np.ones(4)
+    grid = TokenGrid(view_id=0, height=2, width=3, embed_dim=4,
+                     tokens=tokens, cls=cls)
+    tokens[0, 0], cls[0] = 99.0, 99.0
+    assert grid.tokens[0, 0] == 0.0 and grid.cls[0] == 1.0
+    assert not np.shares_memory(grid.tokens, tokens)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.arange(24, dtype=np.float32).reshape(6, 4),
+    lambda: np.repeat(np.arange(24.0).reshape(6, 4), 2, axis=1)[:, ::2],
+    lambda: np.asfortranarray(np.arange(24.0).reshape(6, 4)),
+    lambda: np.arange(24.0).reshape(6, 4).astype(">f8")], ids=[
+        "float32", "strided", "fortran", "big-endian"])
+def test_token_grid_copies_other_read_only_input(make):
+    source = read_only(make())
+    grid = TokenGrid(view_id=0, height=2, width=3, embed_dim=4,
+                     tokens=source, cls=np.ones(4))
+    assert grid.tokens.dtype == np.float64
+    assert not np.shares_memory(grid.tokens, source)
+    assert np.array_equal(grid.tokens, np.arange(24.0).reshape(6, 4))
+
+
+@pytest.mark.parametrize("writeable", [True, False])
+@pytest.mark.parametrize("tokens", [
+    np.zeros((3, 4)), np.zeros(16), np.full((4, 4), np.nan),
+    np.full((4, 4), -np.inf)])
+def test_token_grid_refuses_bad_tokens_shared_or_copied(tokens, writeable):
+    tokens = tokens.copy()
+    tokens.flags.writeable = writeable
+    with pytest.raises(ContractError):
+        TokenGrid(view_id=0, height=2, width=2, embed_dim=4, tokens=tokens,
+                  cls=read_only(np.zeros(4)))
+
+
 def test_observation_requires_ordered_view_ids():
     views = (make_grid(view_id=0), make_grid(view_id=2))
     with pytest.raises(ContractError):
@@ -179,7 +229,9 @@ def test_prune_config_round_trip():
     ("alphas", [1.5, 0.2, 0.2]), ("alphas", []), ("beta", 1.5),
     ("epsilon", 0.0), ("beta", "x"), ("alphas", 5), ("alphas", ["a"]),
     ("epsilon", "e"), ("epsilon", True), ("adaptive_threshold", "t"),
-    ("adaptive_multiplier", None)])
+    ("adaptive_multiplier", None),
+    *(pytest.param(key, 10 ** 400, id=f"{key}-10**400")
+      for key in ("beta", "epsilon", "adaptive_multiplier"))])
 def test_prune_config_from_obj_names_refused_key(key, value):
     obj = formats_example("prune_config")
     obj[key] = value
@@ -487,7 +539,14 @@ def test_observation_file_round_trip(tmp_path):
     observations = [make_obs(frame_index=t, seed=t) for t in range(3)]
     save_observations(path, observations)
     assert sidecar_path(path) == tmp_path / "obs.npy"
-    assert load_observations(path) == observations
+    loaded = load_observations(path)
+    assert loaded == observations
+    # every grid holds read-only views of the one read-only sidecar array
+    arrays = [array for obs in loaded for view in obs.views
+              for array in (view.tokens, view.cls)]
+    assert not any(array.flags.writeable for array in arrays)
+    assert all(array.base is arrays[0].base is not None for array in arrays)
+    assert not arrays[0].base.flags.writeable
 
 
 # values whose bits decimal text or a lossy store would most likely change

@@ -62,12 +62,12 @@ MAPPED = {"KeyError", "TypeError", "ValueError", "AttributeError",
           "BaseException"}
 
 # the two boundaries, plus handlers around one call whose failure they name
-# exactly: text that is no JSON, a field that is no list, an unreadable
-# sidecar, a trace line that is no number, and an array too large to
-# allocate
+# exactly: text that is no JSON, a field that is no list, a number too large
+# for a float, an unreadable sidecar, a trace line that is no number, and an
+# array too large to allocate
 BOUNDARIES = {"core.parsing", "bench._section", "core.loads_obj",
-              "core._listed", "core._read_sidecar", "predictor.load_trace",
-              "bench.train_predictors"}
+              "core._listed", "core._config_float", "core._read_sidecar",
+              "predictor.load_trace", "bench.train_predictors"}
 
 
 def mapping_handlers(path):

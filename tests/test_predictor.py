@@ -35,6 +35,13 @@ from mvprune.predictor import (
     save_trace,
     train,
 )
+from mvprune.bench import resolve_config, train_predictors
+from mvprune.synth import (
+    ScenarioSpec,
+    generate_corpus,
+    load_corpus,
+    write_corpus,
+)
 from test_core import make_annotation, make_obs
 
 
@@ -458,6 +465,75 @@ def test_build_intra_dataset_rejects_misaligned_masks():
     observations = [make_obs()]  # 2x3 views
     with pytest.raises(ContractError):
         build_intra_dataset(observations, {ann.episode_id: ann})
+
+
+@pytest.fixture(scope="module")
+def generated_corpus(tmp_path_factory):
+    """A small generated corpus, and the same corpus written and loaded."""
+    episodes = generate_corpus(ScenarioSpec(embed_dim=8, patch_size=32), 2,
+                               seed=4)
+    out = tmp_path_factory.mktemp("corpus")
+    write_corpus(episodes, 4, out)
+    return episodes, load_corpus(out)
+
+
+def training_set(episodes):
+    observations = [obs for ep in episodes for obs in ep.observations]
+    return observations, {ep.episode_id: ep.annotation for ep in episodes}
+
+
+def stacked_tokens(observations):
+    return np.concatenate([view.tokens for obs in observations
+                           for view in obs.views])
+
+
+def test_build_intra_dataset_shares_a_generated_corpus(generated_corpus):
+    observations, annotations = training_set(generated_corpus[0])
+    x, y = build_intra_dataset(observations, annotations)
+    first, last = observations[0].views[0], observations[-1].views[-1]
+    assert np.shares_memory(x, first.tokens)
+    assert np.shares_memory(x, last.tokens)
+    assert not x.flags.writeable
+    assert x.tobytes() == stacked_tokens(observations).tobytes()
+    assert y.shape == (x.shape[0], 1)
+
+
+@pytest.mark.parametrize("pick", ["loaded", "subset", "reordered"])
+def test_build_intra_dataset_copies_other_corpora(generated_corpus, pick):
+    episodes, loaded = generated_corpus
+    observations, annotations = training_set(episodes)
+    buffer = observations[0].views[0].tokens.base
+    observations = {
+        "loaded": [obs for entry in loaded for obs in entry["observations"]],
+        "subset": observations[::2],
+        "reordered": observations[::-1]}[pick]
+    x, y = build_intra_dataset(observations, annotations)
+    assert x.tobytes() == stacked_tokens(observations).tobytes()
+    assert not np.may_share_memory(x, buffer)
+    assert not any(np.may_share_memory(x, view.tokens)
+                   for obs in observations for view in obs.views)
+    masks = [annotations[obs.episode_id].frames[obs.frame_index].masks
+             for obs in observations]
+    assert np.array_equal(y[:, 0], np.concatenate(sum(map(list, masks), [])))
+
+
+def test_train_predictors_same_weights_shared_or_copied(generated_corpus):
+    """Training on a view of the generated buffer and on the loaded
+    corpus's copy gives the same weights to the bit."""
+    episodes, loaded = generated_corpus
+    config = resolve_config({"train": {"hidden": 8, "steps": 40,
+                                       "batch_size": 16}})
+    shared = train_predictors(*training_set(episodes), config)
+    copied = train_predictors(
+        [obs for entry in loaded for obs in entry["observations"]],
+        {entry["episode_id"]: entry["annotation"] for entry in loaded},
+        config)
+    for a, b in zip(shared[:2], copied[:2]):
+        for (w, bias), (w2, bias2) in zip(a.layers, b.layers):
+            assert w.tobytes() == w2.tobytes()
+            assert bias.tobytes() == bias2.tobytes()
+    for a, b in zip(shared[2:], copied[2:]):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_build_inter_dataset_one_row_per_frame():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from mvprune.annotate import BoxKind, annotate_episode, detect_interaction
 from mvprune.core import ConfigError, Phase
 from mvprune.synth import (
@@ -117,6 +118,46 @@ def test_generate_structure():
     assert obs.embed_dim == 8
     assert episode.annotation.grids == ((16, 16),) * 3
     assert episode.episode_id == "ep-small"
+
+
+# a unit direction with negative and -0.0 entries: 0.0 times one of them is
+# -0.0, which the old outer product held wherever the mask is 0
+SIGNED_DIRECTION = np.array([0.6, -0.8, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0])
+
+
+def assert_oracle_tokens(episode):
+    spec = episode.spec
+    expected = oracles.oracle_episode_tokens(
+        spec.seed, spec.distractors,
+        [(frame.masks, frame.inter_labels)
+         for frame in episode.annotation.frames],
+        spec.direction(), spec.noise_sigma)
+    assert len(expected) == len(episode.observations)
+    for obs, views in zip(episode.observations, expected):
+        assert len(views) == obs.view_count
+        for grid, (tokens, cls) in zip(obs.views, views):
+            # bytes, not ==: 0.0 == -0.0 would hide a changed sign bit
+            assert grid.tokens.tobytes() == tokens.tobytes()
+            assert grid.cls.tobytes() == cls.tobytes()
+
+
+@pytest.mark.parametrize("direction, sigma", [
+    (None, 0.01), (SIGNED_DIRECTION, 0.01), (SIGNED_DIRECTION, 0.0),
+    (None, 0.0)])
+def test_generated_tokens_equal_outer_plus_noise_oracle(direction, sigma):
+    spec = small_spec(relevance_direction=direction, noise_sigma=sigma)
+    assert_oracle_tokens(generate(spec))
+    corpus = generate_corpus(spec, 2, seed=3)
+    for episode in corpus:
+        assert_oracle_tokens(episode)
+    # one read-only buffer holds every token of the corpus
+    grids = [view.tokens for ep in corpus for obs in ep.observations
+             for view in obs.views]
+    buffer = grids[0].base
+    assert not buffer.flags.writeable
+    assert all(grid.base is buffer and not grid.flags.writeable
+               for grid in grids)
+    assert sum(grid.size for grid in grids) == buffer.size
 
 
 def test_head_view_contains_scene_boxes():
