@@ -15,6 +15,7 @@ import csv
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import groupby, islice
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -56,9 +57,10 @@ from .predictor import (
 )
 from .pruner import (
     FlopModel,
+    PruneBatch,
+    _dispatch,
+    _score_frames,
     flop_estimate,
-    prune_scores,
-    score_observation,
 )
 from .synth import (
     ArmScript,
@@ -431,11 +433,8 @@ def score_corpus(observations_by_episode: Sequence[
         raise ContractError("evaluation needs at least one observation")
     if len(annotations) != len(observations_by_episode):
         raise ContractError("annotations must align with the episodes")
-    scores = []
-    intra_scores, intra_labels = [], []
-    inter_scores, inter_labels = [], []
+    intra_labels, inter_labels = [], []
     for episode_obs, ann in zip(observations_by_episode, annotations):
-        per_episode = []
         for obs in episode_obs:
             if ann.episode_id != obs.episode_id:
                 raise ContractError(
@@ -448,15 +447,14 @@ def score_corpus(observations_by_episode: Sequence[
             frame = ann.frames[obs.frame_index]
             if len(frame.masks) != obs.view_count:
                 raise ContractError("annotation masks must align with views")
-            frame_scores = score_observation(obs, intra, inter, epsilon)
-            per_episode.append(frame_scores)
-            intra_scores.extend(frame_scores.intra_raw)
             intra_labels.extend(frame.masks)
-            inter_scores.append(frame_scores.inter)
             inter_labels.append(np.array(frame.inter_labels))
-        scores.append(tuple(per_episode))
+    frame_scores = _score_frames(
+        [obs for episode_obs in observations_by_episode
+         for obs in episode_obs], intra, inter, epsilon)
     intra_s, intra_y, inter_s, inter_y = map(np.concatenate, (
-        intra_scores, intra_labels, inter_scores, inter_labels))
+        [raw for s in frame_scores for raw in s.intra_raw], intra_labels,
+        [s.inter for s in frame_scores], inter_labels))
     intra_precision, intra_recall = precision_recall(intra_s, intra_y)
     inter_precision, inter_recall = precision_recall(inter_s, inter_y)
     classifier = {
@@ -464,16 +462,21 @@ def score_corpus(observations_by_episode: Sequence[
         "intra_precision": intra_precision, "intra_recall": intra_recall,
         "inter_accuracy": accuracy((inter_s >= 0.5).astype(int), inter_y),
         "inter_precision": inter_precision, "inter_recall": inter_recall}
+    by_frame = iter(frame_scores)
+    scores = tuple(tuple(islice(by_frame, len(episode_obs)))
+                   for episode_obs in observations_by_episode)
     return ScoredCorpus(tuple(map(tuple, observations_by_episode)),
-                        tuple(annotations), tuple(scores), float(epsilon),
+                        tuple(annotations), scores, float(epsilon),
                         classifier)
 
 
 def evaluate_strategy(corpus: ScoredCorpus, prune_config: PruneConfig,
                       flop_model: FlopModel
-                      ) -> tuple[MetricsReport, list[list[PruneResult]]]:
-    """Prune every frame of a scored corpus and fold the outcomes into a
-    report. The corpus must have been scored with ``prune_config.epsilon``.
+                      ) -> tuple[MetricsReport, list[list[PruneBatch]]]:
+    """Prune a scored corpus and fold the outcomes into a report. Each run
+    of an episode's frames with equal view token counts is pruned in one
+    batch; the batches come back per episode. The corpus must have been
+    scored with ``prune_config.epsilon``.
     """
     if prune_config.epsilon != corpus.epsilon:
         raise ContractError(
@@ -483,33 +486,41 @@ def evaluate_strategy(corpus: ScoredCorpus, prune_config: PruneConfig,
     relevant_kept = relevant_total = 0
     flops_before = flops_after = 0.0
     results = []
-    # the random baseline reads only the view token counts: one draw each
-    drawn = {}
     for episode_obs, ann, episode_scores in zip(
             corpus.observations, corpus.annotations, corpus.scores):
-        per_episode = []
-        for obs, frame_scores in zip(episode_obs, episode_scores):
-            sizes = tuple(v.token_count for v in obs.views)
-            if (prune_config.strategy is not Strategy.RANDOM_DROP
-                    or sizes not in drawn):
-                drawn[sizes] = prune_scores(frame_scores, sizes, prune_config)
-            result = drawn[sizes]
-            per_episode.append(result)
-            counts.append((result.view_token_counts,
-                           result.post_local_counts, result.kept_per_view))
-            flops_before += flop_estimate(flop_model, obs.total_tokens)
-            flops_after += flop_estimate(flop_model, max(result.kept_total, 1))
-            for mask, kept in zip(ann.frames[obs.frame_index].masks,
-                                  result.kept):
-                relevant_total += int(mask.sum())
-                relevant_kept += int(mask[list(kept)].sum())
-        results.append(per_episode)
+        batches = []
+        for sizes, run in groupby(
+                zip(episode_obs, episode_scores),
+                key=lambda pair: tuple(v.token_count for v in pair[0].views)):
+            observations, scores = zip(*run)
+            batch = _dispatch(
+                [np.stack(view) for view in zip(*(s.intra_weighted
+                                                  for s in scores))],
+                np.stack([s.inter for s in scores]), sizes, prune_config)
+            batches.append(batch)
+            # per frame and view; a view of a grid has at least one token
+            kept = np.add.reduceat(batch.kept, np.cumsum((0, *sizes[:-1])),
+                                   axis=1)
+            counts.append((np.multiply(sizes, len(scores)),
+                           np.subtract(sizes, batch.local_pruned_counts)
+                           .sum(axis=0), kept.sum(axis=0)))
+            masks = np.stack([np.concatenate(ann.frames[obs.frame_index].masks)
+                              for obs in observations])
+            relevant_total += int(masks.sum())
+            relevant_kept += int(masks[batch.kept].sum())
+            # frame by frame, in order: the sum's rounding stays that of a
+            # per-frame loop
+            for obs, kept_total in zip(observations,
+                                       kept.sum(axis=1).tolist()):
+                flops_before += flop_estimate(flop_model, obs.total_tokens)
+                flops_after += flop_estimate(flop_model, max(kept_total, 1))
+        results.append(batches)
     # Python ints: report.csv would write a numpy float as np.float64(...)
     before, post_local, kept = np.sum(counts, axis=0, dtype=np.int64).tolist()
     report = MetricsReport(
         strategy=prune_config.strategy.value,
         episodes=len(corpus.observations),
-        frames=len(counts),
+        frames=sum(map(len, corpus.observations)),
         tokens_before=tuple(before),
         tokens_post_local=tuple(post_local),
         tokens_kept=tuple(kept),
@@ -674,14 +685,15 @@ def write_checkpoints(directory, intra: MlpParams, inter: MlpParams,
 
 
 def write_prune_records(directory, episode_ids: Sequence[str],
-                        results: Sequence[Sequence[PruneResult]]) -> None:
+                        results: Sequence[Sequence[PruneBatch]]) -> None:
     """One ``{episode_id}.prune.jsonl`` per episode, one record per frame."""
-    for episode_id, per_episode in zip(episode_ids, results):
+    for episode_id, batches in zip(episode_ids, results):
+        frames = (result for batch in batches for result in batch.results())
         write_jsonl(Path(directory) / f"{episode_id}.prune.jsonl",
                     ({"fmt": FORMAT_VERSION, "kind": "prune",
                       "episode_id": episode_id, "frame_index": t,
                       "result": result.to_obj()}
-                     for t, result in enumerate(per_episode)))
+                     for t, result in enumerate(frames)))
 
 
 def write_report_csv(path, reports: Sequence[MetricsReport]) -> None:

@@ -12,7 +12,9 @@ The hierarchical pipeline runs per observation:
 
 Every stage breaks score ties by token position: within a view the lower
 index loses first, across views the lower ``(view, index)`` pair loses
-first. That makes all outputs reproducible down to the byte.
+first. That makes all outputs reproducible down to the byte. Frames that
+share their view token counts are pruned together, each stage working row
+by row under the same rule, so a batch gives each frame's own result.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from itertools import groupby, islice
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -145,47 +149,62 @@ def _weight_views(raw_per_view: Sequence[np.ndarray],
     return weighted
 
 
+def _normalize_rows(scores: np.ndarray) -> np.ndarray:
+    """``normalize_scores`` of each row of a 2-D array."""
+    # the initial values only matter to rows of no columns
+    low = np.minimum.reduce(scores, axis=1, keepdims=True, initial=np.inf)
+    span = np.maximum.reduce(scores, axis=1, keepdims=True,
+                             initial=-np.inf) - low
+    flat = span == 0.0
+    span[flat] = 1.0
+    out = (scores - low) / span
+    out[flat[:, 0]] = 1.0
+    return out
+
+
 def normalize_scores(scores) -> np.ndarray:
     """Min-max normalize one view's scores into [0, 1].
 
     A constant score vector normalizes to all ones, so a uniformly scored
     view is not accidentally wiped out by the local stage.
     """
-    arr = _as_float_array(scores, "scores", ndim=1)
-    if arr.size == 0:
-        return arr
-    low, high = arr.min(), arr.max()
-    if high == low:
-        return np.ones_like(arr)
-    return (arr - low) / (high - low)
+    return _normalize_rows(_as_float_array(scores, "scores", ndim=1)[None])[0]
 
 
-def _order_by_score(scores: np.ndarray) -> np.ndarray:
-    """Indices that sort ``scores`` ascending, ties by index.
+def _flat(columns: np.ndarray, width: int) -> np.ndarray:
+    """Column indices of rows ``width`` long as indices into their ravel."""
+    if len(columns) == 1:
+        return columns
+    return columns + np.arange(len(columns))[:, None] * width
 
-    The same as ``np.lexsort((np.arange(n), scores))``, -0.0 tying with
-    0.0: a plain argsort, then only runs of equal scores put in index order.
+
+def _order_rows(scores: np.ndarray) -> np.ndarray:
+    """Indices that sort each row of ``scores`` ascending, ties by index.
+
+    Row by row the same as ``np.lexsort((np.arange(n), row))``, -0.0 tying
+    with 0.0: a row-wise argsort, then only runs of equal scores put in
+    index order.
     """
-    n = scores.shape[0]
-    order = np.argsort(scores)
-    ranked = scores[order]
-    starts = np.empty(n, dtype=bool)
-    starts[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    rows, n = scores.shape
+    order = np.argsort(scores, axis=1)
+    ranked = scores.ravel()[_flat(order, n)]
+    starts = np.ones((rows, n), dtype=bool)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:, 1:])
     if starts.all():
         return order
-    return np.sort(np.cumsum(starts) * n + order) % n
+    return np.sort(np.cumsum(starts, axis=1) * n + order, axis=1) % n
 
 
-def _drop_lowest(scores: np.ndarray, count: int) -> np.ndarray:
-    """Indices surviving after dropping ``count`` lowest scores, ascending.
-
-    Ties drop the lower index first.
-    """
-    n = scores.shape[0]
-    if count > n:
-        raise ContractError(f"cannot drop {count} of {n} tokens")
-    return np.sort(_order_by_score(scores)[count:])
+def _local_rows(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Which tokens of each row survive dropping its ``counts`` lowest
+    scores; ties drop the lower index first."""
+    rows, n = scores.shape
+    if (counts > n).any():
+        raise ContractError(f"cannot drop {counts.max()} of {n} tokens")
+    dropped = _flat(_order_rows(scores), n)[np.arange(n) < counts[:, None]]
+    alive = np.ones(rows * n, dtype=bool)
+    alive[dropped] = False
+    return alive.reshape(rows, n)
 
 
 def local_prune(normalized_per_view: Sequence[np.ndarray],
@@ -200,13 +219,12 @@ def local_prune(normalized_per_view: Sequence[np.ndarray],
         raise ContractError(
             f"need one local ratio per view: {len(alphas)} ratios, "
             f"{len(normalized_per_view)} views")
-    kept, counts = [], []
-    for scores, alpha in zip(normalized_per_view, alphas):
-        arr = _as_float_array(scores, "scores", ndim=1)
-        count = _prune_count(float(alpha), arr.shape[0])
-        kept.append(_drop_lowest(arr, count))
-        counts.append(count)
-    return tuple(kept), tuple(counts)
+    scores = [_as_float_array(s, "scores", ndim=1)[None]
+              for s in normalized_per_view]
+    counts = tuple(_prune_count(float(a), s.shape[1])
+                   for s, a in zip(scores, alphas))
+    return tuple(np.flatnonzero(_local_rows(s, np.array([c])))
+                 for s, c in zip(scores, counts)), counts
 
 
 def fuse_scores(normalized_per_view: Sequence[np.ndarray],
@@ -218,43 +236,87 @@ def fuse_scores(normalized_per_view: Sequence[np.ndarray],
                  for s, w in zip(normalized_per_view, inter))
 
 
-def _global_by_count(fused_per_view: Sequence[np.ndarray],
-                     kept_per_view: Sequence[np.ndarray],
-                     drop_count: int,
-                     view_token_counts: Sequence[int],
-                     local_pruned_counts: Sequence[int]) -> PruneResult:
-    """Drop the ``drop_count`` lowest fused survivors across views."""
-    views = len(kept_per_view)
-    score_all = np.concatenate([np.zeros(0), *fused_per_view])
-    view_all = np.repeat(np.arange(views, dtype=np.int64),
-                         [len(k) for k in kept_per_view])
-    idx_all = np.concatenate([np.zeros(0, dtype=np.int64), *kept_per_view])
-    if not score_all.shape == view_all.shape == idx_all.shape:
-        raise ContractError("fused scores must align with survivor indices")
-    total = score_all.shape[0]
-    if drop_count > total:
-        raise ContractError(f"cannot drop {drop_count} of {total} survivors")
-    # ties go to the lower concatenation position, which is (view, index)
-    # order once each view's survivors ascend; callers of global_prune may
-    # pass them in any order, and sorting within each view keeps view_all
-    if ((idx_all[1:] < idx_all[:-1]) & (view_all[1:] == view_all[:-1])).any():
-        by_index = np.lexsort((idx_all, view_all))
-        score_all, idx_all = score_all[by_index], idx_all[by_index]
-    kept_order = _order_by_score(score_all)[drop_count:]
-    rev = kept_order[::-1]
-    by_pos = np.sort(kept_order)
-    bounds = np.searchsorted(view_all[by_pos], np.arange(1, views))
-    fused = score_all[by_pos]
-    fused.flags.writeable = False
-    return PruneResult(
-        view_token_counts=tuple(int(n) for n in view_token_counts),
-        kept=tuple(tuple(idx.tolist())
-                   for idx in np.split(idx_all[by_pos], bounds)),
-        fused_scores=tuple(np.split(fused, bounds)),
-        local_pruned_counts=tuple(int(c) for c in local_pruned_counts),
-        global_pruned_count=int(drop_count),
-        ranking=tuple(zip(view_all[rev].tolist(), idx_all[rev].tolist())),
-    )
+@lru_cache(maxsize=16)
+def _positions(view_token_counts: tuple[int, ...]
+               ) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The view of each token position of a frame, the index within it,
+    and the two as ``(view, index)`` pairs; every caller shares them."""
+    counts = np.array(view_token_counts, dtype=np.int64)
+    view_of = np.repeat(np.arange(counts.size), counts)
+    index_of = np.arange(view_of.size) - np.repeat(
+        np.cumsum(counts) - counts, counts)
+    view_of.flags.writeable = index_of.flags.writeable = False
+    return view_of, index_of, tuple(zip(view_of.tolist(), index_of.tolist()))
+
+
+@dataclass(frozen=True)
+class PruneBatch:
+    """Outcome of pruning F frames that share their view token counts.
+
+    A frame's T tokens are numbered view after view. ``kept`` (F, T) marks
+    the survivors, ``fused`` (F, T) holds their fused scores, and
+    ``ranking`` lists each frame's kept positions best-first, frame after
+    frame. Row ``f`` reads as the ``PruneResult`` of frame ``f`` alone.
+    """
+
+    view_token_counts: tuple[int, ...]
+    local_pruned_counts: np.ndarray
+    global_pruned_counts: np.ndarray
+    kept: np.ndarray
+    fused: np.ndarray
+    ranking: np.ndarray
+
+    def results(self) -> Iterator[PruneResult]:
+        """Each frame's ``PruneResult``, in order."""
+        view_of, index_of, pairs = _positions(self.view_token_counts)
+        views = np.arange(1, len(self.view_token_counts))
+        ends = np.cumsum(self.kept.sum(axis=1)).tolist()
+        for f, kept in enumerate(self.kept):
+            pos = np.flatnonzero(kept)
+            ranked = self.ranking[ends[f] - pos.size:ends[f]].tolist()
+            cuts = [0, *np.searchsorted(view_of[pos], views).tolist(),
+                    pos.size]
+            indices = index_of[pos].tolist()
+            fused = self.fused[f, pos]
+            fused.flags.writeable = False
+            yield PruneResult(
+                self.view_token_counts,
+                tuple(tuple(indices[a:b]) for a, b in zip(cuts, cuts[1:])),
+                tuple(fused[a:b] for a, b in zip(cuts, cuts[1:])),
+                tuple(self.local_pruned_counts[f].tolist()),
+                int(self.global_pruned_counts[f]),
+                # looked up in C; two spare items make it return a tuple
+                itemgetter(0, 0, *ranked)(pairs)[2:] if ranked else ())
+
+
+def _global_rows(fused: np.ndarray, alive: np.ndarray, drop: np.ndarray,
+                 view_token_counts: Sequence[int],
+                 local_pruned_counts: np.ndarray) -> PruneBatch:
+    """Of each row's ``alive`` positions, drop the ``drop`` lowest fused
+    ones; ties go to the lower position, which is (view, index) order."""
+    rows, total = alive.shape
+    survivors = alive.sum(axis=1)
+    width = int(survivors.max(initial=0))
+    flat = np.flatnonzero(alive)
+    if (survivors == width).all():
+        where = flat.reshape(rows, width)
+        scores = fused.ravel()[where]
+    else:
+        # shorter rows end in +inf, which sorts after every finite fused
+        # score, so padding is never kept
+        where = np.full((rows, width), rows * total)
+        where[flat // total, np.arange(flat.size) - np.repeat(
+            np.cumsum(survivors) - survivors, survivors)] = flat
+        scores = np.append(fused.ravel(), np.inf)[where]
+    rank = np.arange(width - 1, -1, -1)
+    best = _flat(_order_rows(scores)[:, ::-1], width)
+    chosen = where.ravel()[best[(rank >= drop[:, None])
+                                & (rank < survivors[:, None])]]
+    kept = np.zeros(rows * total, dtype=bool)
+    kept[chosen] = True
+    return PruneBatch(tuple(view_token_counts), local_pruned_counts, drop,
+                      kept.reshape(rows, total), fused,
+                      chosen % total if total else chosen)
 
 
 def global_prune(fused_per_view: Sequence[np.ndarray],
@@ -262,49 +324,110 @@ def global_prune(fused_per_view: Sequence[np.ndarray],
                  beta: float,
                  view_token_counts: Sequence[int],
                  local_pruned_counts: Sequence[int]) -> PruneResult:
-    """Drop the lowest-fused ``floor(beta * M)`` survivors across all views."""
-    total = sum(len(k) for k in kept_per_view)
-    return _global_by_count(fused_per_view, kept_per_view,
-                            _prune_count(float(beta), total),
-                            view_token_counts, local_pruned_counts)
+    """Drop the lowest-fused ``floor(beta * M)`` survivors across all
+    views; each view's survivors may come in any order."""
+    counts = [int(n) for n in view_token_counts]
+    alive = np.zeros((1, sum(counts)), dtype=bool)
+    fused = np.zeros(alive.shape)
+    listed = 0
+    if not len(counts) == len(kept_per_view) == len(fused_per_view):
+        raise ContractError("need fused scores and survivors for every view")
+    for start, n, idx, scores in zip(np.cumsum([0, *counts]).tolist(),
+                                     counts, kept_per_view, fused_per_view):
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.shape != np.shape(scores) or ((idx < 0) | (idx >= n)).any():
+            raise ContractError(
+                "fused scores must align with survivor indices in range")
+        alive[0, start + idx] = True
+        fused[0, start + idx] = scores
+        listed += idx.size
+    if alive.sum() != listed:
+        raise ContractError("a survivor is listed twice")
+    drop = _prune_count(float(beta), listed)
+    return next(_global_rows(fused, alive, np.array([drop]), counts,
+                             np.array([local_pruned_counts])).results())
 
 
-def _dispatch(weighted_per_view: Sequence[np.ndarray], inter_weights,
+def _prune_counts(ratio: float, counts: np.ndarray, limits: np.ndarray
+                  ) -> np.ndarray:
+    """``_prune_count`` of each of ``counts``, at most ``limits``."""
+    return np.array([min(_prune_count(ratio, n), cap) for n, cap in
+                     zip(counts.tolist(), limits.tolist())], dtype=np.int64)
+
+
+def _dispatch(weighted_per_view: Sequence[np.ndarray], inter: np.ndarray,
               view_token_counts: Sequence[int],
-              config: PruneConfig) -> PruneResult:
-    """The one strategy dispatch, over spatially weighted scores."""
+              config: PruneConfig) -> PruneBatch:
+    """The one strategy dispatch, over the spatially weighted scores of F
+    frames that share their view token counts: an (F, N) array per view,
+    and the (F, V) view weights. Each run of views with equal token counts
+    is normalized and locally pruned as one (F * views, N) array. The
+    random baseline reads only the counts, and one draw serves every
+    frame."""
     strategy = config.strategy
-    if strategy is Strategy.RANDOM_DROP:
-        return random_drop(view_token_counts, config)
-    sizes = [w.shape[0] for w in weighted_per_view]
-    if sizes != [int(n) for n in view_token_counts]:
-        raise ContractError(f"scores of {sizes} tokens do not match view "
-                            f"token counts {list(view_token_counts)}")
-    normalized = [normalize_scores(s) for s in weighted_per_view]
+    counts = [_check_int(n, "view_token_counts", minimum=0)
+              for n in view_token_counts]
+    frames = inter.shape[0]
     threshold = config.adaptive_threshold
     multiplier = config.adaptive_multiplier
-    if strategy is Strategy.ADAPTIVE_RATIO_DROP:
-        kept_local, local_counts = [], []
-        for scores in normalized:
-            below = int((scores < threshold).sum())
-            count = min(_prune_count(multiplier, below), scores.shape[0])
-            kept_local.append(_drop_lowest(scores, count))
-            local_counts.append(count)
+    adaptive = strategy is Strategy.ADAPTIVE_RATIO_DROP
+    random = strategy is Strategy.RANDOM_DROP
+    if random:
+        rng = np.random.default_rng(config.seed)
+    elif inter.shape != (frames, len(counts)) or [w.shape for w in (
+            weighted_per_view)] != [(frames, n) for n in counts]:
+        raise ContractError(
+            f"scores of shapes {[w.shape for w in weighted_per_view]} and "
+            f"view weights of shape {inter.shape} do not match {frames} "
+            f"frames of view token counts {counts}")
+    rows = 1 if random else frames
+    alphas, beta = (((0.0,) * len(counts), 0.0)
+                    if strategy is Strategy.NO_PRUNE
+                    else (config.alphas, config.beta))
+    if not adaptive and len(alphas) != len(counts):
+        raise ContractError(f"need one local ratio per view: {len(alphas)} "
+                            f"ratios, {len(counts)} views")
+    normalized, alive, local = [], [], []
+    first = 0
+    for n, run in groupby(counts):
+        views = range(first, first + len(list(run)))
+        first = views.stop
+        if random:
+            scores = rng.random((len(views), n))
+        else:
+            scores = _normalize_rows(np.concatenate(
+                [weighted_per_view[v] for v in views], axis=1).reshape(-1, n))
+        if adaptive:
+            dropped = _prune_counts(multiplier, (scores < threshold).sum(1),
+                                    np.full(len(scores), n))
+        else:
+            dropped = np.array([_prune_count(alphas[v], n)
+                                for v in views] * rows)
+        normalized.append(scores.reshape(rows, -1))
+        alive.append(_local_rows(scores, dropped).reshape(rows, -1))
+        local.append(dropped.reshape(rows, -1))
+    alive = np.concatenate(alive, axis=1)
+    survivors = alive.sum(axis=1)
+    if random:
+        # fresh priorities of the survivors stand in for fused scores
+        fused = np.zeros(alive.shape)
+        fused[alive] = rng.random(int(survivors[0]))
     else:
-        alphas = (config.alphas if strategy is Strategy.HIERARCHICAL
-                  else (0.0,) * len(normalized))
-        kept_local, local_counts = local_prune(normalized, alphas)
-    fused = fuse_scores([n[k] for n, k in zip(normalized, kept_local)],
-                        inter_weights)
-    if strategy is Strategy.ADAPTIVE_RATIO_DROP:
-        flat = np.concatenate([np.zeros(0), *fused])
-        below = int((flat < threshold).sum())
-        drop = min(_prune_count(multiplier, below), flat.shape[0])
+        fused = (np.concatenate(normalized, axis=1)
+                 * np.repeat(inter, counts, axis=1))
+    if adaptive:
+        drop = _prune_counts(multiplier, (alive & (fused < threshold)).sum(1),
+                             survivors)
     else:
-        beta = config.beta if strategy is Strategy.HIERARCHICAL else 0.0
-        drop = _prune_count(beta, sum(len(k) for k in kept_local))
-    return _global_by_count(fused, kept_local, drop, view_token_counts,
-                            local_counts)
+        drop = _prune_counts(beta, survivors, survivors)
+    batch = _global_rows(fused, alive, drop, counts,
+                         np.concatenate(local, axis=1))
+    if rows == frames:
+        return batch
+    return PruneBatch(batch.view_token_counts, *(
+        np.broadcast_to(a, (frames, *a.shape[1:])) for a in (
+            batch.local_pruned_counts, batch.global_pruned_counts,
+            batch.kept, batch.fused)), np.tile(batch.ranking, frames))
 
 
 def hierarchical_prune(raw_scores: Sequence[np.ndarray], inter_weights,
@@ -324,10 +447,14 @@ def hierarchical_prune(raw_scores: Sequence[np.ndarray], inter_weights,
             f"strategy {config.strategy.value} does not consume scores")
     shapes = [(_check_int(h, "height", minimum=1),
                _check_int(w, "width", minimum=1)) for h, w in grid_shapes]
-    raw = [_as_float_array(r, "raw_scores", shape=(h * w,))
-           for r, (h, w) in zip(raw_scores, shapes)]
-    return _dispatch(_weight_views(raw, shapes, config.epsilon),
-                     inter_weights, [h * w for h, w in shapes], config)
+    raw = tuple(_as_float_array(r, "raw_scores", shape=(h * w,))
+                for r, (h, w) in zip(raw_scores, shapes))
+    inter = _as_float_array(inter_weights, "inter_weights",
+                            shape=(len(shapes),))
+    scores = ImportanceScores(raw, tuple(_weight_views(raw, shapes,
+                                                       config.epsilon)),
+                              inter)
+    return prune_scores(scores, [h * w for h, w in shapes], config)
 
 
 def random_drop(view_token_counts: Sequence[int],
@@ -340,16 +467,35 @@ def random_drop(view_token_counts: Sequence[int],
     priorities stand in for fused scores in the result. Fully determined
     by ``config.seed``.
     """
-    counts = [_check_int(n, "view_token_counts", minimum=0)
-              for n in view_token_counts]
-    rng = np.random.default_rng(config.seed)
-    kept_local, local_counts = local_prune([rng.random(n) for n in counts],
-                                           config.alphas)
-    survivors = sum(len(k) for k in kept_local)
-    fresh = rng.random(survivors)
-    fused = np.split(fresh, np.cumsum([len(k) for k in kept_local])[:-1])
-    drop = _prune_count(config.beta, survivors)
-    return _global_by_count(fused, kept_local, drop, counts, local_counts)
+    config = replace(config, strategy=Strategy.RANDOM_DROP)
+    return next(_dispatch((), np.empty((1, 0)), view_token_counts,
+                          config).results())
+
+
+def _score_frames(observations: Sequence[MultiViewObservation],
+                  intra_params: MlpParams, inter_params: MlpParams,
+                  epsilon: float) -> list[ImportanceScores]:
+    """``score_observation`` of every observation, weighting all their
+    views in one pass, so that each weight-matrix block is read once."""
+    raws, inters = [], []
+    for obs in observations:
+        raw = predict_intra(intra_params, obs)
+        inter = predict_inter(inter_params, obs)
+        # a checkpoint comes from outside: its finite weights can still
+        # overflow into a NaN output, which the classifier metrics would
+        # take in
+        for name, outputs in (("intra", raw), ("inter", (inter,))):
+            if not all(np.isfinite(out).all() for out in outputs):
+                raise ContractError(f"{name} predictor output is not finite")
+        raws.append(raw)
+        inters.append(inter)
+    weighted = iter(_weight_views(
+        [r for raw in raws for r in raw],
+        [(v.height, v.width) for obs in observations for v in obs.views],
+        epsilon))
+    return [ImportanceScores(intra_raw=raw,
+                             intra_weighted=tuple(islice(weighted, len(raw))),
+                             inter=inter) for raw, inter in zip(raws, inters)]
 
 
 def score_observation(obs: MultiViewObservation, intra_params: MlpParams,
@@ -357,17 +503,7 @@ def score_observation(obs: MultiViewObservation, intra_params: MlpParams,
                       ) -> ImportanceScores:
     """Both predictors' outputs for an observation, plus the raw token
     scores spatially weighted with ``epsilon``."""
-    raw = predict_intra(intra_params, obs)
-    inter = predict_inter(inter_params, obs)
-    # a checkpoint comes from outside: its finite weights can still
-    # overflow into a NaN output, which the classifier metrics would take in
-    for name, outputs in (("intra", raw), ("inter", (inter,))):
-        if not all(np.isfinite(out).all() for out in outputs):
-            raise ContractError(f"{name} predictor output is not finite")
-    weighted = _weight_views(raw, [(v.height, v.width) for v in obs.views],
-                             epsilon)
-    return ImportanceScores(intra_raw=raw, intra_weighted=tuple(weighted),
-                            inter=inter)
+    return _score_frames([obs], intra_params, inter_params, epsilon)[0]
 
 
 def prune_scores(scores: ImportanceScores, view_token_counts: Sequence[int],
@@ -377,8 +513,10 @@ def prune_scores(scores: ImportanceScores, view_token_counts: Sequence[int],
     ``scores`` must have been weighted with ``config.epsilon``; the random
     baseline reads only ``view_token_counts``.
     """
-    return _dispatch(scores.intra_weighted, scores.inter, view_token_counts,
-                     config)
+    batch = _dispatch([np.asarray(w)[None] for w in scores.intra_weighted],
+                      np.asarray(scores.inter)[None], view_token_counts,
+                      config)
+    return next(batch.results())
 
 
 def prune_observation(obs: MultiViewObservation, intra_params: MlpParams,

@@ -50,6 +50,34 @@ def oracle_normalize(scores):
     return [(s - lo) / (hi - lo) for s in scores]
 
 
+def _oracle_prune(normalized, inter_weights, local_counts, global_count):
+    """Both stages on normalized scores with the given drop counts: the
+    global count is a function of the fused survivors.
+
+    Returns ``(kept, fused, ranking, local_counts, global_count)`` with kept
+    indices ascending per view and the ranking best-first.
+    """
+    views = len(normalized)
+    kept_local, counts = [], []
+    for v, scores in enumerate(normalized):
+        count = local_counts(v, scores)
+        order = sorted(range(len(scores)), key=lambda i: (scores[i], i))
+        kept_local.append(sorted(order[count:]))
+        counts.append(count)
+    pool = []
+    for v in range(views):
+        for i in kept_local[v]:
+            pool.append((normalized[v][i] * inter_weights[v], v, i))
+    drop = global_count([s for s, _, _ in pool])
+    survivors = sorted(pool)[drop:]
+    ranking = [(v, i) for _, v, i in reversed(survivors)]
+    kept = [sorted(i for _, v2, i in survivors if v2 == v)
+            for v in range(views)]
+    score_of = {(v, i): s for s, v, i in pool}
+    fused = [[score_of[(v, i)] for i in kept[v]] for v in range(views)]
+    return kept, fused, ranking, counts, drop
+
+
 def oracle_pipeline(raw_per_view, inter_weights, grid_shapes, alphas, beta,
                     epsilon):
     """Reference for the full hierarchical pipeline.
@@ -57,28 +85,34 @@ def oracle_pipeline(raw_per_view, inter_weights, grid_shapes, alphas, beta,
     Returns ``(kept, fused, ranking, local_counts, global_count)`` with kept
     indices ascending per view and the ranking best-first.
     """
-    views = len(raw_per_view)
     weighted = [oracle_adaptive_weight(list(raw), h, w, epsilon)
                 for raw, (h, w) in zip(raw_per_view, grid_shapes)]
-    normalized = [oracle_normalize(w) for w in weighted]
-    kept_local, local_counts = [], []
-    for scores, alpha in zip(normalized, alphas):
-        count = oracle_prune_count(alpha, len(scores))
-        order = sorted(range(len(scores)), key=lambda i: (scores[i], i))
-        kept_local.append(sorted(order[count:]))
-        local_counts.append(count)
-    pool = []
-    for v in range(views):
-        for i in kept_local[v]:
-            pool.append((normalized[v][i] * inter_weights[v], v, i))
-    drop = oracle_prune_count(beta, len(pool))
-    survivors = sorted(pool)[drop:]
-    ranking = [(v, i) for _, v, i in reversed(survivors)]
-    kept = [sorted(i for _, v2, i in survivors if v2 == v)
-            for v in range(views)]
-    score_of = {(v, i): s for s, v, i in pool}
-    fused = [[score_of[(v, i)] for i in kept[v]] for v in range(views)]
-    return kept, fused, ranking, local_counts, drop
+    return _oracle_prune(
+        [oracle_normalize(w) for w in weighted], inter_weights,
+        lambda v, scores: oracle_prune_count(alphas[v], len(scores)),
+        lambda fused: oracle_prune_count(beta, len(fused)))
+
+
+def oracle_adaptive_ratio_drop(weighted_per_view, inter_weights, threshold,
+                               multiplier):
+    """Reference for the adaptive-ratio baseline on spatially weighted
+    scores, by the README's rule: in each view, drop the lowest
+    ``floor(multiplier * b)`` normalized scores, ``b`` counting those below
+    ``threshold``, and at most all of them; then drop the lowest
+    ``floor(multiplier * b)`` fused survivors across views, ``b`` counting
+    the fused scores below ``threshold``. Ties drop the lower index, and
+    across views the lower ``(view, index)``, first.
+
+    Returns what ``oracle_pipeline`` returns.
+    """
+    def count(scores):
+        below = sum(1 for s in scores if s < threshold)
+        return min(oracle_prune_count(multiplier, below), len(scores))
+
+    return _oracle_prune(
+        [oracle_normalize([float(s) for s in w]) for w in weighted_per_view],
+        [float(w) for w in inter_weights], lambda v, scores: count(scores),
+        count)
 
 
 def oracle_auc(scores, labels):

@@ -383,8 +383,9 @@ def test_11_results_pass_the_record_checks(default_training):
     for strategy in Strategy:
         _, results = evaluate_strategy(
             corpus, PruneConfig(strategy=strategy), flop)
-        for episode, per_episode in zip(episodes, results):
-            for t, result in enumerate(per_episode):
+        for episode, batches in zip(episodes, results):
+            for t, result in enumerate(
+                    r for batch in batches for r in batch.results()):
                 checked += 1
                 try:
                     back = PruneResult.from_obj(result.to_obj())

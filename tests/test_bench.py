@@ -44,6 +44,7 @@ from mvprune.core import (
     ContractError,
     ParseError,
     PruneConfig,
+    PruneResult,
     Strategy,
     load_annotation,
 )
@@ -358,7 +359,9 @@ def test_evaluate_strategy_totals(small_run):
     assert report.kept_total == 295 * 24
     assert report.reduction_ratio == pytest.approx(1 - 295 / 768)
     assert report.flop_speedup > 2.0
-    assert len(results) == 2 and all(len(r) == 12 for r in results)
+    # one batch per episode: its frames share their view token counts
+    assert [[len(batch.kept) for batch in ep] for ep in results] \
+        == [[12], [12]]
 
 
 def test_evaluate_strategy_rejects_misaligned_annotations(small_run):
@@ -377,6 +380,12 @@ def test_evaluate_strategy_no_prune_is_identity(small_run):
     assert report.reduction_ratio == 0.0
     assert report.flop_speedup == 1.0
     assert report.retention_relevant == 1.0
+
+
+def frame_results(batches):
+    """Each episode's per-frame results, read off its batches."""
+    return [[result for batch in episode for result in batch.results()]
+            for episode in batches]
 
 
 def per_frame_results(small_run, prune_config):
@@ -403,7 +412,7 @@ def test_evaluate_strategy_with_shared_scores_matches_per_frame(
         tuple(score_observation(obs, intra, inter, epsilon)
               for obs in ep.observations) for ep in episodes)
     _, results = evaluate_strategy(corpus, config, FlopModel(18, 2048))
-    assert results == per_frame_results(small_run, config)
+    assert frame_results(results) == per_frame_results(small_run, config)
 
 
 def test_evaluate_strategy_rejects_other_epsilon(small_run):
@@ -429,31 +438,18 @@ def test_compare_strategies_equals_per_frame_evaluations(small_run,
         alone, results = small_eval(small_run, prune_config=prune_config)
         assert [(m, str(v)) for m, v in report.rows()] \
             == [(m, str(v)) for m, v in alone.rows()]
-        assert results == per_frame_results(small_run, prune_config)
+        assert frame_results(results) \
+            == per_frame_results(small_run, prune_config)
 
 
-def test_evaluate_strategy_draws_random_drop_once_per_token_counts(
-        small_run, monkeypatch):
-    """The random baseline reads only the view token counts, so one draw
-    serves every frame with the same counts; results and report are those
-    of a per-frame ``prune_scores`` loop."""
-    _, episodes, derived, intra, inter = small_run
-    config = PruneConfig(strategy=Strategy.RANDOM_DROP, seed=5)
-    flop_model = FlopModel(18, 2048)
-    corpus = score_corpus([ep.observations for ep in episodes], derived,
-                          intra, inter, config.epsilon)
-    calls = []
-    monkeypatch.setattr(bench, "prune_scores",
-                        lambda *args: calls.append(args) or prune_scores(*args))
-    report, results = evaluate_strategy(corpus, config, flop_model)
-    assert len(calls) == 1  # every frame has three 16x16 views
-
+def per_frame_report(corpus, config, flop_model):
+    """The report of a per-frame ``prune_scores`` loop over a scored corpus,
+    folded frame by frame, and the loop's results per episode."""
     expected = [[prune_scores(scores, [v.token_count for v in obs.views],
                               config)
                  for obs, scores in zip(ep_obs, ep_scores)]
                 for ep_obs, ep_scores in zip(corpus.observations,
                                              corpus.scores)]
-    assert results == expected
     frames = [(obs, ann.frames[obs.frame_index].masks, result)
               for ep_obs, ann, ep_results in zip(
                   corpus.observations, corpus.annotations, expected)
@@ -469,15 +465,80 @@ def test_evaluate_strategy_draws_random_drop_once_per_token_counts(
         for mask, kept_view in zip(masks, result.kept):
             relevant_total += int(mask.sum())
             relevant_kept += int(mask[list(kept_view)].sum())
-    assert report == MetricsReport(
-        strategy="random_drop", episodes=2, frames=24,
-        tokens_before=tuple(before),
+    report = MetricsReport(
+        strategy=config.strategy.value, episodes=len(corpus.observations),
+        frames=len(frames), tokens_before=tuple(before),
         tokens_post_local=tuple(
             sum(col) for col in zip(*(r.post_local_counts
                                       for _, _, r in frames))),
         tokens_kept=tuple(kept), reduction_ratio=1.0 - sum(kept) / sum(before),
         flop_speedup=flops_before / flops_after,
-        retention_relevant=relevant_kept / relevant_total, **corpus.classifier)
+        retention_relevant=(relevant_kept / relevant_total
+                            if relevant_total else 1.0),
+        **corpus.classifier)
+    return report, expected
+
+
+def test_evaluate_strategy_draws_random_drop_once_per_token_counts(
+        small_run, monkeypatch):
+    """The random baseline reads only the view token counts, so one draw
+    serves every frame of a batch, which shares its counts; results and
+    report are those of a per-frame ``prune_scores`` loop."""
+    _, episodes, derived, intra, inter = small_run
+    config = PruneConfig(strategy=Strategy.RANDOM_DROP, seed=5)
+    flop_model = FlopModel(18, 2048)
+    corpus = score_corpus([ep.observations for ep in episodes], derived,
+                          intra, inter, config.epsilon)
+    draws = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *args: draws.append(args) or default_rng(*args))
+    report, results = evaluate_strategy(corpus, config, flop_model)
+    monkeypatch.undo()
+    # one batch per episode, every frame three 16x16 views
+    assert draws == [(5,), (5,)]
+    want, expected = per_frame_report(corpus, config, flop_model)
+    assert frame_results(results) == expected
+    assert report == want
+    assert report.frames == 24
+
+
+@pytest.fixture(scope="module")
+def default_corpus():
+    """The default config's corpus, scored by predictors trained on it."""
+    return bench._scored_corpus(resolve_config(None), PruneConfig().epsilon)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_evaluate_strategy_folds_like_per_frame_results(default_corpus,
+                                                        strategy):
+    """On the default corpus each strategy's batched report equals the fold
+    of per-frame ``prune_scores`` results, and so do the results."""
+    config = PruneConfig(strategy=strategy)
+    flop_model = FlopModel(18, 2048)
+    report, results = evaluate_strategy(default_corpus, config, flop_model)
+    want, expected = per_frame_report(default_corpus, config, flop_model)
+    assert report == want
+    assert [(m, str(v)) for m, v in report.rows()] \
+        == [(m, str(v)) for m, v in want.rows()]
+    assert frame_results(results) == expected
+
+
+@pytest.mark.parametrize("run", [
+    lambda out: compare_strategies(None, out),
+    lambda out: sweep_beta(None, [0.0, 0.25, 0.5, 0.75], out)],
+    ids=["compare_strategies", "sweep_beta"])
+def test_compare_and_sweep_build_no_per_frame_results(run, tmp_path,
+                                                      monkeypatch):
+    """They keep only reports, so they build no ``PruneResult`` per frame:
+    at most the random baseline's one per distinct token-count tuple, of
+    which the default corpus has one."""
+    built = []
+    init = PruneResult.__init__
+    monkeypatch.setattr(PruneResult, "__init__", lambda self, *args, **kw:
+                        built.append(self) or init(self, *args, **kw))
+    run(tmp_path)
+    assert len(built) <= 1
 
 
 def test_trained_predictors_beat_random_drop(small_run):

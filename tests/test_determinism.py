@@ -2,7 +2,9 @@
 
 On one machine and one numpy/BLAS build, ``run_experiment`` on the default
 config writes the same bytes on every rerun, for every artifact except
-``timings.csv``. ``determinism_digests.json`` holds the SHA-256 digest of
+``timings.csv``; so do ``compare_strategies`` on the default config, into
+``compare/``, and ``sweep_beta`` at global ratios 0, 0.25, 0.5 and 0.75,
+into ``sweep/``. ``determinism_digests.json`` holds the SHA-256 digest of
 each of those artifacts together with the build they were recorded on.
 OpenBLAS picks its kernel per CPU and another kernel may round differently,
 so on another build the comparison with the committed digests is skipped,
@@ -34,6 +36,7 @@ import pytest
 DIGESTS_PATH = Path(__file__).with_name("determinism_digests.json")
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
+SWEEP_BETAS = (0.0, 0.25, 0.5, 0.75)
 
 
 def build() -> dict:
@@ -62,9 +65,11 @@ def artifact_digests(out: Path) -> dict[str, str]:
 
 
 def record() -> dict:
-    from mvprune import run_experiment
+    from mvprune import compare_strategies, run_experiment, sweep_beta
     with tempfile.TemporaryDirectory() as tmp:
         run_experiment(None, tmp)
+        compare_strategies(None, Path(tmp) / "compare")
+        sweep_beta(None, SWEEP_BETAS, Path(tmp) / "sweep")
         return {"build": build(), "digests": artifact_digests(Path(tmp))}
 
 

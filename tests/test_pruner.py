@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    oracle_adaptive_ratio_drop,
     oracle_adaptive_weight,
     oracle_flops,
     oracle_pipeline,
@@ -18,6 +19,7 @@ from mvprune import pruner
 from mvprune.core import (
     ConfigError,
     ContractError,
+    ImportanceScores,
     MultiViewObservation,
     PruneConfig,
     PruneResult,
@@ -26,8 +28,8 @@ from mvprune.core import (
 from mvprune.predictor import init_mlp
 from mvprune.pruner import (
     FlopModel,
-    _global_by_count,
-    _order_by_score,
+    _dispatch,
+    _order_rows,
     _prune_count,
     _weight_matrix,
     adaptive_weight,
@@ -208,11 +210,15 @@ def test_score_observation_refuses_non_finite_predictor_output(
 @example([0.5] * 17)
 @example([0.0, -0.0, 0.0, -0.0])
 def test_order_by_score_is_lexsort_by_score_then_index(values):
+    """Each row is ordered on its own: the row as drawn, reversed, and
+    negated, in one call."""
     scores = np.array(values, dtype=np.float64)
-    want = np.lexsort((np.arange(len(values)), scores))
-    got = _order_by_score(scores)
-    assert got.dtype == want.dtype
-    assert got.tolist() == want.tolist()
+    rows = np.stack([scores, scores[::-1], -scores])
+    got = _order_rows(rows)
+    for row, order in zip(rows, got):
+        want = np.lexsort((np.arange(len(values)), row))
+        assert order.dtype == want.dtype
+        assert order.tolist() == want.tolist()
 
 
 def test_normalize_spans_unit_interval():
@@ -273,6 +279,20 @@ def test_global_prune_count_identity():
     assert result.post_local_counts == (3,)
 
 
+@pytest.mark.parametrize("kept, fused", [
+    ([[0, 4]], [[0.5, 0.5]]),
+    ([[-1]], [[0.5]]),
+    ([[1, 1]], [[0.5, 0.5]]),
+    ([[0, 1]], [[0.5]]),
+    ([[0], [1]], [[0.5], [0.5]]),
+])
+def test_global_prune_refuses_survivors_it_cannot_place(kept, fused):
+    """Out of range, listed twice, misaligned, or more views than counts."""
+    with pytest.raises(ContractError):
+        global_prune([np.array(f) for f in fused],
+                     [np.array(k) for k in kept], 0.5, (4,), (0,))
+
+
 def lexsort_global(fused, kept, drop):
     """Kept indices, fused scores and ranking of the global stage, ranked by
     (score, view, index) with two lexsorts."""
@@ -293,12 +313,11 @@ def lexsort_global(fused, kept, drop):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_global_prune_on_shuffled_survivors_matches_lexsort(data):
-    fused, kept, _, counts = data.draw(global_stage_inputs())
+    fused, kept, beta, counts = data.draw(global_stage_inputs())
     for v in range(len(kept)):
         perm = np.array(data.draw(st.permutations(range(len(kept[v])))),
                         dtype=np.int64)
         fused[v], kept[v] = fused[v][perm], kept[v][perm]
-    beta = data.draw(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]))
     total = sum(len(k) for k in kept)
     want_kept, want_fused, want_ranking = lexsort_global(
         fused, kept, _prune_count(beta, total))
@@ -312,7 +331,8 @@ def test_global_prune_on_shuffled_survivors_matches_lexsort(data):
 
 @st.composite
 def global_stage_inputs(draw):
-    """Survivors of 1-3 views with heavily tied fused scores, and a count."""
+    """Survivors of 1-3 views with heavily tied fused scores, and a global
+    ratio, 1.0 dropping them all."""
     views = draw(st.integers(1, 3))
     counts, kept, fused = [], [], []
     for _ in range(views):
@@ -324,16 +344,16 @@ def global_stage_inputs(draw):
         fused.append(np.array(draw(st.lists(
             st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=len(survivors),
             max_size=len(survivors))), dtype=np.float64))
-    drop = draw(st.integers(0, sum(len(k) for k in kept)))
-    return fused, kept, drop, counts
+    beta = draw(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]))
+    return fused, kept, beta, counts
 
 
 @settings(max_examples=200, deadline=None)
 @given(global_stage_inputs(), st.data())
 def test_global_stage_results_pass_a_fresh_construction(inputs, data):
-    fused, kept, drop, counts = inputs
+    fused, kept, beta, counts = inputs
     local = [n - len(k) for n, k in zip(counts, kept)]
-    result = _global_by_count(fused, kept, drop, counts, local)
+    result = global_prune(fused, kept, beta, counts, local)
     assert PruneResult.from_obj(result.to_obj()) == result
     assert all(type(i) is int for idx in result.kept for i in idx)
     assert all(type(i) is int for pair in result.ranking for i in pair)
@@ -585,6 +605,93 @@ def test_prune_observation_no_prune(tiny_predictors):
     config = PruneConfig(strategy=Strategy.NO_PRUNE)
     _, result = prune_observation(obs, intra, inter, config)
     assert result.kept_total == obs.total_tokens
+
+
+# ---------------------------------------------------------------------------
+# batched dispatch
+
+
+SCORE_VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def frame_batches(draw):
+    """Weighted scores and view weights of 1-4 frames whose 1-3 views keep
+    their grid shapes from frame to frame, shapes differing across views;
+    views are often constant and scores often repeat."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                           min_size=1, max_size=3))
+    frames = draw(st.integers(1, 4))
+    weighted = []
+    for h, w in shapes:
+        rows = []
+        for _ in range(frames):
+            if draw(st.booleans()):
+                rows.append([draw(SCORE_VALUES)] * (h * w))
+            else:
+                rows.append(draw(st.lists(
+                    st.one_of(SCORE_VALUES, st.floats(0.01, 3.0)),
+                    min_size=h * w, max_size=h * w)))
+        weighted.append(np.array(rows, dtype=np.float64))
+    inter = np.array(draw(st.lists(
+        st.lists(st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+                 min_size=len(shapes), max_size=len(shapes)),
+        min_size=frames, max_size=frames)))
+    return weighted, inter, [h * w for h, w in shapes]
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_batches(), st.data())
+def test_dispatch_over_frames_equals_one_frame_calls(batch, data):
+    """The dispatch over F frames equals F ``prune_scores`` calls, fused
+    scores bit for bit, for every strategy and for an adaptive config that
+    empties every view; the adaptive results are the oracle's."""
+    weighted, inter, counts = batch
+    views = len(counts)
+    alphas = tuple(data.draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+                   for _ in range(views))
+    config = data.draw(st.sampled_from(
+        [PruneConfig(alphas=alphas, beta=0.5, strategy=s, seed=3)
+         for s in Strategy]
+        + [PruneConfig(alphas=alphas, strategy=Strategy.ADAPTIVE_RATIO_DROP,
+                       adaptive_threshold=2.0, adaptive_multiplier=1.0)]))
+    results = list(_dispatch(weighted, inter, counts, config).results())
+    singles = [prune_scores(ImportanceScores(
+        intra_raw=(), intra_weighted=tuple(w[f] for w in weighted),
+        inter=inter[f]), counts, config) for f in range(len(inter))]
+    assert results == singles
+    assert [[a.tobytes() for a in r.fused_scores] for r in results] \
+        == [[a.tobytes() for a in r.fused_scores] for r in singles]
+    if config.strategy is not Strategy.ADAPTIVE_RATIO_DROP:
+        return
+    for f, result in enumerate(results):
+        kept, fused, ranking, local, drop = oracle_adaptive_ratio_drop(
+            [w[f] for w in weighted], inter[f], config.adaptive_threshold,
+            config.adaptive_multiplier)
+        assert result.kept == tuple(map(tuple, kept))
+        assert [a.tolist() for a in result.fused_scores] == fused
+        assert result.ranking == tuple(ranking)
+        assert result.local_pruned_counts == tuple(local)
+        assert result.global_pruned_count == drop
+
+
+def test_dispatch_pads_frames_with_fewer_adaptive_survivors():
+    """Frames the adaptive baseline leaves with different survivor counts,
+    none in the second, are ranked in one padded pass like alone."""
+    weighted = [np.array([[0.0, 1.0, 2.0, 3.0], [5.0, 5.0, 5.0, 5.0],
+                          [1.0, 1.0, 1.0, 2.0]])]
+    inter = np.array([[1.0], [0.4], [1.0]])
+    config = PruneConfig(alphas=(0.0,), strategy=Strategy.ADAPTIVE_RATIO_DROP,
+                         adaptive_threshold=0.9, adaptive_multiplier=1.0)
+    batch = _dispatch(weighted, inter, [4], config)
+    assert batch.kept.sum(axis=1).tolist() == [1, 0, 1]
+    for f, result in enumerate(batch.results()):
+        kept, fused, ranking, local, drop = oracle_adaptive_ratio_drop(
+            [weighted[0][f]], inter[f], 0.9, 1.0)
+        assert (result.kept, result.ranking) == ((tuple(kept[0]),),
+                                                 tuple(ranking))
+        assert (result.local_pruned_counts, result.global_pruned_count) \
+            == (tuple(local), drop)
 
 
 # ---------------------------------------------------------------------------
