@@ -66,18 +66,21 @@ def _load_config(args) -> dict:
     return resolve_config(None)
 
 
-def _corpus_overrides(args, config: dict) -> dict:
-    for name in ("episodes", "seed", "episode_length", "noise_sigma",
-                 "distractors", "embed_dim", "patch_size"):
+def _overridden(args, section: str, names: tuple[str, ...]) -> dict:
+    """The config with each of ``names`` that the command line gives set in
+    its ``section``; ``--episodes`` sets the corpus ``count``."""
+    config = _load_config(args)
+    for name in names:
         value = getattr(args, name, None)
         if value is not None:
-            key = "count" if name == "episodes" else name
-            config["corpus"][key] = value
+            config[section]["count" if name == "episodes" else name] = value
     return config
 
 
 def _cmd_gen(args) -> int:
-    config = _corpus_overrides(args, _load_config(args))
+    config = _overridden(args, "corpus", (
+        "episodes", "seed", "episode_length", "noise_sigma", "distractors",
+        "embed_dim", "patch_size"))
     template = scenario_template(config)
     corpus = config["corpus"]
     episodes = generate_corpus(template, corpus["count"], corpus["seed"])
@@ -101,11 +104,8 @@ def _cmd_annotate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _load_config(args)
-    for name in ("hidden", "learning_rate", "steps", "batch_size", "seed"):
-        value = getattr(args, name, None)
-        if value is not None:
-            config["train"][name] = value
+    config = _overridden(args, "train", (
+        "hidden", "learning_rate", "steps", "batch_size", "seed"))
     _train_config(config)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -132,16 +132,9 @@ def strategy_list(text: str) -> tuple[Strategy, ...]:
     return tuple(Strategy(name) for name in text.split(","))
 
 
-def _prune_config_from_args(args, config: dict) -> None:
-    for name in ("alphas", "beta", "epsilon", "strategy", "seed"):
-        value = getattr(args, name, None)
-        if value is not None:
-            config["prune"][name] = value
-
-
 def _cmd_prune(args) -> int:
-    config = _load_config(args)
-    _prune_config_from_args(args, config)
+    config = _overridden(args, "prune", (
+        "alphas", "beta", "epsilon", "strategy", "seed"))
     out = _out_dir(args)
     if args.corpus is None:
         report = run_experiment(config, out)

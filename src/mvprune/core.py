@@ -562,8 +562,8 @@ class FrameAnnotation(_ValueEq):
             if arr.ndim != 1:
                 raise ContractError("masks must be flat per-view arrays",
                                     field="masks")
-            src = np.asarray(m)
-            if src.size and not np.isin(src, (0, 1)).all():
+            # 0 and 1 are what the uint8 copy keeps as is and at most 1
+            if not ((arr <= 1).all() and (np.asarray(m) == arr).all()):
                 raise ContractError("mask entries must be 0 or 1",
                                     field="masks")
             arr.flags.writeable = False

@@ -132,8 +132,8 @@ def init_mlp(sizes: Sequence[int], seed: int) -> MlpParams:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z)) below; never overflows
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    e = np.exp(np.copysign(z, -1.0))  # exp(-|z|), 1 + e once np.where read it
+    return np.where(z >= 0, 1.0, e) / np.add(e, 1.0, out=e)
 
 
 def _forward_cached(layers, x: np.ndarray) -> list[np.ndarray]:
@@ -148,7 +148,8 @@ def _forward_cached(layers, x: np.ndarray) -> list[np.ndarray]:
         z = acts[-1] @ w.T
         z += b
         if i == last:
-            acts.append(np.clip(_sigmoid(z), CLAMP, 1.0 - CLAMP))
+            p = np.maximum(_sigmoid(z), CLAMP, out=z)  # np.clip, in place
+            acts.append(np.minimum(p, 1.0 - CLAMP, out=p))
         else:
             acts.append(np.tanh(z, out=z))
     return acts
@@ -196,7 +197,7 @@ def predict_inter(params: MlpParams, obs: MultiViewObservation) -> np.ndarray:
         raise ContractError(
             f"view predictor has {params.output_width} outputs, "
             f"observation has {obs.view_count} views")
-    return forward(params, feats[None, :])[0]
+    return _forward_cached(params.layers, feats[None, :])[-1][0]
 
 
 # ---------------------------------------------------------------------------

@@ -55,19 +55,14 @@ _WEIGHT_CACHE_SIZE = 4
 _WEIGHT_BLOCK_BYTES = 1 << 20
 
 
-@lru_cache(maxsize=256)
-def _exact_ratio(ratio: float) -> Fraction:
-    """The shortest decimal that reads back as ``ratio``, as a fraction."""
-    return Fraction(repr(ratio))
-
-
+@lru_cache(maxsize=4096)
 def _prune_count(ratio: float, n: int) -> int:
     """Number of tokens to drop out of ``n`` at ``ratio``: floor(ratio * n).
 
     The ratio counts as the decimal it is written as, so 0.29 of 100 is 29
     although the float 0.29 is a little less than 29/100.
     """
-    exact = _exact_ratio(float(ratio))
+    exact = Fraction(repr(float(ratio)))
     return int(n) * exact.numerator // exact.denominator
 
 
@@ -155,10 +150,12 @@ def _normalize_rows(scores: np.ndarray) -> np.ndarray:
     low = np.minimum.reduce(scores, axis=1, keepdims=True, initial=np.inf)
     span = np.maximum.reduce(scores, axis=1, keepdims=True,
                              initial=-np.inf) - low
-    flat = span == 0.0
+    flat = (span == 0.0)[:, 0]
+    if not flat.any():
+        return (scores - low) / span
     span[flat] = 1.0
     out = (scores - low) / span
-    out[flat[:, 0]] = 1.0
+    out[flat] = 1.0
     return out
 
 
@@ -171,39 +168,35 @@ def normalize_scores(scores) -> np.ndarray:
     return _normalize_rows(_as_float_array(scores, "scores", ndim=1)[None])[0]
 
 
-def _flat(columns: np.ndarray, width: int) -> np.ndarray:
-    """Column indices of rows ``width`` long as indices into their ravel."""
-    if len(columns) == 1:
-        return columns
-    return columns + np.arange(len(columns))[:, None] * width
-
-
 def _order_rows(scores: np.ndarray) -> np.ndarray:
-    """Indices that sort each row of ``scores`` ascending, ties by index.
+    """Indices into ``scores.ravel()`` that sort each row of ``scores``
+    ascending, ties by index.
 
-    Row by row the same as ``np.lexsort((np.arange(n), row))``, -0.0 tying
-    with 0.0: a row-wise argsort, then only runs of equal scores put in
-    index order.
+    Row by row the same as ``np.lexsort((np.arange(n), row))`` plus the
+    row's offset, -0.0 tying with 0.0: a row-wise argsort, then only runs
+    of equal scores put in index order.
     """
     rows, n = scores.shape
-    order = np.argsort(scores, axis=1)
-    ranked = scores.ravel()[_flat(order, n)]
-    starts = np.ones((rows, n), dtype=bool)
-    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=starts[:, 1:])
-    if starts.all():
+    order = scores.argsort(axis=1)
+    if rows > 1:
+        order += np.arange(rows)[:, None] * n
+    ranked = scores.ravel()[order]
+    ties = ranked[:, 1:] == ranked[:, :-1]
+    if not ties.any():
         return order
-    return np.sort(np.cumsum(starts, axis=1) * n + order, axis=1) % n
+    starts = np.ones((rows, n), dtype=bool)
+    np.logical_not(ties, out=starts[:, 1:])
+    size = rows * n
+    return np.sort(np.cumsum(starts, axis=1) * size + order, axis=1) % size
 
 
 def _local_rows(scores: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Which tokens of each row survive dropping its ``counts`` lowest
-    scores; ties drop the lower index first."""
+    scores, at most all of them; ties drop the lower index first."""
     rows, n = scores.shape
-    if (counts > n).any():
-        raise ContractError(f"cannot drop {counts.max()} of {n} tokens")
-    dropped = _flat(_order_rows(scores), n)[np.arange(n) < counts[:, None]]
-    alive = np.ones(rows * n, dtype=bool)
-    alive[dropped] = False
+    alive = np.empty(rows * n, dtype=bool)
+    # each row's tokens by rank, the first ``counts`` of them dropped
+    alive[_order_rows(scores)] = np.arange(n) >= counts[:, None]
     return alive.reshape(rows, n)
 
 
@@ -223,6 +216,8 @@ def local_prune(normalized_per_view: Sequence[np.ndarray],
               for s in normalized_per_view]
     counts = tuple(_prune_count(float(a), s.shape[1])
                    for s, a in zip(scores, alphas))
+    if any(c > s.shape[1] for c, s in zip(counts, scores)):
+        raise ContractError(f"cannot drop {max(counts)} tokens of a view")
     return tuple(np.flatnonzero(_local_rows(s, np.array([c])))
                  for s, c in zip(scores, counts)), counts
 
@@ -239,14 +234,13 @@ def fuse_scores(normalized_per_view: Sequence[np.ndarray],
 @lru_cache(maxsize=16)
 def _positions(view_token_counts: tuple[int, ...]
                ) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The view of each token position of a frame, the index within it,
-    and the two as ``(view, index)`` pairs; every caller shares them."""
-    counts = np.array(view_token_counts, dtype=np.int64)
-    view_of = np.repeat(np.arange(counts.size), counts)
-    index_of = np.arange(view_of.size) - np.repeat(
-        np.cumsum(counts) - counts, counts)
-    view_of.flags.writeable = index_of.flags.writeable = False
-    return view_of, index_of, tuple(zip(view_of.tolist(), index_of.tolist()))
+    """Where each view of a frame starts, and its end; each position's index
+    in its view; each position as a ``(view, index)`` pair. Shared."""
+    starts = np.cumsum([0, *view_token_counts])
+    view_of = np.repeat(np.arange(len(starts) - 1), view_token_counts)
+    index_of = np.arange(starts[-1]) - starts[view_of]
+    starts.flags.writeable = index_of.flags.writeable = False
+    return starts, index_of, tuple(zip(view_of.tolist(), index_of.tolist()))
 
 
 @dataclass(frozen=True)
@@ -268,37 +262,42 @@ class PruneBatch:
 
     def results(self) -> Iterator[PruneResult]:
         """Each frame's ``PruneResult``, in order."""
-        view_of, index_of, pairs = _positions(self.view_token_counts)
-        views = np.arange(1, len(self.view_token_counts))
-        ends = np.cumsum(self.kept.sum(axis=1)).tolist()
-        for f, kept in enumerate(self.kept):
-            pos = np.flatnonzero(kept)
-            ranked = self.ranking[ends[f] - pos.size:ends[f]].tolist()
-            cuts = [0, *np.searchsorted(view_of[pos], views).tolist(),
-                    pos.size]
-            indices = index_of[pos].tolist()
-            fused = self.fused[f, pos]
-            fused.flags.writeable = False
+        starts, index_of, pairs = _positions(self.view_token_counts)
+        frames, total = self.kept.shape
+        kept = self.kept.ravel().nonzero()[0]
+        fused = self.fused.ravel()[kept]
+        fused.flags.writeable = False
+        # each frame's views' bounds in the kept positions and its ranking
+        cuts = np.searchsorted(kept, starts if frames == 1 else (
+            np.arange(frames)[:, None] * total + starts).ravel()).tolist()
+        indices = index_of[kept % total if frames > 1 else kept].tolist()
+        ranking, step = self.ranking.tolist(), len(starts)
+        for f, (local, drop) in enumerate(zip(
+                self.local_pruned_counts.tolist(),
+                self.global_pruned_counts.tolist())):
+            bounds = cuts[f * step:(f + 1) * step]
+            ranked = ranking[bounds[0]:bounds[-1]]
             yield PruneResult(
                 self.view_token_counts,
-                tuple(tuple(indices[a:b]) for a, b in zip(cuts, cuts[1:])),
-                tuple(fused[a:b] for a, b in zip(cuts, cuts[1:])),
-                tuple(self.local_pruned_counts[f].tolist()),
-                int(self.global_pruned_counts[f]),
+                tuple(tuple(indices[a:b]) for a, b in zip(bounds, bounds[1:])),
+                tuple(fused[a:b] for a, b in zip(bounds, bounds[1:])),
+                tuple(local), drop,
                 # looked up in C; two spare items make it return a tuple
                 itemgetter(0, 0, *ranked)(pairs)[2:] if ranked else ())
 
 
-def _global_rows(fused: np.ndarray, alive: np.ndarray, drop: np.ndarray,
-                 view_token_counts: Sequence[int],
+def _global_rows(fused: np.ndarray, alive: np.ndarray, survivors: np.ndarray,
+                 drop: np.ndarray, view_token_counts: Sequence[int],
                  local_pruned_counts: np.ndarray) -> PruneBatch:
-    """Of each row's ``alive`` positions, drop the ``drop`` lowest fused
-    ones; ties go to the lower position, which is (view, index) order."""
+    """Of each row's ``survivors`` alive positions, drop the ``drop`` lowest
+    fused ones; ties go to the lower position, which is (view, index) order."""
     rows, total = alive.shape
-    survivors = alive.sum(axis=1)
-    width = int(survivors.max(initial=0))
-    flat = np.flatnonzero(alive)
-    if (survivors == width).all():
+    listed = survivors.tolist()
+    width = max(listed, default=0)
+    flat = alive.ravel().nonzero()[0]
+    rank = np.arange(width - 1, -1, -1)
+    keep = rank >= drop[:, None]
+    if min(listed, default=width) == width:
         where = flat.reshape(rows, width)
         scores = fused.ravel()[where]
     else:
@@ -308,15 +307,13 @@ def _global_rows(fused: np.ndarray, alive: np.ndarray, drop: np.ndarray,
         where[flat // total, np.arange(flat.size) - np.repeat(
             np.cumsum(survivors) - survivors, survivors)] = flat
         scores = np.append(fused.ravel(), np.inf)[where]
-    rank = np.arange(width - 1, -1, -1)
-    best = _flat(_order_rows(scores)[:, ::-1], width)
-    chosen = where.ravel()[best[(rank >= drop[:, None])
-                                & (rank < survivors[:, None])]]
+        keep &= rank < survivors[:, None]
+    chosen = where.ravel()[_order_rows(scores)[:, ::-1][keep]]
     kept = np.zeros(rows * total, dtype=bool)
     kept[chosen] = True
     return PruneBatch(tuple(view_token_counts), local_pruned_counts, drop,
                       kept.reshape(rows, total), fused,
-                      chosen % total if total else chosen)
+                      chosen % total if rows > 1 else chosen)
 
 
 def global_prune(fused_per_view: Sequence[np.ndarray],
@@ -344,15 +341,21 @@ def global_prune(fused_per_view: Sequence[np.ndarray],
     if alive.sum() != listed:
         raise ContractError("a survivor is listed twice")
     drop = _prune_count(float(beta), listed)
-    return next(_global_rows(fused, alive, np.array([drop]), counts,
+    return next(_global_rows(fused, alive, np.array([listed]),
+                             np.array([drop]), counts,
                              np.array([local_pruned_counts])).results())
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """``parts`` side by side, without a copy when there is one."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def _prune_counts(ratio: float, counts: np.ndarray, limits: np.ndarray
                   ) -> np.ndarray:
     """``_prune_count`` of each of ``counts``, at most ``limits``."""
-    return np.array([min(_prune_count(ratio, n), cap) for n, cap in
-                     zip(counts.tolist(), limits.tolist())], dtype=np.int64)
+    return np.minimum(np.array([_prune_count(ratio, n) for n in
+                                counts.tolist()], dtype=np.int64), limits)
 
 
 def _dispatch(weighted_per_view: Sequence[np.ndarray], inter: np.ndarray,
@@ -387,41 +390,42 @@ def _dispatch(weighted_per_view: Sequence[np.ndarray], inter: np.ndarray,
     if not adaptive and len(alphas) != len(counts):
         raise ContractError(f"need one local ratio per view: {len(alphas)} "
                             f"ratios, {len(counts)} views")
-    normalized, alive, local = [], [], []
+    fused, alive, local = [], [], []
     first = 0
     for n, run in groupby(counts):
-        views = range(first, first + len(list(run)))
+        views = slice(first, first + len(list(run)))
         first = views.stop
         if random:
-            scores = rng.random((len(views), n))
+            scores = rng.random((views.stop - views.start, n))
         else:
-            scores = _normalize_rows(np.concatenate(
-                [weighted_per_view[v] for v in views], axis=1).reshape(-1, n))
+            scores = _normalize_rows(
+                _joined(weighted_per_view[views]).reshape(-1, n))
         if adaptive:
-            dropped = _prune_counts(multiplier, (scores < threshold).sum(1),
-                                    np.full(len(scores), n))
+            dropped = _prune_counts(multiplier, (scores < threshold).sum(1), n)
         else:
-            dropped = np.array([_prune_count(alphas[v], n)
-                                for v in views] * rows)
-        normalized.append(scores.reshape(rows, -1))
+            dropped = np.array([_prune_count(a, n)
+                                for a in alphas[views]] * rows)
         alive.append(_local_rows(scores, dropped).reshape(rows, -1))
         local.append(dropped.reshape(rows, -1))
-    alive = np.concatenate(alive, axis=1)
+        if not random:
+            # the normalized scores times their view weights, in place
+            scores *= inter[:, views].reshape(-1, 1)
+            fused.append(scores.reshape(rows, -1))
+    alive = _joined(alive)
     survivors = alive.sum(axis=1)
     if random:
         # fresh priorities of the survivors stand in for fused scores
         fused = np.zeros(alive.shape)
         fused[alive] = rng.random(int(survivors[0]))
     else:
-        fused = (np.concatenate(normalized, axis=1)
-                 * np.repeat(inter, counts, axis=1))
+        fused = _joined(fused)
     if adaptive:
         drop = _prune_counts(multiplier, (alive & (fused < threshold)).sum(1),
                              survivors)
     else:
         drop = _prune_counts(beta, survivors, survivors)
-    batch = _global_rows(fused, alive, drop, counts,
-                         np.concatenate(local, axis=1))
+    batch = _global_rows(fused, alive, survivors, drop, counts,
+                         _joined(local))
     if rows == frames:
         return batch
     return PruneBatch(batch.view_token_counts, *(
@@ -451,10 +455,9 @@ def hierarchical_prune(raw_scores: Sequence[np.ndarray], inter_weights,
                 for r, (h, w) in zip(raw_scores, shapes))
     inter = _as_float_array(inter_weights, "inter_weights",
                             shape=(len(shapes),))
-    scores = ImportanceScores(raw, tuple(_weight_views(raw, shapes,
-                                                       config.epsilon)),
-                              inter)
-    return prune_scores(scores, [h * w for h, w in shapes], config)
+    weighted = tuple(_weight_views(raw, shapes, config.epsilon))
+    return prune_scores(ImportanceScores(raw, weighted, inter),
+                        [h * w for h, w in shapes], config)
 
 
 def random_drop(view_token_counts: Sequence[int],
@@ -477,21 +480,16 @@ def _score_frames(observations: Sequence[MultiViewObservation],
                   epsilon: float) -> list[ImportanceScores]:
     """``score_observation`` of every observation, weighting all their
     views in one pass, so that each weight-matrix block is read once."""
-    raws, inters = [], []
-    for obs in observations:
-        raw = predict_intra(intra_params, obs)
-        inter = predict_inter(inter_params, obs)
-        # a checkpoint comes from outside: its finite weights can still
-        # overflow into a NaN output, which the classifier metrics would
-        # take in
-        for name, outputs in (("intra", raw), ("inter", (inter,))):
-            if not all(np.isfinite(out).all() for out in outputs):
-                raise ContractError(f"{name} predictor output is not finite")
-        raws.append(raw)
-        inters.append(inter)
-    weighted = iter(_weight_views(
-        [r for raw in raws for r in raw],
-        [(v.height, v.width) for obs in observations for v in obs.views],
+    raws = [predict_intra(intra_params, obs) for obs in observations]
+    inters = [predict_inter(inter_params, obs) for obs in observations]
+    per_view = [r for raw in raws for r in raw]
+    # a checkpoint comes from outside: its finite weights can still overflow
+    # into a NaN output, which the classifier metrics would take in
+    for name, outputs in (("intra", per_view), ("inter", inters)):
+        if not all(np.isfinite(out).all() for out in outputs):
+            raise ContractError(f"{name} predictor output is not finite")
+    weighted = iter(_weight_views(per_view, [
+        (v.height, v.width) for obs in observations for v in obs.views],
         epsilon))
     return [ImportanceScores(intra_raw=raw,
                              intra_weighted=tuple(islice(weighted, len(raw))),

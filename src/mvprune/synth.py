@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -436,15 +436,22 @@ def generate(spec: ScenarioSpec) -> SynthEpisode:
     Draw order: distractor jitter, then per frame and per view the token
     noise matrix followed by the summary-token noise vector.
     """
-    return _generate([spec])[0]
+    return _generate(spec, 1, [spec])[0]
 
 
-def _generate(specs: Sequence[ScenarioSpec]) -> list[SynthEpisode]:
-    """Episodes of one embedding width whose token grids view one buffer,
-    a row per token in episode, frame and view order, read-only once full."""
-    buffer = np.empty((sum(spec.episode_length * spec.grid_side ** 2 * (
-        max(spec.roles.head, *spec.roles.wrists) + 1) for spec in specs),
-        specs[0].embed_dim))
+def _generate(template: ScenarioSpec, count: int,
+              specs: Iterable[ScenarioSpec]) -> list[SynthEpisode]:
+    """The ``count`` episodes of ``specs``, of ``template``'s sizes, viewing
+    one token buffer, a row per token in episode, frame and view order,
+    read-only once full; allocated, or refused, before any spec is drawn."""
+    grid, roles = template.grid_side, template.roles
+    per_frame = grid * grid * (max(roles.head, *roles.wrists) + 1)
+    try:
+        buffer = np.empty((count * template.episode_length * per_frame,
+                           template.embed_dim))
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"corpus too large to allocate: {exc}",
+                          field="corpus") from exc
     episodes, row = [], 0
     for spec in specs:
         rng = np.random.default_rng(spec.seed)
@@ -517,8 +524,9 @@ def generate_corpus(template: ScenarioSpec, count: int,
     """Generate ``count`` varied episodes from one template, in memory."""
     _check_int(count, "count", minimum=1)
     master = np.random.default_rng(_check_int(seed, "seed", minimum=0))
-    return _generate([derive_episode_spec(
-        template, i, int(master.integers(0, 2 ** 62))) for i in range(count)])
+    # derived lazily, once their buffer is allocated
+    return _generate(template, count, (derive_episode_spec(
+        template, i, int(master.integers(0, 2 ** 62))) for i in range(count)))
 
 
 def write_corpus(episodes: Sequence[SynthEpisode], seed: int, out_dir) -> dict:

@@ -392,6 +392,27 @@ def test_frame_annotation_rejects_non_binary_mask():
                         arm_phases=(Phase.APPROACHING,))
 
 
+# entries the uint8 copy of a mask changes (0.5, 1.0000001, 256, -1) or
+# keeps above 1 (2)
+@pytest.mark.parametrize("mask", [
+    [0, 2], [0.5, 1.0], [1.0000001, 0.0], np.array([0, 256]),
+    np.array([1, -1]), np.array([256, 1], dtype=np.int64)], ids=repr)
+def test_frame_annotation_refuses_entries_other_than_0_and_1(mask):
+    with pytest.raises(ContractError, match="0 or 1"):
+        FrameAnnotation(masks=(mask,), inter_labels=(1,),
+                        arm_phases=(Phase.APPROACHING,))
+
+
+@pytest.mark.parametrize("mask", [
+    [True, False], [0.0, -0.0, 1.0], np.array([1, 0], dtype=np.int64), []],
+    ids=repr)
+def test_frame_annotation_accepts_bools_and_signed_zeros(mask):
+    frame = FrameAnnotation(masks=(mask,), inter_labels=(1,),
+                            arm_phases=(Phase.APPROACHING,))
+    assert frame.masks[0].dtype == np.uint8
+    assert frame.masks[0].tolist() == [int(x) for x in mask]
+
+
 def test_frame_annotation_rejects_square_mask():
     with pytest.raises(ContractError):
         FrameAnnotation(masks=(np.zeros((2, 2), dtype=np.uint8),),

@@ -67,7 +67,8 @@ MAPPED = {"KeyError", "TypeError", "ValueError", "AttributeError",
 # array too large to allocate
 BOUNDARIES = {"core.parsing", "bench._section", "core.loads_obj",
               "core._listed", "core._config_float", "core._read_sidecar",
-              "predictor.load_trace", "bench.train_predictors"}
+              "predictor.load_trace", "bench.train_predictors",
+              "synth._generate"}
 
 
 def mapping_handlers(path):

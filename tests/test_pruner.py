@@ -1,5 +1,6 @@
 """Pruning pipeline: weighting, stages, baselines, and the cost model."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -25,7 +26,7 @@ from mvprune.core import (
     PruneResult,
     Strategy,
 )
-from mvprune.predictor import init_mlp
+from mvprune.predictor import MlpParams, init_mlp
 from mvprune.pruner import (
     FlopModel,
     _dispatch,
@@ -211,12 +212,12 @@ def test_score_observation_refuses_non_finite_predictor_output(
 @example([0.0, -0.0, 0.0, -0.0])
 def test_order_by_score_is_lexsort_by_score_then_index(values):
     """Each row is ordered on its own: the row as drawn, reversed, and
-    negated, in one call."""
+    negated, in one call, each row's indices offset into the ravel."""
     scores = np.array(values, dtype=np.float64)
     rows = np.stack([scores, scores[::-1], -scores])
     got = _order_rows(rows)
-    for row, order in zip(rows, got):
-        want = np.lexsort((np.arange(len(values)), row))
+    for r, (row, order) in enumerate(zip(rows, got)):
+        want = np.lexsort((np.arange(len(values)), row)) + r * len(values)
         assert order.dtype == want.dtype
         assert order.tolist() == want.tolist()
 
@@ -599,6 +600,42 @@ def test_prune_observation_random_strategy_ignores_scores(tiny_predictors):
     assert one.kept == two.kept
 
 
+def zeroed(params):
+    """``params`` with every weight and bias zero: a constant output."""
+    return MlpParams(tuple((np.zeros_like(w), np.zeros_like(b))
+                           for w, b in params.layers))
+
+
+@pytest.mark.parametrize("shapes", [[(1, 2)] * 3, [(2, 1), (1, 1), (1, 2)]],
+                         ids=str)
+@pytest.mark.parametrize("zero_inter", [False, True])
+def test_prune_observation_with_zeroed_intra_weights_matches_oracle(
+        shapes, zero_inter):
+    """A zeroed token predictor scores every token 0.5. With at most two
+    patches a view, each weighted score sums the same two products, which
+    commutes exactly, so all scores of a view tie (larger grids tie only up
+    to rounding, which the library and the oracle sum in different orders);
+    a zeroed view predictor ties the views as well. Every tie is then
+    broken by position, as in ``oracle_pipeline``."""
+    obs = grid_obs(shapes, seed=2)
+    intra = zeroed(init_mlp((obs.embed_dim, 8, 1), seed=0))
+    inter = init_mlp((len(shapes) * obs.embed_dim, 8, len(shapes)), seed=1)
+    if zero_inter:
+        inter = zeroed(inter)
+    config = PruneConfig(alphas=(0.5, 0.0, 0.5), beta=0.5)
+    scores, result = prune_observation(obs, intra, inter, config)
+    assert {float(r) for raw in scores.intra_raw for r in raw} == {0.5}
+    assert all(len(set(w.tolist())) == 1 for w in scores.intra_weighted)
+    kept, fused, ranking, local, drop = oracle_pipeline(
+        [raw.tolist() for raw in scores.intra_raw], scores.inter.tolist(),
+        shapes, config.alphas, config.beta, config.epsilon)
+    assert result.kept == tuple(map(tuple, kept))
+    assert result.ranking == tuple(ranking)
+    assert [a.tolist() for a in result.fused_scores] == fused
+    assert (result.local_pruned_counts, result.global_pruned_count) \
+        == (tuple(local), drop)
+
+
 def test_prune_observation_no_prune(tiny_predictors):
     intra, inter = tiny_predictors
     obs = make_obs(view_count=3, seed=5)
@@ -692,6 +729,74 @@ def test_dispatch_pads_frames_with_fewer_adaptive_survivors():
                                                  tuple(ranking))
         assert (result.local_pruned_counts, result.global_pruned_count) \
             == (tuple(local), drop)
+
+
+# ---------------------------------------------------------------------------
+# byte digest of the pruning stages
+
+# SHA-256 over every result of ``digest_results``, recorded before the
+# stages were last reworked. The stages call no BLAS routine, so it holds
+# on any numpy build, except for the sign of a zero score: numpy's min
+# reduction returns -0.0 or +0.0 of a row holding both by the SIMD
+# extensions of the CPU, so zeros are hashed as +0.0
+PRUNE_DIGEST = ("2a144fcc11315a91ccaa8b37167a7fd0"
+                "b98a10dd79759097baa320d88859436f")
+
+
+def digest_frames(counts, frames, rng):
+    """Weighted scores and view weights of ``frames`` frames, drawn by
+    ``rng``: a quarter of the rows continuous, a quarter of 0, 1 and 2 with
+    half the zeros -0.0 (which ties +0.0), a quarter constant and a quarter
+    rounded to one decimal; every other frame weights its views equally."""
+    weighted = []
+    for n in counts:
+        rows = []
+        for f in range(frames):
+            kind = f % 4
+            if kind == 0:
+                row = rng.random(n)
+            elif kind == 1:
+                row = rng.integers(0, 3, n).astype(np.float64)
+                row[(row == 0.0) & (rng.random(n) < 0.5)] = -0.0
+            elif kind == 2:
+                row = np.full(n, rng.choice([-0.0, 0.0, rng.random()]))
+            else:
+                row = np.round(rng.random(n), 1)
+            rows.append(row)
+        weighted.append(np.array(rows))
+    inter = rng.random((frames, len(counts)))
+    inter[1::2] = inter[1::2, :1]
+    return weighted, inter
+
+
+def digest_results():
+    """Every result the digest covers: each strategy plus an adaptive
+    config whose frames keep unequal survivor counts, on two layouts, for
+    one frame at a time and for all 16 frames in one dispatch."""
+    rng = np.random.default_rng(20261018)
+    configs = [PruneConfig(strategy=s, seed=3) for s in Strategy] + [
+        PruneConfig(alphas=(0.9, 0.5, 0.0), beta=0.75),
+        PruneConfig(strategy=Strategy.ADAPTIVE_RATIO_DROP,
+                    adaptive_threshold=0.6, adaptive_multiplier=0.5)]
+    for counts in ([64, 64, 36], [16, 25, 25]):
+        weighted, inter = digest_frames(counts, 16, rng)
+        for config in configs:
+            for f in range(16):
+                yield prune_scores(ImportanceScores(
+                    intra_raw=(), intra_weighted=tuple(w[f] for w in weighted),
+                    inter=inter[f]), counts, config)
+            yield from _dispatch(weighted, inter, counts, config).results()
+
+
+def test_pruning_digest_is_unchanged():
+    digest = hashlib.sha256()
+    for r in digest_results():
+        digest.update(repr((r.view_token_counts, r.kept,
+                            r.local_pruned_counts, r.global_pruned_count,
+                            r.ranking)).encode())
+        for scores in r.fused_scores:
+            digest.update((scores + 0.0).tobytes())
+    assert digest.hexdigest() == PRUNE_DIGEST
 
 
 # ---------------------------------------------------------------------------

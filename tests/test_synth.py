@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
+from mvprune import synth
 from mvprune.annotate import BoxKind, annotate_episode, detect_interaction
+from mvprune.cli import main
 from mvprune.core import ConfigError, Phase
 from mvprune.synth import (
     GRIPPER_SIZE,
@@ -290,6 +292,46 @@ def test_generate_corpus_varies_and_reproduces():
         assert list(a.observations) == list(b.observations)
     seeds = {e.spec.seed for e in corpus}
     assert len(seeds) == 4
+
+
+def record_derivations(monkeypatch):
+    """Record every ``derive_episode_spec`` call in the returned list."""
+    derived = []
+    monkeypatch.setattr(synth, "derive_episode_spec",
+                        lambda *args: derived.append(args))
+    return derived
+
+
+# token buffers of an exbibyte (2**60 bytes) or more, which no host can map:
+# the first two are refused by the allocator, the last two before it, as
+# larger than numpy's largest array
+@pytest.mark.parametrize("count, overrides", [
+    (2 ** 42, {}), (1, {"embed_dim": 2 ** 44}),
+    (1, {"episode_length": 10 ** 15}), (10 ** 12, {"embed_dim": 2 ** 40})])
+def test_generate_corpus_refuses_a_corpus_too_large_before_deriving(
+        count, overrides, monkeypatch):
+    derived = record_derivations(monkeypatch)
+    with pytest.raises(ConfigError, match="corpus too large") as info:
+        generate_corpus(small_spec(**overrides), count, seed=0)
+    assert info.value.field == "corpus"
+    assert derived == []
+
+
+def test_generate_refuses_an_episode_too_large():
+    with pytest.raises(ConfigError, match="corpus too large"):
+        generate(small_spec(embed_dim=2 ** 44))
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--episodes", 2 ** 39), ("--episodes", 10 ** 12),
+    ("--embed-dim", 2 ** 44), ("--episode-length", 10 ** 15)])
+def test_cli_gen_refuses_a_corpus_too_large(flag, value, tmp_path, capsys,
+                                            monkeypatch):
+    derived = record_derivations(monkeypatch)
+    assert main(["gen", "--out", str(tmp_path), flag, str(value)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: corpus too large") and err.count("\n") == 1
+    assert derived == []
 
 
 def test_write_corpus_is_byte_stable(tmp_path):
