@@ -32,7 +32,7 @@ from .core import (
     Phase,
     ViewRoles,
     _check_int,
-    _expect_record,
+    _episode_records,
     _listed,
     _member,
     parsing,
@@ -426,24 +426,13 @@ def geometry_objs(episode_id: str, geometry: Sequence[FrameGeometry]
 
 
 def geometry_from_objs(objs: Iterable[dict]) -> tuple[str, list[FrameGeometry]]:
-    episode_id = None
     frames = []
-    for obj in objs:
-        _expect_record(obj, "geometry")
+    for obj in _episode_records(objs, "geometry"):
         with parsing(f"geometry frame {len(frames)}", "views"):
-            if episode_id is None:
-                episode_id = obj["episode_id"]
-            elif obj["episode_id"] != episode_id:
-                raise ParseError("mixed episodes in geometry records",
-                                 field="episode_id")
-            if obj["frame_index"] != len(frames):
-                raise ParseError(
-                    f"expected frame {len(frames)}, got {obj['frame_index']}",
-                    field="frame_index")
             frames.append(FrameGeometry.from_obj(obj))
-    if episode_id is None:
+    if not frames:
         raise ParseError("no geometry records", field="frames")
-    return episode_id, frames
+    return obj["episode_id"], frames
 
 
 def save_geometry(path, episode_id: str,

@@ -66,6 +66,7 @@ from .synth import (
     ArmScript,
     ScenarioSpec,
     SynthEpisode,
+    _read_manifest,
     generate_corpus,
     write_corpus,
 )
@@ -320,31 +321,33 @@ def scenario_template(config: dict) -> ScenarioSpec:
         )
 
 
-def _prune_config(config: dict, strategy: Strategy | None = None) -> PruneConfig:
-    section = dict(config["prune"])
-    if strategy is not None:
-        section["strategy"] = strategy.value
-    obj = {"fmt": FORMAT_VERSION, "kind": "prune_config", **section}
+def _prune_config(config: dict) -> PruneConfig:
+    obj = {"fmt": FORMAT_VERSION, "kind": "prune_config", **config["prune"]}
     with _section("prune"):
         return PruneConfig.from_obj(obj)
 
 
-def _flop_model(config: dict, extent: tuple[int, int] | None = None
-                ) -> FlopModel:
+def _flop_model(config: dict, extent: tuple[int, int]) -> FlopModel:
     """The config's cost model, refused if its cost summed over ``extent``,
-    ``(frames, tokens in the largest frame)``, can leave the float range.
-    The extent defaults to the corpus the config generates."""
-    if extent is None:
-        spec = scenario_template(config)
-        with _section("corpus"):
-            count = _check_int(config["corpus"]["count"], "corpus.count",
-                               minimum=1)
-        views = max(spec.roles.head, *spec.roles.wrists) + 1
-        extent = (count * spec.episode_length, views * spec.grid_side ** 2)
+    ``(frames, tokens in the largest frame)``, can leave the float range."""
     with _section("flop"):
         model = FlopModel(**config["flop"])
         model.check_range(*extent)
     return model
+
+
+def _parse(config: dict) -> tuple[PruneConfig, FlopModel]:
+    """Parse every section of a resolved config, generating nothing; the
+    cost model is bounded by the corpus the config generates."""
+    prune_config = _prune_config(config)
+    _train_config(config)
+    spec = scenario_template(config)
+    with _section("corpus"):
+        count = _check_int(config["corpus"]["count"], "corpus.count",
+                           minimum=1)
+    views = max(spec.roles.head, *spec.roles.wrists) + 1
+    return prune_config, _flop_model(
+        config, (count * spec.episode_length, views * spec.grid_side ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +367,11 @@ def derive_annotations(episodes: Sequence[SynthEpisode]
                                episode.episode_id)
         truth = episode.annotation
         if ann != truth:
-            for t, (a, b) in enumerate(zip(ann.frames, truth.frames)):
-                if a != b:
-                    raise AnnotationError(
-                        f"episode {episode.episode_id}: derived annotation "
-                        f"diverges from ground truth", frame=t)
+            frame = next((t for t, (a, b) in enumerate(
+                zip(ann.frames, truth.frames)) if a != b), None)
             raise AnnotationError(
                 f"episode {episode.episode_id}: derived annotation diverges "
-                f"from ground truth")
+                f"from ground truth", frame=frame)
         derived.append(ann)
     return derived
 
@@ -426,27 +426,22 @@ def score_corpus(observations_by_episode: Sequence[
                  annotations: Sequence[EpisodeAnnotation],
                  intra: MlpParams, inter: MlpParams, epsilon: float
                  ) -> ScoredCorpus:
-    """Check that ``annotations``, aligned with the episodes, cover every
-    frame, score every frame with both predictors, and rate the raw scores
-    as classifiers."""
+    """Check that ``annotations`` pair one to one with the episodes, score
+    every frame with both predictors, and rate the raw scores as
+    classifiers. Each annotation must cover its episode's frames and views,
+    as ``load_corpus`` checks."""
     if not observations_by_episode or not observations_by_episode[0]:
         raise ContractError("evaluation needs at least one observation")
     if len(annotations) != len(observations_by_episode):
         raise ContractError("annotations must align with the episodes")
     intra_labels, inter_labels = [], []
     for episode_obs, ann in zip(observations_by_episode, annotations):
+        if episode_obs and ann.episode_id != episode_obs[0].episode_id:
+            raise ContractError(
+                f"annotation {ann.episode_id!r} does not match observation "
+                f"episode {episode_obs[0].episode_id!r}")
         for obs in episode_obs:
-            if ann.episode_id != obs.episode_id:
-                raise ContractError(
-                    f"annotation {ann.episode_id!r} does not match "
-                    f"observation episode {obs.episode_id!r}")
-            if obs.frame_index >= ann.length:
-                raise ContractError(
-                    f"episode {obs.episode_id!r} annotation has {ann.length} "
-                    f"frames, observation is frame {obs.frame_index}")
             frame = ann.frames[obs.frame_index]
-            if len(frame.masks) != obs.view_count:
-                raise ContractError("annotation masks must align with views")
             intra_labels.extend(frame.masks)
             inter_labels.append(np.array(frame.inter_labels))
     frame_scores = _score_frames(
@@ -565,9 +560,7 @@ def run_experiment(config: dict | None, out_dir) -> MetricsReport:
     artifacts except ``timings.csv`` are byte-identical across reruns.
     """
     config = resolve_config(config)
-    prune_config = _prune_config(config)
-    _train_config(config)
-    flop_model = _flop_model(config)
+    prune_config, flop_model = _parse(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timings = {}
@@ -616,12 +609,11 @@ def compare_strategies(config: dict | None, out_dir,
     ``compare.csv``.
     """
     config = resolve_config(config)
-    prune_configs = [_prune_config(config, s) for s in strategies]
-    _train_config(config)
-    flop_model = _flop_model(config)
+    base, flop_model = _parse(config)
+    prune_configs = [replace(base, strategy=s) for s in strategies]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    corpus = _scored_corpus(config, _prune_config(config).epsilon)
+    corpus = _scored_corpus(config, base.epsilon)
     reports = {c.strategy.value: evaluate_strategy(corpus, c, flop_model)[0]
                for c in prune_configs}
     write_report_csv(out / "compare.csv", list(reports.values()))
@@ -641,16 +633,15 @@ def sweep_beta(config: dict | None, betas: Sequence[float], out_dir
     if any(not 0.0 <= b < 1.0 for b in betas):
         raise ConfigError("sweep ratios must lie in [0, 1)")
     config = resolve_config(config)
+    base, flop_model = _parse(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    base = _prune_config(config, Strategy.HIERARCHICAL)
-    _train_config(config)
-    flop_model = _flop_model(config)
     corpus = _scored_corpus(config, base.epsilon)
     rows = []
     for beta in sorted(betas):
-        report, _ = evaluate_strategy(corpus, replace(base, beta=beta),
-                                      flop_model)
+        report, _ = evaluate_strategy(
+            corpus, replace(base, strategy=Strategy.HIERARCHICAL, beta=beta),
+            flop_model)
         rows.append({"beta": beta, "kept_total": report.kept_total,
                      "reduction_ratio": report.reduction_ratio,
                      "flop_speedup": report.flop_speedup,
@@ -664,13 +655,9 @@ def sweep_beta(config: dict | None, betas: Sequence[float], out_dir
                 f"speedup shrank from ratio {a['beta']} to {b['beta']}")
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["beta", "kept_total", "reduction_ratio",
-                         "flop_speedup", "retention_relevant"])
-        for row in rows:
-            writer.writerow([repr(row["beta"]), row["kept_total"],
-                             repr(row["reduction_ratio"]),
-                             repr(row["flop_speedup"]),
-                             repr(row["retention_relevant"])])
+        writer.writerow(rows[0])
+        writer.writerows([repr(value) for value in row.values()]
+                         for row in rows)
     return rows
 
 
@@ -748,23 +735,17 @@ def validate_artifacts(out_dir) -> list[str]:
                 check(path, load_geometry)
             elif name.endswith(".prune.jsonl"):
                 check(path, _validate_prune_records)
-    for name, loader in (("intra.mlp.json", load_params),
+    for name, loader in (("corpus/manifest.json", _read_manifest),
+                         ("intra.mlp.json", load_params),
                          ("inter.mlp.json", load_params),
-                         ("config.resolved.json", _validate_config),
+                         ("config.resolved.json",
+                          lambda path: _parse(load_experiment_config(path))),
                          ("intra_trace.csv", load_trace),
                          ("inter_trace.csv", load_trace)):
         path = out / name
         if path.exists():
             check(path, loader)
     return problems
-
-
-def _validate_config(path) -> None:
-    """Parse every section of a resolved config, generating nothing."""
-    config = load_experiment_config(path)
-    for parse in (scenario_template, _prune_config, _train_config,
-                  _flop_model):
-        parse(config)
 
 
 def _validate_observations(path) -> None:

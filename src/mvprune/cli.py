@@ -136,13 +136,12 @@ def _cmd_prune(args) -> int:
     config = _overridden(args, "prune", (
         "alphas", "beta", "epsilon", "strategy", "seed"))
     out = _out_dir(args)
+    if {bool(args.intra), bool(args.inter)} != {args.corpus is not None}:
+        raise ConfigError("--corpus, --intra and --inter go together: an "
+                          "existing corpus is pruned with both checkpoints")
     if args.corpus is None:
         report = run_experiment(config, out)
     else:
-        if not args.intra or not args.inter:
-            raise ConfigError(
-                "pruning an existing corpus needs --intra and --inter "
-                "checkpoints")
         out.mkdir(parents=True, exist_ok=True)
         prune_config = _prune_config(config)
         corpus = load_corpus(args.corpus)

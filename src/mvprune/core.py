@@ -649,23 +649,11 @@ class EpisodeAnnotation(_ValueEq):
     @classmethod
     def from_frame_objs(cls, objs: Iterable[dict]) -> "EpisodeAnnotation":
         """Reassemble an episode from per-frame records, validating consistency."""
-        objs = list(objs)
+        objs = list(_episode_records(objs, "annotation"))
         if not objs:
             raise ParseError("no annotation records", field="frames")
-        for obj in objs:
-            _expect_record(obj, "annotation")
         with parsing("annotation", "frames"):
-            episode_id = objs[0]["episode_id"]
-            for t, obj in enumerate(objs):
-                if obj["episode_id"] != episode_id:
-                    raise ParseError(
-                        f"mixed episodes: {obj['episode_id']!r} vs {episode_id!r}",
-                        field="episode_id")
-                if obj["frame_index"] != t:
-                    raise ParseError(
-                        f"expected frame {t}, got {obj['frame_index']}",
-                        field="frame_index")
-            return cls(episode_id=episode_id,
+            return cls(episode_id=objs[0]["episode_id"],
                        roles=ViewRoles.from_obj(objs[0]["roles"]),
                        grids=objs[0]["grids"],
                        frames=tuple(_frame_from_obj(obj) for obj in objs))
@@ -692,6 +680,24 @@ def _expect_record(obj, kind: str) -> None:
     if obj.get("kind") != kind:
         raise ParseError(f"expected kind {kind!r}, got {obj.get('kind')!r}",
                          field="kind")
+
+
+def _episode_records(objs: Iterable, kind: str) -> Iterator[dict]:
+    """Yield ``kind`` records, refused unless they all name the first one's
+    episode and number its frames ``0, 1, ...`` in order."""
+    for t, obj in enumerate(objs):
+        _expect_record(obj, kind)
+        with parsing(kind, "frames"):
+            if t == 0:
+                episode_id = obj["episode_id"]
+            elif obj["episode_id"] != episode_id:
+                raise ParseError(f"mixed episodes: {obj['episode_id']!r} vs "
+                                 f"{episode_id!r}", field="episode_id")
+            if obj["frame_index"] != t:
+                raise ParseError(f"{kind} {t} of episode {episode_id!r} is "
+                                 f"numbered frame {obj['frame_index']!r}",
+                                 field="frame_index")
+        yield obj
 
 
 def _listed(obj: dict, name: str, default=None) -> tuple:
@@ -810,7 +816,7 @@ def load_observations(path, sidecar=None) -> list[MultiViewObservation]:
         flat.base.flags.writeable = False
     observations = []
     offset = 0
-    for obj in read_jsonl(path):
+    for obj in _episode_records(read_jsonl(path), "observation"):
         obs, offset = _observation_from_header(obj, flat, offset)
         observations.append(obs)
     if offset != flat.shape[0]:
@@ -844,7 +850,6 @@ def _observation_from_header(obj, flat: np.ndarray, offset: int
                              ) -> tuple[MultiViewObservation, int]:
     """Rebuild one observation from its record and the sidecar values
     starting at ``offset``; returns it with the offset past its values."""
-    _expect_record(obj, "observation")
     with parsing(f"observation frame {obj.get('frame_index')!r}", "views"):
         frame = obj["frame_index"]
         views = []

@@ -559,26 +559,62 @@ def write_corpus(episodes: Sequence[SynthEpisode], seed: int, out_dir) -> dict:
     return manifest
 
 
-def load_corpus(corpus_dir) -> list[dict]:
-    """Read a corpus back: one dict per episode with loaded artifacts."""
-    root = Path(corpus_dir)
-    with open(root / "manifest.json", "r", encoding="utf-8") as fh:
+def _read_manifest(path) -> tuple[dict, ...]:
+    """The episode entries of a corpus manifest. Each episode id is listed
+    once, and it and each file name is a plain file name: a nonempty string
+    without a separator or NUL that is not ``.`` or ``..``."""
+    with open(path, "r", encoding="utf-8") as fh:
         manifest = loads_obj(fh.read())
     _expect_record(manifest, "corpus_manifest")
-    episodes = []
+    seen = set()
     with parsing("manifest", "episodes"):
-        for entry in manifest["episodes"]:
-            episode_id, geometry = load_geometry(root / entry["geometry"])
-            if episode_id != entry["episode_id"]:
+        entries = tuple(manifest["episodes"])
+        for entry in entries:
+            for field in ("episode_id", "observations", "tokens",
+                          "annotation", "geometry"):
+                name = entry[field]
+                if (not isinstance(name, str) or name in ("", ".", "..")
+                        or any(c in name for c in "/\\\0")):
+                    raise ParseError(f"manifest names {name!r}, not a plain "
+                                     f"file name", field=field)
+            if entry["episode_id"] in seen:
+                raise ParseError(f"manifest lists episode "
+                                 f"{entry['episode_id']!r} twice",
+                                 field="episode_id")
+            seen.add(entry["episode_id"])
+    return entries
+
+
+def load_corpus(corpus_dir) -> list[dict]:
+    """Read a corpus back: one dict per episode with loaded artifacts. Each
+    episode's files must name its manifest id, hold ``n`` frames numbered
+    ``0..n-1``, and give every observation the annotation's view grids."""
+    root = Path(corpus_dir)
+    episodes = []
+    for entry in _read_manifest(root / "manifest.json"):
+        eid = entry["episode_id"]
+        with parsing(f"episode {eid!r}", "episode_id"):
+            observations = load_observations(root / entry["observations"],
+                                             root / entry["tokens"])
+            annotation = load_annotation(root / entry["annotation"])
+            geometry_id, geometry = load_geometry(root / entry["geometry"])
+            named = {geometry_id, annotation.episode_id,
+                     *(obs.episode_id for obs in observations)}
+            if named != {eid}:
+                raise ParseError(f"episode {eid!r}: its files name episodes "
+                                 f"{', '.join(sorted(map(repr, named)))}",
+                                 field="episode_id")
+            if {annotation.length, len(geometry)} != {len(observations)}:
                 raise ParseError(
-                    f"geometry file names episode {episode_id!r}, manifest "
-                    f"says {entry['episode_id']!r}", field="episode_id")
-            episodes.append({
-                "episode_id": entry["episode_id"],
-                "seed": entry["seed"],
-                "observations": load_observations(
-                    root / entry["observations"], root / entry["tokens"]),
-                "annotation": load_annotation(root / entry["annotation"]),
-                "geometry": geometry,
-            })
+                    f"episode {eid!r}: {len(observations)} observations, but "
+                    f"{annotation.length} annotation and {len(geometry)} "
+                    f"geometry frames", field="frames")
+            if any(tuple((view.height, view.width) for view in obs.views)
+                   != annotation.grids for obs in observations):
+                raise ParseError(
+                    f"episode {eid!r}: view grids differ from the "
+                    f"annotation's {annotation.grids}", field="grids")
+            episodes.append({"episode_id": eid, "seed": entry["seed"],
+                             "observations": observations,
+                             "annotation": annotation, "geometry": geometry})
     return episodes

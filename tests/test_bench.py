@@ -18,6 +18,7 @@ from mvprune.bench import (
     DEFAULT_CONFIG,
     MetricsReport,
     _flop_model,
+    _parse,
     _prepare,
     _prune_config,
     _section,
@@ -274,8 +275,8 @@ def test_config_parsers_raise_only_config_error(overrides):
         config = resolve_config(overrides)
     except ConfigError:
         return
-    for parse in (scenario_template, _prune_config, _flop_model,
-                  _train_config):
+    for parse in (scenario_template, _prune_config, _train_config, _parse,
+                  lambda config: _flop_model(config, (16, 768))):
         try:
             parse(config)
         except ConfigError:
@@ -595,6 +596,22 @@ def test_cli_prune_refuses_bad_train_section_before_generating(
     assert calls == []
 
 
+@pytest.mark.parametrize("checkpoints", [("--intra", "--inter"),
+                                         ("--intra",)])
+def test_cli_prune_refuses_checkpoints_without_a_corpus(
+        checkpoints, experiment_dir, tmp_path, monkeypatch, capsys):
+    calls = counted_generate(monkeypatch)
+    argv = ["prune", "--out", str(tmp_path / "run")]
+    for flag in checkpoints:
+        argv += [flag, str(experiment_dir[0] / f"{flag[2:]}.mlp.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--corpus" in err
+    assert calls == []
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_train_parses_train_section_before_loading(tmp_path, capsys):
     code = main(["train", "--corpus", str(tmp_path / "missing"), "--out",
                  str(tmp_path / "ckpt"), "--learning-rate", "-1"])
@@ -819,8 +836,8 @@ def test_cli_prune_rejects_short_annotation(cli_corpus, experiment_dir,
                  "--out", str(tmp_path / "pruned")])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: episode 'ep0001' annotation has 5 frames, observation is "
-        "frame 5\n")
+        "error: episode 'ep0001': 12 observations, but 5 annotation and 12 "
+        "geometry frames (field 'frames')\n")
 
 
 def test_cli_prune_runs_full_experiment(tmp_path, capsys):
@@ -1169,6 +1186,26 @@ def test_cli_train_rejects_malformed_manifest(damage, cli_corpus, tmp_path,
                  str(tmp_path / "ckpt")])
     assert code == 2
     assert "manifest" in capsys.readouterr().err
+
+
+def _point_outside(manifest):
+    manifest["episodes"][0]["episode_id"] = "../x"
+    return json.dumps(manifest)
+
+
+@pytest.mark.parametrize("manifest", [
+    lambda manifest: "not json",
+    lambda manifest: json.dumps(dict(manifest, episodes=5)),
+    _point_outside], ids=["not_json", "episodes_is_int", "traversal_id"])
+def test_cli_validate_reports_bad_manifest(manifest, experiment_dir, tmp_path,
+                                           capsys):
+    shutil.copytree(experiment_dir[0], tmp_path / "broken")
+    path = tmp_path / "broken" / "corpus" / "manifest.json"
+    path.write_text(manifest(json.loads(path.read_text())))
+    assert main(["validate", "--dir", str(tmp_path / "broken")]) == 1
+    problems = capsys.readouterr().err.splitlines()
+    assert len(problems) == 1
+    assert problems[0].startswith("manifest.json: ")
 
 
 @pytest.mark.parametrize("section, key, value", [

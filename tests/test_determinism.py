@@ -6,9 +6,10 @@ config writes the same bytes on every rerun, for every artifact except
 ``compare/``, and ``sweep_beta`` at global ratios 0, 0.25, 0.5 and 0.75,
 into ``sweep/``. ``determinism_digests.json`` holds the SHA-256 digest of
 each of those artifacts together with the build they were recorded on.
-OpenBLAS picks its kernel per CPU and another kernel may round differently,
-so on another build the comparison with the committed digests is skipped,
-with the differing fields as the reason. On any build the digests must not
+OpenBLAS picks its kernel per CPU, and numpy its SIMD kernels for the
+training and scoring math, and another kernel may round differently; so on
+another build the comparison with the committed digests is skipped, with
+the differing fields as the reason. On any build the digests must not
 depend on the number of BLAS threads.
 
 Run as a script, this module runs the default experiment once and prints
@@ -40,13 +41,17 @@ SWEEP_BETAS = (0.0, 0.25, 0.5, 0.75)
 
 
 def build() -> dict:
-    """The numpy/BLAS build and the OpenBLAS kernel chosen on this CPU."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    """The numpy/BLAS build, the SIMD targets numpy dispatches to on this
+    CPU (``NPY_DISABLE_CPU_FEATURES`` removes some), and the OpenBLAS kernel
+    chosen on this CPU."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
     env = {
         "machine": platform.machine(),
         "numpy": np.__version__,
         "blas": blas.get("openblas configuration")
         or f"{blas.get('name')} {blas.get('version')}",
+        "simd": config.get("SIMD Extensions", {}).get("found", []),
     }
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     found = sorted(libs.glob("libscipy_openblas64_*.so"))

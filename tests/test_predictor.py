@@ -460,13 +460,6 @@ def test_build_intra_dataset_stacks_tokens_and_mask_bits():
     assert y[1, 0] == 1.0  # the one set mask bit of the head view
 
 
-def test_build_intra_dataset_rejects_misaligned_masks():
-    ann = make_annotation()  # 2x2 grids
-    observations = [make_obs()]  # 2x3 views
-    with pytest.raises(ContractError):
-        build_intra_dataset(observations, {ann.episode_id: ann})
-
-
 @pytest.fixture(scope="module")
 def generated_corpus(tmp_path_factory):
     """A small generated corpus, and the same corpus written and loaded."""
@@ -552,9 +545,8 @@ def test_dataset_requires_matching_annotation():
     wrong = {"different": other}
     with pytest.raises(ContractError):
         build_intra_dataset(observations, wrong)
-    deep = square_obs(frame_index=99)
     with pytest.raises(ContractError):
-        build_inter_dataset([deep], {other.episode_id: other})
+        build_inter_dataset(observations, wrong)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Synthetic episode generator: determinism, ground truth, and corpora."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import oracles
 from mvprune import synth
 from mvprune.annotate import BoxKind, annotate_episode, detect_interaction
 from mvprune.cli import main
-from mvprune.core import ConfigError, Phase
+from mvprune.core import ConfigError, ParseError, Phase
 from mvprune.synth import (
     GRIPPER_SIZE,
     IMAGE_SIZE,
@@ -364,3 +365,110 @@ def test_corpus_round_trip_and_regeneration(tmp_path):
         respawned = generate(derive_episode_spec(
             template, int(entry["episode_id"][2:]), manifest_entry["seed"]))
         assert list(respawned.observations) == entry["observations"]
+
+
+# ---------------------------------------------------------------------------
+# refusals of a loaded corpus
+
+
+@pytest.fixture(scope="module")
+def written_corpus(tmp_path_factory):
+    """A two-episode corpus on 4x4 grids with checkpoints trained on it, and
+    its first episode again on 8x8 grids."""
+    root = tmp_path_factory.mktemp("written")
+    write_corpus(generate_corpus(small_spec(patch_size=64), 2, seed=9), 9,
+                 root / "corpus")
+    write_corpus(generate_corpus(small_spec(patch_size=32), 1, seed=9), 9,
+                 root / "finer")
+    assert main(["train", "--corpus", str(root / "corpus"), "--out",
+                 str(root / "ckpt"), "--hidden", "4", "--steps", "0"]) == 0
+    return root
+
+
+def _edit_manifest(corpus, edit):
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    edit(manifest["episodes"])
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _edit_records(path, edit):
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps(record) + "\n"
+                            for record in edit(records)))
+
+
+def _renumber(records):
+    for record in records:
+        record["frame_index"] += 3
+    return records
+
+
+# each damage: the field the refusal names, and an edit of the corpus
+# directory given the directory of the 8x8 copy of its first episode
+CORPUS_DAMAGE = {
+    "renumbered_frames": ("frame_index", lambda corpus, finer: _edit_records(
+        corpus / "ep0000.obs.jsonl", _renumber)),
+    "duplicate_id": ("episode_id", lambda corpus, finer: _edit_manifest(
+        corpus, lambda episodes: episodes.__setitem__(1, episodes[0]))),
+    "foreign_observations": ("episode_id", lambda corpus, finer: _edit_manifest(
+        corpus, lambda episodes: episodes[0].update(
+            observations="ep0001.obs.jsonl", tokens="ep0001.obs.npy"))),
+    "foreign_annotation": ("episode_id", lambda corpus, finer: shutil.copyfile(
+        corpus / "ep0001.ann.jsonl", corpus / "ep0000.ann.jsonl")),
+    "foreign_geometry": ("episode_id", lambda corpus, finer: shutil.copyfile(
+        corpus / "ep0001.geom.jsonl", corpus / "ep0000.geom.jsonl")),
+    "short_annotation": ("frames", lambda corpus, finer: _edit_records(
+        corpus / "ep0001.ann.jsonl", lambda records: records[:5])),
+    "short_geometry": ("frames", lambda corpus, finer: _edit_records(
+        corpus / "ep0001.geom.jsonl", lambda records: records[:5])),
+    "view_grids": ("grids", lambda corpus, finer: [
+        shutil.copyfile(finer / name, corpus / name)
+        for name in ("ep0000.obs.jsonl", "ep0000.obs.npy")]),
+    "traversal_id": ("episode_id", lambda corpus, finer: _edit_manifest(
+        corpus, lambda episodes: episodes[0].update(episode_id="../x"))),
+    "nested_file": ("geometry", lambda corpus, finer: _edit_manifest(
+        corpus, lambda episodes: episodes[0].update(
+            geometry="sub/ep0000.geom.jsonl"))),
+    "parent_file": ("tokens", lambda corpus, finer: _edit_manifest(
+        corpus, lambda episodes: episodes[0].update(tokens=".."))),
+}
+
+
+def damaged_corpus(written_corpus, tmp_path, damage):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(written_corpus / "corpus", corpus)
+    CORPUS_DAMAGE[damage][1](corpus, written_corpus / "finer")
+    return corpus
+
+
+def test_written_corpus_loads(written_corpus):
+    loaded = load_corpus(written_corpus / "corpus")
+    assert [entry["episode_id"] for entry in loaded] == ["ep0000", "ep0001"]
+    assert loaded[0]["annotation"].grids == ((4, 4),) * 3
+
+
+@pytest.mark.parametrize("damage", sorted(CORPUS_DAMAGE))
+def test_load_corpus_refuses_disagreeing_files(damage, written_corpus,
+                                               tmp_path):
+    corpus = damaged_corpus(written_corpus, tmp_path, damage)
+    with pytest.raises(ParseError) as err:
+        load_corpus(corpus)
+    assert err.value.field == CORPUS_DAMAGE[damage][0]
+
+
+@pytest.mark.parametrize("damage", ["renumbered_frames", "duplicate_id",
+                                    "traversal_id"])
+def test_cli_refuses_a_disagreeing_corpus(damage, written_corpus, tmp_path,
+                                          capsys):
+    corpus = damaged_corpus(written_corpus, tmp_path, damage)
+    out, ckpt = tmp_path / "out", written_corpus / "ckpt"
+    for argv in (["train", "--corpus", str(corpus), "--out",
+                  str(out / "trained")],
+                 ["prune", "--corpus", str(corpus), "--intra",
+                  str(ckpt / "intra.mlp.json"), "--inter",
+                  str(ckpt / "inter.mlp.json"), "--out", str(out / "pruned")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    # an id of ../x would have put its records next to the output directory
+    assert not [path for path in out.rglob("*") if path.is_file()]
