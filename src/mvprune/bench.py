@@ -66,6 +66,8 @@ from .synth import (
     ArmScript,
     ScenarioSpec,
     SynthEpisode,
+    _check_episode,
+    _observation_grids,
     _read_manifest,
     generate_corpus,
     write_corpus,
@@ -718,25 +720,34 @@ def validate_artifacts(out_dir) -> list[str]:
 
     def check(path, loader):
         try:
-            loader(path)
+            return loader(path)
         except (ParseError, ContractError, ConfigError, AnnotationError,
                 OSError) as exc:
             problems.append(f"{path.name}: {exc}")
 
     corpus = out / "corpus"
+    manifest = corpus / "manifest.json"
+    entries = manifest.exists() and check(manifest, _read_manifest) or ()
+    # the tokens sidecar of each observation file the manifest names
+    sidecars = {entry["observations"]: corpus / entry["tokens"]
+                for entry in entries}
+    # each corpus file that parsed, by its kind and name, for the checks
+    # across an episode's files; observations without their tokens
+    parsed = {}
     if corpus.is_dir():
         for path in sorted(corpus.glob("*.jsonl")):
             name = path.name
             if name.endswith(".obs.jsonl"):
-                check(path, _validate_observations)
+                parsed["observations", name] = check(
+                    path, lambda path: _validate_observations(
+                        path, sidecars.get(path.name)))
             elif name.endswith(".ann.jsonl") or name.endswith(".derived.jsonl"):
-                check(path, load_annotation)
+                parsed["annotation", name] = check(path, load_annotation)
             elif name.endswith(".geom.jsonl"):
-                check(path, load_geometry)
+                parsed["geometry", name] = check(path, load_geometry)
             elif name.endswith(".prune.jsonl"):
                 check(path, _validate_prune_records)
-    for name, loader in (("corpus/manifest.json", _read_manifest),
-                         ("intra.mlp.json", load_params),
+    for name, loader in (("intra.mlp.json", load_params),
                          ("inter.mlp.json", load_params),
                          ("config.resolved.json",
                           lambda path: _parse(load_experiment_config(path))),
@@ -745,18 +756,39 @@ def validate_artifacts(out_dir) -> list[str]:
         path = out / name
         if path.exists():
             check(path, loader)
+    kinds = ("observations", "annotation", "geometry")
+    for entry in entries:
+        eid = entry["episode_id"]
+        # a missing tokens sidecar fails its observation file's own check
+        missing = [entry[key] for key in kinds
+                   if not (corpus / entry[key]).is_file()]
+        if missing:
+            problems.append(f"manifest.json: episode {eid!r}: no file "
+                            f"{', '.join(map(repr, missing))}")
+            continue
+        # a file that failed its own check has its problem line already
+        files = [parsed.get((key, entry[key])) for key in kinds]
+        if None not in files:
+            frames, annotation, (geometry_id, geometry) = files
+            try:
+                _check_episode(eid, frames, annotation, geometry_id,
+                               geometry)
+            except ParseError as exc:
+                problems.append(f"manifest.json: {exc}")
     return problems
 
 
-def _validate_observations(path) -> None:
+def _validate_observations(path, sidecar=None) -> list:
     """Load the records with their sidecar, which checks that the two agree,
-    then require each record to be exactly the header of what it loaded."""
-    observations = load_observations(path)
+    then require each record to be exactly the header of what it loaded;
+    the ``_observation_grids`` of the records."""
+    observations = load_observations(path, sidecar)
     for obj, obs in zip(read_jsonl(path), observations):
         if dumps_obj(observation_header(obs)) != dumps_obj(obj):
             raise ParseError(
                 f"observation frame {obs.frame_index} does not round-trip",
                 field="views")
+    return _observation_grids(observations)
 
 
 def _validate_prune_records(path) -> None:

@@ -148,6 +148,9 @@ def _normalize_rows(scores: np.ndarray) -> np.ndarray:
     """``normalize_scores`` of each row of a 2-D array."""
     # the initial values only matter to rows of no columns
     low = np.minimum.reduce(scores, axis=1, keepdims=True, initial=np.inf)
+    # of a row's -0.0 and +0.0 the reduction returns either by numpy's SIMD
+    # dispatch; as +0.0 it leaves each zero score its own sign
+    low += 0.0
     span = np.maximum.reduce(scores, axis=1, keepdims=True,
                              initial=-np.inf) - low
     flat = (span == 0.0)[:, 0]

@@ -13,14 +13,19 @@ exactly reproducible by geometry-driven annotation.
 Token embeddings are linearly separable by construction: every token is its
 patch's relevance bit times a fixed unit direction plus Gaussian noise, and
 every view summary token is the view's relevance label times the same
-direction plus noise. All randomness flows from one seeded generator in a
-fixed draw order, so a scenario regenerates bit-identically.
+direction plus noise. All of an episode's randomness flows from one
+generator seeded with its scenario's seed, in a fixed draw order, so a
+scenario regenerates bit-identically. A corpus's episodes are drawn on up to
+one thread per CPU the process may use, each into its own rows of the
+corpus's one token buffer, so the bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -439,48 +444,103 @@ def generate(spec: ScenarioSpec) -> SynthEpisode:
     return _generate(spec, 1, [spec])[0]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _generate(template: ScenarioSpec, count: int,
               specs: Iterable[ScenarioSpec]) -> list[SynthEpisode]:
     """The ``count`` episodes of ``specs``, of ``template``'s sizes, viewing
     one token buffer, a row per token in episode, frame and view order,
-    read-only once full; allocated, or refused, before any spec is drawn."""
+    read-only once full; allocated, or refused, before any spec is drawn.
+    The specs are taken in order in the calling thread, then each episode is
+    drawn into its own rows by ``_draw_all``."""
     grid, roles = template.grid_side, template.roles
     per_frame = grid * grid * (max(roles.head, *roles.wrists) + 1)
+    rows = template.episode_length * per_frame
     try:
-        buffer = np.empty((count * template.episode_length * per_frame,
-                           template.embed_dim))
+        buffer = np.empty((count * rows, template.embed_dim))
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"corpus too large to allocate: {exc}",
                           field="corpus") from exc
-    episodes, row = [], 0
-    for spec in specs:
-        rng = np.random.default_rng(spec.seed)
-        geometry = build_geometry(spec, rng)
-        annotation = ground_truth(spec, geometry)
-        direction, side = spec.direction(), spec.grid_side
-        observations = []
-        for t, frame in enumerate(annotation.frames):
-            views = []
-            for v, mask in enumerate(frame.masks):
-                tokens = buffer[row:row + mask.shape[0]]
-                tokens[...] = rng.normal(0.0, spec.noise_sigma,
-                                         size=tokens.shape)
-                # np.outer(mask, direction) + noise bit for bit: an unmasked
-                # row would add a zero to noise that is never -0.0
-                tokens[mask == 1] += direction
-                tokens.flags.writeable = False
-                cls = direction * float(frame.inter_labels[v]) + rng.normal(
-                    0.0, spec.noise_sigma, size=spec.embed_dim)
-                views.append(TokenGrid(view_id=v, height=side, width=side,
-                                       embed_dim=spec.embed_dim,
-                                       tokens=tokens, cls=cls))
-                row += mask.shape[0]
-            observations.append(MultiViewObservation(
-                episode_id=spec.episode_id, frame_index=t, views=tuple(views)))
-        episodes.append(SynthEpisode(spec, tuple(observations),
-                                     tuple(geometry), annotation))
+    episodes = _draw_all([(spec, buffer[i * rows:(i + 1) * rows])
+                          for i, spec in enumerate(specs)],
+                         min(count, _usable_cpus()))
     buffer.flags.writeable = False
     return episodes
+
+
+def _draw_all(jobs: list[tuple[ScenarioSpec, np.ndarray]],
+              threads: int) -> list[SynthEpisode]:
+    """The episode of each ``(spec, rows)`` job, drawn by the calling thread
+    and ``threads - 1`` workers, each taking the next job from one queue
+    until it is empty. Once a job raises, or the calling thread is
+    interrupted, no further job starts, and the first exception raised
+    reaches the caller unchanged."""
+    episodes, errors = [None] * len(jobs), []
+    todo, lock, stop = enumerate(jobs), threading.Lock(), threading.Event()
+
+    def drain():
+        while not stop.is_set():
+            with lock:
+                i, job = next(todo, (None, None))
+            if job is None:
+                return
+            try:
+                episodes[i] = _draw_episode(*job)
+            except BaseException as exc:
+                errors.append(exc)
+                stop.set()
+
+    # plain threads: concurrent.futures would import logging, about 1 MB
+    workers = [threading.Thread(target=drain) for _ in range(threads - 1)]
+    try:
+        for worker in workers:
+            worker.start()
+        drain()
+    finally:
+        stop.set()
+        for worker in workers:
+            if worker.is_alive():
+                worker.join()
+    if errors:
+        raise errors[0]
+    return episodes
+
+
+def _draw_episode(spec: ScenarioSpec, rows: np.ndarray) -> SynthEpisode:
+    """One episode of ``spec`` with its tokens drawn into ``rows``."""
+    rng = np.random.default_rng(spec.seed)
+    geometry = build_geometry(spec, rng)
+    annotation = ground_truth(spec, geometry)
+    direction, side, sigma = spec.direction(), spec.grid_side, spec.noise_sigma
+    observations, row = [], 0
+    for t, frame in enumerate(annotation.frames):
+        views = []
+        for v, mask in enumerate(frame.masks):
+            tokens = rows[row:row + mask.shape[0]]
+            # rng.normal(0.0, sigma) bit for bit, -0.0 and sigma 0 included:
+            # it computes 0.0 + sigma * z from the same z
+            rng.standard_normal(out=tokens)
+            tokens *= sigma
+            tokens += 0.0
+            # np.outer(mask, direction) + noise bit for bit: an unmasked
+            # row would add a zero to noise that is never -0.0
+            tokens[mask == 1] += direction
+            tokens.flags.writeable = False
+            cls = direction * float(frame.inter_labels[v]) + rng.normal(
+                0.0, sigma, size=spec.embed_dim)
+            views.append(TokenGrid(view_id=v, height=side, width=side,
+                                   embed_dim=spec.embed_dim,
+                                   tokens=tokens, cls=cls))
+            row += mask.shape[0]
+        observations.append(MultiViewObservation(
+            episode_id=spec.episode_id, frame_index=t, views=tuple(views)))
+    return SynthEpisode(spec, tuple(observations), tuple(geometry),
+                        annotation)
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +645,42 @@ def _read_manifest(path) -> tuple[dict, ...]:
     return entries
 
 
+def _observation_grids(observations: Sequence[MultiViewObservation]
+                       ) -> list[tuple[str, tuple[tuple[int, int], ...]]]:
+    """Each observation's episode id and view grids: all of it that
+    ``_check_episode`` reads, without its tokens."""
+    return [(obs.episode_id,
+             tuple((view.height, view.width) for view in obs.views))
+            for obs in observations]
+
+
+def _check_episode(eid: str, frames, annotation: EpisodeAnnotation,
+                   geometry_id: str, geometry) -> None:
+    """Refuse an episode whose parsed files disagree, given the
+    ``_observation_grids`` of its observations as ``frames``: each file must
+    name the manifest id ``eid``, all must hold the same number of frames,
+    and every observation must have the annotation's view grids."""
+    named = {geometry_id, annotation.episode_id,
+             *(episode_id for episode_id, _ in frames)}
+    if named != {eid}:
+        raise ParseError(f"episode {eid!r}: its files name episodes "
+                         f"{', '.join(sorted(map(repr, named)))}",
+                         field="episode_id")
+    if {annotation.length, len(geometry)} != {len(frames)}:
+        raise ParseError(
+            f"episode {eid!r}: {len(frames)} observations, but "
+            f"{annotation.length} annotation and {len(geometry)} "
+            f"geometry frames", field="frames")
+    if any(grids != annotation.grids for _, grids in frames):
+        raise ParseError(
+            f"episode {eid!r}: view grids differ from the "
+            f"annotation's {annotation.grids}", field="grids")
+
+
 def load_corpus(corpus_dir) -> list[dict]:
-    """Read a corpus back: one dict per episode with loaded artifacts. Each
-    episode's files must name its manifest id, hold ``n`` frames numbered
-    ``0..n-1``, and give every observation the annotation's view grids."""
+    """Read a corpus back: one dict per episode with loaded artifacts, whose
+    files ``_check_episode`` found in agreement with each other; each
+    holds ``n`` frames numbered ``0..n-1``."""
     root = Path(corpus_dir)
     episodes = []
     for entry in _read_manifest(root / "manifest.json"):
@@ -598,22 +690,8 @@ def load_corpus(corpus_dir) -> list[dict]:
                                              root / entry["tokens"])
             annotation = load_annotation(root / entry["annotation"])
             geometry_id, geometry = load_geometry(root / entry["geometry"])
-            named = {geometry_id, annotation.episode_id,
-                     *(obs.episode_id for obs in observations)}
-            if named != {eid}:
-                raise ParseError(f"episode {eid!r}: its files name episodes "
-                                 f"{', '.join(sorted(map(repr, named)))}",
-                                 field="episode_id")
-            if {annotation.length, len(geometry)} != {len(observations)}:
-                raise ParseError(
-                    f"episode {eid!r}: {len(observations)} observations, but "
-                    f"{annotation.length} annotation and {len(geometry)} "
-                    f"geometry frames", field="frames")
-            if any(tuple((view.height, view.width) for view in obs.views)
-                   != annotation.grids for obs in observations):
-                raise ParseError(
-                    f"episode {eid!r}: view grids differ from the "
-                    f"annotation's {annotation.grids}", field="grids")
+            _check_episode(eid, _observation_grids(observations),
+                           annotation, geometry_id, geometry)
             episodes.append({"episode_id": eid, "seed": entry["seed"],
                              "observations": observations,
                              "annotation": annotation, "geometry": geometry})

@@ -1208,6 +1208,72 @@ def test_cli_validate_reports_bad_manifest(manifest, experiment_dir, tmp_path,
     assert problems[0].startswith("manifest.json: ")
 
 
+def _cut_to_five_frames(path):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:5]), encoding="utf-8")
+
+
+# files that each parse alone but disagree with their episode's other files:
+# the damage and the field that load_corpus names
+CROSS_FILE_DAMAGE = {
+    "short_annotation": (lambda corpus: _cut_to_five_frames(
+        corpus / "ep0000.ann.jsonl"), "frames"),
+    "short_geometry": (lambda corpus: _cut_to_five_frames(
+        corpus / "ep0001.geom.jsonl"), "frames"),
+    "foreign_annotation": (lambda corpus: shutil.copyfile(
+        corpus / "ep0001.ann.jsonl", corpus / "ep0000.ann.jsonl"),
+        "episode_id"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CROSS_FILE_DAMAGE))
+def test_cli_validate_reports_disagreeing_episode_files(
+        damage, experiment_dir, tmp_path, capsys):
+    broken = tmp_path / "broken"
+    shutil.copytree(experiment_dir[0], broken)
+    edit, field = CROSS_FILE_DAMAGE[damage]
+    edit(broken / "corpus")
+    with pytest.raises(ParseError) as refusal:
+        load_corpus(broken / "corpus")
+    assert refusal.value.field == field
+    assert main(["validate", "--dir", str(broken)]) == 1
+    problems = capsys.readouterr().err.splitlines()
+    assert problems == [f"manifest.json: {refusal.value}"]
+
+
+def _rename_in_manifest(corpus, key, name):
+    """Point the first manifest entry's ``key`` at the file ``name``."""
+    path = corpus / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["episodes"][0][key] = name
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def test_cli_validate_reports_a_file_the_manifest_names_but_lacks(
+        experiment_dir, tmp_path, capsys):
+    broken = tmp_path / "broken"
+    shutil.copytree(experiment_dir[0], broken)
+    _rename_in_manifest(broken / "corpus", "geometry", "gone.geom.jsonl")
+    with pytest.raises(FileNotFoundError):
+        load_corpus(broken / "corpus")
+    assert main(["validate", "--dir", str(broken)]) == 1
+    problems = capsys.readouterr().err.splitlines()
+    assert problems == [
+        "manifest.json: episode 'ep0000': no file 'gone.geom.jsonl'"]
+
+
+def test_cli_validate_reads_the_tokens_sidecar_the_manifest_names(
+        experiment_dir, tmp_path, capsys):
+    moved = tmp_path / "moved"
+    shutil.copytree(experiment_dir[0], moved)
+    corpus = moved / "corpus"
+    (corpus / "ep0000.obs.npy").rename(corpus / "other.npy")
+    _rename_in_manifest(corpus, "tokens", "other.npy")
+    assert len(load_corpus(corpus)) == 2
+    assert main(["validate", "--dir", str(moved)]) == 0, \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("prune", "alphas", 5),
     ("corpus", "noise_sigma", "x"),

@@ -17,6 +17,10 @@ the record that the committed file holds; to re-record, on a commit whose
 outputs are known to be right::
 
     PYTHONPATH=src python tests/test_determinism.py > tests/determinism_digests.json
+
+With the argument ``prune`` it prints ``pruned_digest()`` instead, the
+digest of a training-free prune that must not depend on numpy's SIMD
+dispatch, with the SIMD targets it ran on.
 """
 
 from __future__ import annotations
@@ -84,13 +88,67 @@ def combined(digests: dict[str, str]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def record_in_subprocess(blas_threads: int) -> dict:
+def pruned_digest() -> str:
+    """SHA-256 of every strategy's prune of a fixed ``ScoredCorpus`` whose
+    scores are drawn, not predicted, so no training or scoring math runs.
+
+    The weighted scores are 0, 1 and 2, about half of the zeros -0.0, so
+    most views hold both zeros, whose minimum numpy returns as either by
+    its SIMD dispatch; the digest covers each fused score's sign bit.
+    """
+    from mvprune.bench import ScoredCorpus, evaluate_strategy
+    from mvprune.core import ImportanceScores, PruneConfig, Strategy
+    from mvprune.pruner import FlopModel
+    from mvprune.synth import ScenarioSpec, generate_corpus
+
+    rng = np.random.default_rng(20261019)
+    episodes = generate_corpus(ScenarioSpec(embed_dim=2, patch_size=32), 2,
+                               seed=5)
+    scores = []
+    for episode in episodes:
+        frames = []
+        for obs in episode.observations:
+            weighted = []
+            for view in obs.views:
+                row = rng.integers(0, 3, view.token_count).astype(np.float64)
+                row[(row == 0.0) & (rng.random(view.token_count) < 0.5)] = -0.0
+                weighted.append(row)
+            frames.append(ImportanceScores(
+                intra_raw=(), intra_weighted=tuple(weighted),
+                inter=rng.random(len(obs.views))))
+        scores.append(tuple(frames))
+    corpus = ScoredCorpus(
+        tuple(episode.observations for episode in episodes),
+        tuple(episode.annotation for episode in episodes), tuple(scores),
+        PruneConfig().epsilon, dict.fromkeys(
+            ("intra_auc", "intra_precision", "intra_recall",
+             "inter_accuracy", "inter_precision", "inter_recall"), 0.0))
+    digest = hashlib.sha256()
+    for strategy in Strategy:
+        report, batches = evaluate_strategy(
+            corpus, PruneConfig(strategy=strategy, seed=3), FlopModel())
+        digest.update(repr(report).encode())
+        for batch in (batch for episode in batches for batch in episode):
+            for array in (batch.local_pruned_counts,
+                          batch.global_pruned_counts, batch.kept,
+                          batch.fused, batch.ranking):
+                digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def run_in_subprocess(*args: str, **variables: str | None):
+    """This module run as a script with ``args``, with each environment
+    variable of ``variables`` set, or unset where it is None; its output
+    decoded from JSON."""
     env = dict(os.environ)
-    env.update({variable: str(blas_threads) for variable in THREAD_VARIABLES})
+    for variable, value in variables.items():
+        env.pop(variable, None)
+        if value is not None:
+            env[variable] = value
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, __file__], env=env,
+    done = subprocess.run([sys.executable, __file__, *args], env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
@@ -98,7 +156,9 @@ def record_in_subprocess(blas_threads: int) -> dict:
 
 @pytest.fixture(scope="module")
 def runs() -> dict[int, dict]:
-    return {threads: record_in_subprocess(threads) for threads in (1, 2)}
+    return {threads: run_in_subprocess(**dict.fromkeys(THREAD_VARIABLES,
+                                                       str(threads)))
+            for threads in (1, 2)}
 
 
 def test_digests_do_not_depend_on_blas_threads(runs):
@@ -121,6 +181,21 @@ def test_default_run_matches_committed_digests(runs):
     assert runs[1]["digests"] == committed["digests"]
 
 
+def test_pruning_does_not_depend_on_simd_dispatch():
+    """Pruning calls no BLAS routine and its only SIMD-dependent bit, the
+    sign of a zero normalized score, is fixed; so switching off numpy's
+    AVX-512 kernels leaves its bytes as they are."""
+    native = run_in_subprocess("prune", NPY_DISABLE_CPU_FEATURES=None)
+    reduced = run_in_subprocess(
+        "prune", NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    if native["simd"] == reduced["simd"]:
+        pytest.skip(f"this CPU has none of the switched-off kernels: both "
+                    f"runs dispatch to {native['simd']}")
+    assert native["digest"] == reduced["digest"]
+
+
 if __name__ == "__main__":
-    json.dump(record(), sys.stdout, indent=1, sort_keys=True)
+    json.dump({"simd": build()["simd"], "digest": pruned_digest()}
+              if sys.argv[1:] == ["prune"] else record(),
+              sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -734,13 +734,14 @@ def test_dispatch_pads_frames_with_fewer_adaptive_survivors():
 # ---------------------------------------------------------------------------
 # byte digest of the pruning stages
 
-# SHA-256 over every result of ``digest_results``, recorded before the
-# stages were last reworked. The stages call no BLAS routine, so it holds
-# on any numpy build, except for the sign of a zero score: numpy's min
-# reduction returns -0.0 or +0.0 of a row holding both by the SIMD
-# extensions of the CPU, so zeros are hashed as +0.0
-PRUNE_DIGEST = ("2a144fcc11315a91ccaa8b37167a7fd0"
-                "b98a10dd79759097baa320d88859436f")
+# SHA-256 over every result of ``digest_results``, the sign bit of each
+# zero score included. The stages call no BLAS routine and normalize the
+# zero of a row's minimum to +0.0, so it holds on any numpy build and SIMD
+# dispatch. Recorded when the zero signs were made independent of the
+# dispatch; with zeros hashed as +0.0 it equals the digest recorded before
+# the stages were last reworked.
+PRUNE_DIGEST = ("66ddba9af7546b8a52ca4f52a73f0e8b"
+                "a7b2a7023cd1f494fba4230631e198d2")
 
 
 def digest_frames(counts, frames, rng):
@@ -795,7 +796,7 @@ def test_pruning_digest_is_unchanged():
                             r.local_pruned_counts, r.global_pruned_count,
                             r.ranking)).encode())
         for scores in r.fused_scores:
-            digest.update((scores + 0.0).tobytes())
+            digest.update(scores.tobytes())
     assert digest.hexdigest() == PRUNE_DIGEST
 
 

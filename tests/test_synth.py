@@ -1,7 +1,12 @@
 """Synthetic episode generator: determinism, ground truth, and corpora."""
 
+import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +298,96 @@ def test_generate_corpus_varies_and_reproduces():
         assert list(a.observations) == list(b.observations)
     seeds = {e.spec.seed for e in corpus}
     assert len(seeds) == 4
+
+
+def corpus_digest(episodes):
+    """SHA-256 over the bytes of every token grid and summary token."""
+    digest = hashlib.sha256()
+    for episode in episodes:
+        for obs in episode.observations:
+            for view in obs.views:
+                digest.update(view.tokens.tobytes())
+                digest.update(view.cls.tobytes())
+    return digest.hexdigest()
+
+
+# the corpus of test_generate_corpus_varies_and_reproduces, drawn by a
+# process that first pins itself to one CPU, so it draws on one thread
+PINNED_CORPUS = """
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from mvprune import synth
+import test_synth
+assert synth._usable_cpus() == 1
+print(test_synth.corpus_digest(
+    synth.generate_corpus(test_synth.small_spec(), 4, seed=17)))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_generate_corpus_bytes_do_not_depend_on_the_worker_count():
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    done = subprocess.run([sys.executable, "-c", PINNED_CORPUS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == corpus_digest(
+        generate_corpus(small_spec(), 4, seed=17))
+
+
+def test_each_corpus_episode_equals_its_spec_generated_alone(monkeypatch):
+    # eight threads, more than the cores, switching threads often
+    monkeypatch.setattr(synth, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        corpus = generate_corpus(small_spec(), 8, seed=17)
+    finally:
+        sys.setswitchinterval(interval)
+    for episode in corpus:
+        alone = generate(episode.spec)
+        assert corpus_digest([alone]) == corpus_digest([episode])
+        assert alone.annotation == episode.annotation
+        assert alone.geometry == episode.geometry
+
+
+def test_an_episode_error_reaches_the_caller_unchanged(monkeypatch):
+    error = ConfigError("no geometry for ep0002")
+    build_geometry = synth.build_geometry
+
+    def failing(spec, rng):
+        if spec.episode_id == "ep0002":
+            raise error
+        return build_geometry(spec, rng)
+
+    monkeypatch.setattr(synth, "build_geometry", failing)
+    with pytest.raises(ConfigError) as info:
+        generate_corpus(small_spec(), 4, seed=17)
+    assert info.value is error
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_no_episode_starts_once_one_has_raised(threads, monkeypatch):
+    monkeypatch.setattr(synth, "_usable_cpus", lambda: threads)
+    events = []
+    build_geometry = synth.build_geometry
+
+    def failing(spec, rng):
+        if spec.episode_id == "ep0002":
+            events.append("raise")
+            raise ConfigError("no geometry for ep0002")
+        events.append("start")
+        return build_geometry(spec, rng)
+
+    monkeypatch.setattr(synth, "build_geometry", failing)
+    with pytest.raises(ConfigError, match="ep0002"):
+        generate_corpus(small_spec(), 16, seed=17)
+    # a thread may already hold its next job when another raises, but
+    # takes none after that
+    late = events[events.index("raise") + 1:]
+    assert len(late) <= threads - 1
 
 
 def record_derivations(monkeypatch):
