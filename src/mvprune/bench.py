@@ -34,9 +34,9 @@ from .core import (
     PruneResult,
     Strategy,
     _check_int,
+    _observations,
     dumps_obj,
     load_annotation,
-    load_observations,
     loads_obj,
     observation_header,
     read_jsonl,
@@ -782,8 +782,9 @@ def _validate_observations(path, sidecar=None) -> list:
     """Load the records with their sidecar, which checks that the two agree,
     then require each record to be exactly the header of what it loaded;
     the ``_observation_grids`` of the records."""
-    observations = load_observations(path, sidecar)
-    for obj, obs in zip(read_jsonl(path), observations):
+    records = list(read_jsonl(path))
+    observations = _observations(records, path, sidecar)
+    for obj, obs in zip(records, observations):
         if dumps_obj(observation_header(obs)) != dumps_obj(obj):
             raise ParseError(
                 f"observation frame {obs.frame_index} does not round-trip",

@@ -810,13 +810,18 @@ def load_observations(path, sidecar=None) -> list[MultiViewObservation]:
     rebuilt through ``TokenGrid``, so shapes and finiteness are checked,
     as a view of the sidecar array, which is read-only.
     """
-    flat = _read_sidecar(sidecar_path(path) if sidecar is None else sidecar)
+    return _observations(read_jsonl(path), path, sidecar)
+
+
+def _observations(records: Iterable, path, sidecar=None) -> list:
+    """``load_observations`` from the records of ``path``, already read."""
+    flat = _read_sidecar(sidecar or sidecar_path(path))
     flat.flags.writeable = False
     if isinstance(flat.base, np.ndarray):  # np.load may return a view
         flat.base.flags.writeable = False
     observations = []
     offset = 0
-    for obj in _episode_records(read_jsonl(path), "observation"):
+    for obj in _episode_records(records, "observation"):
         obs, offset = _observation_from_header(obj, flat, offset)
         observations.append(obs)
     if offset != flat.shape[0]:

@@ -25,7 +25,7 @@ import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, islice
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -44,15 +44,12 @@ from .core import (
 )
 from .predictor import MlpParams, predict_inter, predict_intra
 
-_weight_matrices: dict[tuple[int, int, float], np.ndarray] = {}
+_weight_matrices: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 _weight_lock = threading.Lock()
-# grid shapes whose weight matrix stays cached; past that the oldest goes,
-# since a matrix holds N^2 floats (8 MB at 32x32, 42 MB at 48x48)
+# grid shapes whose weights stay cached; past that the oldest goes. A grid
+# holds 8*ceil(W/8) * (2H-1) * W floats (516 KB at 32x32, 4.2 MB at 64x64),
+# where a dense weight matrix holds N^2 (8 MB and 134 MB)
 _WEIGHT_CACHE_SIZE = 4
-# rows of a weight matrix that score_observation multiplies with every view
-# before moving on: about 1 MB, so the block is still in cache for the next
-# view, and a multiple of 8 rows
-_WEIGHT_BLOCK_BYTES = 1 << 20
 
 
 @lru_cache(maxsize=4096)
@@ -66,33 +63,42 @@ def _prune_count(ratio: float, n: int) -> int:
     return int(n) * exact.numerator // exact.denominator
 
 
-def _weight_matrix(height: int, width: int, epsilon: float) -> np.ndarray:
-    """Reciprocal-distance weight matrix of a grid, cached per shape.
+def _weight_windows(height: int, width: int, epsilon: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """A grid's reciprocal-distance weight matrix as windows of one compact
+    array, and its last ``4 + N % 4`` rows (all if fewer, none if 4 divides
+    N) as a block; cached per shape.
 
-    Entry ``(i, j)`` is picked from the kernel over every ``(row, col)``
-    offset between two patches. Offsets are whole numbers, so the kernel
-    holds the floats a pairwise ``1 / (|p_i - p_j| + epsilon)`` gives.
+    Entry ``(i, j)`` is the kernel at the whole-number ``(row, col)`` offset
+    of patches ``i`` and ``j``, so it holds the floats a pairwise
+    ``1 / (|p_i - p_j| + epsilon)`` gives. Row ``(r, c)`` is row ``c`` of a
+    ``(W, (2H-1) * W)`` array from column ``(H-1-r) * W`` on: an
+    ``(H, 8 * ceil(W / 8), N)`` view whose rows past ``W`` are padding.
     """
     key = (height, width, epsilon)
     with _weight_lock:
         cached = _weight_matrices.get(key)
     if cached is not None:
         return cached
-    rows = np.arange(1 - height, height, dtype=np.float64)
-    cols = np.arange(1 - width, width, dtype=np.float64)
-    kernel = 1.0 / (np.sqrt(rows[:, None] ** 2 + cols[None, :] ** 2)
-                    + epsilon)
-    r, c = np.arange(height), np.arange(width)
-    dr = r[:, None] - r[None, :] + (height - 1)
-    dc = c[:, None] - c[None, :] + (width - 1)
-    n = height * width
-    matrix = kernel[dr[:, None, :, None], dc[None, :, None, :]].reshape(n, n)
-    matrix.flags.writeable = False
+    n, padded = height * width, -(-width // 8) * 8
+    # the padding rows reach col offsets past W - 1: finite kernel values
+    rows, cols = np.ogrid[1 - height:height, 1 - width:padded]
+    kernel = 1.0 / (np.sqrt(rows ** 2.0 + cols ** 2.0) + epsilon)
+    c = np.arange(padded)
+    # compact[c, k, c'] is the kernel at offset (H-1-k, c-c')
+    compact = kernel[::-1][:, c[:, None] - c[:width] + (width - 1)]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        compact.transpose(1, 0, 2).reshape(padded, -1), n, axis=1)
+    windows = windows[:, ::width].transpose(1, 0, 2)[::-1]
+    # 4 rows more than the tail: numpy takes a 1-row block for a dot product
+    last = n - (n % 4 and min(n, 4 + n % 4))
+    tail = windows[np.divmod(np.arange(last, n), width)]
+    tail.flags.writeable = False
     with _weight_lock:
-        matrix = _weight_matrices.setdefault(key, matrix)
+        cached = _weight_matrices.setdefault(key, (windows, tail))
         while len(_weight_matrices) > _WEIGHT_CACHE_SIZE:
             del _weight_matrices[next(iter(_weight_matrices))]
-    return matrix
+    return cached
 
 
 def _check_epsilon(epsilon) -> float:
@@ -109,38 +115,30 @@ def adaptive_weight(raw_scores, height: int, width: int,
     distance to the target patch plus ``epsilon``; the token's own score
     enters at distance zero, so it contributes ``raw / epsilon``.
     """
-    epsilon = _check_epsilon(epsilon)
     height = _check_int(height, "height", minimum=1)
     width = _check_int(width, "width", minimum=1)
     raw = _as_float_array(raw_scores, "raw_scores", shape=(height * width,))
-    return _weight_matrix(height, width, epsilon) @ raw
+    return _weight_views([raw], [(height, width)], epsilon)[0]
 
 
 def _weight_views(raw_per_view: Sequence[np.ndarray],
                   grid_shapes: Sequence[tuple[int, int]], epsilon: float
                   ) -> list[np.ndarray]:
     """``adaptive_weight`` of every view's float64 scores on its
-    ``(height, width)`` grid, reading each weight matrix once.
-
-    Views that share a grid shape share a matrix, so each row block of it
-    is multiplied with all of them while it is in cache. Each output is
-    still one dgemv dot over a full matrix row, as in ``adaptive_weight``,
-    which keeps the bytes equal; one gemm over the stacked views would not.
+    ``(height, width)`` grid, with the bytes of a dense product on one BLAS
+    thread. ``np.matmul`` runs one dgemv per grid row over its window. The
+    kernel takes rows in groups of 4 but a call's last ``rows % 4`` apart,
+    and two threads split a large call in halves: windows of a multiple of
+    8 rows, and the tail block, keep each row in its dense product group.
     """
     epsilon = _check_epsilon(epsilon)
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for v, shape in enumerate(grid_shapes):
-        by_shape.setdefault(shape, []).append(v)
-    weighted = [np.empty(h * w) for h, w in grid_shapes]
-    for (height, width), members in by_shape.items():
-        matrix = _weight_matrix(height, width, epsilon)
-        n = height * width
-        rows = max(8, _WEIGHT_BLOCK_BYTES // (8 * n) // 8 * 8)
-        for start in range(0, n, rows):
-            block = matrix[start:start + rows]
-            for v in members:
-                np.matmul(block, raw_per_view[v],
-                          out=weighted[v][start:start + rows])
+    weighted = []
+    for raw, (height, width) in zip(raw_per_view, grid_shapes):
+        windows, tail = _weight_windows(height, width, epsilon)
+        out = np.matmul(windows, raw)[:, :width].reshape(-1)
+        if len(tail):
+            out[out.size - len(tail):] = tail @ raw
+        weighted.append(out)
     return weighted
 
 
@@ -481,8 +479,7 @@ def random_drop(view_token_counts: Sequence[int],
 def _score_frames(observations: Sequence[MultiViewObservation],
                   intra_params: MlpParams, inter_params: MlpParams,
                   epsilon: float) -> list[ImportanceScores]:
-    """``score_observation`` of every observation, weighting all their
-    views in one pass, so that each weight-matrix block is read once."""
+    """``score_observation`` of every observation."""
     raws = [predict_intra(intra_params, obs) for obs in observations]
     inters = [predict_inter(inter_params, obs) for obs in observations]
     per_view = [r for raw in raws for r in raw]
@@ -491,12 +488,9 @@ def _score_frames(observations: Sequence[MultiViewObservation],
     for name, outputs in (("intra", per_view), ("inter", inters)):
         if not all(np.isfinite(out).all() for out in outputs):
             raise ContractError(f"{name} predictor output is not finite")
-    weighted = iter(_weight_views(per_view, [
-        (v.height, v.width) for obs in observations for v in obs.views],
-        epsilon))
-    return [ImportanceScores(intra_raw=raw,
-                             intra_weighted=tuple(islice(weighted, len(raw))),
-                             inter=inter) for raw, inter in zip(raws, inters)]
+    return [ImportanceScores(raw, tuple(_weight_views(raw, [
+        (v.height, v.width) for v in obs.views], epsilon)), inter)
+        for obs, raw, inter in zip(observations, raws, inters)]
 
 
 def score_observation(obs: MultiViewObservation, intra_params: MlpParams,

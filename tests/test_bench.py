@@ -1,9 +1,11 @@
 """Benchmark harness: metrics, experiment driver, artifacts, and the CLI."""
 
+import builtins
 import json
 import shutil
 import tempfile
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -676,6 +678,25 @@ def test_validate_artifacts_clean(experiment_dir):
     assert validate_artifacts(out) == []
     assert validate_artifacts(out / "missing") == [
         f"{out / 'missing'}: not a directory"]
+
+
+def test_validate_artifacts_opens_each_corpus_file_once(tmp_path,
+                                                        monkeypatch):
+    corpus = tmp_path / "corpus"
+    assert main(["gen", "--out", str(corpus), "--episodes", "1",
+                 *CLI_GEN[2:]]) == 0
+    opened = Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened[Path(file).name] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert validate_artifacts(tmp_path) == []
+    files = sorted(path.name for path in corpus.glob("ep0000.*"))
+    assert len(files) == 4
+    assert {name: opened[name] for name in files} == dict.fromkeys(files, 1)
 
 
 def test_validate_artifacts_flag_corruption(experiment_dir, tmp_path):

@@ -20,7 +20,9 @@ outputs are known to be right::
 
 With the argument ``prune`` it prints ``pruned_digest()`` instead, the
 digest of a training-free prune that must not depend on numpy's SIMD
-dispatch, with the SIMD targets it ran on.
+dispatch, with the SIMD targets it ran on; with ``weigh`` it prints
+``weighted_digest()``, the spatial weighting's bytes on grids of every
+width modulo 8.
 """
 
 from __future__ import annotations
@@ -136,6 +138,21 @@ def pruned_digest() -> str:
     return digest.hexdigest()
 
 
+def weighted_digest() -> str:
+    """SHA-256 of ``adaptive_weight`` of drawn scores on grids of every width
+    modulo 8, from 1x1 up to grids whose windows two BLAS threads split."""
+    from mvprune.pruner import adaptive_weight
+
+    rng = np.random.default_rng(20261019)
+    digest = hashlib.sha256()
+    for height, width in [(1, 1), (2, 3), (5, 9), (9, 6), (7, 13), (12, 10),
+                          (13, 7), (16, 16), (31, 33), (32, 32), (48, 44),
+                          (64, 64), (77, 81), (84, 84), (90, 90)]:
+        raw = rng.standard_normal(height * width)
+        digest.update(adaptive_weight(raw, height, width).tobytes())
+    return digest.hexdigest()
+
+
 def run_in_subprocess(*args: str, **variables: str | None):
     """This module run as a script with ``args``, with each environment
     variable of ``variables`` set, or unset where it is None; its output
@@ -194,8 +211,19 @@ def test_pruning_does_not_depend_on_simd_dispatch():
     assert native["digest"] == reduced["digest"]
 
 
+def test_weighting_does_not_depend_on_blas_threads():
+    """The weighting's windows are padded to a multiple of 8 rows, so where
+    two BLAS threads split a call, they split it between two of one
+    thread's 4-row groups; its bytes stay those of a one-thread dense
+    product."""
+    one, two = (run_in_subprocess("weigh", **dict.fromkeys(
+        THREAD_VARIABLES, str(threads))) for threads in (1, 2))
+    assert one == two
+
+
 if __name__ == "__main__":
     json.dump({"simd": build()["simd"], "digest": pruned_digest()}
-              if sys.argv[1:] == ["prune"] else record(),
+              if sys.argv[1:] == ["prune"] else weighted_digest()
+              if sys.argv[1:] == ["weigh"] else record(),
               sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

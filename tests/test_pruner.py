@@ -32,7 +32,7 @@ from mvprune.pruner import (
     _dispatch,
     _order_rows,
     _prune_count,
-    _weight_matrix,
+    _weight_windows,
     adaptive_weight,
     flop_estimate,
     fuse_scores,
@@ -113,35 +113,62 @@ def test_adaptive_weight_scales_linearly():
     assert three == pytest.approx((3.0 * one).tolist(), rel=1e-12)
 
 
-def pairwise_weight_matrix(height, width, epsilon):
-    """The weight matrix from pairwise patch distances, built a few rows at a
+def pairwise_weight_blocks(height, width, epsilon, rows=256):
+    """The weight matrix from pairwise patch distances, ``rows`` rows at a
     time: every entry is computed on its own, so blocks change no bytes."""
-    rows, cols = np.divmod(np.arange(height * width), width)
-    pos = np.stack([rows, cols], axis=1).astype(np.float64)
-    blocks = []
-    for start in range(0, len(pos), 256):
-        diff = pos[start:start + 256, None, :] - pos[None, :, :]
-        blocks.append(1.0 / (np.sqrt((diff ** 2).sum(axis=2)) + epsilon))
-    return np.concatenate(blocks)
+    r, c = np.divmod(np.arange(height * width), width)
+    pos = np.stack([r, c], axis=1).astype(np.float64)
+    for start in range(0, len(pos), rows):
+        diff = pos[start:start + rows, None, :] - pos[None, :, :]
+        yield 1.0 / (np.sqrt((diff ** 2).sum(axis=2)) + epsilon)
 
 
-@pytest.mark.parametrize("height, width", [(7, 13), (16, 16), (32, 32),
-                                           (48, 48)])
+def pairwise_weight_matrix(height, width, epsilon):
+    return np.concatenate(list(pairwise_weight_blocks(height, width, epsilon)))
+
+
+# grids of every width and every token count modulo 4: the BLAS kernel
+# takes rows in groups of 4 and rounds a call's last rows % 4 differently.
+# Their dense products have the same bytes on one BLAS thread and on two.
+GRIDS = [(1, 1), (1, 7), (7, 1), (2, 3), (5, 9), (7, 13), (13, 7), (6, 6),
+         (16, 7), (12, 9), (16, 16), (20, 24), (31, 33), (32, 32), (48, 48)]
+
+
+@pytest.mark.parametrize("height, width", GRIDS)
 def test_weight_matrix_bytes_equal_pairwise_build(height, width):
-    matrix = _weight_matrix(height, width, 0.01)
+    windows, tail = _weight_windows(height, width, 0.01)
     want = pairwise_weight_matrix(height, width, 0.01)
-    assert matrix.shape == want.shape
-    assert matrix.tobytes() == want.tobytes()
-    assert not matrix.flags.writeable
+    n = height * width
+    assert windows.shape == (height, -(-width // 8) * 8, n)
+    assert windows[:, :width].reshape(n, n).tobytes() == want.tobytes()
+    assert np.isfinite(windows).all()
+    assert len(tail) == (n % 4 and min(n, 4 + n % 4))
+    assert tail.tobytes() == want[n - len(tail):].tobytes()
+    assert not windows.flags.writeable and not tail.flags.writeable
 
 
 def test_weight_matrix_cache_evicts_oldest(monkeypatch):
     monkeypatch.setattr(pruner, "_weight_matrices", {})
     shapes = [(1, n) for n in range(1, pruner._WEIGHT_CACHE_SIZE + 2)]
     for height, width in shapes:
-        _weight_matrix(height, width, 0.5)
+        _weight_windows(height, width, 0.5)
     assert list(pruner._weight_matrices) == [
         (height, width, 0.5) for height, width in shapes[1:]]
+
+
+def test_weights_of_a_64x64_grid_stay_compact(monkeypatch):
+    """A 64x64 grid caches O(W * (2H-1) * W) floats, about 4 MB, where a
+    dense matrix would hold 134 MB; its weighting still has the bytes of a
+    dense product, taken here 128 rows at a time."""
+    monkeypatch.setattr(pruner, "_weight_matrices", {})
+    raw = np.random.default_rng(0).random(64 * 64)
+    got = adaptive_weight(raw, 64, 64)
+    (windows, tail), = pruner._weight_matrices.values()
+    low, high = np.lib.array_utils.byte_bounds(windows)
+    assert high - low + tail.nbytes <= 8 * 64 * 127 * 64
+    want = np.concatenate([block @ raw for block in pairwise_weight_blocks(
+        64, 64, 0.01, rows=128)])
+    assert got.tobytes() == want.tobytes()
 
 
 def grid_obs(shapes, seed=0):
@@ -150,22 +177,23 @@ def grid_obs(shapes, seed=0):
         for v, (h, w) in enumerate(shapes)))
 
 
-# at the 1 MB default every grid but 7x13 spans several row blocks; a block
-# of 1 byte rounds up to the smallest block, 8 rows, which splits them all
-@pytest.mark.parametrize("block_bytes", [pruner._WEIGHT_BLOCK_BYTES, 1])
-@pytest.mark.parametrize("shapes", [
-    [(20, 20)] * 3, [(32, 32)] * 3, [(48, 48)] * 2,
-    [(32, 32), (7, 13), (32, 32), (20, 24)]], ids=str)
-def test_score_observation_weights_like_adaptive_weight(shapes, block_bytes,
-                                                        monkeypatch):
-    monkeypatch.setattr(pruner, "_WEIGHT_BLOCK_BYTES", block_bytes)
+@pytest.mark.parametrize("shapes", [[grid] * 2 for grid in GRIDS] + [
+    [(20, 20)] * 3, [(32, 32)] * 3, [(32, 32), (7, 13), (32, 32), (20, 24)]],
+    ids=str)
+def test_score_observation_weights_like_adaptive_weight(shapes):
+    """Both equal the dense product, byte for byte."""
     obs = grid_obs(shapes)
     intra = init_mlp((obs.embed_dim, 8, 1), seed=0)
     inter = init_mlp((len(shapes) * obs.embed_dim, 8, len(shapes)), seed=1)
     scores = score_observation(obs, intra, inter, 0.01)
+    signed = np.random.default_rng(1)
     for raw, weighted, (h, w) in zip(scores.intra_raw, scores.intra_weighted,
                                      shapes):
-        assert weighted.tobytes() == adaptive_weight(raw, h, w).tobytes()
+        dense = pairwise_weight_matrix(h, w, 0.01)
+        assert weighted.tobytes() == (dense @ raw).tobytes()
+        assert adaptive_weight(raw, h, w).tobytes() == weighted.tobytes()
+        raw = signed.standard_normal(h * w)
+        assert adaptive_weight(raw, h, w).tobytes() == (dense @ raw).tobytes()
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.inf, math.nan])
