@@ -177,11 +177,17 @@ def grid_obs(shapes, seed=0):
         for v, (h, w) in enumerate(shapes)))
 
 
+# a window cache that keeps every grid, and one that keeps only the last, so
+# views of mixed shapes evict and rebuild each other's windows
+@pytest.mark.parametrize("cache_size", [2 ** 20, 1])
 @pytest.mark.parametrize("shapes", [[grid] * 2 for grid in GRIDS] + [
     [(20, 20)] * 3, [(32, 32)] * 3, [(32, 32), (7, 13), (32, 32), (20, 24)]],
     ids=str)
-def test_score_observation_weights_like_adaptive_weight(shapes):
+def test_score_observation_weights_like_adaptive_weight(shapes, cache_size,
+                                                        monkeypatch):
     """Both equal the dense product, byte for byte."""
+    monkeypatch.setattr(pruner, "_weight_matrices", {})
+    monkeypatch.setattr(pruner, "_WEIGHT_CACHE_SIZE", cache_size)
     obs = grid_obs(shapes)
     intra = init_mlp((obs.embed_dim, 8, 1), seed=0)
     inter = init_mlp((len(shapes) * obs.embed_dim, 8, len(shapes)), seed=1)
