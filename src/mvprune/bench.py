@@ -17,12 +17,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import groupby, islice
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (
     FORMAT_VERSION,
+    INPUT_ERRORS,
     AnnotationError,
     ConfigError,
     ContractError,
@@ -34,11 +35,13 @@ from .core import (
     PruneResult,
     Strategy,
     _check_int,
+    _episode_records,
     _observations,
     dumps_obj,
     load_annotation,
     loads_obj,
     observation_header,
+    open_text,
     read_jsonl,
     write_jsonl,
 )
@@ -199,6 +202,10 @@ class MetricsReport:
         return out
 
 
+# report.csv and compare.csv: a row per strategy and MetricsReport.rows entry
+REPORT_HEADER = ("strategy", "metric", "value")
+
+
 # ---------------------------------------------------------------------------
 # experiment configuration
 
@@ -278,8 +285,7 @@ def resolve_config(overrides: dict | None) -> dict:
 
 
 def load_experiment_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return resolve_config(loads_obj(fh.read()))
+    return resolve_config(loads_obj(open_text(path).read()))
 
 
 def _scaled_script(grasp: int, close: int, release: int, target: int,
@@ -557,9 +563,9 @@ def _scored_corpus(config: dict, epsilon: float) -> ScoredCorpus:
 def run_experiment(config: dict | None, out_dir) -> MetricsReport:
     """Run the full pipeline under ``out_dir`` and return the report.
 
-    Writes the corpus, derived annotations, checkpoints, loss traces, prune
-    records, ``report.csv``, ``timings.csv``, and the resolved config. All
-    artifacts except ``timings.csv`` are byte-identical across reruns.
+    Writes the corpus, checkpoints, loss traces, prune records,
+    ``report.csv``, ``timings.csv``, and the resolved config. All artifacts
+    except ``timings.csv`` are byte-identical across reruns.
     """
     config = resolve_config(config)
     prune_config, flop_model = _parse(config)
@@ -574,9 +580,6 @@ def run_experiment(config: dict | None, out_dir) -> MetricsReport:
 
     start = time.perf_counter()
     write_corpus(episodes, config["corpus"]["seed"], out / "corpus")
-    for ann in derived:
-        write_jsonl(out / "corpus" / f"{ann.episode_id}.derived.jsonl",
-                    ann.frame_objs())
     write_checkpoints(out, intra, inter, intra_losses, inter_losses)
     timings["write"] = time.perf_counter() - start
 
@@ -591,11 +594,11 @@ def run_experiment(config: dict | None, out_dir) -> MetricsReport:
                         results)
     timings["prune"] = time.perf_counter() - start
 
-    write_report_csv(out / "report.csv", [report])
-    with open(out / "config.resolved.json", "w", encoding="utf-8") as fh:
-        fh.write(dumps_obj(config))
-        fh.write("\n")
-    write_timings_csv(out / "timings.csv", timings)
+    write_csv(out / "report.csv", REPORT_HEADER,
+              ((report.strategy, *row) for row in report.rows()))
+    write_jsonl(out / "config.resolved.json", [config])
+    write_csv(out / "timings.csv", ("stage", "seconds"),
+              ((stage, f"{seconds:.6f}") for stage, seconds in timings.items()))
     return report
 
 
@@ -618,7 +621,8 @@ def compare_strategies(config: dict | None, out_dir,
     corpus = _scored_corpus(config, base.epsilon)
     reports = {c.strategy.value: evaluate_strategy(corpus, c, flop_model)[0]
                for c in prune_configs}
-    write_report_csv(out / "compare.csv", list(reports.values()))
+    write_csv(out / "compare.csv", REPORT_HEADER,
+              ((r.strategy, *row) for r in reports.values() for row in r.rows()))
     return reports
 
 
@@ -655,11 +659,8 @@ def sweep_beta(config: dict | None, betas: Sequence[float], out_dir
         if b["flop_speedup"] < a["flop_speedup"] - 1e-12:
             raise ContractError(
                 f"speedup shrank from ratio {a['beta']} to {b['beta']}")
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(rows[0])
-        writer.writerows([repr(value) for value in row.values()]
-                         for row in rows)
+    write_csv(out / "sweep.csv", rows[0],
+              ([repr(value) for value in row.values()] for row in rows))
     return rows
 
 
@@ -685,22 +686,12 @@ def write_prune_records(directory, episode_ids: Sequence[str],
                      for t, result in enumerate(frames)))
 
 
-def write_report_csv(path, reports: Sequence[MetricsReport]) -> None:
-    """Long-form deterministic CSV: one row per strategy and metric."""
+def write_csv(path, header: Iterable[str], rows: Iterable[Sequence]) -> None:
+    """A deterministic CSV table: the ``header`` row, then ``rows``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["strategy", "metric", "value"])
-        for report in reports:
-            for metric, value in report.rows():
-                writer.writerow([report.strategy, metric, value])
-
-
-def write_timings_csv(path, timings: dict[str, float]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "seconds"])
-        for stage, seconds in timings.items():
-            writer.writerow([stage, f"{seconds:.6f}"])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +712,7 @@ def validate_artifacts(out_dir) -> list[str]:
     def check(path, loader):
         try:
             return loader(path)
-        except (ParseError, ContractError, ConfigError, AnnotationError,
-                OSError) as exc:
+        except INPUT_ERRORS as exc:
             problems.append(f"{path.name}: {exc}")
 
     corpus = out / "corpus"
@@ -741,7 +731,7 @@ def validate_artifacts(out_dir) -> list[str]:
                 parsed["observations", name] = check(
                     path, lambda path: _validate_observations(
                         path, sidecars.get(path.name)))
-            elif name.endswith(".ann.jsonl") or name.endswith(".derived.jsonl"):
+            elif name.endswith(".ann.jsonl"):
                 parsed["annotation", name] = check(path, load_annotation)
             elif name.endswith(".geom.jsonl"):
                 parsed["geometry", name] = check(path, load_geometry)
@@ -793,7 +783,5 @@ def _validate_observations(path, sidecar=None) -> list:
 
 
 def _validate_prune_records(path) -> None:
-    for obj in read_jsonl(path):
-        if obj.get("kind") != "prune" or obj.get("fmt") != FORMAT_VERSION:
-            raise ParseError("not a prune record", field="kind")
+    for obj in _episode_records(read_jsonl(path), "prune"):
         PruneResult.from_obj(obj.get("result"))

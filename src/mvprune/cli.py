@@ -19,17 +19,15 @@ import sys
 from pathlib import Path
 
 from .core import (
-    AnnotationError,
+    INPUT_ERRORS,
     ConfigError,
-    ContractError,
-    ParseError,
     Strategy,
-    TrainingError,
     save_annotation,
     ViewRoles,
 )
 from .annotate import annotate_episode, load_geometry
 from .bench import (
+    REPORT_HEADER,
     evaluate_strategy,
     _flop_model,
     _prune_config,
@@ -44,8 +42,8 @@ from .bench import (
     train_predictors,
     validate_artifacts,
     write_checkpoints,
+    write_csv,
     write_prune_records,
-    write_report_csv,
 )
 from .predictor import load_params
 from .synth import generate_corpus, load_corpus, write_corpus
@@ -157,7 +155,8 @@ def _cmd_prune(args) -> int:
         report, results = evaluate_strategy(scored, prune_config, flop_model)
         write_prune_records(out, [entry["episode_id"] for entry in corpus],
                             results)
-        write_report_csv(out / "report.csv", [report])
+        write_csv(out / "report.csv", REPORT_HEADER,
+                  ((report.strategy, *row) for row in report.rows()))
     print(f"strategy {report.strategy}: kept {report.kept_total} of "
           f"{report.before_total} tokens "
           f"(reduction {report.reduction_ratio:.4f}, "
@@ -283,8 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContractError, ParseError, AnnotationError,
-            TrainingError, OSError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

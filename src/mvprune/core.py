@@ -11,6 +11,7 @@ for every patch token is slow to write and read and several times larger.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from contextlib import contextmanager
@@ -82,6 +83,11 @@ class TrainingError(RuntimeError):
             message = f"step {step}: {message}"
         super().__init__(message)
         self.step = step
+
+
+# what malformed input raises: the CLI exits 2, validate lists a problem
+INPUT_ERRORS = (ParseError, ContractError, ConfigError, AnnotationError,
+                TrainingError, OSError)
 
 
 @contextmanager
@@ -744,18 +750,29 @@ def write_jsonl(path, objs: Iterable[dict]) -> None:
             fh.write("\n")
 
 
+def open_text(path) -> io.StringIO:
+    """The UTF-8 text of ``path``, read whole, its lines split as text-mode
+    ``open`` splits them: the one place a text artifact is decoded. A byte
+    that is not UTF-8 is a ``ParseError`` naming the file and its offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text", offset=exc.start) from exc
+
+
 def read_jsonl(path) -> Iterator[dict]:
     """Yield record objects one per line, reporting the line on parse errors."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield loads_obj(line)
-            except ParseError as exc:
-                raise ParseError(f"{path}, line {lineno}: {exc}",
-                                 field=exc.field, offset=exc.offset) from exc
+    for lineno, line in enumerate(open_text(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            yield loads_obj(line)
+        except ParseError as exc:
+            raise ParseError(f"{path}, line {lineno}: {exc}",
+                             field=exc.field, offset=exc.offset) from exc
 
 
 # the sidecar's dtype: little-endian float64 on every host

@@ -43,9 +43,10 @@ from .core import (
     _as_float_array,
     _check_int,
     _expect_record,
-    dumps_obj,
     loads_obj,
+    open_text,
     parsing,
+    write_jsonl,
 )
 
 CLAMP = 1e-7
@@ -428,14 +429,11 @@ def _annotation_for(annotations: dict[str, EpisodeAnnotation],
 
 
 def save_params(path, params: MlpParams) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_obj(params.to_obj()))
-        fh.write("\n")
+    write_jsonl(path, [params.to_obj()])
 
 
 def load_params(path) -> MlpParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        return MlpParams.from_obj(loads_obj(fh.read()))
+    return MlpParams.from_obj(loads_obj(open_text(path).read()))
 
 
 def save_trace(path, losses: np.ndarray) -> None:
@@ -447,25 +445,25 @@ def save_trace(path, losses: np.ndarray) -> None:
 
 
 def load_trace(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "step,loss":
-            raise ParseError(f"unexpected trace header {header!r}", field="header")
-        values = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected step,loss",
-                                 field="loss")
-            try:
-                step, value = int(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}", field="loss") from exc
-            if step != len(values):
-                raise ParseError(f"line {lineno}: steps must be contiguous",
-                                 field="step")
-            values.append(value)
+    fh = open_text(path)
+    header = fh.readline().strip()
+    if header != "step,loss":
+        raise ParseError(f"unexpected trace header {header!r}", field="header")
+    values = []
+    for lineno, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected step,loss",
+                             field="loss")
+        try:
+            step, value = int(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}", field="loss") from exc
+        if step != len(values):
+            raise ParseError(f"line {lineno}: steps must be contiguous",
+                             field="step")
+        values.append(value)
     return np.asarray(values, dtype=np.float64)

@@ -22,7 +22,6 @@ corpus's one token buffer, so the bytes do not depend on the thread count.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
@@ -47,10 +46,12 @@ from .core import (
     load_annotation,
     load_observations,
     loads_obj,
+    open_text,
     parsing,
     save_annotation,
     save_observations,
     sidecar_path,
+    write_jsonl,
 )
 from .annotate import (
     DEFAULT_DEBOUNCE,
@@ -613,9 +614,7 @@ def write_corpus(episodes: Sequence[SynthEpisode], seed: int, out_dir) -> dict:
                         **paths})
     manifest = {"fmt": FORMAT_VERSION, "kind": "corpus_manifest",
                 "seed": seed, "count": len(entries), "episodes": entries}
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, separators=(",", ":"), allow_nan=False)
-        fh.write("\n")
+    write_jsonl(out / "manifest.json", [manifest])
     return manifest
 
 
@@ -623,8 +622,7 @@ def _read_manifest(path) -> tuple[dict, ...]:
     """The episode entries of a corpus manifest. Each episode id is listed
     once, and it and each file name is a plain file name: a nonempty string
     without a separator or NUL that is not ``.`` or ``..``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = loads_obj(fh.read())
+    manifest = loads_obj(open_text(path).read())
     _expect_record(manifest, "corpus_manifest")
     seen = set()
     with parsing("manifest", "episodes"):

@@ -647,10 +647,10 @@ def test_run_experiment_layout(experiment_dir):
                      "intra_trace.csv", "inter_trace.csv", "report.csv",
                      "timings.csv", "config.resolved.json"}
     corpus_names = {p.name for p in (out / "corpus").iterdir()}
-    for eid in ("ep0000", "ep0001"):
-        for suffix in ("obs", "ann", "geom", "derived", "prune"):
-            assert f"{eid}.{suffix}.jsonl" in corpus_names
-        assert f"{eid}.obs.npy" in corpus_names
+    assert corpus_names == {"manifest.json"} | {
+        f"{eid}.{suffix}" for eid in ("ep0000", "ep0001")
+        for suffix in ("obs.jsonl", "obs.npy", "ann.jsonl", "geom.jsonl",
+                       "prune.jsonl")}
     header = (out / "report.csv").read_text().splitlines()[0]
     assert header == "strategy,metric,value"
 
@@ -711,6 +711,31 @@ def test_validate_artifacts_flag_corruption(experiment_dir, tmp_path):
     assert len(problems) == 2
     assert any("intra.mlp.json" in p for p in problems)
     assert any("ep0000.prune.jsonl" in p for p in problems)
+
+
+# edits of a prune file's lines that leave every record valid on its own
+PRUNE_EDITS = {
+    "duplicate_a_line": lambda lines: lines[:3] + lines[2:],
+    "swap_two_lines": lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:],
+    "name_another_episode": lambda lines: lines[:2] + [lines[2].replace(
+        '"episode_id":"ep0000"', '"episode_id":"ep0001"')] + lines[3:],
+}
+
+
+@pytest.mark.parametrize("edit", PRUNE_EDITS)
+def test_validate_artifacts_checks_prune_record_order(experiment_dir,
+                                                      tmp_path, edit):
+    out, _ = experiment_dir
+    broken = tmp_path / "broken"
+    shutil.copytree(out, broken)
+    prune_file = broken / "corpus" / "ep0000.prune.jsonl"
+    lines = prune_file.read_text(encoding="utf-8").splitlines()
+    edited = PRUNE_EDITS[edit](lines)
+    assert edited != lines
+    prune_file.write_text("\n".join(edited) + "\n", encoding="utf-8")
+    problems = validate_artifacts(broken)
+    assert len(problems) == 1
+    assert problems[0].startswith("ep0000.prune.jsonl: ")
 
 
 def test_compare_strategies(tmp_path):

@@ -55,20 +55,20 @@ def test_every_export_resolves():
     assert missing == []
 
 
-# what core.parsing and bench._section map, with their bases; a bare except
-# counts too
+# what core.parsing and bench._section map, with their bases, and the
+# decode error of bytes that are not UTF-8; a bare except counts too
 MAPPED = {"KeyError", "TypeError", "ValueError", "AttributeError",
           "OverflowError", "LookupError", "ArithmeticError", "Exception",
-          "BaseException"}
+          "BaseException", "UnicodeDecodeError", "UnicodeError"}
 
 # the two boundaries, plus handlers around one call whose failure they name
-# exactly: text that is no JSON, a field that is no list, a number too large
-# for a float, an unreadable sidecar, a trace line that is no number, and an
-# array too large to allocate
-BOUNDARIES = {"core.parsing", "bench._section", "core.loads_obj",
-              "core._listed", "core._config_float", "core._read_sidecar",
-              "predictor.load_trace", "bench.train_predictors",
-              "synth._generate"}
+# exactly: bytes that are not UTF-8, text that is no JSON, a field that is
+# no list, a number too large for a float, an unreadable sidecar, a trace
+# line that is no number, and an array too large to allocate
+BOUNDARIES = {"core.parsing", "bench._section", "core.open_text",
+              "core.loads_obj", "core._listed", "core._config_float",
+              "core._read_sidecar", "predictor.load_trace",
+              "bench.train_predictors", "synth._generate"}
 
 
 def mapping_handlers(path):
