@@ -41,11 +41,11 @@ from .core import (
     load_annotation,
     loads_obj,
     observation_header,
-    open_text,
     read_jsonl,
+    read_text,
     write_jsonl,
 )
-from .annotate import DEFAULT_DEBOUNCE, annotate_episode, load_geometry
+from .annotate import annotate_episode, load_geometry
 from .predictor import (
     MlpParams,
     TrainConfig,
@@ -66,7 +66,8 @@ from .pruner import (
     flop_estimate,
 )
 from .synth import (
-    ArmScript,
+    ROLES,
+    VIEW_COUNT,
     ScenarioSpec,
     SynthEpisode,
     _check_episode,
@@ -247,7 +248,7 @@ DEFAULT_CONFIG = {
     },
 }
 
-# arm scripts scale with episode length inside scenario_template, so length is
+# a scenario's default arm scripts scale with its episode length, so length is
 # the only timing knob the config exposes
 _MIN_EPISODE_LENGTH = 12
 
@@ -285,19 +286,7 @@ def resolve_config(overrides: dict | None) -> dict:
 
 
 def load_experiment_config(path) -> dict:
-    return resolve_config(loads_obj(open_text(path).read()))
-
-
-def _scaled_script(grasp: int, close: int, release: int, target: int,
-                   length: int) -> ArmScript:
-    """Scale the default script timings from a 24 frame episode to ``length``."""
-    scale = length / 24.0
-    g = max(1, round(grasp * scale))
-    c = max(g + 1, round(close * scale))
-    r = min(max(c + 1, round(release * scale)), length - DEFAULT_DEBOUNCE)
-    if not g < c < r:
-        raise ConfigError(f"episode_length {length} leaves no room for a script")
-    return ArmScript(grasp=g, close=c, release=r, target_object=target)
+    return resolve_config(loads_obj(read_text(path)))
 
 
 @contextmanager
@@ -317,11 +306,8 @@ def scenario_template(config: dict) -> ScenarioSpec:
     with _section("corpus"):
         length = _check_int(corpus["episode_length"], "corpus.episode_length",
                             minimum=_MIN_EPISODE_LENGTH)
-        arms = (_scaled_script(4, 8, 14, 0, length),
-                _scaled_script(8, 12, 18, 1, length))
         return ScenarioSpec(
             episode_length=length,
-            arms=arms,
             distractors=corpus["distractors"],
             embed_dim=corpus["embed_dim"],
             noise_sigma=corpus["noise_sigma"],
@@ -353,9 +339,8 @@ def _parse(config: dict) -> tuple[PruneConfig, FlopModel]:
     with _section("corpus"):
         count = _check_int(config["corpus"]["count"], "corpus.count",
                            minimum=1)
-    views = max(spec.roles.head, *spec.roles.wrists) + 1
     return prune_config, _flop_model(
-        config, (count * spec.episode_length, views * spec.grid_side ** 2))
+        config, (count * spec.episode_length, VIEW_COUNT * spec.grid_side ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +356,7 @@ def derive_annotations(episodes: Sequence[SynthEpisode]
     """
     derived = []
     for episode in episodes:
-        ann = annotate_episode(episode.geometry, episode.spec.roles,
-                               episode.episode_id)
+        ann = annotate_episode(episode.geometry, ROLES, episode.episode_id)
         truth = episode.annotation
         if ann != truth:
             frame = next((t for t, (a, b) in enumerate(
@@ -713,7 +697,9 @@ def validate_artifacts(out_dir) -> list[str]:
         try:
             return loader(path)
         except INPUT_ERRORS as exc:
-            problems.append(f"{path.name}: {exc}")
+            # a reader's message may itself begin with the file's path
+            problems.append(
+                f"{path.name}: {str(exc).removeprefix(f'{path}: ')}")
 
     corpus = out / "corpus"
     manifest = corpus / "manifest.json"
@@ -722,7 +708,8 @@ def validate_artifacts(out_dir) -> list[str]:
     sidecars = {entry["observations"]: corpus / entry["tokens"]
                 for entry in entries}
     # each corpus file that parsed, by its kind and name, for the checks
-    # across an episode's files; observations without their tokens
+    # across an episode's files; observations without their tokens, prune
+    # records as their count
     parsed = {}
     if corpus.is_dir():
         for path in sorted(corpus.glob("*.jsonl")):
@@ -736,7 +723,7 @@ def validate_artifacts(out_dir) -> list[str]:
             elif name.endswith(".geom.jsonl"):
                 parsed["geometry", name] = check(path, load_geometry)
             elif name.endswith(".prune.jsonl"):
-                check(path, _validate_prune_records)
+                parsed["prune", name] = check(path, _validate_prune_records)
     for name, loader in (("intra.mlp.json", load_params),
                          ("inter.mlp.json", load_params),
                          ("config.resolved.json",
@@ -765,6 +752,12 @@ def validate_artifacts(out_dir) -> list[str]:
                                geometry)
             except ParseError as exc:
                 problems.append(f"manifest.json: {exc}")
+        # prune records are written for a whole episode, or not at all
+        records = parsed.get(("prune", f"{eid}.prune.jsonl"))
+        if files[0] is not None and records not in (None, len(files[0])):
+            problems.append(f"{eid}.prune.jsonl: {records} records, but "
+                            f"episode {eid!r} has {len(files[0])} "
+                            f"observation frames")
     return problems
 
 
@@ -782,6 +775,10 @@ def _validate_observations(path, sidecar=None) -> list:
     return _observation_grids(observations)
 
 
-def _validate_prune_records(path) -> None:
+def _validate_prune_records(path) -> int:
+    """Parse every prune record of ``path``; returns how many it holds."""
+    records = 0
     for obj in _episode_records(read_jsonl(path), "prune"):
         PruneResult.from_obj(obj.get("result"))
+        records += 1
+    return records

@@ -11,7 +11,6 @@ for every patch token is slow to write and read and several times larger.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from contextlib import contextmanager
@@ -50,7 +49,7 @@ class ParseError(ValueError):
     """A serialized record is malformed.
 
     Carries the offending ``field`` name or the byte ``offset`` of the
-    syntax error when known.
+    syntax error when known, and the ``message`` without either.
     """
 
     def __init__(self, message: str, *, field: str | None = None,
@@ -61,6 +60,7 @@ class ParseError(ValueError):
         if offset is not None:
             detail += f" (byte offset {offset})"
         super().__init__(detail)
+        self.message = message
         self.field = field
         self.offset = offset
 
@@ -750,28 +750,34 @@ def write_jsonl(path, objs: Iterable[dict]) -> None:
             fh.write("\n")
 
 
-def open_text(path) -> io.StringIO:
-    """The UTF-8 text of ``path``, read whole, its lines split as text-mode
-    ``open`` splits them: the one place a text artifact is decoded. A byte
-    that is not UTF-8 is a ``ParseError`` naming the file and its offset."""
+def read_text(path) -> str:
+    r"""The UTF-8 text of ``path``, read whole, each ``\r\n`` and ``\r`` line
+    end made ``\n`` as text-mode ``open`` makes it: the one place a text
+    artifact is decoded. A byte that is not UTF-8 is a ``ParseError`` naming
+    the file and the byte's offset in it. No other character ends a line:
+    a JSON string may hold U+2028 or U+0085 raw."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return io.StringIO(data.decode("utf-8"), newline=None)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text", offset=exc.start) from exc
+        try:
+            # the bytes are freed once decoded: the text is all that stays
+            text = fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text",
+                             offset=exc.start) from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def read_jsonl(path) -> Iterator[dict]:
     """Yield record objects one per line, reporting the line on parse errors."""
-    for lineno, line in enumerate(open_text(path), start=1):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
         try:
             yield loads_obj(line)
         except ParseError as exc:
-            raise ParseError(f"{path}, line {lineno}: {exc}",
+            raise ParseError(f"{path}: line {lineno}: {exc.message}",
                              field=exc.field, offset=exc.offset) from exc
 
 

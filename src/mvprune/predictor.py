@@ -44,8 +44,8 @@ from .core import (
     _check_int,
     _expect_record,
     loads_obj,
-    open_text,
     parsing,
+    read_text,
     write_jsonl,
 )
 
@@ -57,17 +57,13 @@ class MlpParams(_ValueEq):
     """Weights of one MLP as ``((W, b), ...)`` layer pairs.
 
     ``W`` has shape ``(fan_out, fan_in)`` and ``b`` shape ``(fan_out,)``;
-    consecutive layers must chain. Hidden layers use ``activation``
-    (only ``"tanh"`` is supported), the final layer a sigmoid.
+    consecutive layers must chain. Hidden layers use tanh, the final layer
+    a sigmoid.
     """
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
-    activation: str = "tanh"
 
     def __post_init__(self):
-        if self.activation != "tanh":
-            raise ConfigError(f"unsupported activation {self.activation!r}",
-                              field="activation")
         layers = []
         for i, pair in enumerate(self.layers):
             if len(pair) != 2:
@@ -95,7 +91,7 @@ class MlpParams(_ValueEq):
         return {
             "fmt": FORMAT_VERSION,
             "kind": "mlp",
-            "activation": self.activation,
+            "activation": "tanh",
             "layers": [{"weight": w.tolist(), "bias": b.tolist()}
                        for w, b in self.layers],
         }
@@ -104,9 +100,12 @@ class MlpParams(_ValueEq):
     def from_obj(cls, obj) -> "MlpParams":
         _expect_record(obj, "mlp")
         with parsing("mlp", "layers"):
-            layers = tuple((layer["weight"], layer["bias"])
-                           for layer in obj["layers"])
-            return cls(layers=layers, activation=obj["activation"])
+            if obj["activation"] != "tanh":
+                raise ParseError(
+                    f"unsupported activation {obj['activation']!r}",
+                    field="activation")
+            return cls(layers=tuple((layer["weight"], layer["bias"])
+                                    for layer in obj["layers"]))
 
 
 def init_mlp(sizes: Sequence[int], seed: int) -> MlpParams:
@@ -361,7 +360,7 @@ def train(params: MlpParams, inputs, targets, config: TrainConfig
                     raise TrainingError("gradient is not finite", step=step)
                 if not (np.isfinite(w).all() and np.isfinite(b).all()):
                     raise TrainingError("parameters are not finite", step=step)
-    return MlpParams(layers=tuple(layers), activation=params.activation), losses
+    return MlpParams(layers=tuple(layers)), losses
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +432,7 @@ def save_params(path, params: MlpParams) -> None:
 
 
 def load_params(path) -> MlpParams:
-    return MlpParams.from_obj(loads_obj(open_text(path).read()))
+    return MlpParams.from_obj(loads_obj(read_text(path)))
 
 
 def save_trace(path, losses: np.ndarray) -> None:
@@ -445,12 +444,12 @@ def save_trace(path, losses: np.ndarray) -> None:
 
 
 def load_trace(path) -> np.ndarray:
-    fh = open_text(path)
-    header = fh.readline().strip()
+    lines = read_text(path).split("\n")
+    header = lines[0].strip()
     if header != "step,loss":
         raise ParseError(f"unexpected trace header {header!r}", field="header")
     values = []
-    for lineno, line in enumerate(fh, start=2):
+    for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line:
             continue

@@ -46,8 +46,8 @@ from .core import (
     load_annotation,
     load_observations,
     loads_obj,
-    open_text,
     parsing,
+    read_text,
     save_annotation,
     save_observations,
     sidecar_path,
@@ -75,6 +75,11 @@ _WRIST_GRIPPER = Box(104, 104, 152, 152, BoxKind.GRIPPER)
 _WRIST_OBJECT = Box(96, 160, 160, 224, BoxKind.OBJECT)
 _DISTRACTOR_Y = 232
 _DISTRACTOR_SLOTS = 6
+# the paper's cameras: head view 0, and wrist views 1 and 2 of arms 0 and 1
+ROLES = ViewRoles()
+VIEW_COUNT = 3
+# frames a wrist view sees its arm's workspace before grasp and after release
+WRIST_MARGIN = 2
 
 
 @dataclass(frozen=True)
@@ -111,9 +116,22 @@ def _default_objects() -> tuple[Box, Box]:
     )
 
 
-def _default_arms() -> tuple[ArmScript, ArmScript]:
-    return (ArmScript(grasp=4, close=8, release=14, target_object=0),
-            ArmScript(grasp=8, close=12, release=18, target_object=1))
+def _default_arms(length: int) -> tuple[ArmScript, ArmScript]:
+    """The scripts of a 24 frame episode, grasp, close and release at 4, 8,
+    14 for arm 0 and 8, 12, 18 for arm 1, scaled to ``length`` frames."""
+    scale = length / 24.0
+    arms = []
+    for target, (grasp, close, release) in enumerate(((4, 8, 14),
+                                                      (8, 12, 18))):
+        g = max(1, round(grasp * scale))
+        c = max(g + 1, round(close * scale))
+        r = min(max(c + 1, round(release * scale)), length - DEFAULT_DEBOUNCE)
+        if not g < c < r:
+            raise ConfigError(
+                f"episode_length {length} leaves no room for a script")
+        arms.append(ArmScript(grasp=g, close=c, release=r,
+                              target_object=target))
+    return tuple(arms)
 
 
 @dataclass(frozen=True)
@@ -123,31 +141,27 @@ class ScenarioSpec:
     ``objects`` must be the two objects of the scene, one in the left and
     one in the right slot of the object band; the slot ranges guarantee the
     scripted motion never causes an unscripted overlap. ``arms`` maps arm 0
-    (left) and arm 1 (right) to their scripts; ``None`` parks the arm for
-    the whole episode.
+    (left) and arm 1 (right) to their scripts, by default those of a 24
+    frame episode scaled to ``episode_length``.
     """
 
     episode_id: str = "episode"
     episode_length: int = 24
-    roles: ViewRoles = ViewRoles()
-    arms: tuple[ArmScript | None, ArmScript | None] = None
+    arms: tuple[ArmScript, ArmScript] = None
     objects: tuple[Box, Box] = None
     distractors: int = 2
     embed_dim: int = 32
     noise_sigma: float = 0.05
-    relevance_direction: np.ndarray | None = None
     patch_size: int = 16
-    wrist_margin: int = 2
     seed: int = 0
 
     def __post_init__(self):
         if not isinstance(self.episode_id, str) or not self.episode_id:
             raise ConfigError("episode_id must be a non-empty string")
         _check_int(self.episode_length, "episode_length", minimum=1)
-        if not isinstance(self.roles, ViewRoles):
-            raise ConfigError("roles must be a ViewRoles")
         if self.arms is None:
-            object.__setattr__(self, "arms", _default_arms())
+            object.__setattr__(self, "arms",
+                               _default_arms(self.episode_length))
         if self.objects is None:
             object.__setattr__(self, "objects", _default_objects())
         arms = tuple(self.arms)
@@ -157,10 +171,8 @@ class ScenarioSpec:
         self._check_objects(objects)
         idents = {box.ident for box in objects}
         for arm, script in enumerate(arms):
-            if script is None:
-                continue
             if not isinstance(script, ArmScript):
-                raise ConfigError("arm entries must be ArmScript or None")
+                raise ConfigError("arm entries must be ArmScript")
             if script.target_object not in idents:
                 raise ConfigError(
                     f"arm {arm} targets unknown object {script.target_object}")
@@ -183,22 +195,10 @@ class ScenarioSpec:
         object.__setattr__(self, "noise_sigma", sigma)
         if not math.isfinite(sigma) or sigma < 0.0:
             raise ConfigError(f"noise_sigma must be nonnegative, got {sigma}")
-        if self.relevance_direction is not None:
-            direction = np.asarray(self.relevance_direction, dtype=np.float64)
-            if direction.shape != (self.embed_dim,):
-                raise ConfigError("relevance_direction must match embed_dim")
-            norm = float(np.linalg.norm(direction))
-            if abs(norm - 1.0) > 1e-6:
-                raise ConfigError(
-                    f"relevance_direction must be unit length, norm is {norm}")
-            direction = direction.copy()
-            direction.flags.writeable = False
-            object.__setattr__(self, "relevance_direction", direction)
         _check_int(self.patch_size, "patch_size", minimum=1)
         if IMAGE_SIZE % self.patch_size != 0:
             raise ConfigError(
                 f"patch_size must divide {IMAGE_SIZE}, got {self.patch_size}")
-        _check_int(self.wrist_margin, "wrist_margin", minimum=0)
         _check_int(self.seed, "seed", minimum=0)
 
     @staticmethod
@@ -225,13 +225,6 @@ class ScenarioSpec:
     def grid_side(self) -> int:
         return IMAGE_SIZE // self.patch_size
 
-    def direction(self) -> np.ndarray:
-        if self.relevance_direction is not None:
-            return self.relevance_direction
-        direction = np.zeros(self.embed_dim)
-        direction[0] = 1.0
-        return direction
-
 
 @dataclass(frozen=True)
 class SynthEpisode:
@@ -254,12 +247,10 @@ def _interp(start: int, stop: int, t: int, t0: int, t1: int) -> int:
     return start + ((stop - start) * (t - t0)) // (t1 - t0)
 
 
-def _gripper_track(script: ArmScript | None, arm: int, target: Box,
+def _gripper_track(script: ArmScript, arm: int, target: Box,
                    length: int) -> list[tuple[int, int, bool]]:
     """Per-frame head-view gripper top-left corner and closed flag."""
     home = _HOMES[arm]
-    if script is None:
-        return [(home[0], home[1], False)] * length
     staging = (target.x0 + 4, target.y0 - 56)
     engaged = (target.x0 - 8, target.y0 - 8)
     delta = _CARRY_DELTAS[arm]
@@ -285,11 +276,9 @@ def _gripper_track(script: ArmScript | None, arm: int, target: Box,
     return track
 
 
-def _object_track(script: ArmScript | None, arm: int, box: Box,
+def _object_track(script: ArmScript, arm: int, box: Box,
                   length: int) -> list[Box]:
     """Per-frame head-view object box; carried rigidly during the carry."""
-    if script is None:
-        return [box] * length
     delta = _CARRY_DELTAS[arm]
     track = []
     for t in range(length):
@@ -324,14 +313,12 @@ def build_geometry(spec: ScenarioSpec,
     scripted: dict[int, list[Box]] = {}
     gripper_tracks = []
     for arm, script in enumerate(spec.arms):
-        target = by_ident[script.target_object] if script else spec.objects[arm]
+        target = by_ident[script.target_object]
         gripper_tracks.append(_gripper_track(script, arm, target, length))
-        if script is not None:
-            scripted[script.target_object] = _object_track(
-                script, arm, target, length)
+        scripted[script.target_object] = _object_track(script, arm, target,
+                                                       length)
     task_objects = frozenset(scripted)
 
-    view_count = max(spec.roles.head, *spec.roles.wrists) + 1
     frames = []
     for t in range(length):
         head_boxes = []
@@ -344,17 +331,16 @@ def build_geometry(spec: ScenarioSpec,
                               if box.ident in scripted else box)
         head_boxes.extend(distractors)
 
-        views = [None] * view_count
-        views[spec.roles.head] = ViewGeometry(
+        views = [None] * VIEW_COUNT
+        views[ROLES.head] = ViewGeometry(
             IMAGE_SIZE, IMAGE_SIZE, spec.patch_size, tuple(head_boxes))
-        for arm in (0, 1):
-            script = spec.arms[arm]
+        for arm, script in enumerate(spec.arms):
             boxes = ()
-            if script is not None and (script.grasp - spec.wrist_margin <= t
-                                       < script.release + spec.wrist_margin):
+            if (script.grasp - WRIST_MARGIN <= t
+                    < script.release + WRIST_MARGIN):
                 boxes = (replace(_WRIST_GRIPPER, ident=arm),
                          replace(_WRIST_OBJECT, ident=script.target_object))
-            views[spec.roles.wrist_for_arm(arm)] = ViewGeometry(
+            views[ROLES.wrist_for_arm(arm)] = ViewGeometry(
                 IMAGE_SIZE, IMAGE_SIZE, spec.patch_size, boxes)
         closed = tuple(gripper_tracks[arm][t][2] for arm in (0, 1))
         frames.append(FrameGeometry(views=tuple(views), gripper_closed=closed,
@@ -387,20 +373,8 @@ def ground_truth(spec: ScenarioSpec,
     """
     length = spec.episode_length
     side = spec.grid_side
-    view_count = max(spec.roles.head, *spec.roles.wrists) + 1
-
-    interacting = []
-    for script in spec.arms:
-        if script is None:
-            interacting.append([False] * length)
-        else:
-            interacting.append([script.grasp <= t < script.release
-                                for t in range(length)])
     phases = []
     for script in spec.arms:
-        if script is None:
-            phases.append([Phase.APPROACHING] * length)
-            continue
         row = []
         for t in range(length):
             if t < script.grasp:
@@ -417,22 +391,22 @@ def ground_truth(spec: ScenarioSpec,
     for t in range(length):
         geom = geometry[t]
         masks = []
-        for v in range(view_count):
-            view = geom.views[v]
+        for view in geom.views:
             relevant = [b for b in view.boxes
                         if b.kind is BoxKind.GRIPPER
                         or (b.kind is BoxKind.OBJECT
                             and b.ident in geom.task_objects)]
             masks.append(_reference_mask(view, relevant, side))
-        labels = [0] * view_count
-        labels[spec.roles.head] = 1
-        for arm in (0, 1):
-            labels[spec.roles.wrist_for_arm(arm)] = int(interacting[arm][t])
+        labels = [0] * VIEW_COUNT
+        labels[ROLES.head] = 1
+        for arm, script in enumerate(spec.arms):
+            labels[ROLES.wrist_for_arm(arm)] = int(
+                script.grasp <= t < script.release)
         frames.append(FrameAnnotation(
             masks=tuple(masks), inter_labels=tuple(labels),
             arm_phases=(phases[0][t], phases[1][t])))
-    grids = ((side, side),) * view_count
-    return EpisodeAnnotation(episode_id=spec.episode_id, roles=spec.roles,
+    grids = ((side, side),) * VIEW_COUNT
+    return EpisodeAnnotation(episode_id=spec.episode_id, roles=ROLES,
                              grids=grids, frames=tuple(frames))
 
 
@@ -459,8 +433,7 @@ def _generate(template: ScenarioSpec, count: int,
     read-only once full; allocated, or refused, before any spec is drawn.
     The specs are taken in order in the calling thread, then each episode is
     drawn into its own rows by ``_draw_all``."""
-    grid, roles = template.grid_side, template.roles
-    per_frame = grid * grid * (max(roles.head, *roles.wrists) + 1)
+    per_frame = template.grid_side ** 2 * VIEW_COUNT
     rows = template.episode_length * per_frame
     try:
         buffer = np.empty((count * rows, template.embed_dim))
@@ -517,7 +490,10 @@ def _draw_episode(spec: ScenarioSpec, rows: np.ndarray) -> SynthEpisode:
     rng = np.random.default_rng(spec.seed)
     geometry = build_geometry(spec, rng)
     annotation = ground_truth(spec, geometry)
-    direction, side, sigma = spec.direction(), spec.grid_side, spec.noise_sigma
+    side, sigma = spec.grid_side, spec.noise_sigma
+    # every token's relevance direction: the first unit vector
+    direction = np.zeros(spec.embed_dim)
+    direction[0] = 1.0
     observations, row = [], 0
     for t, frame in enumerate(annotation.frames):
         views = []
@@ -560,9 +536,6 @@ def derive_episode_spec(template: ScenarioSpec, index: int,
     jitter_rng = np.random.default_rng([episode_seed, 1])
     arms = []
     for script in template.arms:
-        if script is None:
-            arms.append(None)
-            continue
         low = -min(2, script.grasp - 1)
         high = min(2, template.episode_length - DEFAULT_DEBOUNCE
                    - script.release)
@@ -622,7 +595,7 @@ def _read_manifest(path) -> tuple[dict, ...]:
     """The episode entries of a corpus manifest. Each episode id is listed
     once, and it and each file name is a plain file name: a nonempty string
     without a separator or NUL that is not ``.`` or ``..``."""
-    manifest = loads_obj(open_text(path).read())
+    manifest = loads_obj(read_text(path))
     _expect_record(manifest, "corpus_manifest")
     seen = set()
     with parsing("manifest", "episodes"):

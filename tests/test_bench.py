@@ -738,6 +738,45 @@ def test_validate_artifacts_checks_prune_record_order(experiment_dir,
     assert problems[0].startswith("ep0000.prune.jsonl: ")
 
 
+@pytest.mark.parametrize("records", [5, 0])
+def test_validate_artifacts_reports_a_truncated_prune_file(
+        experiment_dir, tmp_path, records):
+    out, _ = experiment_dir
+    broken = tmp_path / "broken"
+    shutil.copytree(out, broken)
+    prune_file = broken / "corpus" / "ep0000.prune.jsonl"
+    lines = prune_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    prune_file.write_text("".join(lines[:records]), encoding="utf-8")
+    assert validate_artifacts(broken) == [
+        f"ep0000.prune.jsonl: {records} records, but episode 'ep0000' has "
+        f"{len(lines)} observation frames"]
+
+
+# damage to the second line of an annotation file, and the problem line
+# validate gives for it, which names the file once
+UNREADABLE_LINE = {
+    "byte_ff": (lambda line: line[:3] + b"\xff" + line[3:],
+                "not UTF-8 text (byte offset {offset})"),
+    "json_syntax": (lambda line: b"{" + line,
+                    "line 2: invalid JSON: Expecting property name enclosed "
+                    "in double quotes (byte offset 1)"),
+}
+
+
+@pytest.mark.parametrize("damage", UNREADABLE_LINE)
+def test_validate_names_an_unreadable_file_once(experiment_dir, tmp_path,
+                                                damage):
+    out, _ = experiment_dir
+    broken = tmp_path / "broken"
+    shutil.copytree(out, broken)
+    path = broken / "corpus" / "ep0000.ann.jsonl"
+    first, second, *rest = path.read_bytes().splitlines(keepends=True)
+    edit, message = UNREADABLE_LINE[damage]
+    path.write_bytes(b"".join([first, edit(second), *rest]))
+    assert validate_artifacts(broken) == [
+        f"ep0000.ann.jsonl: {message.format(offset=len(first) + 3)}"]
+
+
 def test_compare_strategies(tmp_path):
     reports = compare_strategies(
         resolve_config(SMALL), tmp_path,

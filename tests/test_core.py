@@ -4,6 +4,7 @@ import json
 import re
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from mvprune.core import (
     loads_obj,
     parsing,
     read_jsonl,
+    read_text,
     save_annotation,
     save_observations,
     sidecar_path,
@@ -553,6 +555,42 @@ def test_jsonl_round_trip(tmp_path):
     objs = [{"fmt": 1, "kind": "x", "i": i, "v": i / 3} for i in range(4)]
     write_jsonl(path, objs)
     assert list(read_jsonl(path)) == objs
+
+
+def test_read_text_ends_lines_only_at_newline_and_carriage_return(tmp_path):
+    path = tmp_path / "ends.jsonl"
+    # raw U+2028 and U+0085 inside JSON strings stay in their record
+    objs = [{"s": "a\u2028b"}, {"s": "c\u0085d"}, {"s": "e"}, {"s": "f"}]
+    lines = [json.dumps(obj, ensure_ascii=False) for obj in objs]
+    path.write_bytes((lines[0] + "\r\n" + lines[1] + "\r" + lines[2] + "\n"
+                      + lines[3]).encode("utf-8"))
+    assert read_text(path) == "\n".join(lines)
+    assert list(read_jsonl(path)) == objs
+
+
+def test_read_text_names_the_absolute_offset_of_a_bad_byte(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"a": 1}\n{"b": "\xff"}\n')
+    with pytest.raises(ParseError) as err:
+        list(read_jsonl(path))
+    assert err.value.offset == 16
+    assert str(err.value).startswith(f"{path}: not UTF-8 text")
+
+
+def test_read_jsonl_peaks_below_three_times_the_file_size(tmp_path):
+    path = tmp_path / "big.jsonl"
+    write_jsonl(path, ({"fmt": 1, "kind": "x", "i": i, "v": [i / 7] * 40}
+                       for i in range(200)))
+    size = path.stat().st_size
+    assert size >= 100_000
+    tracemalloc.start()
+    try:
+        for _ in read_jsonl(path):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * size
 
 
 def test_observation_file_round_trip(tmp_path):

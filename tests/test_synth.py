@@ -14,6 +14,7 @@ import pytest
 import oracles
 from mvprune import synth
 from mvprune.annotate import BoxKind, annotate_episode, detect_interaction
+from mvprune.bench import resolve_config, scenario_template
 from mvprune.cli import main
 from mvprune.core import ConfigError, ParseError, Phase
 from mvprune.synth import (
@@ -21,6 +22,8 @@ from mvprune.synth import (
     IMAGE_SIZE,
     OBJECT_BAND_TOP,
     OBJECT_SIZE,
+    ROLES,
+    WRIST_MARGIN,
     ArmScript,
     Box,
     ScenarioSpec,
@@ -59,10 +62,40 @@ def test_arm_script_order_enforced():
 
 
 def test_spec_requires_debounceable_interactions():
+    other = ArmScript(3, 5, 8, target_object=1)
     with pytest.raises(ConfigError):
-        small_spec(arms=(ArmScript(2, 3, 4), None))  # only 2 frames long
+        small_spec(arms=(ArmScript(2, 3, 4), other))  # only 2 frames long
     with pytest.raises(ConfigError):
-        small_spec(arms=(ArmScript(2, 4, 10), None))  # only 2 frames after
+        small_spec(arms=(ArmScript(2, 4, 10), other))  # only 2 frames after
+
+
+def test_spec_refuses_an_arm_without_a_script():
+    with pytest.raises(ConfigError):
+        small_spec(arms=(ArmScript(2, 4, 7), None))
+
+
+# each default script as (grasp, close, release, target), by episode length:
+# the 24 frame scripts (4, 8, 14) and (8, 12, 18) scaled to that length
+DEFAULT_ARMS = {
+    12: ((2, 4, 7, 0), (4, 6, 9, 1)),
+    16: ((3, 5, 9, 0), (5, 8, 12, 1)),
+    24: ((4, 8, 14, 0), (8, 12, 18, 1)),
+    40: ((7, 13, 23, 0), (13, 20, 30, 1)),
+}
+
+
+@pytest.mark.parametrize("length", sorted(DEFAULT_ARMS))
+def test_default_arms_scale_with_episode_length(length):
+    arms = ScenarioSpec(episode_length=length).arms
+    assert tuple((a.grasp, a.close, a.release, a.target_object)
+                 for a in arms) == DEFAULT_ARMS[length]
+    config = resolve_config({"corpus": {"episode_length": length}})
+    assert scenario_template(config).arms == arms
+
+
+def test_default_arms_need_room_for_a_script():
+    with pytest.raises(ConfigError, match="no room"):
+        ScenarioSpec(episode_length=5)
 
 
 def test_spec_validates_objects():
@@ -84,23 +117,17 @@ def test_spec_validates_objects():
         small_spec(objects=same_id)
 
 
-def test_spec_validates_direction_and_patch():
-    with pytest.raises(ConfigError):
-        small_spec(relevance_direction=np.ones(8))  # not unit length
-    with pytest.raises(ConfigError):
-        small_spec(relevance_direction=np.ones(4) / 2.0)  # wrong width
+def test_spec_validates_patch():
     with pytest.raises(ConfigError):
         small_spec(patch_size=33)
     with pytest.raises(ConfigError):
         small_spec(distractors=7)
-    direction = np.zeros(8)
-    direction[3] = -1.0
-    assert small_spec(relevance_direction=direction).direction()[3] == -1.0
 
 
 def test_spec_target_must_exist():
     with pytest.raises(ConfigError):
-        small_spec(arms=(ArmScript(2, 4, 7, target_object=42), None))
+        small_spec(arms=(ArmScript(2, 4, 7, target_object=42),
+                         ArmScript(3, 5, 8, target_object=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +155,9 @@ def test_generate_structure():
     assert episode.episode_id == "ep-small"
 
 
-# a unit direction with negative and -0.0 entries: 0.0 times one of them is
-# -0.0, which the old outer product held wherever the mask is 0
-SIGNED_DIRECTION = np.array([0.6, -0.8, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0])
+def relevance_direction(spec):
+    """The direction of every generated token: the first unit vector."""
+    return np.eye(1, spec.embed_dim)[0]
 
 
 def assert_oracle_tokens(episode):
@@ -139,7 +166,7 @@ def assert_oracle_tokens(episode):
         spec.seed, spec.distractors,
         [(frame.masks, frame.inter_labels)
          for frame in episode.annotation.frames],
-        spec.direction(), spec.noise_sigma)
+        relevance_direction(spec), spec.noise_sigma)
     assert len(expected) == len(episode.observations)
     for obs, views in zip(episode.observations, expected):
         assert len(views) == obs.view_count
@@ -149,11 +176,9 @@ def assert_oracle_tokens(episode):
             assert grid.cls.tobytes() == cls.tobytes()
 
 
-@pytest.mark.parametrize("direction, sigma", [
-    (None, 0.01), (SIGNED_DIRECTION, 0.01), (SIGNED_DIRECTION, 0.0),
-    (None, 0.0)])
-def test_generated_tokens_equal_outer_plus_noise_oracle(direction, sigma):
-    spec = small_spec(relevance_direction=direction, noise_sigma=sigma)
+@pytest.mark.parametrize("sigma", [0.01, 0.0])
+def test_generated_tokens_equal_outer_plus_noise_oracle(sigma):
+    spec = small_spec(noise_sigma=sigma)
     assert_oracle_tokens(generate(spec))
     corpus = generate_corpus(spec, 2, seed=3)
     for episode in corpus:
@@ -182,9 +207,9 @@ def test_wrist_views_only_populated_near_interaction():
     spec = small_spec()
     episode = generate(spec)
     for arm, script in enumerate(spec.arms):
-        wrist = spec.roles.wrist_for_arm(arm)
-        lo = script.grasp - spec.wrist_margin
-        hi = script.release + spec.wrist_margin
+        wrist = ROLES.wrist_for_arm(arm)
+        lo = script.grasp - WRIST_MARGIN
+        hi = script.release + WRIST_MARGIN
         for t in range(spec.episode_length):
             boxes = episode.geometry[t].views[wrist].boxes
             if lo <= t < hi:
@@ -199,7 +224,7 @@ def test_head_overlap_window_matches_script_exactly():
     for arm, script in enumerate(spec.arms):
         for t in range(spec.episode_length):
             touching = detect_interaction(episode.geometry[t], arm,
-                                          spec.roles.head)
+                                          ROLES.head)
             assert touching == (script.grasp <= t < script.release), \
                 f"arm {arm} frame {t}"
 
@@ -208,7 +233,7 @@ def test_ground_truth_labels_and_phases():
     spec = small_spec()
     ann = generate(spec).annotation
     for arm, script in enumerate(spec.arms):
-        wrist = spec.roles.wrist_for_arm(arm)
+        wrist = ROLES.wrist_for_arm(arm)
         for t in range(spec.episode_length):
             frame = ann.frames[t]
             assert frame.inter_labels[0] == 1
@@ -229,26 +254,14 @@ def test_annotation_pipeline_reproduces_ground_truth():
     for seed in (0, 3, 11):
         spec = small_spec(seed=seed)
         episode = generate(spec)
-        derived = annotate_episode(episode.geometry, spec.roles,
-                                   spec.episode_id)
+        derived = annotate_episode(episode.geometry, ROLES, spec.episode_id)
         assert derived == episode.annotation
-
-
-def test_idle_episode_is_all_approaching():
-    spec = small_spec(arms=(None, None), distractors=0)
-    episode = generate(spec)
-    ann = episode.annotation
-    assert all(f.inter_labels == (1, 0, 0) for f in ann.frames)
-    assert all(f.arm_phases == (Phase.APPROACHING, Phase.APPROACHING)
-               for f in ann.frames)
-    assert annotate_episode(episode.geometry, spec.roles,
-                            spec.episode_id) == ann
 
 
 def test_noiseless_tokens_are_exact_mask_projections():
     spec = small_spec(noise_sigma=0.0)
     episode = generate(spec)
-    direction = spec.direction()
+    direction = relevance_direction(spec)
     for obs, frame in zip(episode.observations, episode.annotation.frames):
         for view, mask in zip(obs.views, frame.masks):
             want = np.outer(np.asarray(mask, float), direction)
