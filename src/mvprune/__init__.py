@@ -22,7 +22,6 @@ from .core import (
     Strategy,
     TokenGrid,
     TrainingError,
-    ViewRoles,
 )
 from .predictor import (
     MlpParams,
@@ -62,7 +61,7 @@ __all__ = [
     "AnnotationError", "ConfigError", "ContractError", "EpisodeAnnotation",
     "FrameAnnotation", "ImportanceScores", "MultiViewObservation",
     "ParseError", "Phase", "PruneConfig", "PruneResult", "Strategy",
-    "TokenGrid", "TrainingError", "ViewRoles",
+    "TokenGrid", "TrainingError",
     "MlpParams", "TrainConfig", "forward", "init_mlp", "loss",
     "loss_and_grad", "train",
     "FlopModel", "adaptive_weight", "flop_estimate", "hierarchical_prune",

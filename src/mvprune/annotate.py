@@ -7,10 +7,10 @@ task-relevant box overlaps it with positive area. Gripper boxes carry the
 arm index as their ``ident``; object boxes carry an object id, and only ids
 in the frame's ``task_objects`` count as relevant (distractors stay ignored).
 
-Interaction between an arm and the task objects is detected in a single
-designated view (the head camera by default) and debounced before it feeds
-view labels and phase boundaries: a run of flips shorter than the debounce
-width never changes the detected state.
+Interaction between an arm and the task objects is detected in the head
+camera's view and debounced before it feeds view labels and phase
+boundaries: a run of flips shorter than the debounce width never changes the
+detected state.
 """
 
 from __future__ import annotations
@@ -24,13 +24,15 @@ import numpy as np
 
 from .core import (
     FORMAT_VERSION,
+    HEAD_VIEW,
+    VIEW_COUNT,
+    WRIST_VIEWS,
     AnnotationError,
     ContractError,
     EpisodeAnnotation,
     FrameAnnotation,
     ParseError,
     Phase,
-    ViewRoles,
     _check_int,
     _episode_records,
     _listed,
@@ -286,26 +288,26 @@ def interaction_intervals(values: Sequence[bool]) -> list[tuple[int, int]]:
 
 
 def label_inter_views(interactions_by_arm: Sequence[Sequence[bool]],
-                      roles: ViewRoles, view_count: int = 3
+                      view_count: int = VIEW_COUNT
                       ) -> list[tuple[int, ...]]:
     """Per-frame view relevance labels from per-arm interaction timelines.
 
     The head view is always labeled 1; each wrist view is labeled 1 exactly
-    while its arm interacts; any other view is labeled 0.
+    while its arm interacts; any view past the three cameras is labeled 0.
     """
     if len(interactions_by_arm) != 2:
         raise ContractError("need interaction timelines for both arms")
     length = len(interactions_by_arm[0])
     if len(interactions_by_arm[1]) != length:
         raise ContractError("arm timelines must have equal length")
-    if view_count <= max(roles.head, *roles.wrists):
-        raise ContractError("view_count must cover every role view")
+    if view_count < VIEW_COUNT:
+        raise ContractError(f"view_count must cover the {VIEW_COUNT} cameras")
     labels = []
     for t in range(length):
         row = [0] * view_count
-        row[roles.head] = 1
+        row[HEAD_VIEW] = 1
         for arm in (0, 1):
-            row[roles.wrist_for_arm(arm)] = int(bool(interactions_by_arm[arm][t]))
+            row[WRIST_VIEWS[arm]] = int(bool(interactions_by_arm[arm][t]))
         labels.append(tuple(row))
     return labels
 
@@ -354,25 +356,19 @@ def arm_phases(interactions: Sequence[bool], closed: Sequence[bool],
 # episode annotation
 
 
-def annotate_episode(geometry: Sequence[FrameGeometry], roles: ViewRoles,
-                     episode_id: str, *, detection_view: int | None = None,
+def annotate_episode(geometry: Sequence[FrameGeometry], episode_id: str, *,
                      debounce_width: int = DEFAULT_DEBOUNCE
                      ) -> EpisodeAnnotation:
     """Produce the full two-level annotation of one episode from geometry.
 
     Rasterizes per-view patch masks, detects and debounces interactions in
-    the detection view (the head camera unless overridden), derives view
-    relevance labels and per-arm phases, and validates the result. Errors
-    name the offending frame. An empty episode yields an empty annotation.
+    the head view, derives view relevance labels and per-arm phases, and
+    validates the result. Errors name the offending frame. An empty episode
+    yields an empty annotation.
     """
     geometry = list(geometry)
-    if not isinstance(roles, ViewRoles):
-        raise ContractError("roles must be a ViewRoles")
-    if detection_view is None:
-        detection_view = roles.head
     if not geometry:
-        return EpisodeAnnotation(episode_id=episode_id, roles=roles,
-                                 grids=(), frames=())
+        return EpisodeAnnotation(episode_id=episode_id, grids=(), frames=())
     first = geometry[0]
     view_count = len(first.views)
     grids = tuple(v.grid_shape for v in first.views)
@@ -392,14 +388,14 @@ def annotate_episode(geometry: Sequence[FrameGeometry], roles: ViewRoles,
             masks_per_frame.append(tuple(frame_patch_mask(geom, v)
                                          for v in range(view_count)))
             for arm in (0, 1):
-                raw[arm].append(detect_interaction(geom, arm, detection_view))
+                raw[arm].append(detect_interaction(geom, arm, HEAD_VIEW))
                 closed[arm].append(geom.gripper_closed[arm])
         except AnnotationError as exc:
             if exc.frame is None:
                 raise AnnotationError(str(exc), frame=t) from exc
             raise
     debounced = [debounce(raw[arm], debounce_width) for arm in (0, 1)]
-    labels = label_inter_views(debounced, roles, view_count)
+    labels = label_inter_views(debounced, view_count)
     phases = [arm_phases(debounced[arm], closed[arm], arm) for arm in (0, 1)]
     frames = tuple(
         FrameAnnotation(
@@ -408,7 +404,7 @@ def annotate_episode(geometry: Sequence[FrameGeometry], roles: ViewRoles,
             arm_phases=(phases[0][t], phases[1][t]),
         )
         for t in range(len(geometry)))
-    return EpisodeAnnotation(episode_id=episode_id, roles=roles, grids=grids,
+    return EpisodeAnnotation(episode_id=episode_id, grids=grids,
                              frames=frames)
 
 

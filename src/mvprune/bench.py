@@ -24,6 +24,7 @@ import numpy as np
 from .core import (
     FORMAT_VERSION,
     INPUT_ERRORS,
+    VIEW_COUNT,
     AnnotationError,
     ConfigError,
     ContractError,
@@ -66,8 +67,6 @@ from .pruner import (
     flop_estimate,
 )
 from .synth import (
-    ROLES,
-    VIEW_COUNT,
     ScenarioSpec,
     SynthEpisode,
     _check_episode,
@@ -356,7 +355,7 @@ def derive_annotations(episodes: Sequence[SynthEpisode]
     """
     derived = []
     for episode in episodes:
-        ann = annotate_episode(episode.geometry, ROLES, episode.episode_id)
+        ann = annotate_episode(episode.geometry, episode.episode_id)
         truth = episode.annotation
         if ann != truth:
             frame = next((t for t, (a, b) in enumerate(

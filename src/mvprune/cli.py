@@ -23,7 +23,6 @@ from .core import (
     ConfigError,
     Strategy,
     save_annotation,
-    ViewRoles,
 )
 from .annotate import annotate_episode, load_geometry
 from .bench import (
@@ -89,12 +88,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_annotate(args) -> int:
     episode_id, geometry = load_geometry(args.geometry)
-    roles = ViewRoles(head=args.head, left_wrist=args.left_wrist,
-                      right_wrist=args.right_wrist)
-    annotation = annotate_episode(
-        geometry, roles, episode_id,
-        detection_view=args.detection_view,
-        debounce_width=args.debounce)
+    annotation = annotate_episode(geometry, episode_id,
+                                  debounce_width=args.debounce)
     save_annotation(args.annotation_out, annotation)
     print(f"annotated {annotation.length} frames of {episode_id} "
           f"to {args.annotation_out}")
@@ -218,11 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="geometry JSONL of one episode")
     ann.add_argument("--annotation-out", required=True,
                      help="annotation JSONL to write")
-    ann.add_argument("--head", type=int, default=0)
-    ann.add_argument("--left-wrist", dest="left_wrist", type=int, default=1)
-    ann.add_argument("--right-wrist", dest="right_wrist", type=int, default=2)
-    ann.add_argument("--detection-view", dest="detection_view", type=int,
-                     default=None)
     ann.add_argument("--debounce", type=int, default=3)
     ann.set_defaults(func=_cmd_annotate)
 

@@ -202,44 +202,13 @@ class Phase(Enum):
 
 
 # ---------------------------------------------------------------------------
-# view roles
+# camera layout
 
-
-@dataclass(frozen=True)
-class ViewRoles:
-    """Assignment of camera views to the head and the two wrist cameras.
-
-    Arms are indexed 0 (left) and 1 (right) throughout the package.
-    """
-
-    head: int = 0
-    left_wrist: int = 1
-    right_wrist: int = 2
-
-    def __post_init__(self):
-        for name in ("head", "left_wrist", "right_wrist"):
-            _check_int(getattr(self, name), name, minimum=0)
-        if len({self.head, self.left_wrist, self.right_wrist}) != 3:
-            raise ConfigError("view roles must be three distinct view indices")
-
-    @property
-    def wrists(self) -> tuple[int, int]:
-        return (self.left_wrist, self.right_wrist)
-
-    def wrist_for_arm(self, arm: int) -> int:
-        if arm not in (0, 1):
-            raise ContractError(f"arm must be 0 or 1, got {arm}")
-        return self.wrists[arm]
-
-    def to_obj(self) -> dict:
-        return {"head": self.head, "left_wrist": self.left_wrist,
-                "right_wrist": self.right_wrist}
-
-    @classmethod
-    def from_obj(cls, obj) -> "ViewRoles":
-        with parsing("view roles", "roles"):
-            return cls(head=obj["head"], left_wrist=obj["left_wrist"],
-                       right_wrist=obj["right_wrist"])
+# the paper's cameras: a head view, and one wrist view per arm, the wrist of
+# arm ``a`` (0 left, 1 right) being ``WRIST_VIEWS[a]``
+HEAD_VIEW = 0
+WRIST_VIEWS = (1, 2)
+VIEW_COUNT = 3
 
 
 # ---------------------------------------------------------------------------
@@ -583,25 +552,27 @@ class FrameAnnotation(_ValueEq):
         object.__setattr__(self, "arm_phases", phases)
 
 
+# what an annotation record's "roles" holds: the fixed camera layout
+_ROLES_OBJ = {"head": HEAD_VIEW, "left_wrist": WRIST_VIEWS[0],
+              "right_wrist": WRIST_VIEWS[1]}
+
+
 @dataclass(frozen=True, eq=False)
 class EpisodeAnnotation(_ValueEq):
     """Token-level and view-level labels for one episode.
 
-    ``grids`` fixes the per-view patch grid shape for the whole episode;
-    every frame's masks must match it, and the head view's relevance label
-    must be 1 in every frame.
+    ``grids`` fixes the per-view patch grid shape for the whole episode and
+    covers at least the ``VIEW_COUNT`` cameras; every frame's masks must
+    match it, and the head view's relevance label must be 1 in every frame.
     """
 
     episode_id: str
-    roles: ViewRoles
     grids: tuple[tuple[int, int], ...]
     frames: tuple[FrameAnnotation, ...]
 
     def __post_init__(self):
         if not isinstance(self.episode_id, str) or not self.episode_id:
             raise ContractError("episode_id must be a non-empty string")
-        if not isinstance(self.roles, ViewRoles):
-            raise ContractError("roles must be a ViewRoles")
         try:
             grids = tuple((_check_int(h, "grids", minimum=1),
                            _check_int(w, "grids", minimum=1))
@@ -612,10 +583,9 @@ class EpisodeAnnotation(_ValueEq):
         except (TypeError, ValueError) as exc:
             raise ContractError("grids must hold (height, width) pairs",
                                 field="grids") from exc
-        needed = max(self.roles.head, *self.roles.wrists) + 1
         frames = tuple(self.frames)
-        if (frames or grids) and len(grids) < needed:
-            raise ContractError("grids must cover every role view",
+        if (frames or grids) and len(grids) < VIEW_COUNT:
+            raise ContractError(f"grids must cover the {VIEW_COUNT} cameras",
                                 field="grids")
         for t, frame in enumerate(frames):
             if not isinstance(frame, FrameAnnotation):
@@ -628,7 +598,7 @@ class EpisodeAnnotation(_ValueEq):
                     raise AnnotationError(
                         f"view {v} mask has {mask.shape[0]} entries, "
                         f"grid is {h}x{w}", frame=t)
-            if frame.inter_labels[self.roles.head] != 1:
+            if frame.inter_labels[HEAD_VIEW] != 1:
                 raise AnnotationError("head view label must be 1", frame=t)
         object.__setattr__(self, "grids", grids)
         object.__setattr__(self, "frames", frames)
@@ -645,7 +615,7 @@ class EpisodeAnnotation(_ValueEq):
                 "kind": "annotation",
                 "episode_id": self.episode_id,
                 "frame_index": t,
-                "roles": self.roles.to_obj(),
+                "roles": dict(_ROLES_OBJ),
                 "grids": [list(g) for g in self.grids],
                 "masks": [m.tolist() for m in f.masks],
                 "inter_labels": list(f.inter_labels),
@@ -660,12 +630,16 @@ class EpisodeAnnotation(_ValueEq):
             raise ParseError("no annotation records", field="frames")
         with parsing("annotation", "frames"):
             return cls(episode_id=objs[0]["episode_id"],
-                       roles=ViewRoles.from_obj(objs[0]["roles"]),
                        grids=objs[0]["grids"],
                        frames=tuple(_frame_from_obj(obj) for obj in objs))
 
 
 def _frame_from_obj(obj) -> FrameAnnotation:
+    roles = obj["roles"]
+    # JSON's true and 1.0 equal 1, so the types are compared too
+    if roles != _ROLES_OBJ or not all(type(v) is int for v in roles.values()):
+        raise ParseError(f"roles must be {dumps_obj(_ROLES_OBJ)}",
+                         field="roles")
     return FrameAnnotation(
         masks=_listed(obj, "masks"),
         inter_labels=_listed(obj, "inter_labels"),
@@ -699,7 +673,7 @@ def _episode_records(objs: Iterable, kind: str) -> Iterator[dict]:
             elif obj["episode_id"] != episode_id:
                 raise ParseError(f"mixed episodes: {obj['episode_id']!r} vs "
                                  f"{episode_id!r}", field="episode_id")
-            if obj["frame_index"] != t:
+            if _check_int(obj["frame_index"], "frame_index") != t:
                 raise ParseError(f"{kind} {t} of episode {episode_id!r} is "
                                  f"numbered frame {obj['frame_index']!r}",
                                  field="frame_index")

@@ -222,11 +222,18 @@ def _batch(params: MlpParams, inputs, targets) -> tuple[np.ndarray, np.ndarray]:
 
 def _flat(layers) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """A copy of ``(W, b)`` layers as one flat buffer, and views of it
-    shaped like the layers."""
+    shaped like the layers, each starting on a 64-byte boundary: a BLAS
+    kernel may round an operand 8 bytes off one differently from a fresh,
+    aligned array. The zeros between the views have gradient 0 and stay 0."""
     arrays = [a for pair in layers for a in pair]
-    flat = np.concatenate([a.reshape(-1) for a in arrays])
-    views = [part.reshape(a.shape) for part, a in zip(
-        np.split(flat, np.cumsum([a.size for a in arrays])[:-1]), arrays)]
+    starts = np.cumsum([0] + [-(-a.size // 8) * 8 for a in arrays])
+    buffer = np.zeros(starts[-1] + 8)
+    skip = -buffer.ctypes.data % 64 // 8
+    flat = buffer[skip:skip + starts[-1]]
+    views = [flat[s:s + a.size].reshape(a.shape)
+             for s, a in zip(starts, arrays)]
+    for view, a in zip(views, arrays):
+        view[...] = a
     return flat, list(zip(views[::2], views[1::2]))
 
 
@@ -457,12 +464,16 @@ def load_trace(path) -> np.ndarray:
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected step,loss",
                              field="loss")
+        # save_trace writes str(step), so no other spelling of it is read
+        if parts[0] != str(len(values)):
+            raise ParseError(f"line {lineno}: expected step {len(values)}, "
+                             f"got {parts[0]!r}", field="step")
         try:
-            step, value = int(parts[0]), float(parts[1])
+            value = float(parts[1])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}", field="loss") from exc
-        if step != len(values):
-            raise ParseError(f"line {lineno}: steps must be contiguous",
-                             field="step")
+        if not math.isfinite(value):
+            raise ParseError(f"line {lineno}: loss {parts[1]!r} is not "
+                             f"finite", field="loss")
         values.append(value)
     return np.asarray(values, dtype=np.float64)

@@ -33,6 +33,9 @@ import numpy as np
 
 from .core import (
     FORMAT_VERSION,
+    HEAD_VIEW,
+    VIEW_COUNT,
+    WRIST_VIEWS,
     ConfigError,
     EpisodeAnnotation,
     FrameAnnotation,
@@ -40,7 +43,6 @@ from .core import (
     ParseError,
     Phase,
     TokenGrid,
-    ViewRoles,
     _check_int,
     _expect_record,
     load_annotation,
@@ -75,9 +77,6 @@ _WRIST_GRIPPER = Box(104, 104, 152, 152, BoxKind.GRIPPER)
 _WRIST_OBJECT = Box(96, 160, 160, 224, BoxKind.OBJECT)
 _DISTRACTOR_Y = 232
 _DISTRACTOR_SLOTS = 6
-# the paper's cameras: head view 0, and wrist views 1 and 2 of arms 0 and 1
-ROLES = ViewRoles()
-VIEW_COUNT = 3
 # frames a wrist view sees its arm's workspace before grasp and after release
 WRIST_MARGIN = 2
 
@@ -332,7 +331,7 @@ def build_geometry(spec: ScenarioSpec,
         head_boxes.extend(distractors)
 
         views = [None] * VIEW_COUNT
-        views[ROLES.head] = ViewGeometry(
+        views[HEAD_VIEW] = ViewGeometry(
             IMAGE_SIZE, IMAGE_SIZE, spec.patch_size, tuple(head_boxes))
         for arm, script in enumerate(spec.arms):
             boxes = ()
@@ -340,7 +339,7 @@ def build_geometry(spec: ScenarioSpec,
                     < script.release + WRIST_MARGIN):
                 boxes = (replace(_WRIST_GRIPPER, ident=arm),
                          replace(_WRIST_OBJECT, ident=script.target_object))
-            views[ROLES.wrist_for_arm(arm)] = ViewGeometry(
+            views[WRIST_VIEWS[arm]] = ViewGeometry(
                 IMAGE_SIZE, IMAGE_SIZE, spec.patch_size, boxes)
         closed = tuple(gripper_tracks[arm][t][2] for arm in (0, 1))
         frames.append(FrameGeometry(views=tuple(views), gripper_closed=closed,
@@ -398,16 +397,16 @@ def ground_truth(spec: ScenarioSpec,
                             and b.ident in geom.task_objects)]
             masks.append(_reference_mask(view, relevant, side))
         labels = [0] * VIEW_COUNT
-        labels[ROLES.head] = 1
+        labels[HEAD_VIEW] = 1
         for arm, script in enumerate(spec.arms):
-            labels[ROLES.wrist_for_arm(arm)] = int(
+            labels[WRIST_VIEWS[arm]] = int(
                 script.grasp <= t < script.release)
         frames.append(FrameAnnotation(
             masks=tuple(masks), inter_labels=tuple(labels),
             arm_phases=(phases[0][t], phases[1][t])))
     grids = ((side, side),) * VIEW_COUNT
-    return EpisodeAnnotation(episode_id=spec.episode_id, roles=ROLES,
-                             grids=grids, frames=tuple(frames))
+    return EpisodeAnnotation(episode_id=spec.episode_id, grids=grids,
+                             frames=tuple(frames))
 
 
 def generate(spec: ScenarioSpec) -> SynthEpisode:

@@ -46,7 +46,7 @@ from mvprune.pruner import (
     hierarchical_prune,
     speedup_estimate,
 )
-from mvprune.synth import ROLES, generate_corpus
+from mvprune.synth import generate_corpus
 
 
 def report(name: str, passed: bool, detail: str) -> None:
@@ -231,7 +231,7 @@ def test_06_annotation_fidelity():
                                         "embed_dim": 4, "noise_sigma": 0.0}})
     episodes = generate_corpus(scenario_template(config), 50, 31)
     mismatched = sum(
-        annotate_episode(ep.geometry, ROLES, ep.episode_id)
+        annotate_episode(ep.geometry, ep.episode_id)
         != ep.annotation
         for ep in episodes)
 

@@ -30,7 +30,6 @@ from mvprune.core import (
     ContractError,
     ParseError,
     Phase,
-    ViewRoles,
 )
 
 
@@ -218,24 +217,22 @@ def test_interaction_intervals_half_open():
 
 
 def test_label_inter_views_head_always_on():
-    labels = label_inter_views(
-        [[False, True], [True, False]], ViewRoles(), 3)
+    labels = label_inter_views([[False, True], [True, False]])
     assert labels == [(1, 0, 1), (1, 1, 0)]
 
 
-def test_label_inter_views_respects_custom_roles():
-    roles = ViewRoles(head=2, left_wrist=0, right_wrist=1)
-    labels = label_inter_views([[True], [False]], roles, 4)
-    assert labels == [(1, 0, 1, 0)]
+def test_label_inter_views_labels_views_past_the_cameras_0():
+    labels = label_inter_views([[True], [False]], 5)
+    assert labels == [(1, 1, 0, 0, 0)]
 
 
 def test_label_inter_views_validates_lengths():
     with pytest.raises(ContractError):
-        label_inter_views([[True]], ViewRoles(), 3)
+        label_inter_views([[True]])
     with pytest.raises(ContractError):
-        label_inter_views([[True], [True, False]], ViewRoles(), 3)
+        label_inter_views([[True], [True, False]])
     with pytest.raises(ContractError):
-        label_inter_views([[True], [False]], ViewRoles(), 2)
+        label_inter_views([[True], [False]], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +334,7 @@ def scripted_geometry(length=14):
 
 def test_annotate_episode_end_to_end():
     geometry = scripted_geometry()
-    ann = annotate_episode(geometry, ViewRoles(), "ep-test")
+    ann = annotate_episode(geometry, "ep-test")
     assert ann.length == 14
     assert ann.grids == ((4, 4), (4, 4), (4, 4))
     labels = [f.inter_labels for f in ann.frames]
@@ -359,9 +356,9 @@ def test_annotate_episode_debounce_suppresses_flicker():
     # one-frame touch at t=1 must be absorbed by the default width of 3
     flicker = geometry[4]
     geometry[1] = flicker
-    ann = annotate_episode(geometry, ViewRoles(), "ep-flicker")
+    ann = annotate_episode(geometry, "ep-flicker")
     assert ann.frames[1].inter_labels[1] == 0
-    raw = annotate_episode(geometry, ViewRoles(), "ep-raw", debounce_width=1)
+    raw = annotate_episode(geometry, "ep-raw", debounce_width=1)
     assert raw.frames[1].inter_labels[1] == 1
 
 
@@ -370,7 +367,7 @@ def test_annotate_episode_one_frame_gap_without_debounce():
     # arm 0 lets go of the object for frame 6 only: intervals [4, 6) and
     # [7, 9) are one frame apart, which debounce width 1 keeps
     geometry[6] = geometry[0]
-    ann = annotate_episode(geometry, ViewRoles(), "ep-gap", debounce_width=1)
+    ann = annotate_episode(geometry, "ep-gap", debounce_width=1)
     assert [f.inter_labels[1] for f in ann.frames] == \
         [0] * 4 + [1] * 2 + [0] + [1] * 2 + [0] * 5
     assert [f.arm_phases[0] for f in ann.frames] == \
@@ -378,7 +375,7 @@ def test_annotate_episode_one_frame_gap_without_debounce():
 
 
 def test_annotate_episode_empty():
-    ann = annotate_episode([], ViewRoles(), "ep-empty")
+    ann = annotate_episode([], "ep-empty")
     assert ann.length == 0
     assert ann.grids == ()
 
@@ -387,7 +384,7 @@ def test_annotate_episode_rejects_arm_count():
     view = ViewGeometry(64, 64, 16, boxes=(gripper(0, 0),))
     bad = FrameGeometry(views=(view,), gripper_closed=(False,))
     with pytest.raises(AnnotationError) as err:
-        annotate_episode([bad], ViewRoles(), "ep")
+        annotate_episode([bad], "ep")
     assert err.value.frame == 0
 
 
@@ -398,7 +395,7 @@ def test_annotate_episode_rejects_grid_change():
                                 gripper_closed=(False, False),
                                 task_objects=frozenset([0]))
     with pytest.raises(AnnotationError) as err:
-        annotate_episode(geometry, ViewRoles(), "ep")
+        annotate_episode(geometry, "ep")
     assert err.value.frame == 3
 
 
@@ -410,16 +407,25 @@ def test_annotate_episode_names_frame_of_missing_gripper():
                                 gripper_closed=(False, False),
                                 task_objects=frozenset([0]))
     with pytest.raises(AnnotationError) as err:
-        annotate_episode(geometry, ViewRoles(), "ep")
+        annotate_episode(geometry, "ep")
     assert err.value.frame == 5
 
 
-def test_annotate_episode_custom_detection_view():
+def test_annotate_episode_detects_in_the_head_view():
     geometry = scripted_geometry()
-    # wipe view 1 of frame content except the grippers; detection in view 0
-    # still sees the interaction
-    ann = annotate_episode(geometry, ViewRoles(), "ep", detection_view=0)
-    assert ann.frames[5].inter_labels[1] == 1
+    idle = geometry[0].views[0]  # arm 0 at home, touching nothing
+    # the head view alone sees arm 0 touch the object during [4, 9)
+    head_only = [FrameGeometry(views=(g.views[0], idle, idle),
+                               gripper_closed=g.gripper_closed,
+                               task_objects=g.task_objects) for g in geometry]
+    ann = annotate_episode(head_only, "ep")
+    assert [f.inter_labels for f in ann.frames] == \
+        [(1, 0, 0)] * 4 + [(1, 1, 0)] * 5 + [(1, 0, 0)] * 5
+    # the wrist views alone see it: nothing is detected
+    wrist_only = [FrameGeometry(views=(idle, g.views[1], g.views[2]),
+                                task_objects=g.task_objects) for g in geometry]
+    ann = annotate_episode(wrist_only, "ep")
+    assert all(f.inter_labels == (1, 0, 0) for f in ann.frames)
 
 
 # ---------------------------------------------------------------------------

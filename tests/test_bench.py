@@ -1156,7 +1156,10 @@ def _field_paths(obj, prefix="", depth=4):
 
 
 def _must_refuse(suffix, field, value):
-    """Values that a decoder once coerced into a valid field."""
+    """Values that a decoder once coerced into a valid field, and every
+    value of the camera roles, whose one valid value no swap gives."""
+    if suffix == "ann" and field.split(".")[0] == "roles":
+        return True
     if (suffix, field) == ("geom", "gripper_closed.0"):
         return not isinstance(value, bool)
     integers = {("ann", "grids.0.0"), ("ann", "inter_labels.0"),
@@ -1241,7 +1244,10 @@ def test_cli_validate_survives_two_swapped_fields(experiment_dir, case):
     ("geom", "task_objects.0", -1), ("geom", "gripper_closed.0", "a"),
     ("geom", "gripper_closed", 5), ("geom", "task_objects", 5),
     ("geom", "views.0.patch_size", 0), ("geom", "views.0.boxes", 5),
-    ("geom", "views.0.boxes.0", 5), ("geom", "views.0.boxes.0.x0", -1)],
+    ("geom", "views.0.boxes.0", 5), ("geom", "views.0.boxes.0.x0", -1),
+    ("ann", "frame_index", 0.0), ("ann", "frame_index", False),
+    ("geom", "frame_index", 0.0), ("geom", "frame_index", False),
+    ("prune", "frame_index", 0.0), ("prune", "frame_index", False)],
     ids=str)
 def test_cli_validate_refuses_coerced_value(suffix, field, value,
                                             experiment_dir, tmp_path, capsys):
@@ -1253,6 +1259,47 @@ def test_cli_validate_refuses_coerced_value(suffix, field, value,
     # the innermost named key of the path, e.g. x0 of views.0.boxes.0.x0
     named = [key for key in field.split(".") if not key.isdigit()][-1]
     assert f"(field {named!r})" in problems[0]
+
+
+@pytest.mark.parametrize("swaps", [
+    {"roles.left_wrist": 2, "roles.right_wrist": 1},
+    {"roles.left_wrist": True}], ids=["wrists_swapped", "left_wrist_true"])
+def test_cli_refuses_other_camera_roles(swaps, experiment_dir, tmp_path,
+                                        capsys):
+    out = experiment_dir[0]
+    _swap_fields(out, tmp_path, "ann", swaps)
+    assert main(["validate", "--dir", str(tmp_path)]) == 1
+    problems = capsys.readouterr().err.splitlines()
+    assert len(problems) == 1
+    assert problems[0].startswith("ep0000.ann.jsonl: ")
+    assert "(field 'roles')" in problems[0]
+    # nor is the annotation trained or pruned on
+    corpus = tmp_path / "full"
+    shutil.copytree(out / "corpus", corpus)
+    shutil.copy(tmp_path / "corpus" / "ep0000.ann.jsonl", corpus)
+    assert main(["prune", "--corpus", str(corpus),
+                 "--intra", str(out / "intra.mlp.json"),
+                 "--inter", str(out / "inter.mlp.json"),
+                 "--out", str(tmp_path / "pruned")]) == 2
+    assert "(field 'roles')" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, damaged", [
+    (1, "0,nan"), (1, "0,1e400"), (1, "\u0660,0.5"), (1, "+0,0.5"),
+    (2, "01,0.5")], ids=["nan", "1e400", "arabic_indic_0", "plus_0", "01"])
+def test_cli_validate_refuses_corrupt_loss_trace(line, damaged,
+                                                 experiment_dir, tmp_path,
+                                                 capsys):
+    broken = tmp_path / "broken"
+    shutil.copytree(experiment_dir[0], broken)
+    path = broken / "inter_trace.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[line] = damaged
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["validate", "--dir", str(broken)]) == 1
+    problems = capsys.readouterr().err.splitlines()
+    assert len(problems) == 1
+    assert problems[0].startswith(f"inter_trace.csv: line {line + 1}: ")
 
 
 @pytest.mark.parametrize("damage", [

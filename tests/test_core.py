@@ -25,7 +25,6 @@ from mvprune.core import (
     PruneResult,
     Strategy,
     TokenGrid,
-    ViewRoles,
     _member,
     dumps_obj,
     load_annotation,
@@ -55,28 +54,6 @@ def make_obs(episode_id="ep", frame_index=0, view_count=3, seed=0):
     views = tuple(make_grid(view_id=i, seed=seed + i) for i in range(view_count))
     return MultiViewObservation(episode_id=episode_id, frame_index=frame_index,
                                 views=views)
-
-
-# ---------------------------------------------------------------------------
-# roles
-
-
-def test_view_roles_defaults_and_lookup():
-    roles = ViewRoles()
-    assert (roles.head, roles.left_wrist, roles.right_wrist) == (0, 1, 2)
-    assert roles.wrists == (1, 2)
-    assert roles.wrist_for_arm(0) == 1
-    assert roles.wrist_for_arm(1) == 2
-
-
-def test_view_roles_must_be_distinct():
-    with pytest.raises(ConfigError):
-        ViewRoles(head=0, left_wrist=0, right_wrist=2)
-
-
-def test_view_roles_round_trip():
-    roles = ViewRoles(head=2, left_wrist=0, right_wrist=1)
-    assert ViewRoles.from_obj(roles.to_obj()) == roles
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +351,6 @@ def test_prune_result_from_obj_reports_malformed_fields(field, value):
 
 
 def make_annotation(length=3):
-    roles = ViewRoles()
     grids = ((2, 2), (2, 2), (2, 2))
     frames = []
     for t in range(length):
@@ -383,7 +359,7 @@ def make_annotation(length=3):
         frames.append(FrameAnnotation(
             masks=masks, inter_labels=(1, t % 2, 0),
             arm_phases=(Phase.APPROACHING, Phase.RETRACTING)))
-    return EpisodeAnnotation(episode_id="ep", roles=roles, grids=grids,
+    return EpisodeAnnotation(episode_id="ep", grids=grids,
                              frames=tuple(frames))
 
 
@@ -429,13 +405,12 @@ def test_frame_annotation_counts_masks_before_converting_them():
 
 
 def test_episode_annotation_requires_head_always_on():
-    roles = ViewRoles()
     masks = tuple(np.zeros(4, dtype=np.uint8) for _ in range(3))
     frame = FrameAnnotation(masks=masks, inter_labels=(0, 0, 0),
                             arm_phases=(Phase.APPROACHING, Phase.APPROACHING))
     with pytest.raises(AnnotationError):
-        EpisodeAnnotation(episode_id="ep", roles=roles,
-                          grids=((2, 2),) * 3, frames=(frame,))
+        EpisodeAnnotation(episode_id="ep", grids=((2, 2),) * 3,
+                          frames=(frame,))
 
 
 def test_episode_annotation_checks_mask_shapes():
@@ -444,20 +419,35 @@ def test_episode_annotation_checks_mask_shapes():
     frame = FrameAnnotation(masks=masks, inter_labels=(1, 0, 0),
                             arm_phases=ann.frames[0].arm_phases)
     with pytest.raises(AnnotationError) as err:
-        EpisodeAnnotation(episode_id="ep", roles=ann.roles, grids=ann.grids,
-                          frames=(frame,))
+        EpisodeAnnotation(episode_id="ep", grids=ann.grids, frames=(frame,))
     assert err.value.frame == 0
 
 
 def test_empty_episode_annotation_allowed():
-    ann = EpisodeAnnotation(episode_id="ep", roles=ViewRoles(), grids=(),
-                            frames=())
+    ann = EpisodeAnnotation(episode_id="ep", grids=(), frames=())
     assert ann.length == 0
 
 
 def test_annotation_round_trips():
     ann = make_annotation()
     assert EpisodeAnnotation.from_frame_objs(ann.frame_objs()) == ann
+
+
+# wrists swapped, an index as a float or a bool (both equal 1), an extra
+# key, and no object, in the first record or a later one
+@pytest.mark.parametrize("roles", [
+    {"head": 0, "left_wrist": 2, "right_wrist": 1},
+    {"head": 0, "left_wrist": 1.0, "right_wrist": 2},
+    {"head": 0, "left_wrist": True, "right_wrist": 2},
+    {"head": 0, "left_wrist": 1, "right_wrist": 2, "extra": 3},
+    [0, 1, 2]], ids=repr)
+@pytest.mark.parametrize("frame", [0, 2])
+def test_annotation_refuses_any_other_camera_roles(roles, frame):
+    objs = list(make_annotation().frame_objs())
+    objs[frame]["roles"] = roles
+    with pytest.raises(ParseError) as err:
+        EpisodeAnnotation.from_frame_objs(objs)
+    assert err.value.field == "roles"
 
 
 # ---------------------------------------------------------------------------

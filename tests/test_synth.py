@@ -16,13 +16,13 @@ from mvprune import synth
 from mvprune.annotate import BoxKind, annotate_episode, detect_interaction
 from mvprune.bench import resolve_config, scenario_template
 from mvprune.cli import main
-from mvprune.core import ConfigError, ParseError, Phase
+from mvprune.core import (
+    HEAD_VIEW, WRIST_VIEWS, ConfigError, ParseError, Phase)
 from mvprune.synth import (
     GRIPPER_SIZE,
     IMAGE_SIZE,
     OBJECT_BAND_TOP,
     OBJECT_SIZE,
-    ROLES,
     WRIST_MARGIN,
     ArmScript,
     Box,
@@ -207,7 +207,7 @@ def test_wrist_views_only_populated_near_interaction():
     spec = small_spec()
     episode = generate(spec)
     for arm, script in enumerate(spec.arms):
-        wrist = ROLES.wrist_for_arm(arm)
+        wrist = WRIST_VIEWS[arm]
         lo = script.grasp - WRIST_MARGIN
         hi = script.release + WRIST_MARGIN
         for t in range(spec.episode_length):
@@ -224,7 +224,7 @@ def test_head_overlap_window_matches_script_exactly():
     for arm, script in enumerate(spec.arms):
         for t in range(spec.episode_length):
             touching = detect_interaction(episode.geometry[t], arm,
-                                          ROLES.head)
+                                          HEAD_VIEW)
             assert touching == (script.grasp <= t < script.release), \
                 f"arm {arm} frame {t}"
 
@@ -233,7 +233,7 @@ def test_ground_truth_labels_and_phases():
     spec = small_spec()
     ann = generate(spec).annotation
     for arm, script in enumerate(spec.arms):
-        wrist = ROLES.wrist_for_arm(arm)
+        wrist = WRIST_VIEWS[arm]
         for t in range(spec.episode_length):
             frame = ann.frames[t]
             assert frame.inter_labels[0] == 1
@@ -254,7 +254,7 @@ def test_annotation_pipeline_reproduces_ground_truth():
     for seed in (0, 3, 11):
         spec = small_spec(seed=seed)
         episode = generate(spec)
-        derived = annotate_episode(episode.geometry, ROLES, spec.episode_id)
+        derived = annotate_episode(episode.geometry, spec.episode_id)
         assert derived == episode.annotation
 
 
