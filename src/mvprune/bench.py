@@ -15,7 +15,7 @@ import csv
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import groupby, islice
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -378,7 +378,8 @@ def _train_config(config: dict) -> tuple[int, TrainConfig]:
 def train_predictors(observations: Sequence[MultiViewObservation],
                      annotations: dict, config: dict
                      ) -> tuple[MlpParams, MlpParams, np.ndarray, np.ndarray]:
-    """Train the token and the view predictor on annotated observations."""
+    """Train the token and the view predictor on annotated observations,
+    ``annotations`` by episode id; both predictors and both loss traces."""
     hidden, train_config = _train_config(config)
     intra_x, intra_y = build_intra_dataset(observations, annotations)
     inter_x, inter_y = build_inter_dataset(observations, annotations)
@@ -398,49 +399,45 @@ def train_predictors(observations: Sequence[MultiViewObservation],
     return intra, inter, intra_losses, inter_losses
 
 
+def train_episodes(episodes: Sequence[SynthEpisode], config: dict
+                   ) -> tuple[MlpParams, MlpParams, np.ndarray, np.ndarray]:
+    """``train_predictors`` on every frame of ``episodes`` and their
+    annotations."""
+    return train_predictors(
+        [obs for episode in episodes for obs in episode.observations],
+        {episode.episode_id: episode.annotation for episode in episodes},
+        config)
+
+
 @dataclass(frozen=True)
 class ScoredCorpus:
-    """A corpus checked against its annotations and scored once: each
-    frame's ``score_observation`` output, weighted with ``epsilon``, and the
-    ``classifier`` metrics of the raw scores. No pruning rule changes these,
-    so every prune config with this ``epsilon`` is evaluated against them."""
+    """A corpus scored once: each frame's ``score_observation`` output,
+    weighted with ``epsilon``, and the ``classifier`` metrics of the raw
+    scores. No pruning rule changes these, so every prune config with this
+    ``epsilon`` is evaluated against them."""
 
-    observations: tuple[tuple[MultiViewObservation, ...], ...]
-    annotations: tuple[EpisodeAnnotation, ...]
+    episodes: tuple[SynthEpisode, ...]
     scores: tuple[tuple[ImportanceScores, ...], ...]
     epsilon: float
     classifier: dict[str, float]
 
 
-def score_corpus(observations_by_episode: Sequence[
-                     Sequence[MultiViewObservation]],
-                 annotations: Sequence[EpisodeAnnotation],
-                 intra: MlpParams, inter: MlpParams, epsilon: float
-                 ) -> ScoredCorpus:
-    """Check that ``annotations`` pair one to one with the episodes, score
-    every frame with both predictors, and rate the raw scores as
-    classifiers. Each annotation must cover its episode's frames and views,
-    as ``load_corpus`` checks."""
-    if not observations_by_episode or not observations_by_episode[0]:
-        raise ContractError("evaluation needs at least one observation")
-    if len(annotations) != len(observations_by_episode):
-        raise ContractError("annotations must align with the episodes")
-    intra_labels, inter_labels = [], []
-    for episode_obs, ann in zip(observations_by_episode, annotations):
-        if episode_obs and ann.episode_id != episode_obs[0].episode_id:
-            raise ContractError(
-                f"annotation {ann.episode_id!r} does not match observation "
-                f"episode {episode_obs[0].episode_id!r}")
-        for obs in episode_obs:
-            frame = ann.frames[obs.frame_index]
-            intra_labels.extend(frame.masks)
-            inter_labels.append(np.array(frame.inter_labels))
+def score_corpus(episodes: Sequence[SynthEpisode], intra: MlpParams,
+                 inter: MlpParams, epsilon: float) -> ScoredCorpus:
+    """Score every frame of ``episodes`` with both predictors, and rate the
+    raw scores as classifiers against the episodes' annotations."""
+    if not episodes:
+        raise ContractError("evaluation needs at least one episode")
+    frames = [frame for episode in episodes
+              for frame in episode.annotation.frames]
     frame_scores = _score_frames(
-        [obs for episode_obs in observations_by_episode
-         for obs in episode_obs], intra, inter, epsilon)
+        [obs for episode in episodes for obs in episode.observations],
+        intra, inter, epsilon)
     intra_s, intra_y, inter_s, inter_y = map(np.concatenate, (
-        [raw for s in frame_scores for raw in s.intra_raw], intra_labels,
-        [s.inter for s in frame_scores], inter_labels))
+        [raw for s in frame_scores for raw in s.intra_raw],
+        [mask for frame in frames for mask in frame.masks],
+        [s.inter for s in frame_scores],
+        [np.array(frame.inter_labels) for frame in frames]))
     intra_precision, intra_recall = precision_recall(intra_s, intra_y)
     inter_precision, inter_recall = precision_recall(inter_s, inter_y)
     classifier = {
@@ -449,19 +446,17 @@ def score_corpus(observations_by_episode: Sequence[
         "inter_accuracy": accuracy((inter_s >= 0.5).astype(int), inter_y),
         "inter_precision": inter_precision, "inter_recall": inter_recall}
     by_frame = iter(frame_scores)
-    scores = tuple(tuple(islice(by_frame, len(episode_obs)))
-                   for episode_obs in observations_by_episode)
-    return ScoredCorpus(tuple(map(tuple, observations_by_episode)),
-                        tuple(annotations), scores, float(epsilon),
-                        classifier)
+    scores = tuple(tuple(islice(by_frame, len(episode.observations)))
+                   for episode in episodes)
+    return ScoredCorpus(tuple(episodes), scores, float(epsilon), classifier)
 
 
 def evaluate_strategy(corpus: ScoredCorpus, prune_config: PruneConfig,
                       flop_model: FlopModel
-                      ) -> tuple[MetricsReport, list[list[PruneBatch]]]:
-    """Prune a scored corpus and fold the outcomes into a report. Each run
-    of an episode's frames with equal view token counts is pruned in one
-    batch; the batches come back per episode. The corpus must have been
+                      ) -> tuple[MetricsReport, list[PruneBatch]]:
+    """Prune a scored corpus and fold the outcomes into a report. Each
+    episode is pruned in one batch, sized by its annotation's view grids;
+    the batches come back in episode order. The corpus must have been
     scored with ``prune_config.epsilon``.
     """
     if prune_config.epsilon != corpus.epsilon:
@@ -471,42 +466,35 @@ def evaluate_strategy(corpus: ScoredCorpus, prune_config: PruneConfig,
     counts = []
     relevant_kept = relevant_total = 0
     flops_before = flops_after = 0.0
-    results = []
-    for episode_obs, ann, episode_scores in zip(
-            corpus.observations, corpus.annotations, corpus.scores):
-        batches = []
-        for sizes, run in groupby(
-                zip(episode_obs, episode_scores),
-                key=lambda pair: tuple(v.token_count for v in pair[0].views)):
-            observations, scores = zip(*run)
-            batch = _dispatch(
-                [np.stack(view) for view in zip(*(s.intra_weighted
-                                                  for s in scores))],
-                np.stack([s.inter for s in scores]), sizes, prune_config)
-            batches.append(batch)
-            # per frame and view; a view of a grid has at least one token
-            kept = np.add.reduceat(batch.kept, np.cumsum((0, *sizes[:-1])),
-                                   axis=1)
-            counts.append((np.multiply(sizes, len(scores)),
-                           np.subtract(sizes, batch.local_pruned_counts)
-                           .sum(axis=0), kept.sum(axis=0)))
-            masks = np.stack([np.concatenate(ann.frames[obs.frame_index].masks)
-                              for obs in observations])
-            relevant_total += int(masks.sum())
-            relevant_kept += int(masks[batch.kept].sum())
-            # frame by frame, in order: the sum's rounding stays that of a
-            # per-frame loop
-            for obs, kept_total in zip(observations,
-                                       kept.sum(axis=1).tolist()):
-                flops_before += flop_estimate(flop_model, obs.total_tokens)
-                flops_after += flop_estimate(flop_model, max(kept_total, 1))
-        results.append(batches)
+    batches = []
+    for episode, scores in zip(corpus.episodes, corpus.scores):
+        sizes = tuple(h * w for h, w in episode.annotation.grids)
+        batch = _dispatch(
+            [np.stack(view) for view in zip(*(s.intra_weighted
+                                              for s in scores))],
+            np.stack([s.inter for s in scores]), sizes, prune_config)
+        batches.append(batch)
+        # per frame and view; a view of a grid has at least one token
+        kept = np.add.reduceat(batch.kept, np.cumsum((0, *sizes[:-1])),
+                               axis=1)
+        counts.append((np.multiply(sizes, len(scores)),
+                       np.subtract(sizes, batch.local_pruned_counts)
+                       .sum(axis=0), kept.sum(axis=0)))
+        masks = np.stack([np.concatenate(frame.masks)
+                          for frame in episode.annotation.frames])
+        relevant_total += int(masks.sum())
+        relevant_kept += int(masks[batch.kept].sum())
+        # frame by frame, in order: the sum's rounding stays that of a
+        # per-frame loop
+        for kept_total in kept.sum(axis=1).tolist():
+            flops_before += flop_estimate(flop_model, sum(sizes))
+            flops_after += flop_estimate(flop_model, max(kept_total, 1))
     # Python ints: report.csv would write a numpy float as np.float64(...)
     before, post_local, kept = np.sum(counts, axis=0, dtype=np.int64).tolist()
     report = MetricsReport(
         strategy=prune_config.strategy.value,
-        episodes=len(corpus.observations),
-        frames=sum(map(len, corpus.observations)),
+        episodes=len(corpus.episodes),
+        frames=sum(len(episode.observations) for episode in corpus.episodes),
         tokens_before=tuple(before),
         tokens_post_local=tuple(post_local),
         tokens_kept=tuple(kept),
@@ -516,7 +504,25 @@ def evaluate_strategy(corpus: ScoredCorpus, prune_config: PruneConfig,
                             if relevant_total else 1.0),
         **corpus.classifier,
     )
-    return report, results
+    return report, batches
+
+
+def prune_and_write(corpus: ScoredCorpus, prune_config: PruneConfig,
+                    flop_model: FlopModel, out_dir, records_dir
+                    ) -> MetricsReport:
+    """``evaluate_strategy``, then one ``{episode_id}.prune.jsonl`` per
+    episode under ``records_dir``, a record per frame, and ``report.csv``
+    under ``out_dir``; the report."""
+    report, batches = evaluate_strategy(corpus, prune_config, flop_model)
+    for episode, batch in zip(corpus.episodes, batches):
+        write_jsonl(Path(records_dir) / f"{episode.episode_id}.prune.jsonl",
+                    ({"fmt": FORMAT_VERSION, "kind": "prune",
+                      "episode_id": episode.episode_id, "frame_index": t,
+                      "result": result.to_obj()}
+                     for t, result in enumerate(batch.results())))
+    write_csv(Path(out_dir) / "report.csv", REPORT_HEADER,
+              ((report.strategy, *row) for row in report.rows()))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -524,23 +530,19 @@ def evaluate_strategy(corpus: ScoredCorpus, prune_config: PruneConfig,
 
 
 def _prepare(config: dict) -> tuple:
-    """Generate the corpus a resolved config describes, derive its
-    annotations and train both predictors on them. Returns the episodes,
-    the derived annotations, both predictors and both loss traces."""
+    """Generate the corpus a resolved config describes, check that its
+    annotations derive from its geometry, and train both predictors on it.
+    Returns the episodes, both predictors and both loss traces."""
     section = config["corpus"]
     episodes = generate_corpus(scenario_template(config), section["count"],
                                section["seed"])
-    derived = derive_annotations(episodes)
-    observations = [obs for ep in episodes for obs in ep.observations]
-    trained = train_predictors(
-        observations, {ann.episode_id: ann for ann in derived}, config)
-    return (episodes, derived, *trained)
+    derive_annotations(episodes)
+    return (episodes, *train_episodes(episodes, config))
 
 
 def _scored_corpus(config: dict, epsilon: float) -> ScoredCorpus:
-    episodes, derived, intra, inter, _, _ = _prepare(config)
-    return score_corpus([ep.observations for ep in episodes], derived,
-                        intra, inter, epsilon)
+    episodes, intra, inter, _, _ = _prepare(config)
+    return score_corpus(episodes, intra, inter, epsilon)
 
 
 def run_experiment(config: dict | None, out_dir) -> MetricsReport:
@@ -557,8 +559,7 @@ def run_experiment(config: dict | None, out_dir) -> MetricsReport:
     timings = {}
 
     start = time.perf_counter()
-    episodes, derived, intra, inter, intra_losses, inter_losses = \
-        _prepare(config)
+    episodes, intra, inter, intra_losses, inter_losses = _prepare(config)
     timings["prepare"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -567,18 +568,14 @@ def run_experiment(config: dict | None, out_dir) -> MetricsReport:
     timings["write"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    corpus = score_corpus([ep.observations for ep in episodes], derived,
-                          intra, inter, prune_config.epsilon)
+    corpus = score_corpus(episodes, intra, inter, prune_config.epsilon)
     timings["score"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    report, results = evaluate_strategy(corpus, prune_config, flop_model)
-    write_prune_records(out / "corpus", [ep.episode_id for ep in episodes],
-                        results)
+    report = prune_and_write(corpus, prune_config, flop_model, out,
+                             out / "corpus")
     timings["prune"] = time.perf_counter() - start
 
-    write_csv(out / "report.csv", REPORT_HEADER,
-              ((report.strategy, *row) for row in report.rows()))
     write_jsonl(out / "config.resolved.json", [config])
     write_csv(out / "timings.csv", ("stage", "seconds"),
               ((stage, f"{seconds:.6f}") for stage, seconds in timings.items()))
@@ -655,18 +652,6 @@ def write_checkpoints(directory, intra: MlpParams, inter: MlpParams,
     save_params(directory / "inter.mlp.json", inter)
     save_trace(directory / "intra_trace.csv", intra_losses)
     save_trace(directory / "inter_trace.csv", inter_losses)
-
-
-def write_prune_records(directory, episode_ids: Sequence[str],
-                        results: Sequence[Sequence[PruneBatch]]) -> None:
-    """One ``{episode_id}.prune.jsonl`` per episode, one record per frame."""
-    for episode_id, batches in zip(episode_ids, results):
-        frames = (result for batch in batches for result in batch.results())
-        write_jsonl(Path(directory) / f"{episode_id}.prune.jsonl",
-                    ({"fmt": FORMAT_VERSION, "kind": "prune",
-                      "episode_id": episode_id, "frame_index": t,
-                      "result": result.to_obj()}
-                     for t, result in enumerate(frames)))
 
 
 def write_csv(path, header: Iterable[str], rows: Iterable[Sequence]) -> None:

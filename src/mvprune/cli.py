@@ -26,23 +26,20 @@ from .core import (
 )
 from .annotate import annotate_episode, load_geometry
 from .bench import (
-    REPORT_HEADER,
-    evaluate_strategy,
     _flop_model,
     _prune_config,
     _train_config,
     compare_strategies,
     load_experiment_config,
+    prune_and_write,
     resolve_config,
     run_experiment,
     scenario_template,
     score_corpus,
     sweep_beta,
-    train_predictors,
+    train_episodes,
     validate_artifacts,
     write_checkpoints,
-    write_csv,
-    write_prune_records,
 )
 from .predictor import load_params
 from .synth import generate_corpus, load_corpus, write_corpus
@@ -102,14 +99,12 @@ def _cmd_train(args) -> int:
     _train_config(config)
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
-    corpus = load_corpus(args.corpus)
-    observations = [obs for entry in corpus for obs in entry["observations"]]
-    annotations = {entry["episode_id"]: entry["annotation"]
-                   for entry in corpus}
-    intra, inter, intra_losses, inter_losses = train_predictors(
-        observations, annotations, config)
+    episodes = load_corpus(args.corpus)
+    intra, inter, intra_losses, inter_losses = train_episodes(episodes,
+                                                              config)
     write_checkpoints(out, intra, inter, intra_losses, inter_losses)
-    trained = f"trained on {len(observations)} frames"
+    frames = sum(len(episode.observations) for episode in episodes)
+    trained = f"trained on {frames} frames"
     if len(intra_losses):
         trained += (f"; final losses intra {intra_losses[-1]:.4f}, "
                     f"inter {inter_losses[-1]:.4f}")
@@ -137,21 +132,14 @@ def _cmd_prune(args) -> int:
     else:
         out.mkdir(parents=True, exist_ok=True)
         prune_config = _prune_config(config)
-        corpus = load_corpus(args.corpus)
-        observations = [obs for entry in corpus
-                        for obs in entry["observations"]]
+        episodes = load_corpus(args.corpus)
+        observations = [obs for ep in episodes for obs in ep.observations]
         flop_model = _flop_model(config, (
             len(observations),
             max((obs.total_tokens for obs in observations), default=0)))
-        scored = score_corpus([entry["observations"] for entry in corpus],
-                              [entry["annotation"] for entry in corpus],
-                              load_params(args.intra), load_params(args.inter),
-                              prune_config.epsilon)
-        report, results = evaluate_strategy(scored, prune_config, flop_model)
-        write_prune_records(out, [entry["episode_id"] for entry in corpus],
-                            results)
-        write_csv(out / "report.csv", REPORT_HEADER,
-                  ((report.strategy, *row) for row in report.rows()))
+        scored = score_corpus(episodes, load_params(args.intra),
+                              load_params(args.inter), prune_config.epsilon)
+        report = prune_and_write(scored, prune_config, flop_model, out, out)
     print(f"strategy {report.strategy}: kept {report.kept_total} of "
           f"{report.before_total} tokens "
           f"(reduction {report.reduction_ratio:.4f}, "

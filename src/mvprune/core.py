@@ -573,16 +573,7 @@ class EpisodeAnnotation(_ValueEq):
     def __post_init__(self):
         if not isinstance(self.episode_id, str) or not self.episode_id:
             raise ContractError("episode_id must be a non-empty string")
-        try:
-            grids = tuple((_check_int(h, "grids", minimum=1),
-                           _check_int(w, "grids", minimum=1))
-                          for h, w in self.grids)
-        except ContractError:
-            raise
-        # an entry that is no (height, width) pair fails to unpack
-        except (TypeError, ValueError) as exc:
-            raise ContractError("grids must hold (height, width) pairs",
-                                field="grids") from exc
+        grids = _grid_pairs(self.grids)
         frames = tuple(self.frames)
         if (frames or grids) and len(grids) < VIEW_COUNT:
             raise ContractError(f"grids must cover the {VIEW_COUNT} cameras",
@@ -629,9 +620,26 @@ class EpisodeAnnotation(_ValueEq):
         if not objs:
             raise ParseError("no annotation records", field="frames")
         with parsing("annotation", "frames"):
-            return cls(episode_id=objs[0]["episode_id"],
-                       grids=objs[0]["grids"],
+            grids = _grid_pairs(objs[0]["grids"])
+            for t, obj in enumerate(objs):
+                if _grid_pairs(obj["grids"]) != grids:
+                    raise ParseError(f"annotation {t} grids differ from "
+                                     f"those of frame 0", field="grids")
+            return cls(episode_id=objs[0]["episode_id"], grids=grids,
                        frames=tuple(_frame_from_obj(obj) for obj in objs))
+
+
+def _grid_pairs(grids) -> tuple[tuple[int, int], ...]:
+    """``grids`` as ``(height, width)`` pairs of positive ints."""
+    try:
+        return tuple((_check_int(h, "grids", minimum=1),
+                      _check_int(w, "grids", minimum=1)) for h, w in grids)
+    except ContractError:
+        raise
+    # an entry that is no (height, width) pair fails to unpack
+    except (TypeError, ValueError) as exc:
+        raise ContractError("grids must hold (height, width) pairs",
+                            field="grids") from exc
 
 
 def _frame_from_obj(obj) -> FrameAnnotation:

@@ -475,5 +475,9 @@ def load_trace(path) -> np.ndarray:
         if not math.isfinite(value):
             raise ParseError(f"line {lineno}: loss {parts[1]!r} is not "
                              f"finite", field="loss")
+        # save_trace writes repr(loss), so no other spelling of it is read
+        if repr(value) != parts[1]:
+            raise ParseError(f"line {lineno}: loss {parts[1]!r} is not "
+                             f"written as {value!r}", field="loss")
         values.append(value)
     return np.asarray(values, dtype=np.float64)

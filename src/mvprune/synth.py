@@ -227,16 +227,16 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class SynthEpisode:
-    """One generated episode: observations, pixel geometry, and ground truth."""
+    """One episode of a corpus, generated or loaded: the seed it regenerates
+    from, its observations, pixel geometry and ground-truth annotation, all
+    of ``annotation.length`` frames numbered ``0..n-1`` on the annotation's
+    view grids."""
 
-    spec: ScenarioSpec
+    episode_id: str
+    seed: int
     observations: tuple[MultiViewObservation, ...]
     geometry: tuple[FrameGeometry, ...]
     annotation: EpisodeAnnotation
-
-    @property
-    def episode_id(self) -> str:
-        return self.spec.episode_id
 
 
 def _interp(start: int, stop: int, t: int, t0: int, t1: int) -> int:
@@ -515,8 +515,8 @@ def _draw_episode(spec: ScenarioSpec, rows: np.ndarray) -> SynthEpisode:
             row += mask.shape[0]
         observations.append(MultiViewObservation(
             episode_id=spec.episode_id, frame_index=t, views=tuple(views)))
-    return SynthEpisode(spec, tuple(observations), tuple(geometry),
-                        annotation)
+    return SynthEpisode(spec.episode_id, spec.seed, tuple(observations),
+                        tuple(geometry), annotation)
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +582,7 @@ def write_corpus(episodes: Sequence[SynthEpisode], seed: int, out_dir) -> dict:
         save_observations(out / paths["observations"], episode.observations)
         save_annotation(out / paths["annotation"], episode.annotation)
         save_geometry(out / paths["geometry"], eid, episode.geometry)
-        entries.append({"episode_id": eid, "seed": episode.spec.seed,
-                        **paths})
+        entries.append({"episode_id": eid, "seed": episode.seed, **paths})
     manifest = {"fmt": FORMAT_VERSION, "kind": "corpus_manifest",
                 "seed": seed, "count": len(entries), "episodes": entries}
     write_jsonl(out / "manifest.json", [manifest])
@@ -591,15 +590,22 @@ def write_corpus(episodes: Sequence[SynthEpisode], seed: int, out_dir) -> dict:
 
 
 def _read_manifest(path) -> tuple[dict, ...]:
-    """The episode entries of a corpus manifest. Each episode id is listed
-    once, and it and each file name is a plain file name: a nonempty string
-    without a separator or NUL that is not ``.`` or ``..``."""
+    """The episode entries of a corpus manifest. ``count`` is their number,
+    every seed is an integer >= 0, each episode id is listed once, and it
+    and each file name is a plain file name: a nonempty string without a
+    separator or NUL that is not ``.`` or ``..``."""
     manifest = loads_obj(read_text(path))
     _expect_record(manifest, "corpus_manifest")
     seen = set()
     with parsing("manifest", "episodes"):
         entries = tuple(manifest["episodes"])
+        count = _check_int(manifest["count"], "count", minimum=0)
+        if count != len(entries):
+            raise ParseError(f"manifest count {count} but "
+                             f"{len(entries)} episodes", field="count")
+        _check_int(manifest["seed"], "seed", minimum=0)
         for entry in entries:
+            _check_int(entry["seed"], "seed", minimum=0)
             for field in ("episode_id", "observations", "tokens",
                           "annotation", "geometry"):
                 name = entry[field]
@@ -647,10 +653,9 @@ def _check_episode(eid: str, frames, annotation: EpisodeAnnotation,
             f"annotation's {annotation.grids}", field="grids")
 
 
-def load_corpus(corpus_dir) -> list[dict]:
-    """Read a corpus back: one dict per episode with loaded artifacts, whose
-    files ``_check_episode`` found in agreement with each other; each
-    holds ``n`` frames numbered ``0..n-1``."""
+def load_corpus(corpus_dir) -> list[SynthEpisode]:
+    """Read a corpus back: one episode per manifest entry, whose files
+    ``_check_episode`` found in agreement with each other."""
     root = Path(corpus_dir)
     episodes = []
     for entry in _read_manifest(root / "manifest.json"):
@@ -662,7 +667,7 @@ def load_corpus(corpus_dir) -> list[dict]:
             geometry_id, geometry = load_geometry(root / entry["geometry"])
             _check_episode(eid, _observation_grids(observations),
                            annotation, geometry_id, geometry)
-            episodes.append({"episode_id": eid, "seed": entry["seed"],
-                             "observations": observations,
-                             "annotation": annotation, "geometry": geometry})
+            episodes.append(SynthEpisode(eid, entry["seed"],
+                                         tuple(observations),
+                                         tuple(geometry), annotation))
     return episodes

@@ -331,9 +331,7 @@ def noiseless_run():
 def test_09_retention_gap(noiseless_run):
     episodes, intra, inter, setup_seconds = noiseless_run
     flop = FlopModel(layers=18, embed_dim=2048)
-    corpus = score_corpus([ep.observations for ep in episodes],
-                          [ep.annotation for ep in episodes], intra, inter,
-                          PruneConfig().epsilon)
+    corpus = score_corpus(episodes, intra, inter, PruneConfig().epsilon)
     hier, _ = evaluate_strategy(corpus, PruneConfig(), flop)
     rand, _ = evaluate_strategy(
         corpus, PruneConfig(strategy=Strategy.RANDOM_DROP), flop)
@@ -376,16 +374,13 @@ def test_10_ratio_sweep():
 def test_11_results_pass_the_record_checks(default_training):
     _, episodes, intra, inter, _ = default_training
     flop = FlopModel(layers=18, embed_dim=2048)
-    corpus = score_corpus([ep.observations for ep in episodes],
-                          [ep.annotation for ep in episodes], intra, inter,
-                          PruneConfig().epsilon)
+    corpus = score_corpus(episodes, intra, inter, PruneConfig().epsilon)
     checked, failed = 0, []
     for strategy in Strategy:
         _, results = evaluate_strategy(
             corpus, PruneConfig(strategy=strategy), flop)
-        for episode, batches in zip(episodes, results):
-            for t, result in enumerate(
-                    r for batch in batches for r in batch.results()):
+        for episode, batch in zip(episodes, results):
+            for t, result in enumerate(batch.results()):
                 checked += 1
                 try:
                     back = PruneResult.from_obj(result.to_obj())

@@ -325,12 +325,10 @@ def small_run():
     return config, episodes, derived, intra, inter
 
 
-def small_eval(small_run, annotations=None, prune_config=None):
+def small_eval(small_run, prune_config=None):
     config, episodes, derived, intra, inter = small_run
     prune_config = prune_config or PruneConfig()
-    corpus = score_corpus([ep.observations for ep in episodes],
-                          derived if annotations is None else annotations,
-                          intra, inter, prune_config.epsilon)
+    corpus = score_corpus(episodes, intra, inter, prune_config.epsilon)
     return evaluate_strategy(corpus, prune_config, FlopModel(18, 2048))
 
 
@@ -362,18 +360,8 @@ def test_evaluate_strategy_totals(small_run):
     assert report.kept_total == 295 * 24
     assert report.reduction_ratio == pytest.approx(1 - 295 / 768)
     assert report.flop_speedup > 2.0
-    # one batch per episode: its frames share their view token counts
-    assert [[len(batch.kept) for batch in ep] for ep in results] \
-        == [[12], [12]]
-
-
-def test_evaluate_strategy_rejects_misaligned_annotations(small_run):
-    _, _, derived, _, _ = small_run
-    with pytest.raises(ContractError):
-        small_eval(small_run, annotations=list(reversed(derived)))
-    # one annotation short once evaluated the first episode and reported two
-    with pytest.raises(ContractError):
-        small_eval(small_run, annotations=derived[:1])
+    # one batch per episode
+    assert [len(batch.kept) for batch in results] == [12, 12]
 
 
 def test_evaluate_strategy_no_prune_is_identity(small_run):
@@ -386,9 +374,8 @@ def test_evaluate_strategy_no_prune_is_identity(small_run):
 
 
 def frame_results(batches):
-    """Each episode's per-frame results, read off its batches."""
-    return [[result for batch in episode for result in batch.results()]
-            for episode in batches]
+    """Each episode's per-frame results, read off its batch."""
+    return [list(batch.results()) for batch in batches]
 
 
 def per_frame_results(small_run, prune_config):
@@ -405,12 +392,11 @@ def per_frame_results(small_run, prune_config):
        st.sampled_from([0.3, 0.5, 0.9]), st.integers(0, 99))
 def test_evaluate_strategy_with_shared_scores_matches_per_frame(
         small_run, strategy, alphas, beta, epsilon, threshold, seed):
-    _, episodes, derived, intra, inter = small_run
+    _, episodes, _, intra, inter = small_run
     config = PruneConfig(alphas=tuple(a / 20 for a in alphas), beta=beta / 20,
                          epsilon=epsilon, strategy=strategy,
                          adaptive_threshold=threshold, seed=seed)
-    corpus = score_corpus([ep.observations for ep in episodes], derived,
-                          intra, inter, epsilon)
+    corpus = score_corpus(episodes, intra, inter, epsilon)
     assert corpus.scores == tuple(
         tuple(score_observation(obs, intra, inter, epsilon)
               for obs in ep.observations) for ep in episodes)
@@ -421,9 +407,8 @@ def test_evaluate_strategy_with_shared_scores_matches_per_frame(
 def test_evaluate_strategy_rejects_other_epsilon(small_run):
     """Scores weighted with one epsilon would misreport the retention of a
     config with another."""
-    _, episodes, derived, intra, inter = small_run
-    corpus = score_corpus([ep.observations for ep in episodes], derived,
-                          intra, inter, 0.01)
+    _, episodes, _, intra, inter = small_run
+    corpus = score_corpus(episodes, intra, inter, 0.01)
     with pytest.raises(ContractError, match="epsilon"):
         evaluate_strategy(corpus, PruneConfig(epsilon=5.0),
                           FlopModel(18, 2048))
@@ -450,13 +435,11 @@ def per_frame_report(corpus, config, flop_model):
     folded frame by frame, and the loop's results per episode."""
     expected = [[prune_scores(scores, [v.token_count for v in obs.views],
                               config)
-                 for obs, scores in zip(ep_obs, ep_scores)]
-                for ep_obs, ep_scores in zip(corpus.observations,
-                                             corpus.scores)]
-    frames = [(obs, ann.frames[obs.frame_index].masks, result)
-              for ep_obs, ann, ep_results in zip(
-                  corpus.observations, corpus.annotations, expected)
-              for obs, result in zip(ep_obs, ep_results)]
+                 for obs, scores in zip(ep.observations, ep_scores)]
+                for ep, ep_scores in zip(corpus.episodes, corpus.scores)]
+    frames = [(obs, ep.annotation.frames[obs.frame_index].masks, result)
+              for ep, ep_results in zip(corpus.episodes, expected)
+              for obs, result in zip(ep.observations, ep_results)]
     before = [sum(col) for col in zip(*(r.view_token_counts
                                         for _, _, r in frames))]
     kept = [sum(col) for col in zip(*(r.kept_per_view for _, _, r in frames))]
@@ -469,7 +452,7 @@ def per_frame_report(corpus, config, flop_model):
             relevant_total += int(mask.sum())
             relevant_kept += int(mask[list(kept_view)].sum())
     report = MetricsReport(
-        strategy=config.strategy.value, episodes=len(corpus.observations),
+        strategy=config.strategy.value, episodes=len(corpus.episodes),
         frames=len(frames), tokens_before=tuple(before),
         tokens_post_local=tuple(
             sum(col) for col in zip(*(r.post_local_counts
@@ -487,11 +470,10 @@ def test_evaluate_strategy_draws_random_drop_once_per_token_counts(
     """The random baseline reads only the view token counts, so one draw
     serves every frame of a batch, which shares its counts; results and
     report are those of a per-frame ``prune_scores`` loop."""
-    _, episodes, derived, intra, inter = small_run
+    _, episodes, _, intra, inter = small_run
     config = PruneConfig(strategy=Strategy.RANDOM_DROP, seed=5)
     flop_model = FlopModel(18, 2048)
-    corpus = score_corpus([ep.observations for ep in episodes], derived,
-                          intra, inter, config.epsilon)
+    corpus = score_corpus(episodes, intra, inter, config.epsilon)
     draws = []
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
@@ -847,9 +829,9 @@ def write_small_config(tmp_path):
 
 
 def test_cli_gen_writes_corpus(cli_corpus):
-    entries = load_corpus(cli_corpus)
-    assert [e["episode_id"] for e in entries] == ["ep0000", "ep0001"]
-    assert entries[0]["observations"][0].embed_dim == 8
+    episodes = load_corpus(cli_corpus)
+    assert [ep.episode_id for ep in episodes] == ["ep0000", "ep0001"]
+    assert episodes[0].observations[0].embed_dim == 8
 
 
 def test_cli_annotate_round_trip(cli_corpus, tmp_path, capsys):
@@ -860,7 +842,7 @@ def test_cli_annotate_round_trip(cli_corpus, tmp_path, capsys):
     assert code == 0
     assert "annotated 12 frames" in capsys.readouterr().out
     derived = load_annotation(out)
-    assert derived == load_corpus(cli_corpus)[0]["annotation"]
+    assert derived == load_corpus(cli_corpus)[0].annotation
 
 
 def test_cli_train_then_prune_existing(cli_corpus, tmp_path, capsys):
@@ -900,7 +882,7 @@ def test_cli_train_rejects_empty_corpus(cli_corpus, tmp_path, capsys):
     shutil.copytree(cli_corpus, corpus)
     manifest = json.loads((corpus / "manifest.json").read_text())
     (corpus / "manifest.json").write_text(
-        json.dumps(dict(manifest, episodes=[])))
+        json.dumps(dict(manifest, count=0, episodes=[])))
     code = main(["train", "--corpus", str(corpus), "--out",
                  str(tmp_path / "ckpt")])
     assert code == 2
@@ -937,6 +919,38 @@ def test_cli_prune_runs_full_experiment(tmp_path, capsys):
     (out / "inter.mlp.json").write_text("[", encoding="utf-8")
     assert main(["validate", "--dir", str(out)]) == 1
     assert "inter.mlp.json" in capsys.readouterr().err
+
+
+def test_cli_staged_run_writes_the_bytes_of_a_full_run(tmp_path):
+    """gen, train --corpus and prune --corpus on one config write the files
+    that prune --config writes, byte for byte: the two share one path to
+    train and one to prune and write the records and report."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"corpus": {"count": 2, "episode_length": 12},
+                                  "train": {"steps": 50, "hidden": 8}}),
+                      encoding="utf-8")
+    full, staged = tmp_path / "full", tmp_path / "staged"
+    corpus = staged / "corpus"
+    for argv in (["prune", "--out", str(full)],
+                 ["gen", "--out", str(corpus)],
+                 ["train", "--corpus", str(corpus), "--out", str(staged)],
+                 ["prune", "--corpus", str(corpus),
+                  "--intra", str(staged / "intra.mlp.json"),
+                  "--inter", str(staged / "inter.mlp.json"),
+                  "--out", str(corpus)]):
+        assert main([*argv, "--config", str(config)]) == 0
+    # the staged prune writes report.csv beside the prune records
+    names = sorted(path.name for path in (full / "corpus").iterdir())
+    assert sorted(path.name for path in corpus.iterdir()) \
+        == sorted(names + ["report.csv"])
+    pairs = [(full / "corpus" / name, corpus / name) for name in names]
+    pairs += [(full / name, staged / name) for name in (
+        "intra.mlp.json", "inter.mlp.json", "intra_trace.csv",
+        "inter_trace.csv")]
+    pairs.append((full / "report.csv", corpus / "report.csv"))
+    assert sum(name.endswith(".prune.jsonl") for name in names) == 2
+    for ours, theirs in pairs:
+        assert theirs.read_bytes() == ours.read_bytes(), theirs.name
 
 
 def _save_npy(path, values, allow_pickle=False):
@@ -1167,9 +1181,9 @@ def _must_refuse(suffix, field, value):
     return (suffix, field) in integers and isinstance(value, (bool, float))
 
 
-def _swap_fields(out, tmp_path, suffix, swaps):
+def _swap_fields(out, tmp_path, suffix, swaps, line=0):
     """Copy the first episode's ``suffix`` records into a fresh corpus under
-    ``tmp_path`` with each field of the first record that ``swaps`` names set
+    ``tmp_path`` with each field of record ``line`` that ``swaps`` names set
     to its value, the deepest first."""
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -1177,7 +1191,7 @@ def _swap_fields(out, tmp_path, suffix, swaps):
     if suffix == "obs":
         shutil.copy(out / "corpus" / "ep0000.obs.npy", corpus)
     lines = (out / "corpus" / name).read_text(encoding="utf-8").splitlines()
-    record = json.loads(lines[0])
+    record = json.loads(lines[line])
     assert sorted(_field_paths(record)) == sorted(RECORD_FIELDS[suffix]
                                                   + NESTED_FIELDS[suffix])
     for field in sorted(swaps, key=lambda f: -f.count(".")):
@@ -1187,7 +1201,7 @@ def _swap_fields(out, tmp_path, suffix, swaps):
         for key in parents:
             target = target[key]
         target[last] = swaps[field]
-    lines[0] = json.dumps(record)
+    lines[line] = json.dumps(record)
     (corpus / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -1261,18 +1275,25 @@ def test_cli_validate_refuses_coerced_value(suffix, field, value,
     assert f"(field {named!r})" in problems[0]
 
 
-@pytest.mark.parametrize("swaps", [
-    {"roles.left_wrist": 2, "roles.right_wrist": 1},
-    {"roles.left_wrist": True}], ids=["wrists_swapped", "left_wrist_true"])
-def test_cli_refuses_other_camera_roles(swaps, experiment_dir, tmp_path,
+# in the first record, or in the fourth, whose grids no reader once read
+@pytest.mark.parametrize("line, swaps", [
+    (0, {"roles.left_wrist": 2, "roles.right_wrist": 1}),
+    (0, {"roles.left_wrist": True}),
+    (3, {"grids": "anything"}),
+    (3, {"grids.0.0": 16.0}),
+    (3, {"grids.2": [8, 32]})],
+    ids=["wrists_swapped", "left_wrist_true", "grids_anything",
+         "grids_float", "grids_other"])
+def test_cli_refuses_other_camera_roles(line, swaps, experiment_dir, tmp_path,
                                         capsys):
     out = experiment_dir[0]
-    _swap_fields(out, tmp_path, "ann", swaps)
+    _swap_fields(out, tmp_path, "ann", swaps, line)
+    field = next(iter(swaps)).split(".")[0]
     assert main(["validate", "--dir", str(tmp_path)]) == 1
     problems = capsys.readouterr().err.splitlines()
     assert len(problems) == 1
     assert problems[0].startswith("ep0000.ann.jsonl: ")
-    assert "(field 'roles')" in problems[0]
+    assert f"(field {field!r})" in problems[0]
     # nor is the annotation trained or pruned on
     corpus = tmp_path / "full"
     shutil.copytree(out / "corpus", corpus)
@@ -1281,12 +1302,14 @@ def test_cli_refuses_other_camera_roles(swaps, experiment_dir, tmp_path,
                  "--intra", str(out / "intra.mlp.json"),
                  "--inter", str(out / "inter.mlp.json"),
                  "--out", str(tmp_path / "pruned")]) == 2
-    assert "(field 'roles')" in capsys.readouterr().err
+    assert f"(field {field!r})" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, damaged", [
     (1, "0,nan"), (1, "0,1e400"), (1, "\u0660,0.5"), (1, "+0,0.5"),
-    (2, "01,0.5")], ids=["nan", "1e400", "arabic_indic_0", "plus_0", "01"])
+    (2, "01,0.5"), (1, "0, 1_0.5"), (1, "0,+0.5"), (1, "0,0.50")],
+    ids=["nan", "1e400", "arabic_indic_0", "plus_0", "01", "underscore",
+         "plus_loss", "trailing_zero"])
 def test_cli_validate_refuses_corrupt_loss_trace(line, damaged,
                                                  experiment_dir, tmp_path,
                                                  capsys):
@@ -1338,6 +1361,28 @@ def test_cli_validate_reports_bad_manifest(manifest, experiment_dir, tmp_path,
     problems = capsys.readouterr().err.splitlines()
     assert len(problems) == 1
     assert problems[0].startswith("manifest.json: ")
+
+
+# a count other than the number of entries, and seeds that are no integer
+# >= 0, at the top level or in the first entry
+@pytest.mark.parametrize("where, key, value", [
+    ("top", "count", 99), ("top", "count", True),
+    *((where, "seed", value) for where in ("top", "entry")
+      for value in ("x", -1, None, 1.0))], ids=str)
+def test_manifest_count_and_seeds_are_checked_where_read(
+        where, key, value, experiment_dir, tmp_path, capsys):
+    broken = tmp_path / "broken"
+    shutil.copytree(experiment_dir[0], broken)
+    path = broken / "corpus" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    (manifest if where == "top" else manifest["episodes"][0])[key] = value
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["validate", "--dir", str(broken)]) == 1
+    problems = capsys.readouterr().err.splitlines()
+    assert len(problems) == 1
+    assert problems[0].startswith("manifest.json: ")
+    assert main(["train", "--corpus", str(broken / "corpus"), "--out",
+                 str(tmp_path / "ckpt")]) == 2
 
 
 def _cut_to_five_frames(path):

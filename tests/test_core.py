@@ -433,21 +433,31 @@ def test_annotation_round_trips():
     assert EpisodeAnnotation.from_frame_objs(ann.frame_objs()) == ann
 
 
-# wrists swapped, an index as a float or a bool (both equal 1), an extra
-# key, and no object, in the first record or a later one
-@pytest.mark.parametrize("roles", [
+# roles with the wrists swapped, an index as a float or a bool (both equal
+# 1), an extra key, and no object; grids that are no pairs, hold a float or
+# a bool that equals the other frames' side, or differ from the other
+# frames'; in the first record or a later one
+OTHER_ROLES_OR_GRIDS = [("roles", value) for value in (
     {"head": 0, "left_wrist": 2, "right_wrist": 1},
     {"head": 0, "left_wrist": 1.0, "right_wrist": 2},
     {"head": 0, "left_wrist": True, "right_wrist": 2},
     {"head": 0, "left_wrist": 1, "right_wrist": 2, "extra": 3},
-    [0, 1, 2]], ids=repr)
+    [0, 1, 2])] + [("grids", value) for value in (
+        "anything", [[2.0, 2], [2, 2], [2, 2]], [[2, 2], [2, 2], [True, 4]],
+        [[2, 2], [2, 2], [4, 1]])]
+
+
+@pytest.mark.parametrize(
+    "field, value", OTHER_ROLES_OR_GRIDS,
+    ids=[repr(value) if field == "roles" else f"grids={value!r}"
+         for field, value in OTHER_ROLES_OR_GRIDS])
 @pytest.mark.parametrize("frame", [0, 2])
-def test_annotation_refuses_any_other_camera_roles(roles, frame):
+def test_annotation_refuses_any_other_camera_roles(field, value, frame):
     objs = list(make_annotation().frame_objs())
-    objs[frame]["roles"] = roles
+    objs[frame][field] = value
     with pytest.raises(ParseError) as err:
         EpisodeAnnotation.from_frame_objs(objs)
-    assert err.value.field == "roles"
+    assert err.value.field == field
 
 
 # ---------------------------------------------------------------------------

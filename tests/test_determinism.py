@@ -120,9 +120,7 @@ def pruned_digest() -> str:
                 inter=rng.random(len(obs.views))))
         scores.append(tuple(frames))
     corpus = ScoredCorpus(
-        tuple(episode.observations for episode in episodes),
-        tuple(episode.annotation for episode in episodes), tuple(scores),
-        PruneConfig().epsilon, dict.fromkeys(
+        tuple(episodes), tuple(scores), PruneConfig().epsilon, dict.fromkeys(
             ("intra_auc", "intra_precision", "intra_recall",
              "inter_accuracy", "inter_precision", "inter_recall"), 0.0))
     digest = hashlib.sha256()
@@ -130,7 +128,7 @@ def pruned_digest() -> str:
         report, batches = evaluate_strategy(
             corpus, PruneConfig(strategy=strategy, seed=3), FlopModel())
         digest.update(repr(report).encode())
-        for batch in (batch for episode in batches for batch in episode):
+        for batch in batches:
             for array in (batch.local_pruned_counts,
                           batch.global_pruned_counts, batch.kept,
                           batch.fused, batch.ranking):

@@ -498,7 +498,7 @@ def test_build_intra_dataset_copies_other_corpora(generated_corpus, pick):
     observations, annotations = training_set(episodes)
     buffer = observations[0].views[0].tokens.base
     observations = {
-        "loaded": [obs for entry in loaded for obs in entry["observations"]],
+        "loaded": training_set(loaded)[0],
         "subset": observations[::2],
         "reordered": observations[::-1]}[pick]
     x, y = build_intra_dataset(observations, annotations)
@@ -518,10 +518,7 @@ def test_train_predictors_same_weights_shared_or_copied(generated_corpus):
     config = resolve_config({"train": {"hidden": 8, "steps": 40,
                                        "batch_size": 16}})
     shared = train_predictors(*training_set(episodes), config)
-    copied = train_predictors(
-        [obs for entry in loaded for obs in entry["observations"]],
-        {entry["episode_id"]: entry["annotation"] for entry in loaded},
-        config)
+    copied = train_predictors(*training_set(loaded), config)
     for a, b in zip(shared[:2], copied[:2]):
         for (w, bias), (w2, bias2) in zip(a.layers, b.layers):
             assert w.tobytes() == w2.tobytes()

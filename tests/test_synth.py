@@ -160,10 +160,10 @@ def relevance_direction(spec):
     return np.eye(1, spec.embed_dim)[0]
 
 
-def assert_oracle_tokens(episode):
-    spec = episode.spec
+def assert_oracle_tokens(spec, episode):
+    """``episode``'s tokens against the oracle's, ``spec`` its template."""
     expected = oracles.oracle_episode_tokens(
-        spec.seed, spec.distractors,
+        episode.seed, spec.distractors,
         [(frame.masks, frame.inter_labels)
          for frame in episode.annotation.frames],
         relevance_direction(spec), spec.noise_sigma)
@@ -179,10 +179,10 @@ def assert_oracle_tokens(episode):
 @pytest.mark.parametrize("sigma", [0.01, 0.0])
 def test_generated_tokens_equal_outer_plus_noise_oracle(sigma):
     spec = small_spec(noise_sigma=sigma)
-    assert_oracle_tokens(generate(spec))
+    assert_oracle_tokens(spec, generate(spec))
     corpus = generate_corpus(spec, 2, seed=3)
     for episode in corpus:
-        assert_oracle_tokens(episode)
+        assert_oracle_tokens(spec, episode)
     # one read-only buffer holds every token of the corpus
     grids = [view.tokens for ep in corpus for obs in ep.observations
              for view in obs.views]
@@ -309,7 +309,7 @@ def test_generate_corpus_varies_and_reproduces():
     for a, b in zip(corpus, again):
         assert a.annotation == b.annotation
         assert list(a.observations) == list(b.observations)
-    seeds = {e.spec.seed for e in corpus}
+    seeds = {e.seed for e in corpus}
     assert len(seeds) == 4
 
 
@@ -359,8 +359,8 @@ def test_each_corpus_episode_equals_its_spec_generated_alone(monkeypatch):
         corpus = generate_corpus(small_spec(), 8, seed=17)
     finally:
         sys.setswitchinterval(interval)
-    for episode in corpus:
-        alone = generate(episode.spec)
+    for i, episode in enumerate(corpus):
+        alone = generate(derive_episode_spec(small_spec(), i, episode.seed))
         assert corpus_digest([alone]) == corpus_digest([episode])
         assert alone.annotation == episode.annotation
         assert alone.geometry == episode.geometry
@@ -463,16 +463,17 @@ def test_corpus_round_trip_and_regeneration(tmp_path):
     assert manifest["count"] == 3
     assert manifest["episodes"][0]["tokens"] == "ep0000.obs.npy"
     loaded = load_corpus(tmp_path)
-    for entry, episode, manifest_entry in zip(loaded, episodes,
-                                              manifest["episodes"]):
-        assert entry["episode_id"] == episode.episode_id
-        assert entry["annotation"] == episode.annotation
-        assert entry["observations"] == list(episode.observations)
-        assert entry["geometry"] == list(episode.geometry)
+    for back, episode, manifest_entry in zip(loaded, episodes,
+                                             manifest["episodes"]):
+        assert back.episode_id == episode.episode_id
+        assert back.seed == episode.seed == manifest_entry["seed"]
+        assert back.annotation == episode.annotation
+        assert back.observations == episode.observations
+        assert back.geometry == episode.geometry
         # every episode is recoverable from the manifest alone
         respawned = generate(derive_episode_spec(
-            template, int(entry["episode_id"][2:]), manifest_entry["seed"]))
-        assert list(respawned.observations) == entry["observations"]
+            template, int(back.episode_id[2:]), manifest_entry["seed"]))
+        assert respawned.observations == back.observations
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +552,8 @@ def damaged_corpus(written_corpus, tmp_path, damage):
 
 def test_written_corpus_loads(written_corpus):
     loaded = load_corpus(written_corpus / "corpus")
-    assert [entry["episode_id"] for entry in loaded] == ["ep0000", "ep0001"]
-    assert loaded[0]["annotation"].grids == ((4, 4),) * 3
+    assert [episode.episode_id for episode in loaded] == ["ep0000", "ep0001"]
+    assert loaded[0].annotation.grids == ((4, 4),) * 3
 
 
 @pytest.mark.parametrize("damage", sorted(CORPUS_DAMAGE))
