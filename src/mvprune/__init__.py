@@ -26,10 +26,7 @@ from .core import (
 from .predictor import (
     MlpParams,
     TrainConfig,
-    forward,
     init_mlp,
-    loss,
-    loss_and_grad,
     train,
 )
 from .pruner import (
@@ -40,7 +37,6 @@ from .pruner import (
     normalize_scores,
     prune_observation,
     prune_scores,
-    random_drop,
     score_observation,
     speedup_estimate,
 )
@@ -54,7 +50,7 @@ from .annotate import (
     debounce,
     detect_interaction,
 )
-from .synth import ArmScript, ScenarioSpec, generate, generate_corpus
+from .synth import ArmScript, ScenarioSpec, generate_corpus
 from .bench import MetricsReport, compare_strategies, run_experiment, sweep_beta
 
 __all__ = [
@@ -62,13 +58,12 @@ __all__ = [
     "FrameAnnotation", "ImportanceScores", "MultiViewObservation",
     "ParseError", "Phase", "PruneConfig", "PruneResult", "Strategy",
     "TokenGrid", "TrainingError",
-    "MlpParams", "TrainConfig", "forward", "init_mlp", "loss",
-    "loss_and_grad", "train",
+    "MlpParams", "TrainConfig", "init_mlp", "train",
     "FlopModel", "adaptive_weight", "flop_estimate", "hierarchical_prune",
-    "normalize_scores", "prune_observation", "prune_scores", "random_drop",
+    "normalize_scores", "prune_observation", "prune_scores",
     "score_observation", "speedup_estimate",
     "Box", "BoxKind", "FrameGeometry", "ViewGeometry", "annotate_episode",
     "boxes_to_patch_mask", "debounce", "detect_interaction",
-    "ArmScript", "ScenarioSpec", "generate", "generate_corpus",
+    "ArmScript", "ScenarioSpec", "generate_corpus",
     "MetricsReport", "compare_strategies", "run_experiment", "sweep_beta",
 ]

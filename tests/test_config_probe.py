@@ -1,0 +1,115 @@
+"""Every value of every config key ends in exit 0 or 2, never a traceback.
+
+Each case sets one key of the four sections of a small experiment config
+(one episode of 12 frames, 5 training steps, hidden width 4) to one of
+``VALUES``. The tier-1 test takes every case through what ``mvprune prune
+--config`` runs before training: ``_parse`` and the corpus draw. Each must
+succeed or raise one of ``INPUT_ERRORS``, which the CLI reports with exit
+code 2.
+
+Run as a script, this module takes every case through ``mvprune prune
+--config`` itself, training, pruning and writing included, prints each
+case that ends otherwise than in exit 0 or 2, and exits 1 if there is one::
+
+    PYTHONPATH=src python tests/test_config_probe.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+import pytest
+
+from mvprune.bench import (
+    DEFAULT_CONFIG,
+    _parse,
+    resolve_config,
+    scenario_template,
+)
+from mvprune.cli import main
+from mvprune.core import INPUT_ERRORS
+from mvprune.synth import generate_corpus
+
+BASE = {
+    "corpus": {"count": 1, "episode_length": 12, "embed_dim": 8},
+    "train": {"steps": 5, "hidden": 4},
+}
+SECTIONS = ("corpus", "train", "prune", "flop")
+VALUES = (None, True, False, "x", [], {}, -1, 0, 1, 0.5, -0.0, 1.5, 2, 3,
+          10 ** 30, 1e300, -1e300, [0.5], [0.3, 0.2, 0.2],
+          [0.1, 0.2, 0.3, 0.4], [-1.0, 2.0, 0.5])
+# a 1x1 patch makes 256x256 grids, whose spatial weighting alone caches
+# 268 MB
+LEFT_OUT = ("corpus", "patch_size", 1)
+
+
+def cases(section: str, key: str) -> list[dict]:
+    """The probe configs that set ``section.key``, one per probed value."""
+    configs = []
+    for value in VALUES:
+        if (section, key, value) == LEFT_OUT and value is not True:
+            continue
+        config = json.loads(json.dumps(BASE))
+        config.setdefault(section, {})[key] = value
+        configs.append(config)
+    return configs
+
+
+KEYS = [(section, key) for section in SECTIONS
+        for key in DEFAULT_CONFIG[section]]
+
+
+@pytest.mark.parametrize("section, key", KEYS,
+                         ids=[f"{s}.{k}" for s, k in KEYS])
+def test_config_value_is_drawn_or_refused(section, key):
+    for config in cases(section, key):
+        try:
+            resolved = resolve_config(config)
+            _parse(resolved)
+            generate_corpus(scenario_template(resolved),
+                            resolved["corpus"]["count"],
+                            resolved["corpus"]["seed"])
+        except INPUT_ERRORS:
+            pass
+        except Exception as exc:
+            raise AssertionError(
+                f"{section}.{key} = {config[section][key]!r} raised "
+                f"{exc!r}") from exc
+
+
+def run_grid() -> int:
+    """Every case through ``mvprune prune --config``; 1 if one escaped."""
+    codes, escaped = {}, []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        for section, key in KEYS:
+            for config in cases(section, key):
+                path.write_text(json.dumps(config), encoding="utf-8")
+                case = f"{section}.{key} = {json.dumps(config[section][key])}"
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        code = main(["prune", "--config", str(path),
+                                     "--out", str(Path(tmp) / "out")])
+                except BaseException:
+                    escaped.append(f"{case}: {traceback.format_exc()}")
+                    continue
+                codes[code] = codes.get(code, 0) + 1
+                if code not in (0, 2):
+                    escaped.append(f"{case}: exit {code}")
+    for line in escaped:
+        print(line)
+    print(f"{sum(codes.values()) + len(escaped)} cases: " + ", ".join(
+        f"{count} exit {code}" for code, count in sorted(codes.items()))
+        + f", {len(escaped)} escaped")
+    return 1 if escaped else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run_grid())

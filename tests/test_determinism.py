@@ -5,12 +5,23 @@ config writes the same bytes on every rerun, for every artifact except
 ``timings.csv``; so do ``compare_strategies`` on the default config, into
 ``compare/``, and ``sweep_beta`` at global ratios 0, 0.25, 0.5 and 0.75,
 into ``sweep/``. ``determinism_digests.json`` holds the SHA-256 digest of
-each of those artifacts together with the build they were recorded on.
-OpenBLAS picks its kernel per CPU, and numpy its SIMD kernels for the
-training and scoring math, and another kernel may round differently; so on
-another build the comparison with the committed digests is skipped, with
-the differing fields as the reason. On any build the digests must not
-depend on the number of BLAS threads.
+each of those artifacts, grouped by the layer that fixes its bytes, with
+the fields of the build that layer depends on:
+
+- ``corpus``: the resolved config, the manifest, and every episode's
+  observations, token sidecar, annotation and geometry. numpy's seeded
+  generators and exact elementwise arithmetic write them, with no BLAS call
+  and no SIMD-dispatched transcendental, so they are keyed on the machine
+  and the numpy version only;
+- ``training``: the checkpoints, the loss traces, the prune records and
+  the three reports. OpenBLAS picks its kernel per CPU, and numpy its SIMD
+  kernels for the training and scoring math, and another kernel may round
+  differently; the reports fold those scores through thresholds and ranks,
+  so they stay with them. They are keyed on the full build.
+
+Where a layer's build fields differ, its comparison is skipped, with the
+differing fields as the reason. On any build the digests must not depend
+on the number of BLAS threads.
 
 Run as a script, this module runs the default experiment once and prints
 the record that the committed file holds; to re-record, on a commit whose
@@ -44,6 +55,10 @@ DIGESTS_PATH = Path(__file__).with_name("determinism_digests.json")
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")
 SWEEP_BETAS = (0.0, 0.25, 0.5, 0.75)
+# each layer's build fields, all of them where None
+LAYERS = {"corpus": ("machine", "numpy"), "training": None}
+CORPUS_ARTIFACTS = ("config.resolved.json", "corpus/manifest.json",
+                    ".obs.jsonl", ".obs.npy", ".ann.jsonl", ".geom.jsonl")
 
 
 def build() -> dict:
@@ -81,7 +96,19 @@ def record() -> dict:
         run_experiment(None, tmp)
         compare_strategies(None, Path(tmp) / "compare")
         sweep_beta(None, SWEEP_BETAS, Path(tmp) / "sweep")
-        return {"build": build(), "digests": artifact_digests(Path(tmp))}
+        digests = artifact_digests(Path(tmp))
+    here = build()
+    return {"layers": {layer: {
+        "build": {key: here[key] for key in keys or here},
+        "digests": {name: digest for name, digest in digests.items()
+                    if (layer == "corpus") == name.endswith(CORPUS_ARTIFACTS)}}
+        for layer, keys in LAYERS.items()}}
+
+
+def all_digests(recorded: dict) -> dict[str, str]:
+    """Every artifact's digest in a record, whatever its layer."""
+    return {name: digest for layer in recorded["layers"].values()
+            for name, digest in layer["digests"].items()}
 
 
 def combined(digests: dict[str, str]) -> str:
@@ -177,23 +204,33 @@ def runs() -> dict[int, dict]:
 
 
 def test_digests_do_not_depend_on_blas_threads(runs):
-    one, two = runs[1], runs[2]
-    assert one["digests"] and ".npy" in "".join(one["digests"])
-    assert one["digests"] == two["digests"], (
-        f"1 thread {combined(one['digests'])}, "
-        f"2 threads {combined(two['digests'])}")
+    one, two = all_digests(runs[1]), all_digests(runs[2])
+    assert one and ".npy" in "".join(one)
+    assert one == two, (f"1 thread {combined(one)}, "
+                        f"2 threads {combined(two)}")
 
 
-def test_default_run_matches_committed_digests(runs):
+def test_committed_layers_name_every_artifact(runs):
     committed = json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))
-    here = runs[1]["build"]
-    differing = sorted(key for key in committed["build"].keys() | here.keys()
-                       if committed["build"].get(key) != here.get(key))
+    assert {layer: sorted(entry["digests"])
+            for layer, entry in committed["layers"].items()} == {
+        layer: sorted(entry["digests"])
+        for layer, entry in runs[1]["layers"].items()}
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_default_run_matches_committed_digests(runs, layer):
+    committed = json.loads(DIGESTS_PATH.read_text(
+        encoding="utf-8"))["layers"][layer]
+    there, here = committed["build"], runs[1]["layers"][layer]["build"]
+    differing = sorted(key for key in there.keys() | here.keys()
+                       if there.get(key) != here.get(key))
     if differing:
-        pytest.skip("digests were recorded on another build (" + ", ".join(
-            f"{key}: {committed['build'].get(key)!r} there, "
-            f"{here.get(key)!r} here" for key in differing) + ")")
-    assert runs[1]["digests"] == committed["digests"]
+        pytest.skip(f"{layer} digests were recorded on another build (" +
+                    ", ".join(f"{key}: {there.get(key)!r} there, "
+                              f"{here.get(key)!r} here"
+                              for key in differing) + ")")
+    assert runs[1]["layers"][layer]["digests"] == committed["digests"]
 
 
 def test_pruning_does_not_depend_on_simd_dispatch():

@@ -72,7 +72,7 @@ def delete_line(data, rng):
 MUTATIONS = {
     "truncate": truncate, "flip_bit": flip_bit, "insert_ff": insert_ff,
     **{f"number_to_{value.decode()}": replace_match(NUMBER, value)
-       for value in (b"1e400", b"-0", b"1" * 23, b"[]", b"{}", b"null",
+       for value in (b"1e400", b"-0", b"-0.0", b"1" * 23, b"[]", b"{}", b"null",
                      b"true", b'"x"')},
     "rename_key": replace_match(KEY, b"renamed"),
     "duplicate_line": duplicate_line, "delete_line": delete_line,

@@ -13,7 +13,9 @@ from mvprune import predictor
 from mvprune.core import (
     ConfigError,
     ContractError,
+    MultiViewObservation,
     ParseError,
+    TokenGrid,
     TrainingError,
 )
 from mvprune.predictor import (
@@ -22,13 +24,10 @@ from mvprune.predictor import (
     _sigmoid,
     build_inter_dataset,
     build_intra_dataset,
-    forward,
     init_mlp,
     inter_features,
     load_params,
     load_trace,
-    loss,
-    loss_and_grad,
     predict_inter,
     predict_intra,
     save_params,
@@ -43,6 +42,45 @@ from mvprune.synth import (
     write_corpus,
 )
 from test_core import make_annotation, make_obs
+
+
+def step(params, x, y, reduction="mean", learning_rate=0.0):
+    """One full-batch step of ``train``: its loss, and the parameters after
+    it."""
+    stepped, losses = train(params, x, y, TrainConfig(
+        learning_rate=learning_rate, steps=1, batch_size=0,
+        reduction=reduction))
+    return losses[0], stepped
+
+
+def step_gradient(params, x, y, reduction="mean"):
+    """The loss of ``train``'s step and the gradient it applies, read back
+    as the change of each weight and bias in one step at learning rate 1."""
+    value, stepped = step(params, x, y, reduction, learning_rate=1.0)
+    return value, [(w - sw, b - sb) for (w, b), (sw, sb)
+                   in zip(params.layers, stepped.layers)]
+
+
+def oracle_loss(params, x, y, reduction="mean"):
+    """The reference loop's loss of ``params`` on the batch."""
+    return oracles.oracle_train(params.layers, x, y, 0.0, 1, 0, reduction,
+                                0)[1][0]
+
+
+def token_obs(x):
+    """An observation of one view whose tokens are the rows of ``x``."""
+    grid = TokenGrid(view_id=0, height=1, width=x.shape[0],
+                     embed_dim=x.shape[1], tokens=x, cls=np.zeros(x.shape[1]))
+    return MultiViewObservation(episode_id="ep", frame_index=0, views=(grid,))
+
+
+def summary_obs(row):
+    """An observation of one 1x1 view per entry of ``row``, whose summary
+    tokens concatenate to ``row``."""
+    return MultiViewObservation(episode_id="ep", frame_index=0, views=tuple(
+        TokenGrid(view_id=v, height=1, width=1, embed_dim=1,
+                  tokens=np.zeros((1, 1)), cls=np.array([value]))
+        for v, value in enumerate(row)))
 
 
 def finite_difference_grads(params, x, y, reduction="mean", h=1e-5):
@@ -60,7 +98,7 @@ def finite_difference_grads(params, x, y, reduction="mean", h=1e-5):
                     target = bumped[li][0] if arr is w else bumped[li][1]
                     target.reshape(-1)[k] += sign * h
                     shifted = MlpParams(layers=tuple(bumped))
-                    flat[k] += sign * loss(shifted, x, y, reduction)
+                    flat[k] += sign * step(shifted, x, y, reduction)[0]
                 flat[k] /= 2.0 * h
         grads.append((dw, db))
     return grads
@@ -113,24 +151,27 @@ def test_mlp_params_only_tanh():
 
 
 def test_forward_outputs_probabilities():
-    params = init_mlp((3, 6, 2), seed=1)
-    x = np.random.default_rng(0).normal(size=(10, 3))
-    p = forward(params, x)
-    assert p.shape == (10, 2)
-    assert np.all((p > 0.0) & (p < 1.0))
+    obs = make_obs(view_count=2)
+    tokens = predict_intra(init_mlp((obs.embed_dim, 6, 1), seed=1), obs)
+    views = predict_inter(init_mlp((2 * obs.embed_dim, 6, 2), seed=1), obs)
+    assert [p.shape for p in tokens] == [(6,), (6,)]
+    assert views.shape == (2,)
+    for p in (*tokens, views):
+        assert np.all((p > 0.0) & (p < 1.0))
 
 
 def test_forward_checks_width():
-    params = init_mlp((3, 2), seed=0)
+    obs = make_obs(view_count=2)
     with pytest.raises(ContractError):
-        forward(params, np.zeros((4, 5)))
+        predict_intra(init_mlp((obs.embed_dim + 1, 1), seed=0), obs)
+    with pytest.raises(ContractError):
+        predict_inter(init_mlp((2 * obs.embed_dim + 1, 2), seed=0), obs)
 
 
 def test_forward_extreme_logits_stay_clamped():
     w = np.full((1, 1), 1000.0)
     params = MlpParams(layers=((w, np.zeros(1)),))
-    high = forward(params, np.array([[50.0]]))[0, 0]
-    low = forward(params, np.array([[-50.0]]))[0, 0]
+    high, low = predict_intra(params, token_obs(np.array([[50.0], [-50.0]])))[0]
     assert 0.0 < low < high < 1.0
     assert math.isfinite(oracles.oracle_bce(high, 0.0))
     assert math.isfinite(oracles.oracle_bce(low, 1.0))
@@ -155,7 +196,9 @@ def test_predict_inter_uses_concatenated_summaries():
     params = init_mlp((feats.shape[0], 4, 3), seed=3)
     weights = predict_inter(params, obs)
     assert weights.shape == (3,)
-    assert np.array_equal(weights, forward(params, feats[None, :])[0])
+    (w1, b1), (w2, b2) = params.layers
+    want = oracles.oracle_sigmoid(np.tanh(w1 @ feats + b1) @ w2.T + b2)
+    assert weights == pytest.approx(want, rel=1e-12)
 
 
 def test_predict_inter_checks_output_count():
@@ -173,21 +216,21 @@ def test_loss_is_mean_of_elementwise_bce():
     params = init_mlp((2, 3, 2), seed=4)
     x = np.random.default_rng(1).normal(size=(5, 2))
     y = np.array([[0, 1], [1, 1], [0, 0], [1, 0], [1, 1]], dtype=float)
-    p = forward(params, x)
+    p = np.stack([predict_inter(params, summary_obs(row)) for row in x])
     manual = sum(oracles.oracle_bce(p[i, j], y[i, j])
                  for i in range(5) for j in range(2))
-    assert loss(params, x, y) == pytest.approx(manual / 10.0, rel=1e-12)
-    assert loss(params, x, y, "sum") == pytest.approx(manual, rel=1e-12)
+    assert step(params, x, y)[0] == pytest.approx(manual / 10.0, rel=1e-12)
+    assert step(params, x, y, "sum")[0] == pytest.approx(manual, rel=1e-12)
 
 
 def test_loss_rejects_empty_and_non_binary():
     params = init_mlp((2, 1), seed=0)
     with pytest.raises(ContractError):
-        loss(params, np.zeros((0, 2)), np.zeros((0, 1)))
+        step(params, np.zeros((0, 2)), np.zeros((0, 1)))
     with pytest.raises(ContractError):
-        loss(params, np.zeros((1, 2)), np.array([[0.5]]))
+        step(params, np.zeros((1, 2)), np.array([[0.5]]))
     with pytest.raises(ConfigError):
-        loss(params, np.zeros((1, 2)), np.array([[1.0]]), "median")
+        step(params, np.zeros((1, 2)), np.array([[1.0]]), "median")
 
 
 def square_obs(frame_index=0, seed=0):
@@ -215,8 +258,9 @@ def test_gradients_match_central_differences(sizes, batch, reduction):
     params = init_mlp(sizes, seed=int(rng.integers(1000)))
     x = rng.normal(size=(batch, sizes[0]))
     y = rng.integers(0, 2, size=(batch, sizes[-1])).astype(float)
-    value, grads = loss_and_grad(params, x, y, reduction)
-    assert value == pytest.approx(loss(params, x, y, reduction), rel=1e-12)
+    value, grads = step_gradient(params, x, y, reduction)
+    assert value == pytest.approx(oracle_loss(params, x, y, reduction),
+                                  rel=1e-12)
     numeric = finite_difference_grads(params, x, y, reduction)
     for (dw, db), (nw, nb) in zip(grads, numeric):
         for got, want in ((dw, nw), (db, nb)):
@@ -230,7 +274,7 @@ def test_gradient_structure_mirrors_layers():
     params = init_mlp((3, 4, 2), seed=9)
     x = np.zeros((2, 3))
     y = np.zeros((2, 2))
-    _, grads = loss_and_grad(params, x, y)
+    _, grads = step_gradient(params, x, y)
     assert len(grads) == len(params.layers)
     for (w, b), (dw, db) in zip(params.layers, grads):
         assert dw.shape == w.shape
@@ -256,8 +300,8 @@ def test_train_reduces_loss_on_separable_data():
     trained, losses = train(params, x, y, config)
     assert losses.shape == (300,)
     assert losses[-1] < 0.1 * losses[0]
-    p = forward(trained, x)
-    assert ((p > 0.5) == (y > 0.5)).mean() > 0.95
+    p = predict_intra(trained, token_obs(x))[0]
+    assert ((p > 0.5) == (y[:, 0] > 0.5)).mean() > 0.95
 
 
 def test_train_is_deterministic():
@@ -285,7 +329,7 @@ def test_train_full_batch_records_pre_update_loss():
     params = init_mlp((2, 4, 1), seed=0)
     config = TrainConfig(learning_rate=0.3, steps=3, batch_size=0)
     _, losses = train(params, x, y, config)
-    assert losses[0] == pytest.approx(loss(params, x, y), rel=1e-12)
+    assert losses[0] == pytest.approx(oracle_loss(params, x, y), rel=1e-12)
     assert losses[2] < losses[0]
 
 

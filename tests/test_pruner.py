@@ -42,7 +42,6 @@ from mvprune.pruner import (
     normalize_scores,
     prune_observation,
     prune_scores,
-    random_drop,
     score_observation,
     speedup_estimate,
 )
@@ -531,6 +530,14 @@ def test_adaptive_ratio_drop_second_stage_uses_threshold():
 
 # ---------------------------------------------------------------------------
 # random baseline
+
+
+def random_drop(view_token_counts, config):
+    """The random baseline as evaluation runs it: ``prune_scores``, which
+    reads only the counts, with ``Strategy.RANDOM_DROP``."""
+    return prune_scores(ImportanceScores((), (), np.empty(0)),
+                        view_token_counts,
+                        replace(config, strategy=Strategy.RANDOM_DROP))
 
 
 def test_random_drop_is_deterministic():

@@ -28,7 +28,6 @@ from mvprune.synth import (
     Box,
     ScenarioSpec,
     derive_episode_spec,
-    generate,
     generate_corpus,
     load_corpus,
     write_corpus,
@@ -134,25 +133,32 @@ def test_spec_target_must_exist():
 # single-episode generation
 
 
+def one_episode(template, seed=5):
+    """The spec of the one episode of a corpus of ``template`` drawn with
+    ``seed``, and the episode."""
+    episode = generate_corpus(template, 1, seed=seed)[0]
+    return derive_episode_spec(template, 0, episode.seed), episode
+
+
 def test_generate_is_deterministic():
-    a = generate(small_spec())
-    b = generate(small_spec())
+    _, a = one_episode(small_spec())
+    _, b = one_episode(small_spec())
     assert a.annotation == b.annotation
     assert a.geometry == b.geometry
     assert list(a.observations) == list(b.observations)
-    c = generate(small_spec(seed=6))
+    _, c = one_episode(small_spec(), seed=6)
     assert list(a.observations) != list(c.observations)
 
 
 def test_generate_structure():
-    episode = generate(small_spec())
+    _, episode = one_episode(small_spec())
     assert len(episode.observations) == 12
     obs = episode.observations[0]
     assert obs.view_count == 3
     assert obs.total_tokens == 3 * 256
     assert obs.embed_dim == 8
     assert episode.annotation.grids == ((16, 16),) * 3
-    assert episode.episode_id == "ep-small"
+    assert episode.episode_id == "ep0000"
 
 
 def relevance_direction(spec):
@@ -176,10 +182,20 @@ def assert_oracle_tokens(spec, episode):
             assert grid.cls.tobytes() == cls.tobytes()
 
 
-@pytest.mark.parametrize("sigma", [0.01, 0.0])
+def assert_drawn_from(spec, episode):
+    """``episode`` against what ``spec`` alone determines: the geometry its
+    seed draws, the ground truth of that geometry, and the oracle's
+    tokens."""
+    geometry = synth.build_geometry(spec, np.random.default_rng(spec.seed))
+    assert episode.geometry == tuple(geometry)
+    assert episode.annotation == synth.ground_truth(spec, geometry)
+    assert_oracle_tokens(spec, episode)
+
+
+# -0.0 draws the bytes of 0.0: numpy's normal refuses a negative zero scale
+@pytest.mark.parametrize("sigma", [0.01, 0.0, -0.0])
 def test_generated_tokens_equal_outer_plus_noise_oracle(sigma):
     spec = small_spec(noise_sigma=sigma)
-    assert_oracle_tokens(spec, generate(spec))
     corpus = generate_corpus(spec, 2, seed=3)
     for episode in corpus:
         assert_oracle_tokens(spec, episode)
@@ -194,7 +210,7 @@ def test_generated_tokens_equal_outer_plus_noise_oracle(sigma):
 
 
 def test_head_view_contains_scene_boxes():
-    episode = generate(small_spec())
+    _, episode = one_episode(small_spec())
     head = episode.geometry[0].views[0]
     kinds = [b.kind for b in head.boxes]
     assert kinds.count(BoxKind.GRIPPER) == 2
@@ -204,8 +220,7 @@ def test_head_view_contains_scene_boxes():
 
 
 def test_wrist_views_only_populated_near_interaction():
-    spec = small_spec()
-    episode = generate(spec)
+    spec, episode = one_episode(small_spec())
     for arm, script in enumerate(spec.arms):
         wrist = WRIST_VIEWS[arm]
         lo = script.grasp - WRIST_MARGIN
@@ -219,8 +234,7 @@ def test_wrist_views_only_populated_near_interaction():
 
 
 def test_head_overlap_window_matches_script_exactly():
-    spec = small_spec()
-    episode = generate(spec)
+    spec, episode = one_episode(small_spec())
     for arm, script in enumerate(spec.arms):
         for t in range(spec.episode_length):
             touching = detect_interaction(episode.geometry[t], arm,
@@ -230,8 +244,8 @@ def test_head_overlap_window_matches_script_exactly():
 
 
 def test_ground_truth_labels_and_phases():
-    spec = small_spec()
-    ann = generate(spec).annotation
+    spec, episode = one_episode(small_spec())
+    ann = episode.annotation
     for arm, script in enumerate(spec.arms):
         wrist = WRIST_VIEWS[arm]
         for t in range(spec.episode_length):
@@ -252,15 +266,13 @@ def test_ground_truth_labels_and_phases():
 
 def test_annotation_pipeline_reproduces_ground_truth():
     for seed in (0, 3, 11):
-        spec = small_spec(seed=seed)
-        episode = generate(spec)
+        spec, episode = one_episode(small_spec(), seed)
         derived = annotate_episode(episode.geometry, spec.episode_id)
         assert derived == episode.annotation
 
 
 def test_noiseless_tokens_are_exact_mask_projections():
-    spec = small_spec(noise_sigma=0.0)
-    episode = generate(spec)
+    spec, episode = one_episode(small_spec(noise_sigma=0.0))
     direction = relevance_direction(spec)
     for obs, frame in zip(episode.observations, episode.annotation.frames):
         for view, mask in zip(obs.views, frame.masks):
@@ -271,7 +283,7 @@ def test_noiseless_tokens_are_exact_mask_projections():
 
 
 def test_gripper_boxes_use_constant_size():
-    episode = generate(small_spec())
+    _, episode = one_episode(small_spec())
     for geom in episode.geometry:
         for box in geom.views[0].boxes:
             if box.kind is BoxKind.GRIPPER:
@@ -360,10 +372,8 @@ def test_each_corpus_episode_equals_its_spec_generated_alone(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     for i, episode in enumerate(corpus):
-        alone = generate(derive_episode_spec(small_spec(), i, episode.seed))
-        assert corpus_digest([alone]) == corpus_digest([episode])
-        assert alone.annotation == episode.annotation
-        assert alone.geometry == episode.geometry
+        assert_drawn_from(derive_episode_spec(small_spec(), i, episode.seed),
+                          episode)
 
 
 def test_an_episode_error_reaches_the_caller_unchanged(monkeypatch):
@@ -426,11 +436,6 @@ def test_generate_corpus_refuses_a_corpus_too_large_before_deriving(
     assert derived == []
 
 
-def test_generate_refuses_an_episode_too_large():
-    with pytest.raises(ConfigError, match="corpus too large"):
-        generate(small_spec(embed_dim=2 ** 44))
-
-
 @pytest.mark.parametrize("flag, value", [
     ("--episodes", 2 ** 39), ("--episodes", 10 ** 12),
     ("--embed-dim", 2 ** 44), ("--episode-length", 10 ** 15)])
@@ -471,9 +476,8 @@ def test_corpus_round_trip_and_regeneration(tmp_path):
         assert back.observations == episode.observations
         assert back.geometry == episode.geometry
         # every episode is recoverable from the manifest alone
-        respawned = generate(derive_episode_spec(
-            template, int(back.episode_id[2:]), manifest_entry["seed"]))
-        assert respawned.observations == back.observations
+        assert_drawn_from(derive_episode_spec(
+            template, int(back.episode_id[2:]), manifest_entry["seed"]), back)
 
 
 # ---------------------------------------------------------------------------
