@@ -37,6 +37,7 @@ from .core import (
     _episode_records,
     _listed,
     _member,
+    _read_only,
     parsing,
     read_jsonl,
     write_jsonl,
@@ -57,7 +58,7 @@ class Box:
     """Half-open pixel rectangle ``[x0, x1) x [y0, y1)``.
 
     ``ident`` is the arm index for gripper boxes and the object id for
-    object boxes.
+    object boxes. The record checks nothing; ``from_obj`` checks every field.
     """
 
     x0: int
@@ -66,17 +67,6 @@ class Box:
     y1: int
     kind: BoxKind
     ident: int = 0
-
-    def __post_init__(self):
-        for name in ("x0", "y0", "x1", "y1"):
-            _check_int(getattr(self, name), name, minimum=0)
-        if self.x0 >= self.x1 or self.y0 >= self.y1:
-            raise ContractError(
-                f"box must have positive area, got "
-                f"({self.x0},{self.y0})..({self.x1},{self.y1})")
-        if not isinstance(self.kind, BoxKind):
-            raise ContractError(f"kind must be a BoxKind, got {self.kind!r}")
-        _check_int(self.ident, "ident", minimum=0)
 
     def overlaps(self, other: "Box") -> bool:
         """True when the rectangles share positive area."""
@@ -90,28 +80,24 @@ class Box:
     @classmethod
     def from_obj(cls, obj) -> "Box":
         with parsing("box", "boxes"):
-            return cls(x0=obj["x0"], y0=obj["y0"], x1=obj["x1"], y1=obj["y1"],
-                       kind=_member(BoxKind, obj["kind"], "kind"),
-                       ident=obj.get("ident", 0))
+            x0, y0, x1, y1 = (_check_int(obj[name], name, minimum=0)
+                              for name in ("x0", "y0", "x1", "y1"))
+            if x0 >= x1 or y0 >= y1:
+                raise ContractError(f"box must have positive area, got "
+                                    f"({x0},{y0})..({x1},{y1})")
+            return cls(x0, y0, x1, y1, _member(BoxKind, obj["kind"], "kind"),
+                       _check_int(obj.get("ident", 0), "ident", minimum=0))
 
 
 @dataclass(frozen=True)
 class ViewGeometry:
-    """Pixel-space description of one camera view for one frame."""
+    """Pixel-space description of one camera view for one frame. The record
+    checks nothing; ``from_obj`` checks every field."""
 
     image_width: int
     image_height: int
     patch_size: int
     boxes: tuple[Box, ...] = ()
-
-    def __post_init__(self):
-        _check_int(self.image_width, "image_width", minimum=1)
-        _check_int(self.image_height, "image_height", minimum=1)
-        _check_int(self.patch_size, "patch_size", minimum=1)
-        boxes = tuple(self.boxes)
-        if any(not isinstance(b, Box) for b in boxes):
-            raise ContractError("boxes must be Box instances")
-        object.__setattr__(self, "boxes", boxes)
 
     @property
     def grid_shape(self) -> tuple[int, int]:
@@ -131,35 +117,19 @@ class ViewGeometry:
         # a view that is no object fails before any box is read
         with parsing("view geometry", "views"):
             boxes = tuple(Box.from_obj(b) for b in _listed(obj, "boxes", ()))
-            return cls(image_width=obj["image_width"],
-                       image_height=obj["image_height"],
-                       patch_size=obj["patch_size"], boxes=boxes)
+            return cls(*(_check_int(obj[name], name, minimum=1) for name in (
+                "image_width", "image_height", "patch_size")), boxes)
 
 
 @dataclass(frozen=True)
 class FrameGeometry:
     """All views of one frame plus per-arm gripper state and the ids of the
-    objects the task manipulates."""
+    objects the task manipulates. The record checks nothing; ``from_obj``
+    checks every field."""
 
     views: tuple[ViewGeometry, ...]
     gripper_closed: tuple[bool, ...] = (False, False)
     task_objects: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        views = tuple(self.views)
-        if not views:
-            raise ContractError("frame geometry needs at least one view")
-        if any(not isinstance(v, ViewGeometry) for v in views):
-            raise ContractError("views must be ViewGeometry instances")
-        closed = tuple(self.gripper_closed)
-        if not closed or any(not isinstance(c, bool) for c in closed):
-            raise ContractError("gripper_closed needs one boolean per arm",
-                                field="gripper_closed")
-        object.__setattr__(self, "views", views)
-        object.__setattr__(self, "gripper_closed", closed)
-        object.__setattr__(self, "task_objects",
-                           frozenset(_check_int(i, "task_objects", minimum=0)
-                                     for i in self.task_objects))
 
     @property
     def arm_count(self) -> int:
@@ -188,9 +158,15 @@ class FrameGeometry:
     def from_obj(cls, obj) -> "FrameGeometry":
         with parsing("frame geometry", "views"):
             views = tuple(ViewGeometry.from_obj(v) for v in obj["views"])
-            return cls(views=views,
-                       gripper_closed=_listed(obj, "gripper_closed"),
-                       task_objects=_listed(obj, "task_objects", ()))
+            if not views:
+                raise ContractError("frame geometry needs at least one view")
+            closed = _listed(obj, "gripper_closed")
+            if not closed or any(not isinstance(c, bool) for c in closed):
+                raise ContractError("gripper_closed needs one boolean per arm",
+                                    field="gripper_closed")
+            return cls(views, closed, frozenset(
+                _check_int(i, "task_objects", minimum=0)
+                for i in _listed(obj, "task_objects", ())))
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +189,7 @@ def boxes_to_patch_mask(boxes: Sequence[Box], view: ViewGeometry) -> np.ndarray:
                 f"box ({box.x0},{box.y0})..({box.x1},{box.y1}) exceeds "
                 f"{view.image_width}x{view.image_height} image")
         mask[box.y0 // p:-(-box.y1 // p), box.x0 // p:-(-box.x1 // p)] = 1
-    out = mask.reshape(-1)
-    out.flags.writeable = False
-    return out
+    return _read_only(mask.reshape(-1))
 
 
 def frame_patch_mask(geom: FrameGeometry, view_index: int) -> np.ndarray:

@@ -317,7 +317,11 @@ def scenario_template(config: dict) -> ScenarioSpec:
 def _prune_config(config: dict) -> PruneConfig:
     obj = {"fmt": FORMAT_VERSION, "kind": "prune_config", **config["prune"]}
     with _section("prune"):
-        return PruneConfig.from_obj(obj)
+        prune_config = PruneConfig.from_obj(obj)
+        if len(prune_config.alphas) != VIEW_COUNT:
+            raise ValueError(f"alphas needs one local ratio per view, "
+                             f"{VIEW_COUNT}, got {len(prune_config.alphas)}")
+    return prune_config
 
 
 def _flop_model(config: dict, extent: tuple[int, int]) -> FlopModel:
@@ -708,6 +712,9 @@ def validate_artifacts(out_dir) -> list[str]:
                 parsed["geometry", name] = check(path, load_geometry)
             elif name.endswith(".prune.jsonl"):
                 parsed["prune", name] = check(path, _validate_prune_records)
+    # those that mvprune prune --corpus writes next to its report.csv
+    for path in sorted(out.glob("*.prune.jsonl")):
+        check(path, _validate_prune_records)
     for name, loader in (("intra.mlp.json", load_params),
                          ("inter.mlp.json", load_params),
                          ("config.resolved.json",

@@ -130,8 +130,8 @@ def _cmd_prune(args) -> int:
     if args.corpus is None:
         report = run_experiment(config, out)
     else:
-        out.mkdir(parents=True, exist_ok=True)
         prune_config = _prune_config(config)
+        out.mkdir(parents=True, exist_ok=True)
         episodes = load_corpus(args.corpus)
         observations = [obs for ep in episodes for obs in ep.observations]
         flop_model = _flop_model(config, (

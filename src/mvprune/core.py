@@ -117,15 +117,18 @@ def parsing(what: str, field: str | None = None) -> Iterator[None]:
 # small shared helpers
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only."""
+    array.flags.writeable = False
+    return array
+
+
 def _as_float_array(value, name: str, *, shape: tuple[int, ...] | None = None,
                     ndim: int | None = None, copy: bool = True) -> np.ndarray:
     """Copy ``value`` into a read-only float64 array, validating shape and
-    finiteness. A read-only C-contiguous float64 array, taken to stay
-    unchanged, is not copied, and with ``copy`` false no C-contiguous
-    float64 array is: the result is a read-only view of it."""
-    frozen = (isinstance(value, np.ndarray) and value.dtype == np.float64
-              and value.flags.c_contiguous and not value.flags.writeable)
-    arr = (np.array(value, dtype=np.float64) if copy and not frozen else
+    finiteness. With ``copy`` false no C-contiguous float64 array is copied:
+    the result is a read-only view of it."""
+    arr = (np.array(value, dtype=np.float64) if copy else
            np.ascontiguousarray(value, dtype=np.float64).view())
     if ndim is not None and arr.ndim != ndim:
         raise ContractError(f"{name} must have {ndim} dimension(s), got {arr.ndim}")
@@ -133,8 +136,7 @@ def _as_float_array(value, name: str, *, shape: tuple[int, ...] | None = None,
         raise ContractError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ContractError(f"{name} must be finite")
-    arr.flags.writeable = False
-    return arr
+    return _read_only(arr)
 
 
 def _check_int(value, name: str, *, minimum: int | None = None) -> int:
@@ -220,8 +222,8 @@ class TokenGrid(_ValueEq):
     """Patch tokens of one camera view plus its summary (CLS) token.
 
     ``tokens`` has shape ``(height * width, embed_dim)`` in row-major patch
-    order; ``cls`` has shape ``(embed_dim,)``. Arrays are stored read-only:
-    a read-only C-contiguous float64 array as given, anything else copied.
+    order; ``cls`` has shape ``(embed_dim,)``; both are read-only float64.
+    The record checks nothing; ``load_observations`` checks every field.
     """
 
     view_id: int
@@ -230,17 +232,6 @@ class TokenGrid(_ValueEq):
     embed_dim: int
     tokens: np.ndarray
     cls: np.ndarray
-
-    def __post_init__(self):
-        _check_int(self.view_id, "view_id", minimum=0)
-        _check_int(self.height, "height", minimum=1)
-        _check_int(self.width, "width", minimum=1)
-        _check_int(self.embed_dim, "embed_dim", minimum=1)
-        n = self.height * self.width
-        object.__setattr__(self, "tokens", _as_float_array(
-            self.tokens, "tokens", shape=(n, self.embed_dim)))
-        object.__setattr__(self, "cls", _as_float_array(
-            self.cls, "cls", shape=(self.embed_dim,)))
 
     @property
     def token_count(self) -> int:
@@ -251,31 +242,14 @@ class TokenGrid(_ValueEq):
 class MultiViewObservation(_ValueEq):
     """One timestep of synchronized camera views.
 
-    View ids must be exactly ``0..V-1`` in order and all views must share one
-    embedding width. Grid shapes may differ between views.
+    View ids are exactly ``0..V-1`` in order and all views share one
+    embedding width. Grid shapes may differ between views. The record checks
+    nothing; ``load_observations`` checks every field.
     """
 
     episode_id: str
     frame_index: int
     views: tuple[TokenGrid, ...]
-
-    def __post_init__(self):
-        if not isinstance(self.episode_id, str) or not self.episode_id:
-            raise ContractError("episode_id must be a non-empty string")
-        _check_int(self.frame_index, "frame_index", minimum=0)
-        views = tuple(self.views)
-        if not views:
-            raise ContractError("observation needs at least one view")
-        for i, v in enumerate(views):
-            if not isinstance(v, TokenGrid):
-                raise ContractError("views must be TokenGrid instances")
-            if v.view_id != i:
-                raise ContractError(
-                    f"view ids must be 0..{len(views) - 1} in order, "
-                    f"got {v.view_id} at position {i}")
-            if v.embed_dim != views[0].embed_dim:
-                raise ContractError("views must share one embed_dim")
-        object.__setattr__(self, "views", views)
 
     @property
     def view_count(self) -> int:
@@ -513,43 +487,13 @@ class PruneResult(_ValueEq):
 
 @dataclass(frozen=True, eq=False)
 class FrameAnnotation(_ValueEq):
-    """Per-frame labels: one patch mask per view, one relevance label per view,
-    one phase per arm."""
+    """Per-frame labels: one read-only uint8 0/1 patch mask per view, one
+    0/1 relevance label per view, one phase per arm. The record checks
+    nothing; ``EpisodeAnnotation.from_frame_objs`` checks every field."""
 
     masks: tuple[np.ndarray, ...]
     inter_labels: tuple[int, ...]
     arm_phases: tuple[Phase, ...]
-
-    def __post_init__(self):
-        # the counts first, so a record with very many masks is refused
-        # before each one is converted
-        labels = tuple(_check_int(x, "inter_labels")
-                       for x in self.inter_labels)
-        if len(labels) != len(self.masks):
-            raise ContractError("inter_labels must have one entry per view",
-                                field="inter_labels")
-        if any(x not in (0, 1) for x in labels):
-            raise ContractError("inter_labels must be 0 or 1",
-                                field="inter_labels")
-        masks = []
-        for m in self.masks:
-            arr = np.array(m, dtype=np.uint8)
-            if arr.ndim != 1:
-                raise ContractError("masks must be flat per-view arrays",
-                                    field="masks")
-            # 0 and 1 are what the uint8 copy keeps as is and at most 1
-            if not ((arr <= 1).all() and (np.asarray(m) == arr).all()):
-                raise ContractError("mask entries must be 0 or 1",
-                                    field="masks")
-            arr.flags.writeable = False
-            masks.append(arr)
-        phases = tuple(self.arm_phases)
-        if any(not isinstance(p, Phase) for p in phases):
-            raise ContractError("arm_phases must be Phase values",
-                                field="arm_phases")
-        object.__setattr__(self, "masks", tuple(masks))
-        object.__setattr__(self, "inter_labels", labels)
-        object.__setattr__(self, "arm_phases", phases)
 
 
 # what an annotation record's "roles" holds: the fixed camera layout
@@ -562,37 +506,14 @@ class EpisodeAnnotation(_ValueEq):
     """Token-level and view-level labels for one episode.
 
     ``grids`` fixes the per-view patch grid shape for the whole episode and
-    covers at least the ``VIEW_COUNT`` cameras; every frame's masks must
-    match it, and the head view's relevance label must be 1 in every frame.
+    covers at least the ``VIEW_COUNT`` cameras; every frame's masks match
+    it, and the head view's relevance label is 1 in every frame. The record
+    checks nothing; ``from_frame_objs`` checks every field.
     """
 
     episode_id: str
     grids: tuple[tuple[int, int], ...]
     frames: tuple[FrameAnnotation, ...]
-
-    def __post_init__(self):
-        if not isinstance(self.episode_id, str) or not self.episode_id:
-            raise ContractError("episode_id must be a non-empty string")
-        grids = _grid_pairs(self.grids)
-        frames = tuple(self.frames)
-        if (frames or grids) and len(grids) < VIEW_COUNT:
-            raise ContractError(f"grids must cover the {VIEW_COUNT} cameras",
-                                field="grids")
-        for t, frame in enumerate(frames):
-            if not isinstance(frame, FrameAnnotation):
-                raise ContractError("frames must be FrameAnnotation instances")
-            if len(frame.masks) != len(grids):
-                raise AnnotationError("mask count does not match view count",
-                                      frame=t)
-            for v, (mask, (h, w)) in enumerate(zip(frame.masks, grids)):
-                if mask.shape != (h * w,):
-                    raise AnnotationError(
-                        f"view {v} mask has {mask.shape[0]} entries, "
-                        f"grid is {h}x{w}", frame=t)
-            if frame.inter_labels[HEAD_VIEW] != 1:
-                raise AnnotationError("head view label must be 1", frame=t)
-        object.__setattr__(self, "grids", grids)
-        object.__setattr__(self, "frames", frames)
 
     @property
     def length(self) -> int:
@@ -621,12 +542,12 @@ class EpisodeAnnotation(_ValueEq):
             raise ParseError("no annotation records", field="frames")
         with parsing("annotation", "frames"):
             grids = _grid_pairs(objs[0]["grids"])
-            for t, obj in enumerate(objs):
-                if _grid_pairs(obj["grids"]) != grids:
-                    raise ParseError(f"annotation {t} grids differ from "
-                                     f"those of frame 0", field="grids")
+            if len(grids) < VIEW_COUNT:
+                raise ContractError(
+                    f"grids must cover the {VIEW_COUNT} cameras", field="grids")
             return cls(episode_id=objs[0]["episode_id"], grids=grids,
-                       frames=tuple(_frame_from_obj(obj) for obj in objs))
+                       frames=tuple(_frame_from_obj(obj, grids, t)
+                                    for t, obj in enumerate(objs)))
 
 
 def _grid_pairs(grids) -> tuple[tuple[int, int], ...]:
@@ -642,15 +563,48 @@ def _grid_pairs(grids) -> tuple[tuple[int, int], ...]:
                             field="grids") from exc
 
 
-def _frame_from_obj(obj) -> FrameAnnotation:
+def _frame_from_obj(obj, grids: tuple[tuple[int, int], ...],
+                    t: int) -> FrameAnnotation:
+    """Frame ``t`` of an annotation record whose episode has view ``grids``."""
+    if _grid_pairs(obj["grids"]) != grids:
+        raise ParseError(f"annotation {t} grids differ from those of frame 0",
+                         field="grids")
     roles = obj["roles"]
     # JSON's true and 1.0 equal 1, so the types are compared too
     if roles != _ROLES_OBJ or not all(type(v) is int for v in roles.values()):
         raise ParseError(f"roles must be {dumps_obj(_ROLES_OBJ)}",
                          field="roles")
+    # the counts first, so a record with very many masks is refused before
+    # each one is converted
+    masks = _listed(obj, "masks")
+    labels = tuple(_check_int(x, "inter_labels")
+                   for x in _listed(obj, "inter_labels"))
+    if len(labels) != len(masks):
+        raise ContractError("inter_labels must have one entry per view",
+                            field="inter_labels")
+    if any(x not in (0, 1) for x in labels):
+        raise ContractError("inter_labels must be 0 or 1",
+                            field="inter_labels")
+    if len(masks) != len(grids):
+        raise AnnotationError("mask count does not match view count", frame=t)
+    arrays = []
+    for v, (m, (h, w)) in enumerate(zip(masks, grids)):
+        arr = np.asarray(m)
+        if arr.ndim != 1:
+            raise ContractError("masks must be flat per-view arrays",
+                                field="masks")
+        # a string, an object or an integer past the uint8 range compares
+        # unequal to both
+        if not ((arr == 0) | (arr == 1)).all():
+            raise ContractError("mask entries must be 0 or 1", field="masks")
+        if arr.shape != (h * w,):
+            raise AnnotationError(f"view {v} mask has {arr.shape[0]} entries, "
+                                  f"grid is {h}x{w}", frame=t)
+        arrays.append(_read_only(arr.astype(np.uint8)))
+    if labels[HEAD_VIEW] != 1:
+        raise AnnotationError("head view label must be 1", frame=t)
     return FrameAnnotation(
-        masks=_listed(obj, "masks"),
-        inter_labels=_listed(obj, "inter_labels"),
+        masks=tuple(arrays), inter_labels=labels,
         arm_phases=tuple(_member(Phase, p, "arm_phases")
                          for p in _listed(obj, "arm_phases")))
 
@@ -678,6 +632,9 @@ def _episode_records(objs: Iterable, kind: str) -> Iterator[dict]:
         with parsing(kind, "frames"):
             if t == 0:
                 episode_id = obj["episode_id"]
+                if not isinstance(episode_id, str) or not episode_id:
+                    raise ParseError("episode_id must be a non-empty string",
+                                     field="episode_id")
             elif obj["episode_id"] != episode_id:
                 raise ParseError(f"mixed episodes: {obj['episode_id']!r} vs "
                                  f"{episode_id!r}", field="episode_id")
@@ -810,20 +767,19 @@ def save_observations(path, observations: Iterable[MultiViewObservation]
 def load_observations(path, sidecar=None) -> list[MultiViewObservation]:
     """Read observations back from header records and their sidecar.
 
-    ``sidecar`` defaults to ``sidecar_path(path)``. The records must account
-    for every value of the sidecar, no more and no fewer; each view is
-    rebuilt through ``TokenGrid``, so shapes and finiteness are checked,
-    as a view of the sidecar array, which is read-only.
+    ``sidecar`` defaults to ``sidecar_path(path)``, whose values must all be
+    finite. The records must account for every value of the sidecar, no
+    more and no fewer; each view's ``tokens`` and ``cls`` are views of the
+    sidecar array, which is read-only.
     """
     return _observations(read_jsonl(path), path, sidecar)
 
 
 def _observations(records: Iterable, path, sidecar=None) -> list:
     """``load_observations`` from the records of ``path``, already read."""
-    flat = _read_sidecar(sidecar or sidecar_path(path))
-    flat.flags.writeable = False
+    flat = _read_only(_read_sidecar(sidecar or sidecar_path(path)))
     if isinstance(flat.base, np.ndarray):  # np.load may return a view
-        flat.base.flags.writeable = False
+        _read_only(flat.base)
     observations = []
     offset = 0
     for obj in _episode_records(records, "observation"):
@@ -853,6 +809,9 @@ def _read_sidecar(path) -> np.ndarray:
         raise ParseError(
             f"token sidecar {Path(path).name} must be a 1-D <f8 array, got "
             f"{flat.ndim}-D {flat.dtype.str}", field="tokens")
+    if not np.isfinite(flat).all():
+        raise ParseError(f"token sidecar {Path(path).name} holds a value "
+                         f"that is not finite", field="tokens")
     return flat
 
 
@@ -864,9 +823,14 @@ def _observation_from_header(obj, flat: np.ndarray, offset: int
         frame = obj["frame_index"]
         views = []
         for v, header in enumerate(obj["views"]):
+            if _check_int(header["view_id"], "view_id") != v:
+                raise ContractError(f"view ids must be 0, 1, ... in order, "
+                                    f"got {header['view_id']} at position {v}")
             height = _check_int(header["height"], "height", minimum=1)
             width = _check_int(header["width"], "width", minimum=1)
             dim = _check_int(header["embed_dim"], "embed_dim", minimum=1)
+            if views and dim != views[0].embed_dim:
+                raise ContractError("views must share one embed_dim")
             size = height * width * dim
             end = offset + size + dim
             if end > flat.shape[0]:
@@ -875,11 +839,12 @@ def _observation_from_header(obj, flat: np.ndarray, offset: int
                     f"needs {end} values, holds {flat.shape[0]}",
                     field="tokens")
             views.append(TokenGrid(
-                view_id=header["view_id"], height=height, width=width,
-                embed_dim=dim,
+                view_id=v, height=height, width=width, embed_dim=dim,
                 tokens=flat[offset:offset + size].reshape(height * width, dim),
                 cls=flat[offset + size:end]))
             offset = end
+        if not views:
+            raise ContractError("observation needs at least one view")
         return MultiViewObservation(episode_id=obj["episode_id"],
                                     frame_index=frame,
                                     views=tuple(views)), offset

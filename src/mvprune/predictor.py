@@ -43,6 +43,7 @@ from .core import (
     _as_float_array,
     _check_int,
     _expect_record,
+    _read_only,
     loads_obj,
     parsing,
     read_text,
@@ -57,27 +58,11 @@ class MlpParams(_ValueEq):
     """Weights of one MLP as ``((W, b), ...)`` layer pairs.
 
     ``W`` has shape ``(fan_out, fan_in)`` and ``b`` shape ``(fan_out,)``;
-    consecutive layers must chain. Hidden layers use tanh, the final layer
-    a sigmoid.
+    consecutive layers chain. Hidden layers use tanh, the final layer a
+    sigmoid. The record checks nothing; ``from_obj`` checks every field.
     """
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    def __post_init__(self):
-        layers = []
-        for i, pair in enumerate(self.layers):
-            if len(pair) != 2:
-                raise ContractError("each layer must be a (weight, bias) pair")
-            w = _as_float_array(pair[0], f"layer {i} weight", ndim=2)
-            b = _as_float_array(pair[1], f"layer {i} bias", shape=(w.shape[0],))
-            if layers and w.shape[1] != layers[-1][0].shape[0]:
-                raise ContractError(
-                    f"layer {i} expects {w.shape[1]} inputs, previous layer "
-                    f"produces {layers[-1][0].shape[0]}")
-            layers.append((w, b))
-        if not layers:
-            raise ContractError("an MLP needs at least one layer")
-        object.__setattr__(self, "layers", tuple(layers))
 
     @property
     def input_width(self) -> int:
@@ -104,8 +89,20 @@ class MlpParams(_ValueEq):
                 raise ParseError(
                     f"unsupported activation {obj['activation']!r}",
                     field="activation")
-            return cls(layers=tuple((layer["weight"], layer["bias"])
-                                    for layer in obj["layers"]))
+            layers = []
+            for i, layer in enumerate(obj["layers"]):
+                w = _as_float_array(layer["weight"], f"layer {i} weight",
+                                    ndim=2)
+                b = _as_float_array(layer["bias"], f"layer {i} bias",
+                                    shape=(w.shape[0],))
+                if layers and w.shape[1] != layers[-1][0].shape[0]:
+                    raise ContractError(
+                        f"layer {i} expects {w.shape[1]} inputs, previous "
+                        f"layer produces {layers[-1][0].shape[0]}")
+                layers.append((w, b))
+            if not layers:
+                raise ContractError("an MLP needs at least one layer")
+            return cls(layers=tuple(layers))
 
 
 def init_mlp(sizes: Sequence[int], seed: int) -> MlpParams:
@@ -122,7 +119,7 @@ def init_mlp(sizes: Sequence[int], seed: int) -> MlpParams:
         bound = 1.0 / math.sqrt(fan_in)
         w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
         b = rng.uniform(-bound, bound, size=fan_out)
-        layers.append((w, b))
+        layers.append((_read_only(w), _read_only(b)))
     return MlpParams(layers=tuple(layers))
 
 
@@ -338,7 +335,10 @@ def train(params: MlpParams, inputs, targets, config: TrainConfig
                     raise TrainingError("gradient is not finite", step=step)
                 if not (np.isfinite(w).all() and np.isfinite(b).all()):
                     raise TrainingError("parameters are not finite", step=step)
-    return MlpParams(layers=tuple(layers)), losses
+    # fresh copies, not views of the aligned buffer: a prediction's bytes
+    # may depend on its operands' alignment, as _flat says
+    return MlpParams(layers=tuple((_read_only(w.copy()), _read_only(b.copy()))
+                                  for w, b in layers)), losses
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from .core import (
     TokenGrid,
     _check_int,
     _expect_record,
+    _read_only,
     load_annotation,
     load_observations,
     loads_obj,
@@ -360,7 +361,7 @@ def _reference_mask(view: ViewGeometry, boxes: Sequence[Box],
         rows = (box.y0 < ends) & (starts < box.y1)
         cols = (box.x0 < ends) & (starts < box.x1)
         mask |= rows[:, None] & cols[None, :]
-    return mask.reshape(-1).astype(np.uint8)
+    return _read_only(mask.reshape(-1).astype(np.uint8))
 
 
 def ground_truth(spec: ScenarioSpec,
@@ -503,7 +504,7 @@ def _draw_episode(spec: ScenarioSpec, rows: np.ndarray) -> SynthEpisode:
                 0.0, sigma, size=spec.embed_dim)
             views.append(TokenGrid(view_id=v, height=side, width=side,
                                    embed_dim=spec.embed_dim,
-                                   tokens=tokens, cls=cls))
+                                   tokens=tokens, cls=_read_only(cls)))
             row += mask.shape[0]
         observations.append(MultiViewObservation(
             episode_id=spec.episode_id, frame_index=t, views=tuple(views)))

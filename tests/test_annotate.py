@@ -54,10 +54,10 @@ def test_box_overlap_is_half_open():
 
 
 def test_box_requires_positive_area():
-    with pytest.raises(ContractError):
-        Box(5, 5, 5, 10, BoxKind.OBJECT)
-    with pytest.raises(ContractError):
-        Box(5, 5, 10, 5, BoxKind.OBJECT)
+    for x1, y1 in ((5, 10), (10, 5)):
+        obj = {"x0": 5, "y0": 5, "x1": x1, "y1": y1, "kind": "object"}
+        with pytest.raises(ParseError, match="positive area"):
+            Box.from_obj(obj)
 
 
 def test_box_round_trip():

@@ -545,6 +545,22 @@ def experiment_dir(tmp_path_factory):
     return out, report
 
 
+def test_a_local_ratio_short_is_refused_before_any_work(experiment_dir,
+                                                        tmp_path, capsys):
+    out, run = tmp_path / "out", experiment_dir[0]
+    with pytest.raises(ConfigError, match="one local ratio per view"):
+        run_experiment({"prune": {"alphas": [0.3, 0.2]}}, out)
+    assert not out.exists()
+    staged = ["--corpus", str(run / "corpus"),
+              "--intra", str(run / "intra.mlp.json"),
+              "--inter", str(run / "inter.mlp.json")]
+    for argv in ([], staged):
+        assert main(["prune", *argv, "--out", str(out),
+                     "--alphas", "0.3,0.2"]) == 2
+        assert "one local ratio per view" in capsys.readouterr().err
+        assert not out.exists()
+
+
 BAD_TRAIN = {"train": {"learning_rate": -1.0}}
 
 
@@ -716,6 +732,29 @@ def test_validate_artifacts_checks_prune_record_order(experiment_dir,
     assert edited != lines
     prune_file.write_text("\n".join(edited) + "\n", encoding="utf-8")
     problems = validate_artifacts(broken)
+    assert len(problems) == 1
+    assert problems[0].startswith("ep0000.prune.jsonl: ")
+
+
+def test_validate_parses_the_prune_records_of_a_staged_prune(
+        experiment_dir, tmp_path, capsys):
+    """``prune --corpus`` writes its prune records beside its report.csv,
+    as in the README's staged quick start; validate on that directory
+    parses each of them."""
+    out, _ = experiment_dir
+    pruned = tmp_path / "pruned"
+    assert main(["prune", "--config", str(out / "config.resolved.json"),
+                 "--corpus", str(out / "corpus"),
+                 "--intra", str(out / "intra.mlp.json"),
+                 "--inter", str(out / "inter.mlp.json"),
+                 "--out", str(pruned)]) == 0
+    assert sorted(pruned.glob("*.prune.jsonl"))
+    assert validate_artifacts(pruned) == []
+    with open(pruned / "ep0000.prune.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"kind": "garbage"}\n')
+    capsys.readouterr()
+    assert main(["validate", "--dir", str(pruned)]) == 1
+    problems = capsys.readouterr().err.splitlines()
     assert len(problems) == 1
     assert problems[0].startswith("ep0000.prune.jsonl: ")
 

@@ -25,6 +25,7 @@ from mvprune.core import (
     PruneResult,
     Strategy,
     TokenGrid,
+    _episode_records,
     _member,
     dumps_obj,
     load_annotation,
@@ -38,6 +39,7 @@ from mvprune.core import (
     sidecar_path,
     write_jsonl,
 )
+from mvprune.synth import ScenarioSpec, generate_corpus
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -60,24 +62,48 @@ def make_obs(episode_id="ep", frame_index=0, view_count=3, seed=0):
 # token grids and observations
 
 
-def test_token_grid_rejects_shape_mismatch():
-    with pytest.raises(ContractError):
-        TokenGrid(view_id=0, height=2, width=2, embed_dim=4,
-                  tokens=np.zeros((3, 4)), cls=np.zeros(4))
+def write_one_frame(tmp_path, tokens, cls, view_ids=(0,), embed_dims=None):
+    """An observation file of one frame whose views, one per ``view_ids``
+    entry, each read a 2x2 grid of width ``embed_dims`` (by default
+    ``len(cls)`` for each), and whose sidecar holds ``tokens`` then ``cls``
+    once per view."""
+    path = tmp_path / "ep.obs.jsonl"
+    dims = embed_dims or (len(cls),) * len(view_ids)
+    write_jsonl(path, [{
+        "fmt": 2, "kind": "observation", "episode_id": "ep",
+        "frame_index": 0,
+        "views": [{"view_id": v, "height": 2, "width": 2, "embed_dim": d}
+                  for v, d in zip(view_ids, dims)]}])
+    np.save(sidecar_path(path), np.concatenate(
+        [np.zeros(0)] + [np.ravel(a) for _ in view_ids for a in (tokens, cls)]))
+    return path
 
 
-def test_token_grid_rejects_non_finite():
+def test_load_observations_rejects_shape_mismatch(tmp_path):
+    path = write_one_frame(tmp_path, np.zeros((3, 4)), np.zeros(4))
+    with pytest.raises(ParseError):
+        load_observations(path)
+
+
+def test_load_observations_rejects_non_finite(tmp_path):
     tokens = np.zeros((4, 2))
     tokens[1, 0] = np.nan
-    with pytest.raises(ContractError):
-        TokenGrid(view_id=0, height=2, width=2, embed_dim=2,
-                  tokens=tokens, cls=np.zeros(2))
+    path = write_one_frame(tmp_path, tokens, np.zeros(2))
+    with pytest.raises(ParseError, match="token sidecar ep.obs.npy holds"):
+        load_observations(path)
 
 
-def test_token_grid_arrays_are_read_only():
-    grid = make_grid()
-    with pytest.raises(ValueError):
-        grid.tokens[0, 0] = 1.0
+def test_token_grid_arrays_are_read_only(tmp_path):
+    # as the two places that make grids leave them: a loaded sidecar and a
+    # generated corpus
+    path = tmp_path / "ep.obs.jsonl"
+    save_observations(path, [make_obs()])
+    loaded = load_observations(path)[0].views[0]
+    drawn = generate_corpus(ScenarioSpec(episode_length=12), 1, 0)[0]
+    for grid in (loaded, drawn.observations[0].views[0]):
+        for array in (grid.tokens, grid.cls):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 def read_only(array):
@@ -94,53 +120,35 @@ def test_token_grid_shares_a_read_only_float64_input():
     assert np.shares_memory(grid.cls, cls)
 
 
-def test_token_grid_copies_a_writeable_input():
-    tokens, cls = np.arange(24.0).reshape(6, 4), np.ones(4)
-    grid = TokenGrid(view_id=0, height=2, width=3, embed_dim=4,
-                     tokens=tokens, cls=cls)
-    tokens[0, 0], cls[0] = 99.0, 99.0
-    assert grid.tokens[0, 0] == 0.0 and grid.cls[0] == 1.0
-    assert not np.shares_memory(grid.tokens, tokens)
-
-
-@pytest.mark.parametrize("make", [
-    lambda: np.arange(24, dtype=np.float32).reshape(6, 4),
-    lambda: np.repeat(np.arange(24.0).reshape(6, 4), 2, axis=1)[:, ::2],
-    lambda: np.asfortranarray(np.arange(24.0).reshape(6, 4)),
-    lambda: np.arange(24.0).reshape(6, 4).astype(">f8")], ids=[
-        "float32", "strided", "fortran", "big-endian"])
-def test_token_grid_copies_other_read_only_input(make):
-    source = read_only(make())
-    grid = TokenGrid(view_id=0, height=2, width=3, embed_dim=4,
-                     tokens=source, cls=np.ones(4))
-    assert grid.tokens.dtype == np.float64
-    assert not np.shares_memory(grid.tokens, source)
-    assert np.array_equal(grid.tokens, np.arange(24.0).reshape(6, 4))
-
-
-@pytest.mark.parametrize("writeable", [True, False])
 @pytest.mark.parametrize("tokens", [
-    np.zeros((3, 4)), np.zeros(16), np.full((4, 4), np.nan),
+    np.zeros((3, 4)), np.zeros((5, 4)), np.full((4, 4), np.nan),
     np.full((4, 4), -np.inf)])
-def test_token_grid_refuses_bad_tokens_shared_or_copied(tokens, writeable):
-    tokens = tokens.copy()
-    tokens.flags.writeable = writeable
-    with pytest.raises(ContractError):
-        TokenGrid(view_id=0, height=2, width=2, embed_dim=4, tokens=tokens,
-                  cls=read_only(np.zeros(4)))
+def test_load_observations_refuses_bad_tokens(tmp_path, tokens):
+    path = write_one_frame(tmp_path, tokens, np.zeros(4))
+    with pytest.raises(ParseError):
+        load_observations(path)
 
 
-def test_observation_requires_ordered_view_ids():
-    views = (make_grid(view_id=0), make_grid(view_id=2))
-    with pytest.raises(ContractError):
-        MultiViewObservation(episode_id="ep", frame_index=0, views=views)
+def test_load_observations_requires_ordered_view_ids(tmp_path):
+    path = write_one_frame(tmp_path, np.zeros((4, 4)), np.zeros(4),
+                          view_ids=(0, 2))
+    with pytest.raises(ParseError, match="in order"):
+        load_observations(path)
 
 
-def test_observation_requires_shared_embed_dim():
-    views = (make_grid(view_id=0, embed_dim=4),
-             make_grid(view_id=1, embed_dim=8))
-    with pytest.raises(ContractError):
-        MultiViewObservation(episode_id="ep", frame_index=0, views=views)
+def test_load_observations_requires_shared_embed_dim(tmp_path):
+    # 4 * 4 + 4 values per view: view 1 reads a 2x2 grid of width 8 as
+    # 2 * 2 * 8 + 8 values, which would leave the sidecar 20 short
+    path = write_one_frame(tmp_path, np.zeros((4, 4)), np.zeros(4),
+                          view_ids=(0, 1, 2), embed_dims=(4, 8, 4))
+    with pytest.raises(ParseError, match="one embed_dim"):
+        load_observations(path)
+
+
+def test_load_observations_requires_a_view(tmp_path):
+    path = write_one_frame(tmp_path, np.zeros(0), np.zeros(0), view_ids=())
+    with pytest.raises(ParseError, match="at least one view"):
+        load_observations(path)
 
 
 def test_observation_counts():
@@ -363,64 +371,91 @@ def make_annotation(length=3):
                              frames=tuple(frames))
 
 
-def test_frame_annotation_rejects_non_binary_mask():
-    mask = np.full(4, 2, dtype=np.uint8)
-    with pytest.raises(ContractError):
-        FrameAnnotation(masks=(mask,), inter_labels=(1,),
-                        arm_phases=(Phase.APPROACHING,))
+def refused_annotation(view0=None, **changes):
+    """The ``ParseError`` that ``from_frame_objs`` raises for the second
+    record of ``make_annotation()`` with its view 0 mask set to ``view0`` and
+    its grids sized for it, and other fields replaced."""
+    objs = list(make_annotation().frame_objs())
+    for obj in objs:
+        if view0 is not None:
+            obj["grids"][0] = [1, len(view0)]
+            obj["masks"][0] = [1] * len(view0)
+    objs[1].update(changes)
+    if view0 is not None:
+        objs[1]["masks"][0] = view0
+    with pytest.raises(ParseError) as err:
+        EpisodeAnnotation.from_frame_objs(objs)
+    return err.value
+
+
+def test_annotation_reader_rejects_non_binary_mask():
+    err = refused_annotation([2, 2, 2, 2])
+    assert err.field == "masks"
 
 
 # entries the uint8 copy of a mask changes (0.5, 1.0000001, 256, -1) or
 # keeps above 1 (2)
 @pytest.mark.parametrize("mask", [
-    [0, 2], [0.5, 1.0], [1.0000001, 0.0], np.array([0, 256]),
-    np.array([1, -1]), np.array([256, 1], dtype=np.int64)], ids=repr)
-def test_frame_annotation_refuses_entries_other_than_0_and_1(mask):
-    with pytest.raises(ContractError, match="0 or 1"):
-        FrameAnnotation(masks=(mask,), inter_labels=(1,),
-                        arm_phases=(Phase.APPROACHING,))
-
-
-@pytest.mark.parametrize("mask", [
-    [True, False], [0.0, -0.0, 1.0], np.array([1, 0], dtype=np.int64), []],
+    [0, 2], [0.5, 1.0], [1.0000001, 0.0], [0, 256], [1, -1], [256, 1]],
     ids=repr)
-def test_frame_annotation_accepts_bools_and_signed_zeros(mask):
-    frame = FrameAnnotation(masks=(mask,), inter_labels=(1,),
-                            arm_phases=(Phase.APPROACHING,))
-    assert frame.masks[0].dtype == np.uint8
-    assert frame.masks[0].tolist() == [int(x) for x in mask]
+def test_annotation_reader_refuses_entries_other_than_0_and_1(mask):
+    assert "0 or 1" in str(refused_annotation(mask))
 
 
-def test_frame_annotation_rejects_square_mask():
-    with pytest.raises(ContractError):
-        FrameAnnotation(masks=(np.zeros((2, 2), dtype=np.uint8),),
-                        inter_labels=(1,), arm_phases=(Phase.APPROACHING,))
+@pytest.mark.parametrize("mask", [[True, False], [0.0, -0.0, 1.0], [1, 0]],
+                         ids=repr)
+def test_annotation_reader_accepts_bools_and_signed_zeros(mask):
+    objs = list(make_annotation().frame_objs())
+    for obj in objs:
+        obj["grids"][0] = [1, len(mask)]
+        obj["masks"][0] = mask
+    ann = EpisodeAnnotation.from_frame_objs(objs)
+    for frame in ann.frames:
+        assert frame.masks[0].dtype == np.uint8
+        assert not frame.masks[0].flags.writeable
+        assert frame.masks[0].tolist() == [int(x) for x in mask]
 
 
-def test_frame_annotation_counts_masks_before_converting_them():
-    # an object() mask cannot be converted, so only the count check passes
-    with pytest.raises(ContractError, match="one entry per view"):
-        FrameAnnotation(masks=(object(),) * 100_000, inter_labels=(1, 0, 0),
-                        arm_phases=(Phase.APPROACHING, Phase.APPROACHING))
+def test_annotation_reader_rejects_square_mask():
+    err = refused_annotation(masks=[[[0, 0], [0, 0]], [0] * 4, [0] * 4])
+    assert "flat" in str(err)
 
 
-def test_episode_annotation_requires_head_always_on():
-    masks = tuple(np.zeros(4, dtype=np.uint8) for _ in range(3))
-    frame = FrameAnnotation(masks=masks, inter_labels=(0, 0, 0),
-                            arm_phases=(Phase.APPROACHING, Phase.APPROACHING))
-    with pytest.raises(AnnotationError):
-        EpisodeAnnotation(episode_id="ep", grids=((2, 2),) * 3,
-                          frames=(frame,))
+def test_annotation_reader_counts_masks_before_converting_them():
+    # a {} mask cannot be converted, so only the count check passes
+    err = refused_annotation(masks=[{}] * 100_000)
+    assert "one entry per view" in str(err)
 
 
-def test_episode_annotation_checks_mask_shapes():
-    ann = make_annotation()
-    masks = (np.zeros(9, dtype=np.uint8),) + ann.frames[0].masks[1:]
-    frame = FrameAnnotation(masks=masks, inter_labels=(1, 0, 0),
-                            arm_phases=ann.frames[0].arm_phases)
-    with pytest.raises(AnnotationError) as err:
-        EpisodeAnnotation(episode_id="ep", grids=ann.grids, frames=(frame,))
-    assert err.value.frame == 0
+def test_annotation_reader_requires_head_always_on():
+    err = refused_annotation(inter_labels=[0, 0, 0])
+    assert isinstance(err.__cause__, AnnotationError)
+    assert err.__cause__.frame == 1
+
+
+def test_annotation_reader_checks_mask_shapes():
+    err = refused_annotation(masks=[[0] * 9, [0] * 4, [0] * 4])
+    assert isinstance(err.__cause__, AnnotationError)
+    assert err.__cause__.frame == 1
+
+
+def test_annotation_reader_requires_grids_of_the_three_cameras():
+    objs = list(make_annotation().frame_objs())
+    for obj in objs:
+        del obj["grids"][2], obj["masks"][2], obj["inter_labels"][2]
+    with pytest.raises(ParseError, match="cover the 3 cameras"):
+        EpisodeAnnotation.from_frame_objs(objs)
+
+
+@pytest.mark.parametrize("episode_id", ["", 5, None, ["ep"]], ids=repr)
+@pytest.mark.parametrize("kind", ["observation", "annotation", "geometry",
+                                  "prune"])
+def test_episode_records_need_an_episode_id(kind, episode_id):
+    objs = [{"fmt": 2, "kind": kind, "episode_id": episode_id,
+             "frame_index": 0}]
+    with pytest.raises(ParseError) as err:
+        list(_episode_records(objs, kind))
+    assert err.value.field == "episode_id"
 
 
 def test_empty_episode_annotation_allowed():
@@ -631,7 +666,8 @@ def observation_streams(draw):
                                 max_size=embed_dim))
             views.append(TokenGrid(
                 view_id=v, height=h, width=w, embed_dim=embed_dim,
-                tokens=np.reshape(tokens, (h * w, embed_dim)), cls=cls))
+                tokens=np.reshape(tokens, (h * w, embed_dim)),
+                cls=np.array(cls)))
         frames.append(MultiViewObservation(episode_id="ep", frame_index=t,
                                            views=tuple(views)))
     return frames

@@ -12,6 +12,7 @@ import random
 import re
 import time
 
+import numpy as np
 import pytest
 
 from mvprune.bench import run_experiment, validate_artifacts
@@ -141,3 +142,25 @@ def test_byte_that_is_not_utf8_names_file_and_offset(run_dir, tmp_path,
     assert codes[:2] == [2 if read_by_train else 0, 2 if read_by_prune else 0]
     assert set(codes[2:]) <= {2}
     assert capsys.readouterr().err.count("byte offset 40") == codes.count(2)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_token_that_is_not_finite_names_the_sidecar(run_dir, tmp_path, capsys,
+                                                    value):
+    path = run_dir / "corpus" / "ep0000.obs.npy"
+    original = path.read_bytes()
+    # the middle float of the array, which ends the file
+    at = len(original) - 8 * (np.load(path).size // 2)
+    path.write_bytes(original[:at] + np.array(value, "<f8").tobytes()
+                     + original[at + 8:])
+    try:
+        problems = validate_artifacts(run_dir)
+        codes = cli_runs(run_dir, tmp_path)
+    finally:
+        path.write_bytes(original)
+    assert len(problems) == 1
+    assert problems[0].startswith("ep0000.obs.jsonl: token sidecar "
+                                  "ep0000.obs.npy holds a value that is not "
+                                  "finite")
+    assert codes == [2, 2]
+    assert capsys.readouterr().err.count("ep0000.obs.npy") == 2

@@ -131,10 +131,37 @@ def test_init_mlp_is_deterministic():
 
 
 def test_mlp_params_must_chain():
-    w1, b1 = np.zeros((4, 3)), np.zeros(4)
-    w2, b2 = np.zeros((2, 5)), np.zeros(2)
-    with pytest.raises(ContractError):
-        MlpParams(layers=((w1, b1), (w2, b2)))
+    obj = init_mlp((3, 4, 2), seed=0).to_obj()
+    obj["layers"][1] = init_mlp((5, 2), seed=0).to_obj()["layers"][0]
+    with pytest.raises(ParseError, match="layer 1 expects 5 inputs"):
+        MlpParams.from_obj(obj)
+
+
+@pytest.mark.parametrize("layers", [
+    [], [{"weight": [1.0, 2.0], "bias": [0.0]}],
+    [{"weight": [[1.0, 2.0]], "bias": [0.0, 0.0]}],
+    [{"weight": [[1.0, 1e400]], "bias": [0.0]}],
+    [{"weight": [[1.0, 2.0]], "bias": [float("nan")]}]],
+    ids=["no_layer", "flat_weight", "bias_too_long", "inf_weight",
+         "nan_bias"])
+def test_mlp_params_from_obj_refuses_layers(layers):
+    obj = {**init_mlp((2, 1), seed=0).to_obj(), "layers": layers}
+    with pytest.raises(ParseError):
+        MlpParams.from_obj(obj)
+
+
+def test_mlp_params_arrays_are_read_only(tmp_path):
+    # as each maker of weights leaves them: init_mlp, train and a loaded
+    # checkpoint
+    params = init_mlp((3, 4, 1), seed=0)
+    trained, _ = train(params, np.zeros((2, 3)), np.zeros((2, 1)),
+                       TrainConfig(steps=1, batch_size=0))
+    save_params(tmp_path / "p.mlp.json", trained)
+    for built in (params, trained, load_params(tmp_path / "p.mlp.json")):
+        assert not any(a.flags.writeable for pair in built.layers
+                       for a in pair)
+    # fresh arrays, not views of train's aligned buffer
+    assert all(a.base is None for pair in trained.layers for a in pair)
 
 
 def test_mlp_params_only_tanh():
