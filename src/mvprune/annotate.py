@@ -132,8 +132,9 @@ class FrameGeometry:
     task_objects: frozenset[int] = frozenset()
 
     @property
-    def arm_count(self) -> int:
-        return len(self.gripper_closed)
+    def grids(self) -> tuple[tuple[int, int], ...]:
+        """Each view's patch grid ``(rows, cols)``."""
+        return tuple(view.grid_shape for view in self.views)
 
     def relevant_boxes(self, view_index: int) -> tuple[Box, ...]:
         """Boxes that make a patch relevant: grippers plus task objects."""
@@ -161,9 +162,10 @@ class FrameGeometry:
             if not views:
                 raise ContractError("frame geometry needs at least one view")
             closed = _listed(obj, "gripper_closed")
-            if not closed or any(not isinstance(c, bool) for c in closed):
-                raise ContractError("gripper_closed needs one boolean per arm",
-                                    field="gripper_closed")
+            if len(closed) != 2 or any(not isinstance(c, bool)
+                                       for c in closed):
+                raise ContractError("gripper_closed needs one boolean per "
+                                    "arm, two in all", field="gripper_closed")
             return cls(views, closed, frozenset(
                 _check_int(i, "task_objects", minimum=0)
                 for i in _listed(obj, "task_objects", ())))
@@ -336,28 +338,19 @@ def annotate_episode(geometry: Sequence[FrameGeometry], episode_id: str, *,
     """Produce the full two-level annotation of one episode from geometry.
 
     Rasterizes per-view patch masks, detects and debounces interactions in
-    the head view, derives view relevance labels and per-arm phases, and
-    validates the result. Errors name the offending frame. An empty episode
-    yields an empty annotation.
+    the head view, and derives view relevance labels and per-arm phases.
+    ``geometry`` is taken as ``load_geometry`` checks it: two arms in every
+    frame, and the first frame's view grids in every frame. Errors name the
+    offending frame. An empty episode yields an empty annotation.
     """
     geometry = list(geometry)
     if not geometry:
         return EpisodeAnnotation(episode_id=episode_id, grids=(), frames=())
-    first = geometry[0]
-    view_count = len(first.views)
-    grids = tuple(v.grid_shape for v in first.views)
+    view_count = len(geometry[0].views)
     masks_per_frame = []
     raw = [[], []]
     closed = [[], []]
     for t, geom in enumerate(geometry):
-        if len(geom.views) != view_count:
-            raise AnnotationError(
-                f"expected {view_count} views, got {len(geom.views)}", frame=t)
-        if geom.arm_count != 2:
-            raise AnnotationError(
-                f"expected 2 arms, got {geom.arm_count}", frame=t)
-        if tuple(v.grid_shape for v in geom.views) != grids:
-            raise AnnotationError("patch grid changed mid-episode", frame=t)
         try:
             masks_per_frame.append(tuple(frame_patch_mask(geom, v)
                                          for v in range(view_count)))
@@ -378,8 +371,8 @@ def annotate_episode(geometry: Sequence[FrameGeometry], episode_id: str, *,
             arm_phases=(phases[0][t], phases[1][t]),
         )
         for t in range(len(geometry)))
-    return EpisodeAnnotation(episode_id=episode_id, grids=grids,
-                             frames=frames)
+    return EpisodeAnnotation(episode_id=episode_id,
+                             grids=geometry[0].grids, frames=frames)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +389,17 @@ def geometry_objs(episode_id: str, geometry: Sequence[FrameGeometry]
 
 
 def geometry_from_objs(objs: Iterable[dict]) -> tuple[str, list[FrameGeometry]]:
+    """The episode id and frames of geometry records, refused unless every
+    frame has the first one's view count and view grids."""
     frames = []
     for obj in _episode_records(objs, "geometry"):
         with parsing(f"geometry frame {len(frames)}", "views"):
-            frames.append(FrameGeometry.from_obj(obj))
+            geom = FrameGeometry.from_obj(obj)
+            if frames and geom.grids != frames[0].grids:
+                raise ContractError(f"view grids {geom.grids} differ from "
+                                    f"frame 0's {frames[0].grids}",
+                                    field="views")
+            frames.append(geom)
     if not frames:
         raise ParseError("no geometry records", field="frames")
     return obj["episode_id"], frames

@@ -12,6 +12,7 @@ config.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -67,6 +68,8 @@ from .pruner import (
     flop_estimate,
 )
 from .synth import (
+    _DISTRACTOR_SLOTS,
+    IMAGE_SIZE,
     ScenarioSpec,
     SynthEpisode,
     _check_episode,
@@ -300,18 +303,28 @@ def _section(name: str) -> Iterator[None]:
 
 
 def scenario_template(config: dict) -> ScenarioSpec:
-    """The corpus scenario template an experiment config describes."""
+    """The corpus scenario template an experiment config describes: the one
+    reader of the values a ``ScenarioSpec`` is built from."""
     corpus = config["corpus"]
     with _section("corpus"):
         length = _check_int(corpus["episode_length"], "corpus.episode_length",
                             minimum=_MIN_EPISODE_LENGTH)
-        return ScenarioSpec(
-            episode_length=length,
-            distractors=corpus["distractors"],
-            embed_dim=corpus["embed_dim"],
-            noise_sigma=corpus["noise_sigma"],
-            patch_size=corpus["patch_size"],
-        )
+        distractors = _check_int(corpus["distractors"], "distractors",
+                                 minimum=0)
+        if distractors > _DISTRACTOR_SLOTS:
+            raise ConfigError(
+                f"at most {_DISTRACTOR_SLOTS} distractors fit the canvas")
+        embed_dim = _check_int(corpus["embed_dim"], "embed_dim", minimum=1)
+        sigma = float(corpus["noise_sigma"])
+        if not math.isfinite(sigma) or sigma < 0.0:
+            raise ConfigError(f"noise_sigma must be nonnegative, got {sigma}")
+        patch_size = _check_int(corpus["patch_size"], "patch_size", minimum=1)
+        if IMAGE_SIZE % patch_size != 0:
+            raise ConfigError(
+                f"patch_size must divide {IMAGE_SIZE}, got {patch_size}")
+        return ScenarioSpec(episode_length=length, distractors=distractors,
+                            embed_dim=embed_dim, noise_sigma=sigma,
+                            patch_size=patch_size)
 
 
 def _prune_config(config: dict) -> PruneConfig:
@@ -619,20 +632,18 @@ def sweep_beta(config: dict | None, betas: Sequence[float], out_dir
     """
     if not betas:
         raise ConfigError("sweep needs at least one ratio")
-    betas = [float(b) for b in betas]
-    if any(not 0.0 <= b < 1.0 for b in betas):
-        raise ConfigError("sweep ratios must lie in [0, 1)")
     config = resolve_config(config)
     base, flop_model = _parse(config)
+    prune_configs = [replace(base, strategy=Strategy.HIERARCHICAL, beta=b)
+                     for b in sorted(map(float, betas))]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     corpus = _scored_corpus(config, base.epsilon)
     rows = []
-    for beta in sorted(betas):
-        report, _ = evaluate_strategy(
-            corpus, replace(base, strategy=Strategy.HIERARCHICAL, beta=beta),
-            flop_model)
-        rows.append({"beta": beta, "kept_total": report.kept_total,
+    for prune_config in prune_configs:
+        report, _ = evaluate_strategy(corpus, prune_config, flop_model)
+        rows.append({"beta": prune_config.beta,
+                     "kept_total": report.kept_total,
                      "reduction_ratio": report.reduction_ratio,
                      "flop_speedup": report.flop_speedup,
                      "retention_relevant": report.retention_relevant})

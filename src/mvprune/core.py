@@ -603,10 +603,13 @@ def _frame_from_obj(obj, grids: tuple[tuple[int, int], ...],
         arrays.append(_read_only(arr.astype(np.uint8)))
     if labels[HEAD_VIEW] != 1:
         raise AnnotationError("head view label must be 1", frame=t)
+    phases = _listed(obj, "arm_phases")
+    if len(phases) != 2:
+        raise ContractError("arm_phases needs one phase per arm, two in all",
+                            field="arm_phases")
     return FrameAnnotation(
         masks=tuple(arrays), inter_labels=labels,
-        arm_phases=tuple(_member(Phase, p, "arm_phases")
-                         for p in _listed(obj, "arm_phases")))
+        arm_phases=tuple(_member(Phase, p, "arm_phases") for p in phases))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Offline annotation: rasterization, interaction detection, arm phases and
 geometry records."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from mvprune.annotate import (
     load_geometry,
     save_geometry,
 )
+from mvprune.cli import main
 from mvprune.core import (
     AnnotationError,
     ContractError,
@@ -380,25 +383,6 @@ def test_annotate_episode_empty():
     assert ann.grids == ()
 
 
-def test_annotate_episode_rejects_arm_count():
-    view = ViewGeometry(64, 64, 16, boxes=(gripper(0, 0),))
-    bad = FrameGeometry(views=(view,), gripper_closed=(False,))
-    with pytest.raises(AnnotationError) as err:
-        annotate_episode([bad], "ep")
-    assert err.value.frame == 0
-
-
-def test_annotate_episode_rejects_grid_change():
-    geometry = scripted_geometry()
-    other = ViewGeometry(64, 64, 8, boxes=geometry[3].views[0].boxes)
-    geometry[3] = FrameGeometry(views=(other,) * 3,
-                                gripper_closed=(False, False),
-                                task_objects=frozenset([0]))
-    with pytest.raises(AnnotationError) as err:
-        annotate_episode(geometry, "ep")
-    assert err.value.frame == 3
-
-
 def test_annotate_episode_names_frame_of_missing_gripper():
     geometry = scripted_geometry()
     view = ViewGeometry(64, 64, 16, boxes=(gripper(48, 0, arm=1),
@@ -454,3 +438,34 @@ def test_geometry_records_reject_mixed_episodes():
     other[0]["frame_index"] = 2
     with pytest.raises(ParseError):
         geometry_from_objs(objs + other[:1])
+
+
+# edits of frame 3 of scripted_geometry that annotate_episode cannot take:
+# the edit and the field the reader names
+OTHER_RIGS = {
+    "one_arm": (lambda geom: replace(geom, gripper_closed=(False,)),
+                "gripper_closed"),
+    "three_arms": (lambda geom: replace(geom, gripper_closed=(False,) * 3),
+                   "gripper_closed"),
+    "dropped_view": (lambda geom: replace(geom, views=geom.views[:2]),
+                     "views"),
+    "grid_change": (lambda geom: replace(geom, views=(
+        replace(geom.views[0], patch_size=8), *geom.views[1:])), "views"),
+}
+
+
+@pytest.mark.parametrize("rig", sorted(OTHER_RIGS))
+def test_load_geometry_refuses_arm_count_and_grid_change(rig, tmp_path,
+                                                         capsys):
+    edit, field = OTHER_RIGS[rig]
+    geometry = scripted_geometry()
+    geometry[3] = edit(geometry[3])
+    path = tmp_path / "ep.geom.jsonl"
+    save_geometry(path, "ep", geometry)
+    with pytest.raises(ParseError) as err:
+        load_geometry(path)
+    assert err.value.field == field
+    assert main(["annotate", "--geometry", str(path), "--annotation-out",
+                 str(tmp_path / "ep.ann.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert not (tmp_path / "ep.ann.jsonl").exists()

@@ -296,11 +296,11 @@ def test_load_experiment_config(tmp_path):
 def test_scenario_template_scales_scripts():
     default = scenario_template(resolve_config(None))
     assert default.episode_length == 16
-    assert default.arms == (ArmScript(3, 5, 9, 0), ArmScript(5, 8, 12, 1))
+    assert default.arms == (ArmScript(3, 5, 9), ArmScript(5, 8, 12))
     assert default.distractors == 2
     assert default.noise_sigma == 0.05
     short = scenario_template(resolve_config(SMALL))
-    assert short.arms == (ArmScript(2, 4, 7, 0), ArmScript(4, 6, 9, 1))
+    assert short.arms == (ArmScript(2, 4, 7), ArmScript(4, 6, 9))
     with pytest.raises(ConfigError):
         scenario_template(resolve_config({"corpus": {"episode_length": 8}}))
 
@@ -827,9 +827,11 @@ def test_sweep_beta_counts_and_monotonicity(tmp_path):
 
 def test_sweep_beta_rejects_bad_ratios(tmp_path):
     with pytest.raises(ConfigError):
-        sweep_beta(None, [], tmp_path)
-    with pytest.raises(ConfigError):
-        sweep_beta(None, [0.5, 1.0], tmp_path)
+        sweep_beta(None, [], tmp_path / "out")
+    with pytest.raises(ConfigError, match="global prune ratio"):
+        sweep_beta(None, [0.5, 1.0], tmp_path / "out")
+    # refused before the output directory is made
+    assert not (tmp_path / "out").exists()
 
 
 def test_replace_beta():
@@ -1294,6 +1296,9 @@ def test_cli_validate_survives_two_swapped_fields(experiment_dir, case):
     ("ann", "inter_labels.1", 5), ("ann", "masks.0.0", 2),
     ("ann", "grids", 5), ("ann", "grids.0", [2]), ("ann", "masks", 5),
     ("ann", "inter_labels", 5), ("ann", "arm_phases", 5),
+    ("ann", "arm_phases", []), ("ann", "arm_phases", ["approaching"] * 3),
+    ("geom", "gripper_closed", [False]),
+    ("geom", "gripper_closed", [False] * 3),
     ("geom", "task_objects.0", -1), ("geom", "gripper_closed.0", "a"),
     ("geom", "gripper_closed", 5), ("geom", "task_objects", 5),
     ("geom", "views.0.patch_size", 0), ("geom", "views.0.boxes", 5),
@@ -1429,16 +1434,39 @@ def _cut_to_five_frames(path):
     path.write_text("".join(lines[:5]), encoding="utf-8")
 
 
-# files that each parse alone but disagree with their episode's other files:
-# the damage and the field that load_corpus names
+def _edit_views(path, frames, edit):
+    """Apply ``edit`` to the views of each record of the geometry file
+    ``path`` numbered in ``frames``."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for t in frames:
+        record = json.loads(lines[t])
+        edit(record["views"])
+        lines[t] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# frames and files that disagree with their episode's other frames and
+# files: the damage, the field that load_corpus names, and the file of
+# validate's problem line
 CROSS_FILE_DAMAGE = {
     "short_annotation": (lambda corpus: _cut_to_five_frames(
-        corpus / "ep0000.ann.jsonl"), "frames"),
+        corpus / "ep0000.ann.jsonl"), "frames", "manifest.json"),
     "short_geometry": (lambda corpus: _cut_to_five_frames(
-        corpus / "ep0001.geom.jsonl"), "frames"),
+        corpus / "ep0001.geom.jsonl"), "frames", "manifest.json"),
     "foreign_annotation": (lambda corpus: shutil.copyfile(
         corpus / "ep0001.ann.jsonl", corpus / "ep0000.ann.jsonl"),
-        "episode_id"),
+        "episode_id", "manifest.json"),
+    "geometry_drops_a_view": (lambda corpus: _edit_views(
+        corpus / "ep0000.geom.jsonl", [3], lambda views: views.pop()),
+        "views", "ep0000.geom.jsonl"),
+    "geometry_grid_change": (lambda corpus: _edit_views(
+        corpus / "ep0000.geom.jsonl", [3],
+        lambda views: views[1].update(patch_size=32)),
+        "views", "ep0000.geom.jsonl"),
+    "geometry_grids_not_annotated": (lambda corpus: _edit_views(
+        corpus / "ep0000.geom.jsonl", range(12),
+        lambda views: views[1].update(patch_size=32)),
+        "grids", "manifest.json"),
 }
 
 
@@ -1447,14 +1475,14 @@ def test_cli_validate_reports_disagreeing_episode_files(
         damage, experiment_dir, tmp_path, capsys):
     broken = tmp_path / "broken"
     shutil.copytree(experiment_dir[0], broken)
-    edit, field = CROSS_FILE_DAMAGE[damage]
+    edit, field, name = CROSS_FILE_DAMAGE[damage]
     edit(broken / "corpus")
     with pytest.raises(ParseError) as refusal:
         load_corpus(broken / "corpus")
     assert refusal.value.field == field
     assert main(["validate", "--dir", str(broken)]) == 1
     problems = capsys.readouterr().err.splitlines()
-    assert problems == [f"manifest.json: {refusal.value}"]
+    assert problems == [f"{name}: {refusal.value}"]
 
 
 def _rename_in_manifest(corpus, key, name):

@@ -21,11 +21,9 @@ from mvprune.core import (
 from mvprune.synth import (
     GRIPPER_SIZE,
     IMAGE_SIZE,
-    OBJECT_BAND_TOP,
     OBJECT_SIZE,
     WRIST_MARGIN,
     ArmScript,
-    Box,
     ScenarioSpec,
     derive_episode_spec,
     generate_corpus,
@@ -38,8 +36,7 @@ def small_spec(**overrides):
     kwargs = dict(
         episode_id="ep-small",
         episode_length=12,
-        arms=(ArmScript(2, 4, 7, target_object=0),
-              ArmScript(3, 5, 8, target_object=1)),
+        arms=(ArmScript(2, 4, 7), ArmScript(3, 5, 8)),
         distractors=1,
         embed_dim=8,
         noise_sigma=0.01,
@@ -50,83 +47,37 @@ def small_spec(**overrides):
 
 
 # ---------------------------------------------------------------------------
-# scenario validation
+# scenario templates
 
 
-def test_arm_script_order_enforced():
-    with pytest.raises(ConfigError):
-        ArmScript(grasp=5, close=5, release=9)
-    with pytest.raises(ConfigError):
-        ArmScript(grasp=5, close=8, release=7)
-
-
-def test_spec_requires_debounceable_interactions():
-    other = ArmScript(3, 5, 8, target_object=1)
-    with pytest.raises(ConfigError):
-        small_spec(arms=(ArmScript(2, 3, 4), other))  # only 2 frames long
-    with pytest.raises(ConfigError):
-        small_spec(arms=(ArmScript(2, 4, 10), other))  # only 2 frames after
-
-
-def test_spec_refuses_an_arm_without_a_script():
-    with pytest.raises(ConfigError):
-        small_spec(arms=(ArmScript(2, 4, 7), None))
-
-
-# each default script as (grasp, close, release, target), by episode length:
-# the 24 frame scripts (4, 8, 14) and (8, 12, 18) scaled to that length
+# each default script as (grasp, close, release), by episode length: the 24
+# frame scripts (4, 8, 14) and (8, 12, 18) scaled to that length
 DEFAULT_ARMS = {
-    12: ((2, 4, 7, 0), (4, 6, 9, 1)),
-    16: ((3, 5, 9, 0), (5, 8, 12, 1)),
-    24: ((4, 8, 14, 0), (8, 12, 18, 1)),
-    40: ((7, 13, 23, 0), (13, 20, 30, 1)),
+    12: ((2, 4, 7), (4, 6, 9)),
+    16: ((3, 5, 9), (5, 8, 12)),
+    24: ((4, 8, 14), (8, 12, 18)),
+    40: ((7, 13, 23), (13, 20, 30)),
 }
 
 
 @pytest.mark.parametrize("length", sorted(DEFAULT_ARMS))
 def test_default_arms_scale_with_episode_length(length):
     arms = ScenarioSpec(episode_length=length).arms
-    assert tuple((a.grasp, a.close, a.release, a.target_object)
+    assert tuple((a.grasp, a.close, a.release)
                  for a in arms) == DEFAULT_ARMS[length]
     config = resolve_config({"corpus": {"episode_length": length}})
     assert scenario_template(config).arms == arms
 
 
-def test_default_arms_need_room_for_a_script():
-    with pytest.raises(ConfigError, match="no room"):
-        ScenarioSpec(episode_length=5)
-
-
-def test_spec_validates_objects():
-    good = small_spec()
-    assert good.grid_side == 16
-    bad_slot = (Box(10, OBJECT_BAND_TOP, 10 + OBJECT_SIZE,
-                    OBJECT_BAND_TOP + OBJECT_SIZE, BoxKind.OBJECT, ident=0),
-                good.objects[1])
-    with pytest.raises(ConfigError):
-        small_spec(objects=bad_slot)
-    off_band = (Box(64, 100, 64 + OBJECT_SIZE, 100 + OBJECT_SIZE,
-                    BoxKind.OBJECT, ident=0), good.objects[1])
-    with pytest.raises(ConfigError):
-        small_spec(objects=off_band)
-    same_id = (good.objects[0], Box(160, OBJECT_BAND_TOP, 160 + OBJECT_SIZE,
-                                    OBJECT_BAND_TOP + OBJECT_SIZE,
-                                    BoxKind.OBJECT, ident=0))
-    with pytest.raises(ConfigError):
-        small_spec(objects=same_id)
-
-
-def test_spec_validates_patch():
-    with pytest.raises(ConfigError):
-        small_spec(patch_size=33)
-    with pytest.raises(ConfigError):
-        small_spec(distractors=7)
-
-
-def test_spec_target_must_exist():
-    with pytest.raises(ConfigError):
-        small_spec(arms=(ArmScript(2, 4, 7, target_object=42),
-                         ArmScript(3, 5, 8, target_object=1)))
+@pytest.mark.parametrize("key, value, message", [
+    ("patch_size", 33, "patch_size must divide 256, got 33"),
+    ("distractors", 7, "at most 6 distractors fit the canvas"),
+    ("noise_sigma", -1, "noise_sigma must be nonnegative, got -1.0")])
+def test_spec_validates_patch(key, value, message):
+    config = resolve_config({"corpus": {key: value}})
+    with pytest.raises(ConfigError) as err:
+        scenario_template(config)
+    assert str(err.value) == f"invalid corpus section: {message}"
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +118,14 @@ def relevance_direction(spec):
 
 
 def assert_oracle_tokens(spec, episode):
-    """``episode``'s tokens against the oracle's, ``spec`` its template."""
+    """``episode``'s tokens against the oracle's, ``spec`` its template; a
+    ``noise_sigma`` of -0.0 against the oracle of 0.0, the only one numpy's
+    normal takes."""
     expected = oracles.oracle_episode_tokens(
         episode.seed, spec.distractors,
         [(frame.masks, frame.inter_labels)
          for frame in episode.annotation.frames],
-        relevance_direction(spec), spec.noise_sigma)
+        relevance_direction(spec), spec.noise_sigma + 0.0)
     assert len(expected) == len(episode.observations)
     for obs, views in zip(episode.observations, expected):
         assert len(views) == obs.view_count
