@@ -159,8 +159,9 @@ class FrameGeometry:
     def from_obj(cls, obj) -> "FrameGeometry":
         with parsing("frame geometry", "views"):
             views = tuple(ViewGeometry.from_obj(v) for v in obj["views"])
-            if not views:
-                raise ContractError("frame geometry needs at least one view")
+            if len(views) != VIEW_COUNT:
+                raise ContractError(f"frame geometry needs one view per "
+                                    f"camera, {VIEW_COUNT}, got {len(views)}")
             closed = _listed(obj, "gripper_closed")
             if len(closed) != 2 or any(not isinstance(c, bool)
                                        for c in closed):
@@ -339,9 +340,10 @@ def annotate_episode(geometry: Sequence[FrameGeometry], episode_id: str, *,
 
     Rasterizes per-view patch masks, detects and debounces interactions in
     the head view, and derives view relevance labels and per-arm phases.
-    ``geometry`` is taken as ``load_geometry`` checks it: two arms in every
-    frame, and the first frame's view grids in every frame. Errors name the
-    offending frame. An empty episode yields an empty annotation.
+    ``geometry`` is taken as ``load_geometry`` checks it: two arms and one
+    view per camera in every frame, and the first frame's view grids in
+    every frame. Errors name the offending frame. An empty episode yields
+    an empty annotation.
     """
     geometry = list(geometry)
     if not geometry:
@@ -390,7 +392,7 @@ def geometry_objs(episode_id: str, geometry: Sequence[FrameGeometry]
 
 def geometry_from_objs(objs: Iterable[dict]) -> tuple[str, list[FrameGeometry]]:
     """The episode id and frames of geometry records, refused unless every
-    frame has the first one's view count and view grids."""
+    frame has one view per camera and the first frame's view grids."""
     frames = []
     for obj in _episode_records(objs, "geometry"):
         with parsing(f"geometry frame {len(frames)}", "views"):

@@ -12,10 +12,11 @@ config.
 from __future__ import annotations
 
 import csv
-import math
+import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -37,6 +38,7 @@ from .core import (
     PruneResult,
     Strategy,
     _check_int,
+    _config_float,
     _episode_records,
     _observations,
     dumps_obj,
@@ -315,9 +317,8 @@ def scenario_template(config: dict) -> ScenarioSpec:
             raise ConfigError(
                 f"at most {_DISTRACTOR_SLOTS} distractors fit the canvas")
         embed_dim = _check_int(corpus["embed_dim"], "embed_dim", minimum=1)
-        sigma = float(corpus["noise_sigma"])
-        if not math.isfinite(sigma) or sigma < 0.0:
-            raise ConfigError(f"noise_sigma must be nonnegative, got {sigma}")
+        sigma = _config_float(corpus["noise_sigma"], "noise_sigma",
+                              "nonnegative")
         patch_size = _check_int(corpus["patch_size"], "patch_size", minimum=1)
         if IMAGE_SIZE % patch_size != 0:
             raise ConfigError(
@@ -327,8 +328,11 @@ def scenario_template(config: dict) -> ScenarioSpec:
                             patch_size=patch_size)
 
 
-def _prune_config(config: dict) -> PruneConfig:
-    obj = {"fmt": FORMAT_VERSION, "kind": "prune_config", **config["prune"]}
+def _prune_config(config: dict, **overrides) -> PruneConfig:
+    """The prune section as a ``PruneConfig``, with ``overrides`` in place
+    of its keys of the same name."""
+    obj = {"fmt": FORMAT_VERSION, "kind": "prune_config", **config["prune"],
+           **overrides}
     with _section("prune"):
         prune_config = PruneConfig.from_obj(obj)
         if len(prune_config.alphas) != VIEW_COUNT:
@@ -338,12 +342,24 @@ def _prune_config(config: dict) -> PruneConfig:
 
 
 def _flop_model(config: dict, extent: tuple[int, int]) -> FlopModel:
-    """The config's cost model, refused if its cost summed over ``extent``,
-    ``(frames, tokens in the largest frame)``, can leave the float range."""
+    """The config's cost model, refused if the cost of one token, or its
+    cost summed over ``extent``, ``(frames, tokens in the largest frame)``,
+    can leave the float range."""
+    section = config["flop"]
     with _section("flop"):
-        model = FlopModel(**config["flop"])
-        model.check_range(*extent)
-    return model
+        layers, d = (_check_int(section[name], name, minimum=1)
+                     for name in ("layers", "embed_dim"))
+        linear, quadratic = (_config_float(section[name], name, "positive")
+                             for name in ("linear_coeff", "quadratic_coeff"))
+        # the exact cost, times two for the rounding of the estimates and
+        # their sum
+        for frames, tokens in ((1, 1), extent):
+            cost = layers * tokens * d * (Fraction(linear) * d
+                                          + Fraction(quadratic) * tokens)
+            if 2 * frames * cost > sys.float_info.max:
+                raise ConfigError(f"the cost of {frames} frames of {tokens} "
+                                  "tokens leaves the float range")
+    return FlopModel(layers, d, linear, quadratic)
 
 
 def _parse(config: dict) -> tuple[PruneConfig, FlopModel]:
@@ -355,6 +371,7 @@ def _parse(config: dict) -> tuple[PruneConfig, FlopModel]:
     with _section("corpus"):
         count = _check_int(config["corpus"]["count"], "corpus.count",
                            minimum=1)
+        _check_int(config["corpus"]["seed"], "corpus.seed", minimum=0)
     return prune_config, _flop_model(
         config, (count * spec.episode_length, VIEW_COUNT * spec.grid_side ** 2))
 
@@ -386,10 +403,20 @@ def derive_annotations(episodes: Sequence[SynthEpisode]
 
 def _train_config(config: dict) -> tuple[int, TrainConfig]:
     """The hidden width and the SGD settings of the train section."""
-    section = dict(config["train"])
+    section = config["train"]
     with _section("train"):
-        hidden = _check_int(section.pop("hidden"), "train.hidden", minimum=1)
-        return hidden, TrainConfig(**section)
+        hidden = _check_int(section["hidden"], "train.hidden", minimum=1)
+        rate = _config_float(section["learning_rate"], "learning_rate",
+                             "nonnegative")
+        steps, batch_size = (_check_int(section[name], name, minimum=0)
+                             for name in ("steps", "batch_size"))
+        reduction = section["reduction"]
+        if reduction not in ("mean", "sum"):
+            raise ConfigError(
+                f"reduction must be 'mean' or 'sum', got {reduction!r}")
+        return hidden, TrainConfig(rate, steps, batch_size, reduction,
+                                   _check_int(section["seed"], "seed",
+                                              minimum=0))
 
 
 def train_predictors(observations: Sequence[MultiViewObservation],
@@ -612,7 +639,7 @@ def compare_strategies(config: dict | None, out_dir,
     """
     config = resolve_config(config)
     base, flop_model = _parse(config)
-    prune_configs = [replace(base, strategy=s) for s in strategies]
+    prune_configs = [_prune_config(config, strategy=s) for s in strategies]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     corpus = _scored_corpus(config, base.epsilon)
@@ -634,8 +661,9 @@ def sweep_beta(config: dict | None, betas: Sequence[float], out_dir
         raise ConfigError("sweep needs at least one ratio")
     config = resolve_config(config)
     base, flop_model = _parse(config)
-    prune_configs = [replace(base, strategy=Strategy.HIERARCHICAL, beta=b)
-                     for b in sorted(map(float, betas))]
+    prune_configs = sorted(
+        (_prune_config(config, strategy=Strategy.HIERARCHICAL, beta=b)
+         for b in betas), key=lambda prune_config: prune_config.beta)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     corpus = _scored_corpus(config, base.epsilon)
@@ -682,10 +710,13 @@ def write_csv(path, header: Iterable[str], rows: Iterable[Sequence]) -> None:
 
 
 def validate_artifacts(out_dir) -> list[str]:
-    """Re-parse every artifact under an experiment directory.
-
-    Returns human-readable problem descriptions; an empty list means every
-    artifact parsed, round-tripped, and satisfied its invariants.
+    """Re-parse the record files under an experiment directory: the
+    manifest, observations with their sidecars, annotations, geometry and
+    prune records of ``corpus/``, and the prune records, checkpoints, loss
+    traces and ``config.resolved.json`` beside it. The CSV tables
+    (``report.csv``, ``compare.csv``, ``sweep.csv``, ``timings.csv``) are
+    not opened. Returns human-readable problem descriptions; an empty list
+    means every file read parsed, round-tripped and kept its invariants.
     """
     out = Path(out_dir)
     problems = []

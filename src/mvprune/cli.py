@@ -5,7 +5,7 @@ Subcommands mirror the pipeline stages: ``gen`` writes a synthetic corpus,
 the predictors on a corpus, ``prune`` runs a full experiment from a config
 (or prunes an existing corpus with existing checkpoints), ``sweep`` and
 ``compare`` evaluate ratio schedules and strategy baselines, and
-``validate`` re-parses every artifact in an output directory.
+``validate`` re-parses the record artifacts of an output directory.
 
 The output directory falls back to the ``MVPRUNE_OUT_DIR`` environment
 variable when ``--out`` is omitted.

@@ -292,7 +292,8 @@ class PruneConfig:
     both count ratios of tokens to drop, so they live in ``[0, 1)``.
     ``epsilon`` stabilizes the reciprocal-distance weighting and must be
     positive. ``adaptive_threshold`` and ``adaptive_multiplier`` parameterize
-    the adaptive-ratio baseline; ``seed`` drives the random baseline.
+    the adaptive-ratio baseline; ``seed`` drives the random baseline. The
+    record checks nothing; ``from_obj`` checks every field.
     """
 
     alphas: tuple[float, ...] = (0.3, 0.2, 0.2)
@@ -303,61 +304,63 @@ class PruneConfig:
     adaptive_multiplier: float = 0.8
     seed: int = 0
 
-    def __post_init__(self):
-        alphas = tuple(_config_float(a, "alphas") for a in self.alphas)
-        if not alphas:
-            raise ConfigError("alphas must name at least one view",
-                              field="alphas")
-        for a in alphas:
-            if not math.isfinite(a) or not 0.0 <= a < 1.0:
-                raise ConfigError(
-                    f"local prune ratio must lie in [0, 1), got {a}",
-                    field="alphas")
-        object.__setattr__(self, "alphas", alphas)
-        for name in ("beta", "epsilon", "adaptive_threshold",
-                     "adaptive_multiplier"):
-            object.__setattr__(self, name,
-                               _config_float(getattr(self, name), name))
-        if not math.isfinite(self.beta) or not 0.0 <= self.beta < 1.0:
-            raise ConfigError(
-                f"global prune ratio must lie in [0, 1), got {self.beta}",
-                field="beta")
-        if not math.isfinite(self.epsilon) or self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}",
-                              field="epsilon")
-        if not isinstance(self.strategy, Strategy):
-            raise ConfigError(f"unknown strategy: {self.strategy!r}")
-        if not math.isfinite(self.adaptive_threshold):
-            raise ConfigError("adaptive_threshold must be finite",
-                              field="adaptive_threshold")
-        if not math.isfinite(self.adaptive_multiplier) or self.adaptive_multiplier < 0.0:
-            raise ConfigError("adaptive_multiplier must be nonnegative",
-                              field="adaptive_multiplier")
-        _check_int(self.seed, "seed", minimum=0)
-
     @classmethod
     def from_obj(cls, obj) -> "PruneConfig":
         _expect_record(obj, "prune_config")
         with parsing("prune config", "prune_config"):
-            return cls(alphas=_listed(obj, "alphas"), beta=obj["beta"],
-                       epsilon=obj["epsilon"],
-                       strategy=_member(Strategy, obj["strategy"], "strategy"),
-                       adaptive_threshold=obj.get("adaptive_threshold", 0.5),
-                       adaptive_multiplier=obj.get("adaptive_multiplier", 0.8),
-                       seed=obj.get("seed", 0))
+            # the required fields are read first, in the order of the record
+            alphas = _listed(obj, "alphas")
+            beta, epsilon = obj["beta"], obj["epsilon"]
+            strategy = _member(Strategy, obj["strategy"], "strategy")
+            alphas = tuple(_config_float(a, "alphas") for a in alphas)
+            if not alphas:
+                raise ConfigError("alphas must name at least one view",
+                                  field="alphas")
+            for a in alphas:
+                if not 0.0 <= a < 1.0:
+                    raise ConfigError(
+                        f"local prune ratio must lie in [0, 1), got {a}",
+                        field="alphas")
+            beta, epsilon, threshold, multiplier = (
+                _config_float(value, name) for name, value in (
+                    ("beta", beta), ("epsilon", epsilon),
+                    ("adaptive_threshold", obj.get("adaptive_threshold", 0.5)),
+                    ("adaptive_multiplier",
+                     obj.get("adaptive_multiplier", 0.8))))
+            if not 0.0 <= beta < 1.0:
+                raise ConfigError(
+                    f"global prune ratio must lie in [0, 1), got {beta}",
+                    field="beta")
+            if not math.isfinite(epsilon) or epsilon <= 0.0:
+                raise ConfigError(f"epsilon must be positive, got {epsilon}",
+                                  field="epsilon")
+            if not math.isfinite(threshold):
+                raise ConfigError("adaptive_threshold must be finite",
+                                  field="adaptive_threshold")
+            if not math.isfinite(multiplier) or multiplier < 0.0:
+                raise ConfigError("adaptive_multiplier must be nonnegative",
+                                  field="adaptive_multiplier")
+            return cls(alphas, beta, epsilon, strategy, threshold, multiplier,
+                       _check_int(obj.get("seed", 0), "seed", minimum=0))
 
 
-def _config_float(value, name: str) -> float:
-    """``value`` as a float; a refusal names ``name`` as its field."""
+def _config_float(value, name: str, sign: str | None = None) -> float:
+    """``value`` as a float; a refusal names ``name`` as its field. With
+    ``sign`` ``"positive"`` or ``"nonnegative"``, only a finite float of
+    that sign passes."""
     if isinstance(value, bool) or not isinstance(
             value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{name} must be a number, got "
                           f"{type(value).__name__}", field=name)
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         raise ConfigError(f"{name} is too large for a float",
                           field=name) from None
+    if sign and not (math.isfinite(value) and (
+            value > 0.0 if sign == "positive" else value >= 0.0)):
+        raise ConfigError(f"{name} must be {sign}, got {value}", field=name)
+    return value
 
 
 def _index_array(values, name: str) -> np.ndarray:

@@ -261,11 +261,6 @@ def _backward(layers, grads, acts: list[np.ndarray], y: np.ndarray,
             dz = np.multiply(da, np.subtract(1.0, a, out=a), out=da)
 
 
-def _check_reduction(reduction: str) -> None:
-    if reduction not in ("mean", "sum"):
-        raise ConfigError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Plain SGD settings.
@@ -273,7 +268,8 @@ class TrainConfig:
     ``batch_size`` 0 means full-batch updates; any positive value samples
     that many examples per step with replacement. ``learning_rate`` 0 is
     allowed and leaves the parameters unchanged, which is occasionally
-    useful to trace the loss without updating.
+    useful to trace the loss without updating. ``reduction`` is ``"mean"``
+    or ``"sum"``. The record checks nothing; ``bench._train_config`` does.
     """
 
     learning_rate: float = 0.1
@@ -281,16 +277,6 @@ class TrainConfig:
     batch_size: int = 64
     reduction: str = "mean"
     seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "learning_rate", float(self.learning_rate))
-        if not math.isfinite(self.learning_rate) or self.learning_rate < 0.0:
-            raise ConfigError(
-                f"learning_rate must be nonnegative, got {self.learning_rate}")
-        _check_int(self.steps, "steps", minimum=0)
-        _check_int(self.batch_size, "batch_size", minimum=0)
-        _check_reduction(self.reduction)
-        _check_int(self.seed, "seed", minimum=0)
 
 
 def train(params: MlpParams, inputs, targets, config: TrainConfig

@@ -835,15 +835,17 @@ def test_sweep_beta_rejects_bad_ratios(tmp_path):
 
 
 def test_replace_beta():
-    # sweep_beta derives each ratio's config with dataclasses.replace, which
-    # re-runs PruneConfig's checks
+    # sweep_beta reads each ratio's config through the prune section's
+    # reader, with the ratio in place of the section's beta, so the reader
+    # checks every ratio
     base = PruneConfig()
-    bumped = replace(base, beta=0.75)
+    bumped = _prune_config(resolve_config(None), beta=0.75)
+    assert bumped == replace(base, beta=0.75)
     assert bumped.beta == 0.75
     assert base.beta == 0.5
     assert bumped.alphas == base.alphas
     with pytest.raises(ConfigError):
-        replace(base, beta=1.0)
+        _prune_config(resolve_config(None), beta=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1132,8 +1134,12 @@ def _broken_checkpoint(damage, out, tmp_path):
     return broken
 
 
-@pytest.mark.parametrize("config", [{"nope": 1}, {"kind": "x"},
-                                    {"prune": {"beta": 1.5}}])
+@pytest.mark.parametrize("config", [
+    {"nope": 1}, {"kind": "x"}, {"prune": {"beta": 1.5}},
+    # a float key takes a JSON number, an integer key a JSON integer
+    {"train": {"learning_rate": True}}, {"corpus": {"noise_sigma": "0.5"}},
+    {"flop": {"linear_coeff": True}}, {"flop": {"quadratic_coeff": "0.5"}},
+    {"corpus": {"seed": "2"}}])
 def test_cli_validate_reports_malformed_resolved_config(config, experiment_dir,
                                                         tmp_path, capsys):
     broken = tmp_path / "broken"
@@ -1145,6 +1151,28 @@ def test_cli_validate_reports_malformed_resolved_config(config, experiment_dir,
     problems = capsys.readouterr().err.splitlines()
     assert [p.split(":")[0] for p in problems] == ["config.resolved.json",
                                                    "inter_trace.csv"]
+
+
+def test_cli_validate_refuses_geometry_without_a_view_per_camera(
+        experiment_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "ep0000.geom.jsonl"
+    records = [json.loads(line) for line in (
+        experiment_dir[0] / "corpus" / path.name).read_text(
+            encoding="utf-8").splitlines()]
+    for record in records:
+        record["views"] = record["views"][:1]
+    path.write_text("".join(json.dumps(record) + "\n" for record in records),
+                    encoding="utf-8")
+    assert main(["validate", "--dir", str(tmp_path)]) == 1
+    problems = capsys.readouterr().err.splitlines()
+    assert len(problems) == 1
+    assert problems[0].startswith("ep0000.geom.jsonl: ")
+    assert "(field 'views')" in problems[0]
+    assert main(["annotate", "--geometry", str(path), "--annotation-out",
+                 str(tmp_path / "ep0000.ann.jsonl")]) == 2
+    assert "(field 'views')" in capsys.readouterr().err
 
 
 @MALFORMED_CHECKPOINTS
@@ -1533,6 +1561,13 @@ def test_cli_validate_reads_the_tokens_sidecar_the_manifest_names(
     pytest.param("flop", "embed_dim", 10**160, id="flop-embed_dim-10**160"),
     # the cost per token fits a float, the cost summed over the run does not
     pytest.param("flop", "embed_dim", 10**152, id="flop-embed_dim-10**152"),
+    # a float key takes a JSON number, not a bool or a numeric string
+    *((section, key, value) for section, key in (
+        ("corpus", "noise_sigma"), ("train", "learning_rate"),
+        ("flop", "linear_coeff"), ("flop", "quadratic_coeff"))
+      for value in (True, "0.5")),
+    ("corpus", "seed", "2"),
+    ("corpus", "seed", -1),
 ])
 def test_cli_prune_rejects_malformed_config_value(section, key, value,
                                                   tmp_path, capsys):
@@ -1544,6 +1579,9 @@ def test_cli_prune_rejects_malformed_config_value(section, key, value,
                  str(tmp_path / "out")])
     assert code == 2
     assert f"invalid {section}" in capsys.readouterr().err
+    # an array size numpy cannot allocate is found only when training, after
+    # the output directory is made; every other value is refused before
+    assert (tmp_path / "out").exists() == (value == 2**62)
 
 
 def test_cli_prune_corpus_bounds_flop_cost_by_the_corpus(experiment_dir,

@@ -12,6 +12,12 @@ Run as a script, this module takes every case through ``mvprune prune
 case that ends otherwise than in exit 0 or 2, and exits 1 if there is one::
 
     PYTHONPATH=src python tests/test_config_probe.py
+
+With ``--list`` it also prints one line per case: the key, the value, the
+exit code and the last line the case wrote to stderr, with the temporary
+directory written as ``<tmp>``. Two trees' listings can be diffed::
+
+    PYTHONPATH=src python tests/test_config_probe.py --list > cases.txt
 """
 
 from __future__ import annotations
@@ -83,8 +89,9 @@ def test_config_value_is_drawn_or_refused(section, key):
                 f"{exc!r}") from exc
 
 
-def run_grid() -> int:
-    """Every case through ``mvprune prune --config``; 1 if one escaped."""
+def run_grid(listing: bool = False) -> int:
+    """Every case through ``mvprune prune --config``; 1 if one escaped.
+    With ``listing``, each case's exit code and last stderr line too."""
     codes, escaped = {}, []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -92,9 +99,10 @@ def run_grid() -> int:
             for config in cases(section, key):
                 path.write_text(json.dumps(config), encoding="utf-8")
                 case = f"{section}.{key} = {json.dumps(config[section][key])}"
+                err = io.StringIO()
                 try:
                     with contextlib.redirect_stdout(io.StringIO()), \
-                            contextlib.redirect_stderr(io.StringIO()):
+                            contextlib.redirect_stderr(err):
                         code = main(["prune", "--config", str(path),
                                      "--out", str(Path(tmp) / "out")])
                 except BaseException:
@@ -103,6 +111,10 @@ def run_grid() -> int:
                 codes[code] = codes.get(code, 0) + 1
                 if code not in (0, 2):
                     escaped.append(f"{case}: exit {code}")
+                if listing:
+                    last = (err.getvalue().splitlines() or [""])[-1]
+                    print(f"{case}: exit {code}: "
+                          f"{last.replace(tmp, '<tmp>')}")
     for line in escaped:
         print(line)
     print(f"{sum(codes.values()) + len(escaped)} cases: " + ", ".join(
@@ -112,4 +124,4 @@ def run_grid() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(run_grid())
+    sys.exit(run_grid("--list" in sys.argv[1:]))

@@ -187,8 +187,12 @@ def test_prune_config_defaults():
     {"adaptive_multiplier": -1.0},
 ])
 def test_prune_config_rejects_bad_values(kwargs):
-    with pytest.raises(ConfigError):
-        PruneConfig(**kwargs)
+    obj = formats_example("prune_config")
+    obj.update(kwargs)
+    with pytest.raises(ParseError) as err:
+        PruneConfig.from_obj(obj)
+    assert isinstance(err.value.__cause__, ConfigError)
+    assert err.value.field == next(iter(kwargs))
 
 
 def formats_example(kind):

@@ -34,7 +34,7 @@ from mvprune.predictor import (
     save_trace,
     train,
 )
-from mvprune.bench import resolve_config, train_predictors
+from mvprune.bench import _train_config, resolve_config, train_predictors
 from mvprune.synth import (
     ScenarioSpec,
     generate_corpus,
@@ -256,8 +256,9 @@ def test_loss_rejects_empty_and_non_binary():
         step(params, np.zeros((0, 2)), np.zeros((0, 1)))
     with pytest.raises(ContractError):
         step(params, np.zeros((1, 2)), np.array([[0.5]]))
+    # a reduction is checked where the train section is read
     with pytest.raises(ConfigError):
-        step(params, np.zeros((1, 2)), np.array([[1.0]]), "median")
+        _train_config(resolve_config({"train": {"reduction": "median"}}))
 
 
 def square_obs(frame_index=0, seed=0):
@@ -507,12 +508,18 @@ def test_sigmoid_is_bit_identical_to_two_branch_form():
 
 
 def test_train_config_validation():
+    def read(**train):
+        return _train_config(resolve_config({"train": train}))
+
+    assert read(reduction="sum")[1] == TrainConfig(
+        learning_rate=0.5, steps=600, batch_size=128, reduction="sum", seed=3)
     with pytest.raises(ConfigError):
-        TrainConfig(learning_rate=-0.1)
+        read(learning_rate=-0.1)
     with pytest.raises(ConfigError):
-        TrainConfig(reduction="max")
-    with pytest.raises(ContractError):
-        TrainConfig(steps=-1)
+        read(reduction="max")
+    with pytest.raises(ConfigError) as err:
+        read(steps=-1)
+    assert isinstance(err.value.__cause__, ContractError)
 
 
 # ---------------------------------------------------------------------------
