@@ -116,7 +116,7 @@ class ViewGeometry:
     def from_obj(cls, obj) -> "ViewGeometry":
         # a view that is no object fails before any box is read
         with parsing("view geometry", "views"):
-            boxes = tuple(Box.from_obj(b) for b in _listed(obj, "boxes", ()))
+            boxes = tuple(Box.from_obj(b) for b in _listed(obj, "boxes", []))
             return cls(*(_check_int(obj[name], name, minimum=1) for name in (
                 "image_width", "image_height", "patch_size")), boxes)
 
@@ -169,7 +169,7 @@ class FrameGeometry:
                                     "arm, two in all", field="gripper_closed")
             return cls(views, closed, frozenset(
                 _check_int(i, "task_objects", minimum=0)
-                for i in _listed(obj, "task_objects", ())))
+                for i in _listed(obj, "task_objects", [])))
 
 
 # ---------------------------------------------------------------------------

@@ -296,12 +296,16 @@ def load_experiment_config(path) -> dict:
 @contextmanager
 def _section(name: str) -> Iterator[None]:
     """Report a malformed ``name`` config section read inside the block as a
-    ``ConfigError``; maps the same exceptions as ``core.parsing``."""
+    ``ConfigError``; maps the same exceptions as ``core.parsing``, whose
+    ``invalid <record>: `` prefix gives way to this one."""
     try:
         yield
     except (KeyError, TypeError, ValueError, AttributeError,
             OverflowError) as exc:
-        raise ConfigError(f"invalid {name} section: {exc}") from exc
+        detail = str(exc)
+        if isinstance(exc, ParseError) and detail.startswith("invalid "):
+            detail = detail.partition(": ")[2]
+        raise ConfigError(f"invalid {name} section: {detail}") from exc
 
 
 def scenario_template(config: dict) -> ScenarioSpec:
@@ -599,7 +603,6 @@ def run_experiment(config: dict | None, out_dir) -> MetricsReport:
     config = resolve_config(config)
     prune_config, flop_model = _parse(config)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     timings = {}
 
     start = time.perf_counter()
@@ -640,12 +643,10 @@ def compare_strategies(config: dict | None, out_dir,
     config = resolve_config(config)
     base, flop_model = _parse(config)
     prune_configs = [_prune_config(config, strategy=s) for s in strategies]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     corpus = _scored_corpus(config, base.epsilon)
     reports = {c.strategy.value: evaluate_strategy(corpus, c, flop_model)[0]
                for c in prune_configs}
-    write_csv(out / "compare.csv", REPORT_HEADER,
+    write_csv(Path(out_dir) / "compare.csv", REPORT_HEADER,
               ((r.strategy, *row) for r in reports.values() for row in r.rows()))
     return reports
 
@@ -664,8 +665,6 @@ def sweep_beta(config: dict | None, betas: Sequence[float], out_dir
     prune_configs = sorted(
         (_prune_config(config, strategy=Strategy.HIERARCHICAL, beta=b)
          for b in betas), key=lambda prune_config: prune_config.beta)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     corpus = _scored_corpus(config, base.epsilon)
     rows = []
     for prune_config in prune_configs:
@@ -682,7 +681,7 @@ def sweep_beta(config: dict | None, betas: Sequence[float], out_dir
         if b["flop_speedup"] < a["flop_speedup"] - 1e-12:
             raise ContractError(
                 f"speedup shrank from ratio {a['beta']} to {b['beta']}")
-    write_csv(out / "sweep.csv", rows[0],
+    write_csv(Path(out_dir) / "sweep.csv", rows[0],
               ([repr(value) for value in row.values()] for row in rows))
     return rows
 
@@ -699,6 +698,7 @@ def write_checkpoints(directory, intra: MlpParams, inter: MlpParams,
 
 def write_csv(path, header: Iterable[str], rows: Iterable[Sequence]) -> None:
     """A deterministic CSV table: the ``header`` row, then ``rows``."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

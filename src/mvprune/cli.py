@@ -27,8 +27,7 @@ from .core import (
 from .annotate import annotate_episode, load_geometry
 from .bench import (
     _flop_model,
-    _prune_config,
-    _train_config,
+    _parse,
     compare_strategies,
     load_experiment_config,
     prune_and_write,
@@ -75,11 +74,13 @@ def _cmd_gen(args) -> int:
     config = _overridden(args, "corpus", (
         "episodes", "seed", "episode_length", "noise_sigma", "distractors",
         "embed_dim", "patch_size"))
-    template = scenario_template(config)
+    _parse(config)
+    out = _out_dir(args)
     corpus = config["corpus"]
-    episodes = generate_corpus(template, corpus["count"], corpus["seed"])
-    manifest = write_corpus(episodes, corpus["seed"], _out_dir(args))
-    print(f"wrote {manifest['count']} episodes to {_out_dir(args)}")
+    episodes = generate_corpus(scenario_template(config), corpus["count"],
+                               corpus["seed"])
+    manifest = write_corpus(episodes, corpus["seed"], out)
+    print(f"wrote {manifest['count']} episodes to {out}")
     return 0
 
 
@@ -96,9 +97,8 @@ def _cmd_annotate(args) -> int:
 def _cmd_train(args) -> int:
     config = _overridden(args, "train", (
         "hidden", "learning_rate", "steps", "batch_size", "seed"))
-    _train_config(config)
+    _parse(config)
     out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
     episodes = load_corpus(args.corpus)
     intra, inter, intra_losses, inter_losses = train_episodes(episodes,
                                                               config)
@@ -123,6 +123,7 @@ def strategy_list(text: str) -> tuple[Strategy, ...]:
 def _cmd_prune(args) -> int:
     config = _overridden(args, "prune", (
         "alphas", "beta", "epsilon", "strategy", "seed"))
+    prune_config, _ = _parse(config)
     out = _out_dir(args)
     if {bool(args.intra), bool(args.inter)} != {args.corpus is not None}:
         raise ConfigError("--corpus, --intra and --inter go together: an "
@@ -130,8 +131,6 @@ def _cmd_prune(args) -> int:
     if args.corpus is None:
         report = run_experiment(config, out)
     else:
-        prune_config = _prune_config(config)
-        out.mkdir(parents=True, exist_ok=True)
         episodes = load_corpus(args.corpus)
         observations = [obs for ep in episodes for obs in ep.observations]
         flop_model = _flop_model(config, (

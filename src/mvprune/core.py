@@ -366,18 +366,20 @@ def _config_float(value, name: str, sign: str | None = None) -> float:
 def _index_array(values, name: str) -> np.ndarray:
     """Token indices of a decoded list as a 1-d int64 array.
 
-    Only integers pass: floats, bools, strings and other objects are
-    rejected rather than truncated, and so is an integer past int64.
+    Only a list or tuple of integers passes: floats, bools, strings and
+    other objects are rejected rather than truncated, and so is an integer
+    past int64.
     """
-    values = tuple(values)
     # np.asarray would turn [1, True] into int64
-    if bool in set(map(type, values)):
-        raise ContractError(f"{name} must hold integers, got a bool")
+    if not isinstance(values, (list, tuple)) or bool in set(map(type, values)):
+        raise ContractError(f"{name} must be a flat list of integers",
+                            field=name)
     arr = np.asarray(values)
     # np.asarray(()) is float64 and empty, so size comes before dtype
     if arr.ndim != 1 or arr.size and not (
             arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64)):
-        raise ContractError(f"{name} must be a flat list of integers")
+        raise ContractError(f"{name} must be a flat list of integers",
+                            field=name)
     return arr.astype(np.int64)
 
 
@@ -592,12 +594,8 @@ def _frame_from_obj(obj, grids: tuple[tuple[int, int], ...],
         raise AnnotationError("mask count does not match view count", frame=t)
     arrays = []
     for v, (m, (h, w)) in enumerate(zip(masks, grids)):
-        arr = np.asarray(m)
-        if arr.ndim != 1:
-            raise ContractError("masks must be flat per-view arrays",
-                                field="masks")
-        # a string, an object or an integer past the uint8 range compares
-        # unequal to both
+        # JSON's true and 1.0 equal 1, so only integers pass
+        arr = _index_array(m, "masks")
         if not ((arr == 0) | (arr == 1)).all():
             raise ContractError("mask entries must be 0 or 1", field="masks")
         if arr.shape != (h * w,):
@@ -652,13 +650,13 @@ def _episode_records(objs: Iterable, kind: str) -> Iterator[dict]:
 
 
 def _listed(obj: dict, name: str, default=None) -> tuple:
-    """Record field ``name`` as a tuple; a value that is no list names it."""
+    """Record field ``name``, a JSON list, as a tuple; any other value names
+    it."""
     value = obj[name] if default is None else obj.get(name, default)
-    try:
-        return tuple(value)
-    except TypeError as exc:
+    if not isinstance(value, list):
         raise ParseError(f"{name} must be a list, got {type(value).__name__}",
-                         field=name) from exc
+                         field=name)
+    return tuple(value)
 
 
 def dumps_obj(obj: dict) -> str:
@@ -688,7 +686,8 @@ def loads_obj(text: str) -> dict:
 
 
 def write_jsonl(path, objs: Iterable[dict]) -> None:
-    """Write record objects one per line."""
+    """Write record objects one per line, making the file's directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for obj in objs:
             fh.write(dumps_obj(obj))

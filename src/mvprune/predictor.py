@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -400,7 +401,8 @@ def load_params(path) -> MlpParams:
 
 
 def save_trace(path, losses: np.ndarray) -> None:
-    """Write the loss trace as a two-column CSV."""
+    """Write the loss trace as a two-column CSV, making its directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,loss\n")
         for step, value in enumerate(np.asarray(losses, dtype=np.float64)):

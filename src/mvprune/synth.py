@@ -488,7 +488,6 @@ def write_corpus(episodes: Sequence[SynthEpisode], seed: int, out_dir) -> dict:
     seeds. Writing the same episodes again produces byte-identical files.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     entries = []
     for episode in episodes:
         eid = episode.episode_id

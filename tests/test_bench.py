@@ -1329,7 +1329,11 @@ def test_cli_validate_survives_two_swapped_fields(experiment_dir, case):
     ("geom", "gripper_closed", [False] * 3),
     ("geom", "task_objects.0", -1), ("geom", "gripper_closed.0", "a"),
     ("geom", "gripper_closed", 5), ("geom", "task_objects", 5),
+    ("geom", "task_objects", ""), ("geom", "task_objects", {}),
     ("geom", "views.0.patch_size", 0), ("geom", "views.0.boxes", 5),
+    ("geom", "views.0.boxes", ""), ("geom", "views.0.boxes", {}),
+    ("ann", "masks.0.0", True), ("ann", "masks.0.0", 1.0),
+    ("ann", "masks.0.0", -0.0),
     ("geom", "views.0.boxes.0", 5), ("geom", "views.0.boxes.0.x0", -1),
     ("ann", "frame_index", 0.0), ("ann", "frame_index", False),
     ("geom", "frame_index", 0.0), ("geom", "frame_index", False),
@@ -1345,6 +1349,21 @@ def test_cli_validate_refuses_coerced_value(suffix, field, value,
     # the innermost named key of the path, e.g. x0 of views.0.boxes.0.x0
     named = [key for key in field.split(".") if not key.isdigit()][-1]
     assert f"(field {named!r})" in problems[0]
+
+
+# a string or an object is iterable, but no JSON list
+@pytest.mark.parametrize("field", ["views.0.boxes", "task_objects"])
+@pytest.mark.parametrize("value", ["", {}], ids=repr)
+def test_cli_annotate_refuses_geometry_list_that_is_no_list(
+        field, value, experiment_dir, tmp_path, capsys):
+    _swap_fields(experiment_dir[0], tmp_path, "geom", {field: value})
+    out = tmp_path / "ep0000.ann.jsonl"
+    assert main(["annotate", "--geometry",
+                 str(tmp_path / "corpus" / "ep0000.geom.jsonl"),
+                 "--annotation-out", str(out)]) == 2
+    named = field.split(".")[-1]
+    assert f"{named} must be a list" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # in the first record, or in the fourth, whose grids no reader once read
@@ -1579,24 +1598,81 @@ def test_cli_prune_rejects_malformed_config_value(section, key, value,
                  str(tmp_path / "out")])
     assert code == 2
     assert f"invalid {section}" in capsys.readouterr().err
-    # an array size numpy cannot allocate is found only when training, after
-    # the output directory is made; every other value is refused before
-    assert (tmp_path / "out").exists() == (value == 2**62)
+    # an array size numpy cannot allocate is found when training, before
+    # the first file is written
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_prune_corpus_bounds_flop_cost_by_the_corpus(experiment_dir,
                                                        tmp_path, capsys):
     out = experiment_dir[0]
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"flop": {"embed_dim": 10**152}}))
+    # the cost fits the 12 frames of 192 tokens the config describes, not
+    # the 24 frames of 768 tokens of the corpus pruned
+    config.write_text(json.dumps({
+        "corpus": {"count": 1, "episode_length": 12, "patch_size": 32},
+        "flop": {"embed_dim": 10**151}}))
     code = main(["prune", "--config", str(config),
                  "--corpus", str(out / "corpus"),
                  "--intra", str(out / "intra.mlp.json"),
                  "--inter", str(out / "inter.mlp.json"),
                  "--out", str(tmp_path / "pruned")])
     assert code == 2
-    assert "invalid flop section" in capsys.readouterr().err
-    assert not list((tmp_path / "pruned").iterdir())
+    assert "invalid flop section: the cost of 24 frames of 768 tokens" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "pruned").exists()
+
+
+# a bad value in a section the command does not read itself
+@pytest.mark.parametrize("command, section, key, value", [
+    ("gen", "prune", "beta", 5),
+    ("train", "flop", "embed_dim", 10**153),
+    ("prune", "train", "steps", -1),
+    ("prune", "corpus", "distractors", 99)],
+    ids=["gen-prune.beta", "train-flop.embed_dim", "prune-train.steps",
+         "prune-corpus.distractors"])
+def test_cli_config_refusal_leaves_no_out(command, section, key, value,
+                                          experiment_dir, tmp_path, capsys):
+    run = experiment_dir[0]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {key: value}}))
+    inputs = {"gen": [],
+              "train": ["--corpus", str(run / "corpus")],
+              "prune": ["--corpus", str(run / "corpus"),
+                        "--intra", str(run / "intra.mlp.json"),
+                        "--inter", str(run / "inter.mlp.json")]}[command]
+    code = main([command, "--config", str(config), *inputs,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: invalid {section} section: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# a corpus or checkpoint that is not there
+@pytest.mark.parametrize("command, missing", [
+    ("train", "corpus"), ("prune", "corpus"), ("prune", "intra.mlp.json"),
+    ("prune", "inter.mlp.json")], ids=str)
+def test_cli_input_refusal_leaves_no_out(command, missing, experiment_dir,
+                                         tmp_path):
+    paths = {name: str(experiment_dir[0] / name)
+             for name in ("corpus", "intra.mlp.json", "inter.mlp.json")}
+    paths[missing] = str(tmp_path / "missing")
+    argv = [command, "--corpus", paths["corpus"]]
+    if command == "prune":
+        argv += ["--intra", paths["intra.mlp.json"],
+                 "--inter", paths["inter.mlp.json"]]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--betas", "0.5,1.0"], ["prune", "--beta", "1.0"]], ids=str)
+def test_cli_prune_refusal_has_one_prefix(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid prune section: global prune ratio must lie in "
+        "[0, 1), got 1.0 (field 'beta')\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [

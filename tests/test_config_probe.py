@@ -7,15 +7,19 @@ Each case sets one key of the four sections of a small experiment config
 succeed or raise one of ``INPUT_ERRORS``, which the CLI reports with exit
 code 2.
 
-Run as a script, this module takes every case through ``mvprune prune
---config`` itself, training, pruning and writing included, prints each
-case that ends otherwise than in exit 0 or 2, and exits 1 if there is one::
+Run as a script, this module takes every case through four commands,
+training, pruning and writing included: ``mvprune prune --config``,
+``gen``, ``train --corpus`` and ``prune --corpus``. The last two read one
+corpus and its checkpoints, staged once from the base config. The script
+prints each run that ends otherwise than in exit 0 or 2, and exits 1 if
+there is one::
 
     PYTHONPATH=src python tests/test_config_probe.py
 
-With ``--list`` it also prints one line per case: the key, the value, the
-exit code and the last line the case wrote to stderr, with the temporary
-directory written as ``<tmp>``. Two trees' listings can be diffed::
+With ``--list`` it also prints one line per case and command: the command,
+the key, the value, the exit code and the last line the run wrote to
+stderr, with the temporary directory written as ``<tmp>``. Two trees'
+listings can be diffed::
 
     PYTHONPATH=src python tests/test_config_probe.py --list > cases.txt
 """
@@ -89,35 +93,60 @@ def test_config_value_is_drawn_or_refused(section, key):
                 f"{exc!r}") from exc
 
 
+def commands(tmp: str) -> dict[str, list[str]]:
+    """Each command a case is taken through, by name: its arguments, all but
+    ``--config``. The staged commands read the corpus and checkpoints under
+    ``tmp/staged``, which ``run_grid`` makes once from ``BASE``."""
+    staged = f"{tmp}/staged"
+    return {
+        "prune --config": ["prune", "--out", f"{tmp}/out"],
+        "gen": ["gen", "--out", f"{tmp}/gen"],
+        "train --corpus": ["train", "--corpus", f"{staged}/corpus",
+                           "--out", f"{tmp}/train"],
+        "prune --corpus": ["prune", "--corpus", f"{staged}/corpus",
+                           "--intra", f"{staged}/intra.mlp.json",
+                           "--inter", f"{staged}/inter.mlp.json",
+                           "--out", f"{tmp}/pruned"],
+    }
+
+
 def run_grid(listing: bool = False) -> int:
-    """Every case through ``mvprune prune --config``; 1 if one escaped.
-    With ``listing``, each case's exit code and last stderr line too."""
+    """Every case through each of ``commands``; 1 if one escaped. With
+    ``listing``, each run's exit code and last stderr line too."""
     codes, escaped = {}, []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(BASE), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["gen", "--out", f"{tmp}/staged/corpus"],
+                         ["train", "--corpus", f"{tmp}/staged/corpus",
+                          "--out", f"{tmp}/staged"]):
+                if main([*argv, "--config", str(path)]) != 0:
+                    raise SystemExit(f"could not stage: mvprune {argv[0]}")
         for section, key in KEYS:
             for config in cases(section, key):
                 path.write_text(json.dumps(config), encoding="utf-8")
                 case = f"{section}.{key} = {json.dumps(config[section][key])}"
-                err = io.StringIO()
-                try:
-                    with contextlib.redirect_stdout(io.StringIO()), \
-                            contextlib.redirect_stderr(err):
-                        code = main(["prune", "--config", str(path),
-                                     "--out", str(Path(tmp) / "out")])
-                except BaseException:
-                    escaped.append(f"{case}: {traceback.format_exc()}")
-                    continue
-                codes[code] = codes.get(code, 0) + 1
-                if code not in (0, 2):
-                    escaped.append(f"{case}: exit {code}")
-                if listing:
-                    last = (err.getvalue().splitlines() or [""])[-1]
-                    print(f"{case}: exit {code}: "
-                          f"{last.replace(tmp, '<tmp>')}")
+                for name, argv in commands(tmp).items():
+                    err = io.StringIO()
+                    try:
+                        with contextlib.redirect_stdout(io.StringIO()), \
+                                contextlib.redirect_stderr(err):
+                            code = main([*argv, "--config", str(path)])
+                    except BaseException:
+                        escaped.append(
+                            f"{name}: {case}: {traceback.format_exc()}")
+                        continue
+                    codes[code] = codes.get(code, 0) + 1
+                    if code not in (0, 2):
+                        escaped.append(f"{name}: {case}: exit {code}")
+                    if listing:
+                        last = (err.getvalue().splitlines() or [""])[-1]
+                        print(f"{name}: {case}: exit {code}: "
+                              f"{last.replace(tmp, '<tmp>')}")
     for line in escaped:
         print(line)
-    print(f"{sum(codes.values()) + len(escaped)} cases: " + ", ".join(
+    print(f"{sum(codes.values()) + len(escaped)} runs: " + ", ".join(
         f"{count} exit {code}" for code, count in sorted(codes.items()))
         + f", {len(escaped)} escaped")
     return 1 if escaped else 0

@@ -178,9 +178,9 @@ def test_prune_config_defaults():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"alphas": (1.0, 0.2, 0.2)},
-    {"alphas": (-0.1, 0.2, 0.2)},
-    {"alphas": ()},
+    {"alphas": [1.0, 0.2, 0.2]},
+    {"alphas": [-0.1, 0.2, 0.2]},
+    {"alphas": []},
     {"beta": 1.0},
     {"epsilon": 0.0},
     {"adaptive_threshold": float("nan")},
@@ -229,6 +229,16 @@ def test_prune_config_from_obj_names_refused_key(key, value):
     with pytest.raises(ParseError) as err:
         PruneConfig.from_obj(obj)
     assert err.value.field == key
+
+
+# a string or an object is iterable, but no JSON list
+@pytest.mark.parametrize("value", ["", "0.5", {}, {"0.5": 1}], ids=repr)
+def test_prune_config_refuses_alphas_that_are_no_list(value):
+    obj = formats_example("prune_config")
+    obj["alphas"] = value
+    with pytest.raises(ParseError, match="alphas must be a list") as err:
+        PruneConfig.from_obj(obj)
+    assert err.value.field == "alphas"
 
 
 # ---------------------------------------------------------------------------
@@ -397,18 +407,24 @@ def test_annotation_reader_rejects_non_binary_mask():
     assert err.field == "masks"
 
 
-# entries the uint8 copy of a mask changes (0.5, 1.0000001, 256, -1) or
-# keeps above 1 (2)
-@pytest.mark.parametrize("mask", [
-    [0, 2], [0.5, 1.0], [1.0000001, 0.0], [0, 256], [1, -1], [256, 1]],
-    ids=repr)
+# entries the uint8 copy of a mask changes (256, -1) or keeps above 1 (2)
+@pytest.mark.parametrize("mask", [[0, 2], [0, 256], [1, -1], [256, 1]],
+                         ids=repr)
 def test_annotation_reader_refuses_entries_other_than_0_and_1(mask):
     assert "0 or 1" in str(refused_annotation(mask))
 
 
-@pytest.mark.parametrize("mask", [[True, False], [0.0, -0.0, 1.0], [1, 0]],
-                         ids=repr)
-def test_annotation_reader_accepts_bools_and_signed_zeros(mask):
+# JSON's true, 1.0 and -0.0 equal 1 or 0, and the uint8 copy would truncate
+# 0.5 and 1.0000001; a mask holds integers only
+@pytest.mark.parametrize("mask", [
+    [True, False], [1, True], [0.0, -0.0, 1.0], [-0.0, 1], [0.5, 1.0],
+    [1.0000001, 0.0]], ids=repr)
+def test_annotation_reader_refuses_bool_and_float_mask_entries(mask):
+    assert refused_annotation(mask).field == "masks"
+
+
+@pytest.mark.parametrize("mask", [[1, 0], [0, 0, 1]], ids=repr)
+def test_annotation_reader_reads_integer_masks_as_uint8(mask):
     objs = list(make_annotation().frame_objs())
     for obj in objs:
         obj["grids"][0] = [1, len(mask)]

@@ -62,11 +62,11 @@ MAPPED = {"KeyError", "TypeError", "ValueError", "AttributeError",
           "BaseException", "UnicodeDecodeError", "UnicodeError"}
 
 # the two boundaries, plus handlers around one call whose failure they name
-# exactly: bytes that are not UTF-8, text that is no JSON, a field that is
-# no list, a number too large for a float, an unreadable sidecar, a trace
-# line that is no number, and an array too large to allocate
+# exactly: bytes that are not UTF-8, text that is no JSON, a number too
+# large for a float, an unreadable sidecar, a trace line that is no number,
+# and an array too large to allocate
 BOUNDARIES = {"core.parsing", "bench._section", "core.read_text",
-              "core.loads_obj", "core._listed", "core._config_float",
+              "core.loads_obj", "core._config_float",
               "core._read_sidecar", "predictor.load_trace",
               "bench.train_predictors", "synth._generate"}
 
