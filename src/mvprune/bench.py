@@ -99,14 +99,17 @@ def auc_score(scores, labels) -> float:
     if positives == 0 or negatives == 0:
         raise ContractError("AUC needs both classes present")
     order = np.argsort(s)
-    sorted_scores = s[order]
-    # tie group i..j of the sorted scores, in any order, shares the midrank
-    # (i + j) / 2 + 1: exact halves, so the rank sum is exact
-    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
-    ends = np.r_[starts[1:], s.shape[0]] - 1
-    ranks = np.empty(s.shape[0])
-    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
-    u = ranks[y == 1].sum() - positives * (positives + 1) / 2.0
+    sorted_scores, y = s[order], y[order]
+    del order
+    # tie group bounds[k]..bounds[k + 1] - 1 of the sorted scores, in any
+    # order, shares the midrank (bounds[k] + bounds[k + 1] + 1) / 2; every
+    # term and partial sum below is an integer under 2**53, so it is exact
+    bounds = np.flatnonzero(
+        np.r_[True, sorted_scores[1:] != sorted_scores[:-1], True])
+    del sorted_scores
+    hits = np.add.reduceat(y, bounds[:-1], dtype=np.float64)
+    u = (np.dot(bounds[:-1], hits) + np.dot(bounds[1:], hits) + positives
+         ) / 2.0 - positives * (positives + 1) / 2.0
     return float(u / (positives * negatives))
 
 
@@ -366,18 +369,44 @@ def _flop_model(config: dict, extent: tuple[int, int]) -> FlopModel:
     return FlopModel(layers, d, linear, quadratic)
 
 
+def _allocatable(what: str, floats: int) -> None:
+    """Refuse ``what``, an array of ``floats`` float64 entries, if it is
+    larger than numpy allocates on any machine: ``sys.maxsize`` bytes."""
+    if 8 * floats > sys.maxsize:
+        raise ConfigError(f"{what} would take {8 * floats} bytes, more than "
+                          f"numpy can allocate ({sys.maxsize})")
+
+
 def _parse(config: dict) -> tuple[PruneConfig, FlopModel]:
     """Parse every section of a resolved config, generating nothing; the
-    cost model is bounded by the corpus the config generates."""
+    cost model is bounded by the corpus the config generates, and the
+    corpus and training arrays by what numpy can allocate."""
     prune_config = _prune_config(config)
-    _train_config(config)
+    hidden, train_config = _train_config(config)
     spec = scenario_template(config)
+    per_frame = VIEW_COUNT * spec.grid_side ** 2
+    batch = train_config.batch_size
     with _section("corpus"):
         count = _check_int(config["corpus"]["count"], "corpus.count",
                            minimum=1)
         _check_int(config["corpus"]["seed"], "corpus.seed", minimum=0)
+        tokens = count * spec.episode_length * per_frame
+        _allocatable(f"a token buffer of corpus.count x corpus.episode_length"
+                     f" x {per_frame} tokens x corpus.embed_dim",
+                     tokens * spec.embed_dim)
+    with _section("train"):
+        for what, floats in (
+                (f"train.hidden x {VIEW_COUNT} x corpus.embed_dim weights",
+                 hidden * VIEW_COUNT * spec.embed_dim),
+                ("train.hidden x " + ("train.batch_size" if batch else
+                                      "corpus tokens") + " activations",
+                 hidden * (batch or tokens)),
+                (f"train.batch_size x {VIEW_COUNT} x corpus.embed_dim inputs",
+                 batch * VIEW_COUNT * spec.embed_dim),
+                ("train.steps losses", train_config.steps)):
+            _allocatable(what, floats)
     return prune_config, _flop_model(
-        config, (count * spec.episode_length, VIEW_COUNT * spec.grid_side ** 2))
+        config, (count * spec.episode_length, per_frame))
 
 
 # ---------------------------------------------------------------------------

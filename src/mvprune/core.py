@@ -134,9 +134,24 @@ def _as_float_array(value, name: str, *, shape: tuple[int, ...] | None = None,
         raise ContractError(f"{name} must have {ndim} dimension(s), got {arr.ndim}")
     if shape is not None and arr.shape != shape:
         raise ContractError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
+    # a NaN or inf makes the sum non-finite; so may finite entries that
+    # overflow it, and only then does the entrywise scan run
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(arr, axis=None)
+    if not np.isfinite(total) and not np.isfinite(arr).all():
         raise ContractError(f"{name} must be finite")
     return _read_only(arr)
+
+
+def _record_floats(value, name: str, **checks) -> np.ndarray:
+    """``_as_float_array`` of a decoded JSON list of numbers, or of such
+    lists, refusing a bool in it, which numpy would read as 0 or 1; that
+    refusal names ``name`` as its field."""
+    rows = value if isinstance(value, list) else [value]
+    if bool in set(map(type, rows)).union(
+            *(map(type, row) for row in rows if isinstance(row, list))):
+        raise ContractError(f"{name} must hold numbers, got bool", field=name)
+    return _as_float_array(value, name, **checks)
 
 
 def _check_int(value, name: str, *, minimum: int | None = None) -> int:
@@ -445,7 +460,7 @@ class PruneResult(_ValueEq):
             counts = tuple(_check_int(c, "view_token_counts", minimum=0)
                            for c in obj["view_token_counts"])
             kept = [_index_array(idx, "kept") for idx in obj["kept"]]
-            fused = tuple(_as_float_array(a, "fused_scores", ndim=1)
+            fused = tuple(_record_floats(a, "fused_scores", ndim=1)
                           for a in obj["fused_scores"])
             local = tuple(_check_int(c, "local_pruned_counts", minimum=0)
                           for c in obj["local_pruned_counts"])
@@ -481,6 +496,16 @@ class PruneResult(_ValueEq):
                     for v, idx in enumerate(kept)):
                 raise ContractError(
                     "ranking must enumerate exactly the kept tokens")
+            # best first, as _global_rows ranks: fused scores fall, and equal
+            # ones by falling position, the view's start plus the index
+            position = np.cumsum([0, *counts])[rank_view] + rank_idx
+            score = np.empty(position.shape)
+            score[np.argsort(position)] = np.concatenate([score[:0], *fused])
+            if not ((score[:-1] > score[1:]) | (score[:-1] == score[1:]) & (
+                    position[:-1] > position[1:])).all():
+                raise ContractError(
+                    "ranking must follow falling fused scores, ties by "
+                    "falling (view, index)", field="ranking")
             return cls(counts, tuple(tuple(idx.tolist()) for idx in kept),
                        fused, local, global_count,
                        tuple(zip(rank_view.tolist(), rank_idx.tolist())))

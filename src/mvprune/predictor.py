@@ -45,6 +45,7 @@ from .core import (
     _check_int,
     _expect_record,
     _read_only,
+    _record_floats,
     loads_obj,
     parsing,
     read_text,
@@ -92,10 +93,10 @@ class MlpParams(_ValueEq):
                     field="activation")
             layers = []
             for i, layer in enumerate(obj["layers"]):
-                w = _as_float_array(layer["weight"], f"layer {i} weight",
-                                    ndim=2)
-                b = _as_float_array(layer["bias"], f"layer {i} bias",
-                                    shape=(w.shape[0],))
+                w = _record_floats(layer["weight"], f"layer {i} weight",
+                                   ndim=2)
+                b = _record_floats(layer["bias"], f"layer {i} bias",
+                                   shape=(w.shape[0],))
                 if layers and w.shape[1] != layers[-1][0].shape[0]:
                     raise ContractError(
                         f"layer {i} expects {w.shape[1]} inputs, previous "

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -233,14 +232,18 @@ def fuse_scores(normalized_per_view: Sequence[np.ndarray],
 
 @lru_cache(maxsize=16)
 def _positions(view_token_counts: tuple[int, ...]
-               ) -> tuple[np.ndarray, np.ndarray, tuple]:
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where each view of a frame starts, and its end; each position's index
-    in its view; each position as a ``(view, index)`` pair. Shared."""
+    in its view as an int, and as a ``(view, index)`` pair, in object
+    arrays. Shared, so results hold these objects rather than new ints."""
     starts = np.cumsum([0, *view_token_counts])
     view_of = np.repeat(np.arange(len(starts) - 1), view_token_counts)
-    index_of = np.arange(starts[-1]) - starts[view_of]
+    index_of = (np.arange(starts[-1]) - starts[view_of]).astype(object)
+    pairs = np.fromiter(zip(view_of.tolist(), index_of.tolist()), object,
+                        starts[-1])
     starts.flags.writeable = index_of.flags.writeable = False
-    return starts, index_of, tuple(zip(view_of.tolist(), index_of.tolist()))
+    pairs.flags.writeable = False
+    return starts, index_of, pairs
 
 
 @dataclass(frozen=True)
@@ -271,19 +274,16 @@ class PruneBatch:
         cuts = np.searchsorted(kept, starts if frames == 1 else (
             np.arange(frames)[:, None] * total + starts).ravel()).tolist()
         indices = index_of[kept % total if frames > 1 else kept].tolist()
-        ranking, step = self.ranking.tolist(), len(starts)
+        ranking, step = pairs[self.ranking].tolist(), len(starts)
         for f, (local, drop) in enumerate(zip(
                 self.local_pruned_counts.tolist(),
                 self.global_pruned_counts.tolist())):
             bounds = cuts[f * step:(f + 1) * step]
-            ranked = ranking[bounds[0]:bounds[-1]]
             yield PruneResult(
                 self.view_token_counts,
                 tuple(tuple(indices[a:b]) for a, b in zip(bounds, bounds[1:])),
                 tuple(fused[a:b] for a, b in zip(bounds, bounds[1:])),
-                tuple(local), drop,
-                # looked up in C; two spare items make it return a tuple
-                itemgetter(0, 0, *ranked)(pairs)[2:] if ranked else ())
+                tuple(local), drop, tuple(ranking[bounds[0]:bounds[-1]]))
 
 
 def _global_rows(fused: np.ndarray, alive: np.ndarray, survivors: np.ndarray,

@@ -3,6 +3,7 @@
 import builtins
 import json
 import shutil
+import sys
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -101,6 +102,23 @@ def test_auc_is_exact_on_tied_and_untied_scores(seed, size, distinct,
     rng.shuffle(labels)
     assert auc_score(scores, labels) == oracles.oracle_auc(scores.tolist(),
                                                            labels.tolist())
+
+
+@pytest.mark.parametrize("distinct", [196_608, 1000, 1], ids=str)
+def test_auc_peaks_at_most_four_times_its_scores(distinct):
+    """No per-token rank array: the sorted copies go once used."""
+    rng = np.random.default_rng(0)
+    scores = rng.integers(0, distinct, 196_608) / distinct
+    labels = (rng.random(scores.size) < 0.3).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        auc = auc_score(scores, labels)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * scores.nbytes
+    assert 0.0 <= auc <= 1.0
 
 
 def test_auc_rejects_degenerate_inputs():
@@ -283,6 +301,67 @@ def test_config_parsers_raise_only_config_error(overrides):
             parse(config)
         except ConfigError:
             pass
+
+
+# the keys that size the corpus token buffer or a training array
+SIZE_KEYS = [("corpus", "count"), ("corpus", "episode_length"),
+             ("corpus", "embed_dim"), ("train", "hidden"), ("train", "steps"),
+             ("train", "batch_size")]
+
+
+@pytest.mark.parametrize("section, key", SIZE_KEYS,
+                         ids=[f"{s}.{k}" for s, k in SIZE_KEYS])
+def test_parse_refuses_a_size_numpy_cannot_allocate(section, key):
+    with pytest.raises(ConfigError, match=(
+            f"^invalid {section} section: .*{section}\\.{key}.* more than "
+            f"numpy can allocate")):
+        _parse(resolve_config({section: {key: 10 ** 30}}))
+
+
+def test_parse_bounds_the_token_buffer_at_sys_maxsize_bytes():
+    # 12 frames of 768 tokens, 8 bytes a float
+    fits = sys.maxsize // (8 * 12 * 768)
+    corpus = {"count": 1, "episode_length": 12}
+    _parse(resolve_config({"corpus": {**corpus, "embed_dim": fits}}))
+    with pytest.raises(ConfigError, match="a token buffer of corpus.count"):
+        _parse(resolve_config({"corpus": {**corpus, "embed_dim": fits + 1}}))
+    # sizes that each fit, and together do not
+    _parse(resolve_config({"corpus": {"count": 10 ** 9}}))
+    _parse(resolve_config({"corpus": {"embed_dim": 10 ** 9}}))
+    with pytest.raises(ConfigError, match="a token buffer of corpus.count"):
+        _parse(resolve_config({"corpus": {"count": 10 ** 9,
+                                          "embed_dim": 10 ** 9}}))
+
+
+def test_parse_bounds_full_batch_activations_by_the_corpus_tokens():
+    # 10**14 hidden units fit as weights, and as activations of a batch of
+    # 128, but not as activations of the default corpus's 49152 tokens
+    _parse(resolve_config({"train": {"hidden": 10 ** 14}}))
+    with pytest.raises(ConfigError,
+                       match="train.hidden x corpus tokens activations"):
+        _parse(resolve_config({"train": {"hidden": 10 ** 14,
+                                         "batch_size": 0}}))
+
+
+@pytest.mark.parametrize("section, key", SIZE_KEYS,
+                         ids=[f"{s}.{k}" for s, k in SIZE_KEYS])
+def test_cli_commands_agree_on_a_size_numpy_cannot_allocate(
+        section, key, experiment_dir, tmp_path, capsys):
+    run = experiment_dir[0]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {key: 10 ** 30}}))
+    staged = ["--corpus", str(run / "corpus"),
+              "--intra", str(run / "intra.mlp.json"),
+              "--inter", str(run / "inter.mlp.json")]
+    for argv in (["prune"], ["gen"], ["train", *staged[:2]],
+                 ["prune", *staged]):
+        code = main([*argv, "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.startswith(f"error: invalid {section} section: ")
+        assert f"{section}.{key}" in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_load_experiment_config(tmp_path):

@@ -11,8 +11,9 @@ Run as a script, this module takes every case through four commands,
 training, pruning and writing included: ``mvprune prune --config``,
 ``gen``, ``train --corpus`` and ``prune --corpus``. The last two read one
 corpus and its checkpoints, staged once from the base config. The script
-prints each run that ends otherwise than in exit 0 or 2, and exits 1 if
-there is one::
+prints each run that ends otherwise than in exit 0 or 2, and each of
+``SIZE_KEYS`` at ``10 ** 30`` whose four exit codes differ, and exits 1
+if there is one::
 
     PYTHONPATH=src python tests/test_config_probe.py
 
@@ -54,6 +55,11 @@ SECTIONS = ("corpus", "train", "prune", "flop")
 VALUES = (None, True, False, "x", [], {}, -1, 0, 1, 0.5, -0.0, 1.5, 2, 3,
           10 ** 30, 1e300, -1e300, [0.5], [0.3, 0.2, 0.2],
           [0.1, 0.2, 0.3, 0.4], [-1.0, 2.0, 0.5])
+# keys that size the corpus or a training array; at 10 ** 30 every command
+# must refuse them alike, since numpy allocates no such array anywhere
+SIZE_KEYS = (("corpus", "count"), ("corpus", "episode_length"),
+             ("corpus", "embed_dim"), ("train", "hidden"), ("train", "steps"),
+             ("train", "batch_size"))
 # a 1x1 patch makes 256x256 grids, whose spatial weighting alone caches
 # 268 MB
 LEFT_OUT = ("corpus", "patch_size", 1)
@@ -111,9 +117,10 @@ def commands(tmp: str) -> dict[str, list[str]]:
 
 
 def run_grid(listing: bool = False) -> int:
-    """Every case through each of ``commands``; 1 if one escaped. With
+    """Every case through each of ``commands``; 1 if one escaped or the
+    commands disagree on a case of ``SIZE_KEYS`` at ``10 ** 30``. With
     ``listing``, each run's exit code and last stderr line too."""
-    codes, escaped = {}, []
+    codes, escaped, disagree = {}, [], []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(BASE), encoding="utf-8")
@@ -127,6 +134,7 @@ def run_grid(listing: bool = False) -> int:
             for config in cases(section, key):
                 path.write_text(json.dumps(config), encoding="utf-8")
                 case = f"{section}.{key} = {json.dumps(config[section][key])}"
+                case_codes = {}
                 for name, argv in commands(tmp).items():
                     err = io.StringIO()
                     try:
@@ -138,18 +146,27 @@ def run_grid(listing: bool = False) -> int:
                             f"{name}: {case}: {traceback.format_exc()}")
                         continue
                     codes[code] = codes.get(code, 0) + 1
+                    case_codes[name] = code
                     if code not in (0, 2):
                         escaped.append(f"{name}: {case}: exit {code}")
                     if listing:
                         last = (err.getvalue().splitlines() or [""])[-1]
                         print(f"{name}: {case}: exit {code}: "
                               f"{last.replace(tmp, '<tmp>')}")
-    for line in escaped:
+                value = config[section][key]
+                sized = (section, key) in SIZE_KEYS and \
+                    type(value) is int and value == 10 ** 30
+                if sized and len(set(case_codes.values())) > 1:
+                    disagree.append(
+                        f"{case}: the commands disagree: " + ", ".join(
+                            f"{name} exit {code}"
+                            for name, code in case_codes.items()))
+    for line in escaped + disagree:
         print(line)
     print(f"{sum(codes.values()) + len(escaped)} runs: " + ", ".join(
         f"{count} exit {code}" for code, count in sorted(codes.items()))
-        + f", {len(escaped)} escaped")
-    return 1 if escaped else 0
+        + f", {len(escaped)} escaped, {len(disagree)} size cases disagree")
+    return 1 if escaped or disagree else 0
 
 
 if __name__ == "__main__":

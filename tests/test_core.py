@@ -25,6 +25,7 @@ from mvprune.core import (
     PruneResult,
     Strategy,
     TokenGrid,
+    _as_float_array,
     _episode_records,
     _member,
     dumps_obj,
@@ -242,6 +243,56 @@ def test_prune_config_refuses_alphas_that_are_no_list(value):
 
 
 # ---------------------------------------------------------------------------
+# float arrays
+
+
+def test_float_array_check_peaks_far_below_an_entrywise_scan():
+    # an entrywise finiteness scan of 4M entries would allocate a 4 MB mask
+    values = np.random.default_rng(0).random(4_000_000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        checked = _as_float_array(values, "values", copy=False)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(checked, values)
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("values", [
+    [1e308, 1e308], [-1e308, -1e308], [1e308, 1e308, -1e308],
+    [[1e308, -1e308], [-1e308, -1e308]], [sys.float_info.max] * 5],
+    ids=repr)
+def test_float_array_accepts_finite_entries_whose_sum_overflows(values):
+    # pytest turns an overflow or invalid-value RuntimeWarning into an error
+    assert np.array_equal(_as_float_array(values, "values"), values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 3, -1])
+def test_float_array_refuses_a_value_that_is_not_finite_anywhere(bad, at):
+    values = np.ones(7)
+    values[at] = bad
+    with pytest.raises(ContractError, match="^values must be finite$"):
+        _as_float_array(values, "values")
+    with pytest.raises(ContractError, match="^values must be finite$"):
+        _as_float_array(values.reshape(1, 7), "values", copy=False)
+
+
+@pytest.mark.parametrize("values", [
+    [np.inf, -np.inf], [1e308, 1e308, np.nan], [-1e308, -1e308, np.inf]],
+    ids=repr)
+def test_float_array_refuses_non_finite_entries_whatever_their_sum(values):
+    with pytest.raises(ContractError, match="^values must be finite$"):
+        _as_float_array(values, "values")
+
+
+def test_float_array_takes_bools_from_python_callers():
+    assert _as_float_array([True, 0.5], "values").tolist() == [1.0, 0.5]
+
+
+# ---------------------------------------------------------------------------
 # prune results
 
 
@@ -308,6 +359,51 @@ def test_prune_result_refuses_ranking_of_other_tokens(ranking, as_array):
         ranking = np.array(ranking, dtype=np.int64).reshape(-1, 2)
     err = refused_record(good_result(), ranking=ranking)
     assert "ranking must enumerate exactly the kept tokens" in str(err)
+
+
+def test_prune_result_refuses_ranking_against_its_fused_scores():
+    # the best (0, 3) last and the worst (0, 1) first
+    err = refused_record(good_result(), ranking=[[0, 1], [1, 0], [0, 3]])
+    assert "ranking must follow falling fused scores" in str(err)
+    assert err.field == "ranking"
+
+
+def test_prune_result_refuses_a_fused_score_out_of_its_rank():
+    # (1, 0), ranked second, outscores (0, 3), ranked first
+    err = refused_record(good_result(), fused_scores=[[0.5, 0.9], [1e300]])
+    assert "ranking must follow falling fused scores" in str(err)
+
+
+@pytest.mark.parametrize("ranking, accepted", [
+    ([[1, 0], [0, 3], [0, 1]], True),
+    ([[0, 3], [1, 0], [0, 1]], False),
+    ([[1, 0], [0, 1], [0, 3]], False),
+], ids=["higher_view_first", "lower_view_first", "lower_index_first"])
+def test_prune_result_ranks_equal_fused_scores_by_falling_position(
+        ranking, accepted):
+    # as the global stage ranks: of equal scores the lower (view, index)
+    # pair is pruned first, so it is ranked last
+    obj = {**good_result().to_obj(), "fused_scores": [[0.5, 0.5], [0.5]],
+           "ranking": ranking}
+    if accepted:
+        assert PruneResult.from_obj(obj).ranking == tuple(map(tuple, ranking))
+    else:
+        assert "ranking must follow" in str(refused_record(good_result(),
+                                                           **obj))
+
+
+def test_prune_result_ties_negative_and_positive_zero():
+    obj = {**good_result().to_obj(), "fused_scores": [[0.0, -0.0], [0.0]],
+           "ranking": [[1, 0], [0, 3], [0, 1]]}
+    assert PruneResult.from_obj(obj).kept == ((1, 3), (0,))
+
+
+@pytest.mark.parametrize("fused", [
+    [[0.5, True], [0.7]], [[0.5, 0.9], [False]], [True, [0.7]]], ids=repr)
+def test_prune_result_refuses_bool_fused_scores(fused):
+    err = refused_record(good_result(), fused_scores=fused)
+    assert err.field == "fused_scores"
+    assert "fused_scores must hold numbers, got bool" in str(err)
 
 
 def test_prune_result_accepts_empty_views():

@@ -150,6 +150,21 @@ def test_mlp_params_from_obj_refuses_layers(layers):
         MlpParams.from_obj(obj)
 
 
+@pytest.mark.parametrize("layer, field", [
+    ({"weight": [[1.0, 2.0]], "bias": [True]}, "layer 0 bias"),
+    ({"weight": [[1.0, False]], "bias": [0.0]}, "layer 0 weight"),
+    ({"weight": [True, [2.0]], "bias": [0.0]}, "layer 0 weight"),
+    ({"weight": [[1.0, 2.0]], "bias": True}, "layer 0 bias")],
+    ids=["bias", "weight", "weight_row", "bias_scalar"])
+def test_mlp_params_from_obj_refuses_bools(layer, field):
+    # numpy would read each bool as 0.0 or 1.0
+    obj = {**init_mlp((2, 1), seed=0).to_obj(), "layers": [layer]}
+    with pytest.raises(ParseError,
+                       match=f"{field} must hold numbers, got bool") as err:
+        MlpParams.from_obj(obj)
+    assert err.value.field == field
+
+
 def test_mlp_params_arrays_are_read_only(tmp_path):
     # as each maker of weights leaves them: init_mlp, train and a loaded
     # checkpoint

@@ -389,15 +389,19 @@ def test_generate_corpus_refuses_a_corpus_too_large_before_deriving(
     assert derived == []
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--episodes", 2 ** 39), ("--episodes", 10 ** 12),
-    ("--embed-dim", 2 ** 44), ("--episode-length", 10 ** 15)])
-def test_cli_gen_refuses_a_corpus_too_large(flag, value, tmp_path, capsys,
-                                            monkeypatch):
+# the first three buffers are under sys.maxsize bytes and refused by the
+# allocator; the last is larger, and the config parse refuses it first
+@pytest.mark.parametrize("flag, value, refusal", [
+    ("--episodes", 2 ** 39, "corpus too large"),
+    ("--episodes", 10 ** 12, "corpus too large"),
+    ("--embed-dim", 2 ** 44, "corpus too large"),
+    ("--episode-length", 10 ** 15, "invalid corpus section: a token buffer")])
+def test_cli_gen_refuses_a_corpus_too_large(flag, value, refusal, tmp_path,
+                                            capsys, monkeypatch):
     derived = record_derivations(monkeypatch)
     assert main(["gen", "--out", str(tmp_path), flag, str(value)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: corpus too large") and err.count("\n") == 1
+    assert err.startswith(f"error: {refusal}") and err.count("\n") == 1
     assert derived == []
 
 
